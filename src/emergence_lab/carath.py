@@ -25,9 +25,9 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import DepthError, InputError, InvariantError, SizeError
-from .measures import make_rng, truncation_proxy, wasserstein1, empirical_measure
+from .measures import truncation_proxy, wasserstein1, empirical_measure
 from .sofic import PointPrefix, ShiftSpace, admissible_words, connector, \
-    count_admissible, topological_entropy
+    count_admissible, perron, topological_entropy
 
 KINDS = ("entropy", "hausdorff", "pressure", "appendix")
 
@@ -49,15 +49,7 @@ class CStructure:
             if self.table is None:
                 raise InputError(f"{self.kind} kind needs a potential table",
                                  module="carath", operation="CStructure")
-            if self.window < 1 or self.window > 8:
-                raise SizeError(f"potential window must be in 1..8, got {self.window}",
-                                module="carath", operation="CStructure")
-            tbl = {tuple(int(s) for s in w): float(v) for w, v in self.table.items()}
-            expected = set(admissible_words(self.space, self.window))
-            if set(tbl) != expected:
-                raise InputError(
-                    "potential table must cover exactly the admissible windows",
-                    module="carath", operation="CStructure")
+            tbl = _potential_table(self.space, self.table, self.window)
             if self.kind == "appendix" and min(tbl.values()) <= 0:
                 raise InputError("appendix-kind potential must be strictly positive",
                                  module="carath", operation="CStructure")
@@ -101,9 +93,6 @@ class CStructure:
             return self.space.metric_tail_bound(l)
         return math.exp(-self.sup_birkhoff(u))
 
-    def psi(self, u):
-        return 1.0 / len(u) if u else 0.0
-
     def to_json(self):
         out = {"kind": self.kind, "window": self.window}
         if self.table is not None:
@@ -118,6 +107,23 @@ class CStructure:
             table = {tuple(int(c) for c in w): float(v) for w, v in table.items()}
         return cls(kind=obj["kind"], space=space,
                    window=int(obj.get("window", 1)), table=table)
+
+
+def _potential_table(space, table, window):
+    """The table of a window potential with int-tuple keys and float values.
+
+    Raises unless the window is in 1..8 and the keys are exactly the
+    admissible words of that length.
+    """
+    if window < 1 or window > 8:
+        raise SizeError(f"potential window must be in 1..8, got {window}",
+                        module="carath", operation="potential_table")
+    tbl = {tuple(int(s) for s in w): float(v) for w, v in table.items()}
+    if set(tbl) != set(admissible_words(space, window)):
+        raise InputError(
+            "potential table must cover exactly the admissible windows",
+            module="carath", operation="potential_table")
+    return tbl
 
 
 def _extensions(space, last, length):
@@ -223,12 +229,9 @@ def pressure_partition(s, n, count_cap=2_000_000):
     return float(logsumexp(np.array(vals)) / n)
 
 
-def pressure_exact(space, table, window=1, tol=1e-12, window_cap=8):
+def pressure_exact(space, table, window=1):
     """log Perron eigenvalue of the window-block transfer matrix weighted by e^phi."""
-    if window < 1 or window > window_cap:
-        raise SizeError(f"window must be in 1..{window_cap}, got {window}",
-                        module="carath", operation="pressure_exact")
-    tbl = {tuple(int(s) for s in w): float(v) for w, v in table.items()}
+    tbl = _potential_table(space, table, window)
     states = admissible_words(space, window)
     idx = {w: i for i, w in enumerate(states)}
     k = len(states)
@@ -238,18 +241,7 @@ def pressure_exact(space, table, window=1, tol=1e-12, window_cap=8):
             w2 = w[1:] + (c,) if window > 1 else (c,)
             if w2 in idx:
                 b[idx[w], idx[w2]] = math.exp(tbl[w])
-    v = np.full(k, 1.0 / k)
-    lam = 0.0
-    for _ in range(500000):
-        nxt = b @ v
-        new_lam = float(np.linalg.norm(nxt))
-        nxt /= new_lam
-        if abs(new_lam - lam) <= tol * max(new_lam, 1.0) and np.abs(nxt - v).max() <= tol:
-            lam = float(nxt @ (b @ nxt) / (nxt @ nxt))
-            return float(np.log(lam))
-        v, lam = nxt, new_lam
-    raise InvariantError("transfer-matrix power iteration failed to converge",
-                         module="carath", operation="pressure_exact")
+    return float(np.log(perron(b)[0]))
 
 
 def bowen_dimension(space, table, window=1, tol=1e-9):
@@ -368,35 +360,17 @@ def check_conditions(s, depth, t_grid, m_grid=range(1, 9)):
                            c3_pass=c3_pass, c4_pass=c4_pass)
 
 
-def _representatives(u, space, length, strict, seed):
-    """Finite orbit prefixes standing in for points of C(u)."""
-    u = tuple(u)
-    reps = []
-    modes = ("min", "max", "rng") if strict else ("periodic",)
-    for mode in modes:
-        if mode == "periodic":
-            w = list(u)
-            if not space.allows(u[-1], u[0]):
-                w += list(connector(u, u, space))
-            reps.append(PointPrefix.periodic(w, length))
-            continue
-        sym = list(u)
-        rng = make_rng(seed) if mode == "rng" else None
-        while len(sym) < length:
-            succ = space.successors(sym[-1])
-            if mode == "min":
-                sym.append(succ[0])
-            elif mode == "max":
-                sym.append(succ[-1])
-            else:
-                sym.append(succ[int(rng.integers(len(succ)))])
-        reps.append(PointPrefix.from_word(sym[:length]))
-    return reps
+def _representatives(u, space, length):
+    """The orbit prefix standing in for the points of C(u): u repeated,
+    through a connector when u cannot follow itself."""
+    w = list(u)
+    if not space.allows(u[-1], u[0]):
+        w += list(connector(u, u, space))
+    return PointPrefix.periodic(w, length)
 
 
 def restricted_outer_measure(s, z, mu, n, eps, t, m_blk, depth_cap,
-                             metric_depth=6, strict=False, seed=0,
-                             survivor_cap=200000):
+                             metric_depth=6, survivor_cap=200000):
     """Cover infimum over cylinders whose representatives empirically track mu.
 
     The covering family is the block-depth family further restricted to
@@ -424,16 +398,12 @@ def restricted_outer_measure(s, z, mu, n, eps, t, m_blk, depth_cap,
         if tested[0] > survivor_cap:
             raise SizeError(f"membership probes exceed cap {survivor_cap}",
                             module="carath", operation="restricted_outer_measure")
-        ok = True
-        if eps == 0:
-            ok = False
-        else:
-            for y in _representatives(u, space, rep_len, strict, seed):
-                d, _ = wasserstein1(empirical_measure(y, n, metric_depth, space),
-                                    proxy, metric_depth, space)
-                if d >= eps:
-                    ok = False
-                    break
+        ok = False
+        if eps > 0:
+            y = _representatives(u, space, rep_len)
+            d, _ = wasserstein1(empirical_measure(y, n, metric_depth, space),
+                                proxy, metric_depth, space)
+            ok = d < eps
         member_cache[u] = ok
         return ok
 

@@ -237,7 +237,7 @@ def _run_restricted_probe(cfg, threads):
     val = carath.restricted_outer_measure(
         s, z, mu, int(p["n"]), float(p["eps"]), float(p["t"]),
         int(p["m_blk"]), int(p["depth_cap"]),
-        metric_depth=int(p.get("metric_depth", 6)), seed=cfg.seed)
+        metric_depth=int(p.get("metric_depth", 6)))
     out = {"value": val, "n": int(p["n"]), "eps": float(p["eps"]),
            "t": float(p["t"]), "m_blk": int(p["m_blk"]),
            "depth_cap": int(p["depth_cap"])}

@@ -158,9 +158,6 @@ def _validate_matrix_list(params, col, key, pointer, m):
     return out
 
 
-_WINDOW_KEYS = {"window": 1}
-
-
 def _validate_parameters(experiment, params, space, col):
     p = "/parameters"
     m = space.m if space is not None else None

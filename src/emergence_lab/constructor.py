@@ -37,10 +37,9 @@ from .sofic import PointPrefix, ShiftSpace, connector, is_admissible
 
 @dataclass(frozen=True)
 class MeasureFamily:
-    """Pairwise-distinct Markov measures on one space, with optional dims."""
+    """Pairwise-distinct Markov measures on one space."""
 
     measures: tuple
-    dims: tuple = None
 
     def __post_init__(self):
         ms = tuple(self.measures)
@@ -58,8 +57,6 @@ class MeasureFamily:
                     f"measures {a} and {b} are indistinguishable on short cylinders",
                     module="constructor", operation="MeasureFamily")
         object.__setattr__(self, "measures", ms)
-        if self.dims is not None:
-            object.__setattr__(self, "dims", tuple(float(d) for d in self.dims))
 
     @property
     def space(self):
@@ -394,22 +391,11 @@ def check_itinerary(it):
     return out
 
 
-def birkhoff_sum(word, table, window):
-    """Plain Birkhoff sum of a window potential along a finite word (wraps
-    periodically for the last window-1 terms)."""
-    w = tuple(int(s) for s in word)
-    ext = w + w[:window - 1] if window > 1 else w
-    return float(sum(table[ext[i:i + window]] for i in range(len(w))))
-
-
-def typical_word(mu, n, eps, seed, dim_filter=None, metric_depth=6,
-                 max_attempts=10000):
+def typical_word(mu, n, eps, seed, metric_depth=6, max_attempts=10000):
     """A length-n word whose periodic continuation empirically tracks mu.
 
     Rejection-samples from the chain until W1(delta_y^n, proxy of mu) < eps,
-    where y is the word continued periodically.  The optional dim_filter
-    (table, window, threshold) additionally requires
-    -log mu(C(word)) / S_n u >= threshold.
+    where y is the word continued periodically.
     """
     if n < 1 or eps <= 0:
         raise InputError(f"need n >= 1 and eps > 0, got n={n}, eps={eps}",
@@ -417,8 +403,7 @@ def typical_word(mu, n, eps, seed, dim_filter=None, metric_depth=6,
     space = mu.space
     proxy = truncation_proxy(mu, metric_depth, space)
     rng = make_rng(seed)
-    close = 0
-    for attempt in range(1, max_attempts + 1):
+    for _ in range(max_attempts):
         w = mu.sample(n, rng)
         word = tuple(int(s) for s in w)
         if not space.allows(word[-1], word[0]):
@@ -426,20 +411,10 @@ def typical_word(mu, n, eps, seed, dim_filter=None, metric_depth=6,
         y = PointPrefix.periodic(word, n + metric_depth - 1)
         emp = empirical_measure(y, n, metric_depth, space)
         d, _ = wasserstein1(emp, proxy, metric_depth, space)
-        if d >= eps:
-            continue
-        close += 1
-        if dim_filter is not None:
-            table, window, threshold = dim_filter
-            tbl = {tuple(int(c) for c in k): float(v) for k, v in table.items()}
-            su = birkhoff_sum(word, tbl, window)
-            logp = _log_cylinder_probability(mu, w)
-            if -logp / su < threshold:
-                continue
-        return w
+        if d < eps:
+            return w
     raise SamplingError(
-        f"typical_word budget {max_attempts} exhausted "
-        f"(n={n}, eps={eps}, acceptance rate {close / max_attempts:.4f})",
+        f"typical_word budget {max_attempts} exhausted (n={n}, eps={eps})",
         module="constructor", operation="typical_word")
 
 

@@ -189,15 +189,6 @@ def covering_number_bounds(snapshots, eps, depth, space, dist=None,
     return _greedy_packing(dist, eps), _greedy_cover(dist, eps)
 
 
-def emergence_estimate(cloud, eps, tail_fraction=0.5, dist=None, threads=1):
-    """Covering-number bracket over the late-time snapshot window."""
-    times, snaps = cloud.tail(tail_fraction)
-    if dist is None:
-        dist = pairwise_w1(snaps, cloud.depth, cloud.space, threads=threads)
-    lo, up = covering_number_bounds(snaps, eps, cloud.depth, cloud.space, dist=dist)
-    return lo, up
-
-
 @dataclass(frozen=True)
 class EmergenceReport:
     epsilons: tuple

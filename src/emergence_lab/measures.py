@@ -8,7 +8,6 @@ is returned alongside every value.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,38 +15,15 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .errors import DepthError, InputError, InvariantError, SizeError
-from .sofic import PointPrefix, ShiftSpace, admissible_words, topological_entropy
+from .sofic import PointPrefix, ShiftSpace, admissible_words, perron
 
 # Counter-based RNG used by every sampling operation (documented in the CLI).
 def make_rng(seed):
     return np.random.Generator(np.random.Philox(int(seed) & 0xFFFFFFFFFFFFFFFF))
 
 
-try:
-    from numba import njit as _njit
-except ImportError:          # pragma: no cover - numba is optional
-    _njit = None
-
-if _njit is not None:
-    @_njit(cache=True)
-    def _chain_walk_jit(cums, u, s0, out):
-        s = s0
-        m = cums.shape[0]
-        out[0] = s + 1
-        for i in range(1, u.shape[0]):
-            ui = u[i]
-            t = 0
-            while t < m - 1 and cums[s, t] <= ui:
-                t += 1
-            s = t
-            out[i] = s + 1
-
-
 def _chain_walk(cums, u, s0, out):
-    """Inverse-CDF walk of the chain; identical semantics to the jit kernel."""
-    if _njit is not None and u.shape[0] > 4096:
-        _chain_walk_jit(cums, u, s0, out)
-        return
+    """Inverse-CDF walk of the chain."""
     s = s0
     m = cums.shape[0]
     out[0] = s + 1
@@ -70,10 +46,10 @@ class MarkovMeasure:
         if p.shape != (m, m):
             raise InvariantError(f"stochastic matrix must be {m}x{m}, got {p.shape}",
                                  module="measures", operation="MarkovMeasure")
-        if (p < 0).any():
+        if not (p >= 0).all():
             raise InvariantError("stochastic entries must be nonnegative",
                                  module="measures", operation="MarkovMeasure")
-        if np.abs(p.sum(axis=1) - 1.0).max() > 1e-12:
+        if not np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12:
             raise InvariantError("stochastic rows must sum to 1 within 1e-12",
                                  module="measures", operation="MarkovMeasure")
         if ((p > 0) & (self.space.transition == 0)).any():
@@ -82,12 +58,12 @@ class MarkovMeasure:
         p.setflags(write=False)
         object.__setattr__(self, "stochastic", p)
         if self.stationary is None:
-            object.__setattr__(self, "stationary", _stationary_vector(p))
+            object.__setattr__(self, "stationary", perron(p)[1])
         pi = np.asarray(self.stationary, dtype=np.float64)
-        if (pi < 0).any() or abs(pi.sum() - 1.0) > 1e-10:
+        if not ((pi >= 0).all() and abs(pi.sum() - 1.0) <= 1e-10):
             raise InvariantError("stationary vector must be a probability vector",
                                  module="measures", operation="MarkovMeasure")
-        if np.abs(pi @ p - pi).max() > 1e-10:
+        if not np.abs(pi @ p - pi).max() <= 1e-10:
             raise InvariantError("stationary vector is not invariant within 1e-10",
                                  module="measures", operation="MarkovMeasure")
         pi.setflags(write=False)
@@ -120,7 +96,8 @@ class MarkovMeasure:
         if self.is_bernoulli:
             cum = np.cumsum(self.stochastic[0])
             u = rng.random(n)
-            return (np.searchsorted(cum, u, side="right") + 1).astype(np.int16)
+            idx = np.minimum(np.searchsorted(cum, u, side="right"), self.space.m - 1)
+            return (idx + 1).astype(np.int16)
         cums = np.cumsum(self.stochastic, axis=1)
         u = rng.random(n)
         out = np.empty(n, dtype=np.int16)
@@ -149,39 +126,13 @@ class MarkovMeasure:
     @classmethod
     def parry(cls, space):
         """The measure of maximal entropy."""
+        lam, u, v = perron(space.transition)
         a = space.transition.astype(np.float64)
-        lam = float(np.exp(topological_entropy(space)))
-        v = _perron_vector(a)
-        u = _perron_vector(a.T)
         p = a * v[None, :] / (lam * v[:, None])
         p /= p.sum(axis=1, keepdims=True)
         pi = u * v
         pi /= pi.sum()
         return cls(stochastic=p, space=space, stationary=pi)
-
-
-def _perron_vector(a, tol=1e-14, max_iter=200000):
-    v = np.full(a.shape[0], 1.0 / a.shape[0])
-    for _ in range(max_iter):
-        w = a @ v
-        w /= w.sum()
-        if np.abs(w - v).max() <= tol:
-            return w
-        v = w
-    raise InvariantError("Perron vector iteration failed to converge",
-                         module="measures", operation="_perron_vector")
-
-
-def _stationary_vector(p, tol=1e-13, max_iter=500000):
-    pi = np.full(p.shape[0], 1.0 / p.shape[0])
-    for _ in range(max_iter):
-        nxt = pi @ p
-        nxt /= nxt.sum()
-        if np.abs(nxt - pi).max() <= tol:
-            return nxt
-        pi = nxt
-    raise InvariantError("stationary vector iteration failed to converge",
-                         module="measures", operation="_stationary_vector")
 
 
 @dataclass(frozen=True)
@@ -230,22 +181,10 @@ class FinSuppMeasure:
         w = np.bincount(inverse, weights=self.weights, minlength=uniq.shape[0])
         return np.ascontiguousarray(self.atoms[first, :depth]), w, uniq
 
-    def to_csv(self):
-        buf = io.StringIO()
-        buf.write("weight," + ",".join(f"s{i+1}" for i in range(self.width)) + "\n")
-        for w, row in zip(self.weights, self.atoms):
-            buf.write(f"{w:.17g}," + ",".join(str(int(s)) for s in row) + "\n")
-        return buf.getvalue()
-
     @classmethod
     def point_mass(cls, point, width):
         return cls(atoms=np.asarray(point.head(width), dtype=np.int16)[None, :],
                    weights=np.array([1.0]))
-
-    @classmethod
-    def from_prefixes(cls, prefixes, weights, width):
-        rows = [np.asarray(p.head(width), dtype=np.int16) for p in prefixes]
-        return cls(atoms=np.stack(rows), weights=np.asarray(weights, dtype=np.float64))
 
 
 def _pack_prefixes(rows, m):
@@ -348,29 +287,8 @@ class MarkovMixture:
                          for t, c in zip(self.weights, self.components)))
 
 
-def cylinder_probability(mu, word):
-    return mu.cylinder_probability(word)
-
-
 def measure_entropy(mu):
     return mu.entropy()
-
-
-def sample_generic(mu, n, seed):
-    """A length-n word from the stationary chain; deterministic given seed."""
-    return mu.sample(n, make_rng(seed))
-
-
-def mixture_distance_proxy(mix, n, seed, n_samples=64):
-    """Empirical stand-in for a mixture: sample a component per t, then a generic word."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}",
-                         module="measures", operation="mixture_distance_proxy")
-    rng = make_rng(seed)
-    comp_idx = rng.choice(len(mix.components), size=n_samples, p=mix.weights)
-    rows = [mix.components[int(c)].sample(n, rng) for c in comp_idx]
-    return FinSuppMeasure(atoms=np.stack(rows),
-                          weights=np.full(n_samples, 1.0 / n_samples))
 
 
 def truncation_proxy(mu, depth, space=None):

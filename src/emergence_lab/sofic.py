@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DepthError, InputError, InvariantError
 
@@ -232,22 +233,32 @@ def specification_constant(space, m_blk=1):
     return worst
 
 
-def topological_entropy(space, tol=1e-12, max_iter=200000):
-    """log of the Perron eigenvalue of the transition matrix, by power iteration."""
-    a = space.transition.astype(np.float64)
-    v = np.full(space.m, 1.0 / space.m)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = a @ v
-        new_lam = float(np.linalg.norm(w))
-        w /= new_lam
-        if abs(new_lam - lam) <= tol * max(new_lam, 1.0):
-            # one Rayleigh-quotient polish for the eigenvalue itself
-            lam = float(w @ (a @ w) / (w @ w))
-            return float(np.log(lam))
-        v, lam = w, new_lam
-    raise InvariantError("power iteration failed to converge",
-                         module="sofic", operation="topological_entropy")
+def perron(a):
+    """Perron eigenvalue and left and right Perron vectors of a nonnegative
+    irreducible matrix, from one dense eigen-solve.
+
+    Returns (lam, left, right) with lam the eigenvalue of largest real part
+    and each vector normalised to sum 1.  Raises InvariantError when that
+    eigenvalue is not real or a chosen vector is not finite and of one sign,
+    which a reducible or negative input can cause.
+    """
+    vals, left, right = scipy.linalg.eig(np.asarray(a, dtype=np.float64),
+                                         left=True, right=True)
+    k = int(np.argmax(vals.real))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vecs = [v[:, k].real / v[:, k].real.sum() for v in (left, right)]
+    if vals[k].imag or not all(np.isfinite(v).all() and (v >= 0).all()
+                               for v in vecs):
+        raise InvariantError(
+            f"Perron vectors for eigenvalue {vals[k]} are not finite and of "
+            "one sign (is the matrix irreducible?)",
+            module="sofic", operation="perron")
+    return float(vals[k].real), vecs[0], vecs[1]
+
+
+def topological_entropy(space):
+    """log of the Perron eigenvalue of the transition matrix."""
+    return float(np.log(perron(space.transition)[0]))
 
 
 def count_admissible(space, n):

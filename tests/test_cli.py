@@ -244,6 +244,21 @@ def test_cli_error_leaves_no_partial_outputs(tmp_path):
     assert set(err) >= {"module", "operation", "kind", "detail"}
 
 
+@pytest.mark.parametrize("subcommand, parameters", [
+    ("pressure", {"table": {"1,1": 0.1, "1,2": 0.2, "2,1": 0.3}, "window": 2}),
+    ("bowen", {"table": {"1": 0.5}}),
+])
+def test_cli_incomplete_potential_table(tmp_path, subcommand, parameters):
+    cfg = {"space": FULL2_SPACE, "experiment": subcommand,
+           "parameters": parameters, "seed": 0,
+           "output_dir": str(tmp_path / "out")}
+    path = write_config(tmp_path, cfg)
+    result = CliRunner().invoke(main, [subcommand, "--config", path])
+    assert result.exit_code == 1
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert err["kind"] == "input" and err["module"] == "carath"
+
+
 def test_cli_restricted_probe_run(tmp_path):
     cfg = {"space": FULL2_SPACE, "experiment": "restricted-probe",
            "parameters": {"word": [1], "stochastic_list": [[[0.5, 0.5],

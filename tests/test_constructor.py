@@ -5,7 +5,7 @@ import pytest
 
 from emergence_lab.constructor import (ConstructedOrbit, Itinerary,
                                        MeasureFamily, SimplexNet,
-                                       birkhoff_sum, block_schedule,
+                                       block_schedule,
                                        build_orbit, check_itinerary,
                                        default_eps_tilde,
                                        estimate_gamma_thresholds,
@@ -103,13 +103,6 @@ def test_typical_word_guards():
         typical_word(bern([0.5, 0.5]), 0, 0.1, seed=0)
     with pytest.raises(InputError):
         typical_word(bern([0.5, 0.5]), 10, 0.0, seed=0)
-
-
-def test_birkhoff_sum_wraps():
-    tbl = {(1, 1): 1.0, (1, 2): 2.0, (2, 1): 3.0, (2, 2): 4.0}
-    # word 1,2 wraps: windows 12 and 21
-    assert birkhoff_sum((1, 2), tbl, 2) == pytest.approx(5.0)
-    assert birkhoff_sum((1, 1, 2), {(1,): 0.5, (2,): 1.0}, 1) == pytest.approx(2.0)
 
 
 # ----------------------------------------------------------- block_schedule

@@ -81,9 +81,64 @@ def test_sampling_frequencies_track_stationary():
 def test_chain_walk_jit_matches_python_semantics():
     p = np.array([[0.2, 0.3, 0.5], [0.5, 0.2, 0.3], [0.3, 0.5, 0.2]])
     mu = MarkovMeasure(p, FULL3)
-    short = mu.sample(4096, make_rng(3))       # python loop path
-    long = mu.sample(8192, make_rng(3))        # jit path if numba is present
+    short = mu.sample(4096, make_rng(3))
+    long = mu.sample(8192, make_rng(3))
     assert np.array_equal(short, long[:4096])
+
+
+class _FixedUniform:
+    """A stand-in rng whose `random` always returns the same value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        return np.full(n, self.u)
+
+
+def test_bernoulli_sample_stays_in_alphabet():
+    # ten 0.1s sum to 0.9999999999999999, so the largest uniform rng.random
+    # can return lies past the last cumulative weight
+    space = ShiftSpace.full_shift(10)
+    mu = MarkovMeasure.bernoulli([0.1] * 10, space)
+    assert np.cumsum(mu.stochastic[0])[-1] < 1.0
+    w = mu.sample(3, _FixedUniform(1.0 - 2.0 ** -53))
+    assert w.tolist() == [10, 10, 10]
+
+
+def test_stationary_of_period_two_chain():
+    # irreducible but not aperiodic: eigenvalues 1, -1 and 0
+    p = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    mu = MarkovMeasure(p, FULL3)
+    assert np.abs(mu.stationary - [0.5, 0.25, 0.25]).max() <= 1e-15
+
+
+def test_stationary_of_slow_mixing_chain():
+    # dyadic entries: the rows sum to exactly 1, so pi is exactly (2/3, 1/3)
+    a, b = 2.0 ** -13, 2.0 ** -12
+    mu = MarkovMeasure(np.array([[1 - a, a], [b, 1 - b]]), FULL2)
+    assert np.abs(mu.stationary - [2 / 3, 1 / 3]).max() <= 1e-15
+    # decimal entries: 1 - 1e-4 rounds, so the stored rows miss 1 by about
+    # 1e-17 and the stored matrix's own Perron vector lies 8.2e-15 from
+    # (2/3, 1/3); an eigen-solve is good to about 2.2e-16 / gap, gap = 3e-4
+    p = np.array([[1 - 1e-4, 1e-4], [2e-4, 1 - 2e-4]])
+    mu = MarkovMeasure(p, FULL2)
+    assert np.abs(mu.stationary - [2 / 3, 1 / 3]).max() <= 1e-12
+
+
+def test_stationary_of_reducible_chain_is_a_probability_vector():
+    # P = I is reducible and every probability vector is stationary for it
+    mu = MarkovMeasure(np.eye(3), FULL3)
+    assert (mu.stationary >= 0).all()
+    assert abs(mu.stationary.sum() - 1.0) <= 1e-15
+
+
+def test_stationary_must_be_finite():
+    p = np.array([[0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(InvariantError):
+        MarkovMeasure(p, FULL2, stationary=np.array([np.nan, 1.0]))
+    with pytest.raises(InvariantError):
+        MarkovMeasure(np.array([[np.nan, 0.5], [0.5, 0.5]]), FULL2)
 
 
 # ----------------------------------------------------------- FinSuppMeasure

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from emergence_lab.errors import DepthError, InputError, InvariantError
 from emergence_lab.sofic import (PointPrefix, ShiftSpace, admissible_words,
                                  connector, count_admissible, is_admissible,
-                                 specification_constant, topological_entropy,
-                                 truncated_metric)
+                                 perron, specification_constant,
+                                 topological_entropy, truncated_metric)
 
 
 def test_full_shift_entropy_is_log_m():
@@ -22,6 +22,15 @@ def test_golden_mean_entropy_is_log_phi():
     space = ShiftSpace.golden_mean()
     phi = (1 + math.sqrt(5)) / 2
     assert abs(topological_entropy(space) - math.log(phi)) < 1e-9
+
+
+def test_perron_rejects_vectors_not_of_one_sign():
+    # top eigenvector (1, -1) / sqrt 2 sums to 0: its normalisation is inf
+    with pytest.raises(InvariantError):
+        perron(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    # top eigenvector of mixed sign with a nonzero sum
+    with pytest.raises(InvariantError):
+        perron(np.array([[2.0, -1.0], [-1.0, 1.0]]))
 
 
 def test_dead_symbol_rejected():
