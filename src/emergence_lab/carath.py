@@ -17,11 +17,11 @@ monotone in it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from .errors import DepthError, InputError, InvariantError, SizeError
@@ -174,30 +174,33 @@ def outer_measure_N(s, target, t, m_blk, depth_cap):
     if max(len(w) for w in words) > depth_cap:
         raise DepthError("target is deeper than depth_cap",
                          module="carath", operation="outer_measure_N")
+    rec = _cover_recursion(s, t, m_blk, depth_cap, lambda u: True)
+    return float(sum(rec(w) for w in words))
+
+
+def _cover_recursion(s, t, m_blk, depth_cap, member):
+    """The memoised cover infimum rec(u) of C(u) by cylinders C(v) with |v|
+    a positive multiple of m_blk, |v| <= depth_cap and member(v), each
+    weighing q(C(v), t); a cylinder at depth_cap that fails member costs 0."""
+    space = s.space
     memo = {}
 
     def rec(u):
         if u in memo:
             return memo[u]
         l = len(u)
-        children_sum = None
-        if l < depth_cap:
-            children_sum = sum(rec(u + (c,)) for c in
-                               (s.space.successors(u[-1]) if u
-                                else range(1, s.space.m + 1)))
-        if l and l % m_blk == 0:
-            q = q_weight(s, u, t)
-            val = q if children_sum is None else min(q, children_sum)
+        eligible = l and l % m_blk == 0 and member(u)
+        if l >= depth_cap:
+            val = q_weight(s, u, t) if eligible else 0.0
         else:
-            if children_sum is None:
-                raise DepthError(
-                    f"cylinder at depth {l} has no admissible cover within depth_cap",
-                    module="carath", operation="outer_measure_N")
-            val = children_sum
+            children = sum(rec(u + (c,)) for c in
+                           (space.successors(u[-1]) if u
+                            else range(1, space.m + 1)))
+            val = min(q_weight(s, u, t), children) if eligible else children
         memo[u] = val
         return val
 
-    return float(sum(rec(w) for w in words))
+    return rec
 
 
 def pressure_partition(s, n, count_cap=2_000_000):
@@ -229,45 +232,47 @@ def pressure_partition(s, n, count_cap=2_000_000):
     return float(logsumexp(np.array(vals)) / n)
 
 
-def pressure_exact(space, table, window=1):
-    """log Perron eigenvalue of the window-block transfer matrix weighted by e^phi."""
+def _window_transfer(space, table, window):
+    """The checked potential as a vector over the admissible windows, and the
+    0/1 matrix of the window shift w -> w[1:] + (c,) between them."""
     tbl = _potential_table(space, table, window)
     states = admissible_words(space, window)
     idx = {w: i for i, w in enumerate(states)}
-    k = len(states)
-    b = np.zeros((k, k))
+    shift = np.zeros((len(states), len(states)))
     for w in states:
         for c in space.successors(w[-1]):
-            w2 = w[1:] + (c,) if window > 1 else (c,)
-            if w2 in idx:
-                b[idx[w], idx[w2]] = math.exp(tbl[w])
-    return float(np.log(perron(b)[0]))
+            shift[idx[w], idx[w[1:] + (c,)]] = 1.0
+    return np.array([tbl[w] for w in states]), shift
+
+
+def _transfer_pressure(phi, shift):
+    """log Perron eigenvalue of the window shift weighted by e^phi."""
+    weights = np.array([math.exp(v) for v in phi])
+    return float(np.log(perron(shift * weights[:, None])[0]))
+
+
+def pressure_exact(space, table, window=1):
+    """log Perron eigenvalue of the window-block transfer matrix weighted by e^phi."""
+    return _transfer_pressure(*_window_transfer(space, table, window))
 
 
 def bowen_dimension(space, table, window=1, tol=1e-9):
-    """The unique root s of pressure_exact(-s * u) = 0 for a positive potential u."""
-    tbl = {tuple(int(c) for c in w): float(v) for w, v in table.items()}
-    u_min = min(tbl.values())
+    """The unique root s of pressure_exact(-s * u) = 0 for a positive potential
+    u, located by Brent's method to within tol."""
+    u, shift = _window_transfer(space, table, window)
+    u_min = u.min()
     if u_min <= 0:
         raise InputError("Bowen potential must be strictly positive",
                          module="carath", operation="bowen_dimension")
-    h = topological_entropy(space)
-    lo, hi = 0.0, h / u_min + tol
+    hi = topological_entropy(space) / u_min + tol
 
     def p(sv):
-        return pressure_exact(space, {w: -sv * v for w, v in tbl.items()},
-                              window=window)
+        return _transfer_pressure(-sv * u, shift)
 
     if p(hi) > 0:
-        raise InvariantError("bisection bracket failed (pressure positive at cap)",
+        raise InvariantError("root bracket failed (pressure positive at cap)",
                              module="carath", operation="bowen_dimension")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if p(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(brentq(p, 0.0, hi, xtol=tol))
 
 
 @dataclass(frozen=True)
@@ -407,21 +412,4 @@ def restricted_outer_measure(s, z, mu, n, eps, t, m_blk, depth_cap,
         member_cache[u] = ok
         return ok
 
-    memo = {}
-
-    def rec(u):
-        if u in memo:
-            return memo[u]
-        l = len(u)
-        eligible = l and l % m_blk == 0 and member(u)
-        if l >= depth_cap:
-            val = q_weight(s, u, t) if eligible else 0.0
-        else:
-            children = sum(rec(u + (c,)) for c in
-                           (space.successors(u[-1]) if u
-                            else range(1, space.m + 1)))
-            val = min(q_weight(s, u, t), children) if eligible else children
-        memo[u] = val
-        return val
-
-    return float(rec(z))
+    return float(_cover_recursion(s, t, m_blk, depth_cap, member)(z))

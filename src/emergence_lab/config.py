@@ -13,13 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .carath import KINDS
+from .errors import ConfigError, InvariantError
 from .sofic import ShiftSpace
 
 EXPERIMENTS = ("entropy", "pressure", "bowen", "outer-sweep", "emergence",
                "construct", "saturate", "conditions", "restricted-probe")
-
-STRUCTURE_KINDS = ("entropy", "hausdorff", "pressure", "appendix")
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ def _validate_space(obj, col):
     try:
         return ShiftSpace(alphabet_size=m, transition=t.astype(np.int8),
                           beta=beta)
-    except Exception as exc:  # primitivity etc.
+    except InvariantError as exc:  # primitivity
         col.add("/space", str(exc))
         return None
 
@@ -184,8 +183,8 @@ def _validate_parameters(experiment, params, space, col):
         return
     if experiment == "outer-sweep":
         kind = col.require(params, "kind", str, p)
-        if kind is not None and kind not in STRUCTURE_KINDS:
-            col.add(f"{p}/kind", f"must be one of {STRUCTURE_KINDS}")
+        if kind is not None and kind not in KINDS:
+            col.add(f"{p}/kind", f"must be one of {KINDS}")
         if kind in ("pressure", "appendix"):
             _validate_table(params, col, p)
         _number_list(params, col, "t_grid", p)
@@ -251,8 +250,8 @@ def _validate_parameters(experiment, params, space, col):
         return
     if experiment == "conditions":
         kind = col.require(params, "kind", str, p)
-        if kind is not None and kind not in STRUCTURE_KINDS:
-            col.add(f"{p}/kind", f"must be one of {STRUCTURE_KINDS}")
+        if kind is not None and kind not in KINDS:
+            col.add(f"{p}/kind", f"must be one of {KINDS}")
         if kind in ("pressure", "appendix"):
             _validate_table(params, col, p)
         depth = col.require(params, "depth", int, p)

@@ -29,10 +29,9 @@ import numpy as np
 
 from .errors import (AlignmentError, InputError, InvariantError, SamplingError,
                      ScheduleError, SizeError)
-from .measures import (FinSuppMeasure, MarkovMeasure, MarkovMixture,
-                       empirical_measure, make_rng, truncation_proxy,
-                       wasserstein1)
-from .sofic import PointPrefix, ShiftSpace, connector, is_admissible
+from .measures import (MarkovMixture, empirical_measure, empirical_snapshots,
+                       make_rng, truncation_proxy, wasserstein1)
+from .sofic import PointPrefix, admissible_words, connector, is_admissible
 
 
 @dataclass(frozen=True)
@@ -67,19 +66,16 @@ class MeasureFamily:
 
 
 def _cylinder_vector_gap(mu, nu, depth=2):
-    from .sofic import admissible_words
-    gap = 0.0
-    for w in admissible_words(mu.space, depth):
-        gap = max(gap, abs(mu.cylinder_probability(w) - nu.cylinder_probability(w)))
-    return gap
+    words = np.asarray(admissible_words(mu.space, depth))
+    return float(np.abs(mu.cylinder_probability(words)
+                        - nu.cylinder_probability(words)).max())
 
 
 def independence_rank(family, depth=4):
     """Rank of the cylinder-probability vectors up to `depth` (diagnostic only)."""
-    from .sofic import admissible_words
-    words = [w for d in range(1, depth + 1)
-             for w in admissible_words(family.space, d)]
-    mat = np.array([[mu.cylinder_probability(w) for w in words]
+    levels = [np.asarray(admissible_words(family.space, d))
+              for d in range(1, depth + 1)]
+    mat = np.array([np.concatenate([mu.cylinder_probability(w) for w in levels])
                     for mu in family.measures])
     return int(np.linalg.matrix_rank(mat, tol=1e-9))
 
@@ -405,10 +401,9 @@ def typical_word(mu, n, eps, seed, metric_depth=6, max_attempts=10000):
     rng = make_rng(seed)
     for _ in range(max_attempts):
         w = mu.sample(n, rng)
-        word = tuple(int(s) for s in w)
-        if not space.allows(word[-1], word[0]):
+        if not space.allows(int(w[-1]), int(w[0])):
             continue
-        y = PointPrefix.periodic(word, n + metric_depth - 1)
+        y = PointPrefix.periodic(w, n + metric_depth - 1)
         emp = empirical_measure(y, n, metric_depth, space)
         d, _ = wasserstein1(emp, proxy, metric_depth, space)
         if d < eps:
@@ -544,15 +539,15 @@ def verify_saturation(orbit, net, family, slack, metric_depth=6):
         ext = orbit.word
         max_time = sym.shape[0] - metric_depth + 1
     times = sorted({t for t in orbit.boundary_times() if 0 < t <= max_time})
-    emps = {t: empirical_measure(ext, t, metric_depth, space) for t in times}
+    emps = empirical_snapshots(ext, times, metric_depth, space) if times else []
     minima = []
     worst = 0.0
     for node in net.nodes:
         mix = MarkovMixture(tuple(family.measures[:L + 1]), np.asarray(node))
         proxy = truncation_proxy(mix, metric_depth, space)
         best, best_t = np.inf, -1
-        for t in times:
-            d, _ = wasserstein1(emps[t], proxy, metric_depth, space)
+        for t, emp in zip(times, emps):
+            d, _ = wasserstein1(emp, proxy, metric_depth, space)
             if d < best:
                 best, best_t = d, t
         minima.append((tuple(node), float(best), best_t))

@@ -76,10 +76,8 @@ def geometric_times(n_min, n_max, count):
 
 
 def build_cloud(x, n_min, n_max, count, depth, space):
-    times = geometric_times(n_min, n_max, count)
-    snaps = tuple(empirical_snapshots(x, times, depth, space))
-    return TrajectoryCloud(source=x, times=times, snapshots=snaps,
-                           depth=depth, space=space)
+    """A trajectory cloud at `count` geometrically spaced times."""
+    return cloud_at_times(x, geometric_times(n_min, n_max, count), depth, space)
 
 
 def cloud_at_times(x, times, depth, space):

@@ -8,10 +8,11 @@ is returned alongside every value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import linprog
 
 from .errors import DepthError, InputError, InvariantError, SizeError
@@ -74,13 +75,13 @@ class MarkovMeasure:
         return bool(np.abs(self.stochastic - self.stochastic[0]).max() == 0.0)
 
     def cylinder_probability(self, word):
-        w = [int(s) for s in word]
-        if not w:
-            return 1.0
-        p = self.stationary[w[0] - 1]
-        for a, b in zip(w, w[1:]):
-            p *= self.stochastic[a - 1, b - 1]
-        return float(p)
+        """Probability of the cylinder of a word, or an array of the
+        probabilities of the rows of a (k, d) word array."""
+        w = np.asarray(word, dtype=np.int64) - 1
+        p = self.stationary[w[..., 0]] if w.shape[-1] else np.ones(w.shape[:-1])
+        for j in range(1, w.shape[-1]):
+            p = p * self.stochastic[w[..., j - 1], w[..., j]]
+        return float(p) if w.ndim == 1 else p
 
     def entropy(self):
         p = self.stochastic
@@ -188,13 +189,16 @@ class FinSuppMeasure:
 
 
 def _pack_prefixes(rows, m):
-    """Encode symbol rows as int64 radix-(m+1) keys; requires width small enough."""
+    """Encode the rows of a (k, width) symbol array as int64 radix-(m+1)
+    keys, one column at a time; requires width small enough."""
     width = rows.shape[1]
     if width * np.log2(m + 1) > 62:
         raise SizeError(f"prefix width {width} too large to pack for m={m}",
                         module="measures", operation="_pack_prefixes")
-    powers = (m + 1) ** np.arange(width, dtype=np.int64)
-    return rows.astype(np.int64) @ powers
+    keys = np.zeros(rows.shape[0], dtype=np.int64)
+    for d in range(width):
+        keys += rows[:, d].astype(np.int64) * (m + 1) ** d
+    return keys
 
 
 def _window_keys(symbols, n, depth, m):
@@ -204,34 +208,18 @@ def _window_keys(symbols, n, depth, m):
             f"need {n + depth - 1} symbols for {n} windows of depth {depth}, "
             f"have {symbols.shape[0]}",
             module="measures", operation="empirical_measure")
-    if depth * np.log2(m + 1) > 62:
-        raise SizeError(f"depth {depth} too large to pack for m={m}",
-                        module="measures", operation="empirical_measure")
-    s = symbols.astype(np.int64)
-    keys = np.zeros(n, dtype=np.int64)
-    for d in range(depth):
-        keys += s[d:d + n] * (m + 1) ** d
-    return keys
+    return _pack_prefixes(sliding_window_view(symbols[:n + depth - 1], depth), m)
 
 
 def empirical_measure(x, n, depth, space):
     """The uniform measure on the first n shifts of x, merged at `depth`."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}",
-                         module="measures", operation="empirical_measure")
-    keys = _window_keys(x.symbols, n, depth, space.m)
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    w = np.bincount(inverse, weights=np.full(n, 1.0 / n), minlength=uniq.shape[0])
-    atoms = _unpack_keys(uniq, depth, space.m)
-    return FinSuppMeasure(atoms=atoms, weights=w / w.sum())
+    return empirical_snapshots(x, [n], depth, space)[0]
 
 
 def empirical_snapshots(x, times, depth, space):
-    """Empirical measures at several window counts, sharing one key pass.
-
-    Equivalent to [empirical_measure(x, t, depth, space) for t in times] but
-    the sliding-window keys over the longest prefix are computed once.
-    """
+    """Empirical measures at several window counts, sharing one key pass:
+    the uniform measure on the first t shifts of x, merged at `depth`, for
+    each t in times."""
     times = [int(t) for t in times]
     if not times or any(t < 1 for t in times):
         raise InputError(f"times must be nonempty positive integers, got {times}",
@@ -242,9 +230,10 @@ def empirical_snapshots(x, times, depth, space):
     atoms_all = _unpack_keys(uniq, depth, space.m)
     out = []
     for t in times:
-        cnt = np.bincount(inverse[:t], minlength=uniq.shape[0])
-        keep = cnt > 0
-        w = cnt[keep].astype(np.float64) / t
+        w = np.bincount(inverse[:t], weights=np.full(t, 1.0 / t),
+                        minlength=uniq.shape[0])
+        keep = w > 0
+        w = w[keep]
         out.append(FinSuppMeasure(atoms=np.ascontiguousarray(atoms_all[keep]),
                                   weights=w / w.sum()))
     return out
@@ -283,8 +272,9 @@ class MarkovMixture:
         return self.components[0].space
 
     def cylinder_probability(self, word):
-        return float(sum(t * c.cylinder_probability(word)
-                         for t, c in zip(self.weights, self.components)))
+        p = sum(t * c.cylinder_probability(word)
+                for t, c in zip(self.weights, self.components))
+        return float(p) if np.ndim(word) == 1 else p
 
 
 def measure_entropy(mu):
@@ -299,12 +289,11 @@ def truncation_proxy(mu, depth, space=None):
     bound at `depth`.
     """
     space = space or mu.space
-    words = admissible_words(space, depth)
-    probs = np.array([mu.cylinder_probability(w) for w in words])
+    words = np.asarray(admissible_words(space, depth), dtype=np.int16)
+    probs = mu.cylinder_probability(words)
     keep = probs > 0
-    atoms = np.asarray([w for w, k in zip(words, keep) if k], dtype=np.int16)
     w = probs[keep]
-    return FinSuppMeasure(atoms=atoms, weights=w / w.sum())
+    return FinSuppMeasure(atoms=words[keep], weights=w / w.sum())
 
 
 def wasserstein1(mu, nu, depth, space, atom_cap=4096):

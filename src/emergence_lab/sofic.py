@@ -9,7 +9,7 @@ numpy arrays indexed from 0 (symbol s occupies row/column s-1).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -146,33 +146,36 @@ class PointPrefix:
     @classmethod
     def periodic(cls, word, depth, space=None):
         """The point obtained by repeating `word`, materialized to `depth` symbols."""
-        w = _as_symbols(word)
-        if not w:
+        w = np.asarray(word, dtype=np.int16)
+        if not w.size:
             raise InputError("periodic point needs a nonempty word",
                              module="sofic", operation="PointPrefix.periodic")
         if space is not None:
             if not is_admissible(w, space):
-                raise InputError(f"word {w} is not admissible",
+                raise InputError(f"word {w.tolist()} is not admissible",
                                  module="sofic", operation="PointPrefix.periodic")
-            if not space.allows(w[-1], w[0]):
-                raise InputError(f"word {w} cannot be repeated (wrap pair forbidden)",
+            if not space.allows(int(w[-1]), int(w[0])):
+                raise InputError(f"word {w.tolist()} cannot be repeated "
+                                 "(wrap pair forbidden)",
                                  module="sofic", operation="PointPrefix.periodic")
-        reps = -(-depth // len(w))
-        return cls(np.tile(np.asarray(w, dtype=np.int16), max(reps, 1))[:depth])
+        return cls(np.resize(w, depth))
 
     @classmethod
     def from_word(cls, word):
-        return cls(np.asarray(_as_symbols(word), dtype=np.int16))
+        return cls(word)
 
 
 def is_admissible(word, space):
-    """True iff every adjacent symbol pair of the word is allowed."""
-    w = _as_symbols(word)
-    for s in w:
-        if not 1 <= s <= space.m:
-            raise InputError(f"symbol {s} outside alphabet 1..{space.m}",
-                             module="sofic", operation="is_admissible")
-    return all(space.allows(a, b) for a, b in zip(w, w[1:]))
+    """True iff every adjacent symbol pair of the word is allowed; raises
+    InputError naming the first symbol outside the alphabet."""
+    w = np.asarray(word)
+    if w.dtype.kind not in "iu":
+        w = w.astype(np.int64)
+    if w.size and (w.min() < 1 or w.max() > space.m):
+        bad = w[((w < 1) | (w > space.m)).argmax()]
+        raise InputError(f"symbol {bad} outside alphabet 1..{space.m}",
+                         module="sofic", operation="is_admissible")
+    return bool(space.transition[w[:-1] - 1, w[1:] - 1].all())
 
 
 def truncated_metric(x, y, depth, space):

@@ -210,6 +210,17 @@ def test_bowen_unit_potential_is_entropy():
         h, abs=1e-7)
 
 
+def test_bowen_window2_coboundary_oracle():
+    # u(a, b) = c + g(b) - g(a): Birkhoff sums telescope to n c + O(1), so
+    # P(-s u) = h - s c and the root is h / c
+    g = {1: 0.0, 2: 0.3}
+    h = topological_entropy(GM)
+    for c in (0.5, 1.0, 2.0):
+        table = {(a, b): c + g[b] - g[a] for a, b in admissible_words(GM, 2)}
+        assert min(table.values()) > 0
+        assert abs(bowen_dimension(GM, table, window=2) - h / c) <= 1e-9
+
+
 def test_bowen_rejects_nonpositive_potential():
     with pytest.raises(InputError):
         bowen_dimension(FULL2, {(1,): 1.0, (2,): -1.0})

@@ -11,7 +11,7 @@ from emergence_lab.measures import (FinSuppMeasure, MarkovMeasure,
                                     empirical_snapshots, make_rng,
                                     measure_entropy, truncation_proxy,
                                     wasserstein1)
-from emergence_lab.sofic import PointPrefix, ShiftSpace
+from emergence_lab.sofic import PointPrefix, ShiftSpace, admissible_words
 
 FULL2 = ShiftSpace.full_shift(2)
 FULL3 = ShiftSpace.full_shift(3)
@@ -55,6 +55,20 @@ def test_cylinder_probability_markov():
     assert mu.cylinder_probability((1, 2, 2)) == pytest.approx(
         pi[0] * 0.1 * 0.8, rel=1e-12)
     assert mu.cylinder_probability(()) == 1.0
+
+
+def test_cylinder_probability_word_array_matches_per_word():
+    p = np.array([[0.9, 0.1], [0.2, 0.8]])
+    mix = MarkovMixture((MarkovMeasure(p, FULL2), bern([0.3, 0.7])),
+                        np.array([0.4, 0.6]))
+    parry = MarkovMeasure.parry(GM)
+    for mu, space in ((mix.components[0], FULL2), (mix, FULL2), (parry, GM),
+                      (MarkovMeasure.parry(FULL3), FULL3)):
+        for d in (1, 2, 5):
+            words = admissible_words(space, d)
+            probs = mu.cylinder_probability(np.array(words, dtype=np.int16))
+            assert probs.shape == (len(words),)
+            assert probs.tolist() == [mu.cylinder_probability(w) for w in words]
 
 
 def test_entropy_bernoulli_half():

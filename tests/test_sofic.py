@@ -57,6 +57,11 @@ def test_admissibility_golden_mean():
     assert not is_admissible((1, 2, 2), gm)
     with pytest.raises(InputError):
         is_admissible((1, 3), gm)
+    assert is_admissible(np.array([1, 2, 1, 1], dtype=np.int16), gm)
+    for bad in (0, 3):
+        w = np.array([1, 2, bad, 1, 0], dtype=np.int16)
+        with pytest.raises(InputError, match=f"symbol {bad} outside"):
+            is_admissible(w, gm)
 
 
 def test_count_admissible_matches_enumeration():
@@ -114,6 +119,15 @@ def test_periodic_point_wrap_validation():
     assert x.head(6) == (1, 2, 1, 2, 1, 2)
     with pytest.raises(InputError):
         PointPrefix.periodic((2, 2), 4, gm)
+    for word in ((1,), (1, 2), (1, 1, 2), (2, 1, 1, 1, 2, 1)):
+        for depth in (1, 5, 12):
+            a = PointPrefix.periodic(np.array(word, dtype=np.int16), depth, gm)
+            b = PointPrefix.periodic(word, depth, gm)
+            assert a.symbols.tobytes() == b.symbols.tobytes()
+            assert a.head(depth) == tuple(word[i % len(word)]
+                                          for i in range(depth))
+    with pytest.raises(InputError):   # wrap pair (2, 2) forbidden
+        PointPrefix.periodic(np.array([2, 1, 2], dtype=np.int16), 6, gm)
 
 
 def test_shift_drops_prefix():
