@@ -10,9 +10,14 @@ Four built-in kinds:
 
 Potentials are locally constant with a declared window k (a table over length-k
 words), so Birkhoff sups over a cylinder are exact finite maxima.  Outer
-measures are infima over covers by cylinders of bounded depth, computed by an
-exact tree recursion; the depth cap is explicit everywhere and values are
-monotone in it.
+measures are infima over covers by cylinders of bounded depth; the depth cap is
+explicit everywhere and values are monotone in it.  For every kind the ratio
+q(uc)/q(u) depends only on c and on the last max(k-1, 1) symbols of u, so the
+cover infimum of C(u) is q(u) G(|u|, suffix of u), and M and N come from one
+recursion over (depth, suffix state) in log space, O(cap m^k) work with no
+underflow at deep caps.  The recursion over the whole cylinder tree, O(m^cap),
+is kept only for the restricted outer measure, whose membership test reads
+the whole word.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from scipy.special import logsumexp
 from .errors import DepthError, InputError, InvariantError, SizeError
 from .measures import truncation_proxy, wasserstein1, empirical_measure
 from .sofic import PointPrefix, ShiftSpace, admissible_words, connector, \
-    count_admissible, perron, topological_entropy
+    count_admissible, is_admissible, perron, topological_entropy
 
 KINDS = ("entropy", "hausdorff", "pressure", "appendix")
 
@@ -144,14 +149,30 @@ def q_weight(s, u, t):
     return s.xi(u) * s.eta(u) ** t
 
 
+def _log_q(s, u, t):
+    """log q(C(u), t) of a nonempty word, finite at any depth."""
+    l = len(u)
+    if s.kind == "entropy":
+        return -l * t
+    if s.kind == "hausdorff":
+        sp = s.space
+        return t * (math.log((sp.m - 1) / (sp.beta - 1.0)) - l * math.log(sp.beta))
+    sup = s.sup_birkhoff(u)
+    return sup - l * t if s.kind == "pressure" else -t * sup
+
+
 def _normalize_target(target, space):
-    """A target is 'X' or a list of admissible words (union of cylinders)."""
+    """A target is 'X', the union of the first-symbol cylinders, or a list of
+    nonempty admissible words (union of cylinders)."""
     if target == "X" or target is None:
-        return [()]
+        return [(c,) for c in range(1, space.m + 1)]
     words = [tuple(int(s) for s in w) for w in target]
     for w in words:
         if not w:
             raise InputError("target words must be nonempty (use 'X' for the whole space)",
+                             module="carath", operation="outer_measure")
+        if not is_admissible(w, space):
+            raise InputError(f"target word {w} is not admissible",
                              module="carath", operation="outer_measure")
     return words
 
@@ -174,14 +195,77 @@ def outer_measure_N(s, target, t, m_blk, depth_cap):
     if max(len(w) for w in words) > depth_cap:
         raise DepthError("target is deeper than depth_cap",
                          module="carath", operation="outer_measure_N")
-    rec = _cover_recursion(s, t, m_blk, depth_cap, lambda u: True)
-    return float(sum(rec(w) for w in words))
+    span = max(s.window - 1, 1)
+    log_g = _log_cover_factors(s, t, m_blk, depth_cap, {len(w) for w in words})
+    return float(sum(math.exp(_log_q(s, w, t) + log_g[len(w)][w[-span:]])
+                     for w in words))
+
+
+def _log_cover_factors(s, t, m_blk, depth_cap, depths):
+    """log G(l, w) for each l in depths, as {state w: value}.
+
+    The infimum over covers of C(u) by cylinders whose depths are multiples
+    of m_blk up to depth_cap is q(u) G(|u|, w), with w the last
+    min(|u|, span) symbols of u and span = max(window - 1, 1).  Layers run up
+    from depth_cap, where G = 1 (the cap is a multiple of m_blk), through
+    log G(l, w) = logsumexp_c(log q(uc) - log q(u) + log G(l + 1, wc)),
+    clipped at 0 where the cylinder itself may cover (l divisible by m_blk).
+    """
+    span = max(s.window - 1, 1)
+    states = {l: admissible_words(s.space, l) for l in range(1, span + 1)}
+    steps = {}
+    # log G = fsum(shifts) + rel with max(rel) = 0: summing the per-layer
+    # shifts exactly keeps deep caps as accurate as shallow ones; their plain
+    # running total only decides whether the clip at G = 1 applies
+    rel = np.zeros(len(states[min(depth_cap, span)]))
+    shifts, total = [], 0.0
+    out = {}
+    for l in range(depth_cap, min(depths) - 1, -1):
+        k = min(l, span)
+        if l < depth_cap:
+            if k not in steps:
+                steps[k] = _log_steps(s, t, states[k], states[min(k + 1, span)])
+            nxt, inc = steps[k]
+            x = inc + rel[nxt]
+            top = x.max(axis=1)
+            rel = top + np.log(np.exp(x - top[:, None]).sum(axis=1))
+            shifts.append(rel.max())
+            rel -= shifts[-1]
+            total += shifts[-1]
+            if l % m_blk == 0 and total > 0:
+                rel = np.minimum(rel + math.fsum(shifts), 0.0)
+                shifts, total = [], 0.0
+        if l in depths:
+            base = math.fsum(shifts)
+            out[l] = {w: base + r for w, r in zip(states[k], rel.tolist())}
+    return out
+
+
+def _log_steps(s, t, states, targets):
+    """For each state w and symbol c: the index in targets of the state of
+    wc (its last len(targets[0]) symbols) and log q(uc) - log q(u), -inf
+    where c may not follow w.  That increment equals log q(wc) - log q(w)
+    for every u ending in w: the sup of a Birkhoff sum over C(u) is a part
+    fixed by u plus the best tail over its last window - 1 symbols."""
+    width = len(targets[0])
+    index = {w: i for i, w in enumerate(targets)}
+    nxt = np.zeros((len(states), s.space.m), dtype=np.intp)
+    inc = np.full((len(states), s.space.m), -np.inf)
+    for i, w in enumerate(states):
+        for c in s.space.successors(w[-1]):
+            nxt[i, c - 1] = index[(w + (c,))[-width:]]
+            inc[i, c - 1] = _log_q(s, w + (c,), t) - _log_q(s, w, t)
+    return nxt, inc
 
 
 def _cover_recursion(s, t, m_blk, depth_cap, member):
     """The memoised cover infimum rec(u) of C(u) by cylinders C(v) with |v|
     a positive multiple of m_blk, |v| <= depth_cap and member(v), each
-    weighing q(C(v), t); a cylinder at depth_cap that fails member costs 0."""
+    weighing q(C(v), t); a cylinder at depth_cap that fails member costs 0.
+
+    It visits every admissible cylinder down to depth_cap, O(m^depth_cap),
+    so it serves only the restricted outer measure, whose member reads the
+    whole word."""
     space = s.space
     memo = {}
 
@@ -388,6 +472,9 @@ def restricted_outer_measure(s, z, mu, n, eps, t, m_blk, depth_cap,
                          module="carath", operation="restricted_outer_measure")
     space = s.space
     z = tuple(int(c) for c in z)
+    if not is_admissible(z, space):
+        raise InputError(f"z = {z} is not admissible",
+                         module="carath", operation="restricted_outer_measure")
     if len(z) > depth_cap:
         raise DepthError("z is deeper than depth_cap",
                          module="carath", operation="restricted_outer_measure")

@@ -304,13 +304,20 @@ def validate_config(obj):
                             output_dir=Path(out_dir), raw=obj)
 
 
+def _reject_constant(token):
+    """json.loads hook for NaN, Infinity and -Infinity, which JSON lacks."""
+    raise ConfigError([("/", f"non-finite number {token} is not allowed")],
+                      module="config", operation="load_config")
+
+
 def load_config(path):
     p = Path(path)
     if not p.is_file():
         raise ConfigError([("/", f"config file not found: {p}")],
                           module="config", operation="load_config")
     try:
-        obj = json.loads(p.read_text(encoding="utf-8"))
+        obj = json.loads(p.read_text(encoding="utf-8"),
+                         parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError([("/", f"JSON parse error: {exc}")],
                           module="config", operation="load_config") from exc

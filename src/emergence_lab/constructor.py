@@ -31,7 +31,8 @@ from .errors import (AlignmentError, InputError, InvariantError, SamplingError,
                      ScheduleError, SizeError)
 from .measures import (MarkovMixture, empirical_measure, empirical_snapshots,
                        make_rng, truncation_proxy, wasserstein1)
-from .sofic import PointPrefix, admissible_words, connector, is_admissible
+from .sofic import PointPrefix, admissible_words, connector, is_admissible, \
+    symbol_array
 
 
 @dataclass(frozen=True)
@@ -414,7 +415,7 @@ def typical_word(mu, n, eps, seed, metric_depth=6, max_attempts=10000):
 
 
 def _log_cylinder_probability(mu, word):
-    w = np.asarray(word, dtype=np.int64) - 1
+    w = symbol_array(word, mu.space, "constructor", "log_cylinder_probability") - 1
     with np.errstate(divide="ignore"):
         logp = np.log(mu.stochastic)
     return float(np.log(mu.stationary[w[0]]) + logp[w[:-1], w[1:]].sum())

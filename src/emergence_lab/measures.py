@@ -16,7 +16,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import linprog
 
 from .errors import DepthError, InputError, InvariantError, SizeError
-from .sofic import PointPrefix, ShiftSpace, admissible_words, perron
+from .sofic import PointPrefix, ShiftSpace, admissible_words, perron, \
+    symbol_array
 
 # Counter-based RNG used by every sampling operation (documented in the CLI).
 def make_rng(seed):
@@ -77,7 +78,7 @@ class MarkovMeasure:
     def cylinder_probability(self, word):
         """Probability of the cylinder of a word, or an array of the
         probabilities of the rows of a (k, d) word array."""
-        w = np.asarray(word, dtype=np.int64) - 1
+        w = symbol_array(word, self.space, "measures", "cylinder_probability") - 1
         p = self.stationary[w[..., 0]] if w.shape[-1] else np.ones(w.shape[:-1])
         for j in range(1, w.shape[-1]):
             p = p * self.stochastic[w[..., j - 1], w[..., j]]

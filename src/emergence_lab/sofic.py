@@ -165,16 +165,24 @@ class PointPrefix:
         return cls(word)
 
 
-def is_admissible(word, space):
-    """True iff every adjacent symbol pair of the word is allowed; raises
-    InputError naming the first symbol outside the alphabet."""
+def symbol_array(word, space, module, operation):
+    """A word or an array of words as an integer array; raises InputError,
+    tagged with the caller's module and operation, naming the first symbol
+    outside the alphabet 1..m."""
     w = np.asarray(word)
     if w.dtype.kind not in "iu":
         w = w.astype(np.int64)
     if w.size and (w.min() < 1 or w.max() > space.m):
-        bad = w[((w < 1) | (w > space.m)).argmax()]
+        bad = w.flat[((w < 1) | (w > space.m)).argmax()]
         raise InputError(f"symbol {bad} outside alphabet 1..{space.m}",
-                         module="sofic", operation="is_admissible")
+                         module=module, operation=operation)
+    return w
+
+
+def is_admissible(word, space):
+    """True iff every adjacent symbol pair of the word is allowed; raises
+    InputError naming the first symbol outside the alphabet."""
+    w = symbol_array(word, space, "sofic", "is_admissible")
     return bool(space.transition[w[:-1] - 1, w[1:] - 1].all())
 
 

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from emergence_lab.carath import (CStructure, bowen_dimension,
-                                  check_conditions, outer_measure_M,
-                                  outer_measure_N, pressure_exact,
-                                  pressure_partition, q_weight,
-                                  restricted_outer_measure)
+from emergence_lab.carath import (CStructure, _cover_recursion,
+                                  bowen_dimension, check_conditions,
+                                  outer_measure_M, outer_measure_N,
+                                  pressure_exact, pressure_partition,
+                                  q_weight, restricted_outer_measure)
 from emergence_lab.errors import DepthError, InputError, SizeError
 from emergence_lab.measures import MarkovMeasure
 from emergence_lab.sofic import (ShiftSpace, admissible_words,
@@ -149,6 +149,71 @@ def test_outer_measure_guards():
         outer_measure_N(s, "X", 0.5, 0, 2)
     with pytest.raises(DepthError):
         outer_measure_M(s, [(1, 1, 1)], 0.5, 2)
+
+
+def test_outer_measure_rejects_inadmissible_targets():
+    # an empty cylinder, a symbol outside 1..m, a forbidden pair
+    s = CStructure(kind="entropy", space=GM)
+    for target in ([(2, 2)], [(0,)], [(3, 1)], [(1,), (1, 2, 2)]):
+        with pytest.raises(InputError):
+            outer_measure_M(s, target, 0.5, 4)
+    mu = MarkovMeasure.parry(GM)
+    for z in ((2, 2), (0,), (1, 3)):
+        with pytest.raises(InputError):
+            restricted_outer_measure(s, z, mu, n=16, eps=0.5, t=0.5,
+                                     m_blk=1, depth_cap=4, metric_depth=3)
+
+
+# ------------------------------------ (depth, suffix state) recursion vs tree
+
+def all_structures(space, rng):
+    for window in (1, 2, 3):
+        words = admissible_words(space, window)
+        yield CStructure(kind="entropy", space=space, window=window)
+        yield CStructure(kind="hausdorff", space=space, window=window)
+        yield CStructure(kind="pressure", space=space, window=window,
+                         table={w: float(rng.uniform(-1, 1)) for w in words})
+        yield CStructure(kind="appendix", space=space, window=window,
+                         table={w: float(rng.uniform(0.2, 1.5)) for w in words})
+
+
+@pytest.mark.parametrize("space, max_cap", [(FULL2, 9), (GM, 9), (FULL3, 6)])
+def test_suffix_recursion_matches_tree(space, max_cap):
+    rng = np.random.default_rng(7)
+    # whole space, one symbol, two words, and a word longer than any suffix
+    # state next to a shorter one
+    targets = ["X", [(1,)], admissible_words(space, 2)[-2:],
+               [admissible_words(space, 4)[-1], (2,)]]
+    for s in all_structures(space, rng):
+        for m_blk in (1, 2, 3):
+            for t in (-0.2, 0.0, 0.7, 1.4):
+                for cap in range(m_blk, max_cap + 1, m_blk):
+                    rec = _cover_recursion(s, t, m_blk, cap, lambda u: True)
+                    for target in targets:
+                        if target != "X" and max(map(len, target)) > cap:
+                            continue
+                        want = sum(rec(w) for w in
+                                   ([()] if target == "X" else target))
+                        got = outer_measure_N(s, target, t, m_blk, cap)
+                        assert abs(got - want) <= 1e-12 * want, (
+                            s.kind, s.window, m_blk, t, cap, target)
+
+
+def test_deep_cap_entropy_closed_form():
+    # far past the recursion limit of a walk down the cylinder tree
+    s = CStructure(kind="entropy", space=FULL2)
+    t = 0.75
+    want = math.exp(1000 * math.log(2 * math.exp(-t)))
+    assert abs(outer_measure_M(s, "X", t, 1000) - want) <= 1e-12 * want
+
+
+def test_deep_cap_pressure_window2_does_not_underflow():
+    tbl = {(1, 1): 0.1, (1, 2): -0.2, (2, 1): 0.25, (2, 2): -0.05}
+    s = CStructure(kind="pressure", space=FULL2, window=2, table=tbl)
+    for m_blk in (1, 2):
+        shallow = outer_measure_N(s, "X", 0.8, m_blk, 1000)
+        deep = outer_measure_N(s, "X", 0.8, m_blk, 2000)
+        assert math.isfinite(deep) and 0 < deep <= shallow
 
 
 # ---------------------------------------------------------------- pressure

@@ -169,6 +169,25 @@ def test_cli_outer_sweep_run(tmp_path):
         assert float(m_val) <= float(n_val) + 1e-15
 
 
+def test_cli_rejects_non_finite_config_numbers(tmp_path):
+    # json.dumps writes float("nan") and -inf as the tokens NaN and -Infinity
+    cfg = {"space": FULL2_SPACE, "experiment": "outer-sweep",
+           "parameters": {"kind": "entropy", "t_grid": [math.nan, -math.inf],
+                          "depth_caps": [2], "m_blk": 1},
+           "seed": 0, "output_dir": str(tmp_path / "out")}
+    path = write_config(tmp_path, cfg)
+    assert "NaN" in open(path).read()
+    with pytest.raises(ConfigError, match="NaN"):
+        load_config(path)
+    out_dir = tmp_path / "err"
+    result = CliRunner().invoke(main, ["outer-sweep", "--config", path,
+                                       "--out", str(out_dir)])
+    assert result.exit_code == 1
+    assert sorted(p.name for p in out_dir.iterdir()) == ["error.json"]
+    err = json.loads((out_dir / "error.json").read_text())
+    assert err["kind"] == "config" and "NaN" in err["detail"]
+
+
 def test_cli_conditions_run(tmp_path):
     cfg = {"space": FULL2_SPACE, "experiment": "conditions",
            "parameters": {"kind": "entropy", "depth": 4, "t_grid": [0.5]},

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from emergence_lab.constructor import (ConstructedOrbit, Itinerary,
+                                       _log_cylinder_probability,
                                        MeasureFamily, SimplexNet,
                                        block_schedule,
                                        build_orbit, check_itinerary,
@@ -241,6 +242,15 @@ def test_lambda_measure_products():
     assert lambda_measure(orbit, fam, 0) == 1.0
     with pytest.raises(AlignmentError):
         lambda_measure(orbit, fam, first_end + 1)
+
+
+def test_log_cylinder_probability_rejects_symbols_outside_alphabet():
+    mu = bern([0.3, 0.7])
+    assert _log_cylinder_probability(mu, (1, 2)) == pytest.approx(
+        math.log(0.21), rel=1e-12)
+    for word in ((0, 1), np.array([1, 2, 3], dtype=np.int16)):
+        with pytest.raises(InputError):
+            _log_cylinder_probability(mu, word)
 
 
 def test_lambda_measure_is_product_of_blocks():

@@ -71,6 +71,17 @@ def test_cylinder_probability_word_array_matches_per_word():
             assert probs.tolist() == [mu.cylinder_probability(w) for w in words]
 
 
+def test_cylinder_probability_rejects_symbols_outside_alphabet():
+    # symbol - 1 = -1 would wrap around to the last symbol's row
+    mu = bern([0.3, 0.7])
+    for word in ((0, 1), (1, 3), np.array([[1, 2], [2, 0]], dtype=np.int16)):
+        with pytest.raises(InputError):
+            mu.cylinder_probability(word)
+    mix = MarkovMixture((mu, bern([0.5, 0.5])), np.array([0.5, 0.5]))
+    with pytest.raises(InputError):
+        mix.cylinder_probability((0,))
+
+
 def test_entropy_bernoulli_half():
     assert measure_entropy(bern([0.5, 0.5])) == pytest.approx(math.log(2))
     assert measure_entropy(bern([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
