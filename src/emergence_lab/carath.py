@@ -13,11 +13,12 @@ words), so Birkhoff sups over a cylinder are exact finite maxima.  Outer
 measures are infima over covers by cylinders of bounded depth; the depth cap is
 explicit everywhere and values are monotone in it.  For every kind the ratio
 q(uc)/q(u) depends only on c and on the last max(k-1, 1) symbols of u, so the
-cover infimum of C(u) is q(u) G(|u|, suffix of u), and M and N come from one
-recursion over (depth, suffix state) in log space, O(cap m^k) work with no
-underflow at deep caps.  The recursion over the whole cylinder tree, O(m^cap),
-is kept only for the restricted outer measure, whose membership test reads
-the whole word.
+cover infimum of C(u) is q(u) G(|u|, suffix of u).  M, N, the partition-sum
+pressure (any window) and the Q1 and m_of_t condition probes all come from
+one recursion over (depth, suffix state) in log space, O(cap m^k) work with
+no underflow at deep caps.  The recursion over the whole cylinder tree,
+O(m^cap), is kept only for the restricted outer measure, whose membership
+test reads the whole word.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ from scipy.special import logsumexp
 from .errors import DepthError, InputError, InvariantError, SizeError
 from .measures import truncation_proxy, wasserstein1, empirical_measure
 from .sofic import PointPrefix, ShiftSpace, admissible_words, connector, \
-    count_admissible, is_admissible, perron, topological_entropy
+    is_admissible, perron, topological_entropy
 
 KINDS = ("entropy", "hausdorff", "pressure", "appendix")
+SURVIVOR_CAP = 200_000   # membership probes of one restricted outer measure
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,7 @@ class CStructure:
         if self.kind not in KINDS:
             raise InputError(f"unknown structure kind {self.kind!r}",
                              module="carath", operation="CStructure")
+        _check_window(self.window, "CStructure")
         if self.kind in ("pressure", "appendix"):
             if self.table is None:
                 raise InputError(f"{self.kind} kind needs a potential table",
@@ -74,11 +77,14 @@ class CStructure:
         else:
             fixed = sum(self.table[u[i:i + k]] for i in range(max(l - k + 1, 0)))
             best = -math.inf
-            for ext in _extensions(self.space, u[-1], k - 1):
-                w = u + ext
-                tail = sum(self.table[w[i:i + k]]
-                           for i in range(max(l - k + 1, 0), l))
-                best = max(best, tail)
+            # the admissible continuations of length k - 1 after u[-1] are
+            # the admissible k-words starting with u[-1], without it
+            for e in admissible_words(self.space, k):
+                if e[0] == u[-1]:
+                    w = u + e[1:]
+                    tail = sum(self.table[w[i:i + k]]
+                               for i in range(max(l - k + 1, 0), l))
+                    best = max(best, tail)
             val = float(fixed + best)
         self._sup_cache[u] = val
         return val
@@ -114,31 +120,27 @@ class CStructure:
                    window=int(obj.get("window", 1)), table=table)
 
 
+def _check_window(window, operation):
+    """Raise unless the potential window is in 1..8: the suffix recursion
+    keeps one state per admissible word of length window - 1."""
+    if window < 1 or window > 8:
+        raise SizeError(f"potential window must be in 1..8, got {window}",
+                        module="carath", operation=operation)
+
+
 def _potential_table(space, table, window):
     """The table of a window potential with int-tuple keys and float values.
 
     Raises unless the window is in 1..8 and the keys are exactly the
     admissible words of that length.
     """
-    if window < 1 or window > 8:
-        raise SizeError(f"potential window must be in 1..8, got {window}",
-                        module="carath", operation="potential_table")
+    _check_window(window, "potential_table")
     tbl = {tuple(int(s) for s in w): float(v) for w, v in table.items()}
     if set(tbl) != set(admissible_words(space, window)):
         raise InputError(
             "potential table must cover exactly the admissible windows",
             module="carath", operation="potential_table")
     return tbl
-
-
-def _extensions(space, last, length):
-    """All admissible continuations of the given length after symbol `last`."""
-    if length == 0:
-        return [()]
-    out = [(s,) for s in space.successors(last)]
-    for _ in range(length - 1):
-        out = [w + (s,) for w in out for s in space.successors(w[-1])]
-    return out
 
 
 def q_weight(s, u, t):
@@ -287,33 +289,20 @@ def _cover_recursion(s, t, m_blk, depth_cap, member):
     return rec
 
 
-def pressure_partition(s, n, count_cap=2_000_000):
-    """(1/n) log of the partition sum of exp(sup-Birkhoff) over depth-n cylinders."""
+def pressure_partition(s, n):
+    """(1/n) log of the partition sum of exp(sup-Birkhoff) over depth-n cylinders.
+
+    With m_blk = depth_cap = n the only cover is the depth-n partition, so at
+    t = 0 the sum over the cylinders inside C(c) is q(c) G(1, c).
+    """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}",
                          module="carath", operation="pressure_partition")
     if s.kind != "pressure":
         raise InputError("pressure_partition needs a pressure-kind structure",
                          module="carath", operation="pressure_partition")
-    space = s.space
-    if s.window == 1:
-        # exact transfer recursion: sups are plain sums for window-1 potentials
-        m = space.m
-        phi = np.array([s.table[(i,)] for i in range(1, m + 1)])
-        w = space.transition.astype(np.float64) * np.exp(phi)[None, :]
-        vec = np.exp(phi)
-        log_scale = 0.0
-        for _ in range(n - 1):
-            vec = vec @ w
-            norm = vec.max()
-            vec /= norm
-            log_scale += np.log(norm)
-        return float((log_scale + np.log(vec.sum())) / n)
-    if count_admissible(space, n) > count_cap:
-        raise SizeError(f"partition sum at n={n} exceeds enumeration cap",
-                        module="carath", operation="pressure_partition")
-    vals = [s.sup_birkhoff(u) for u in admissible_words(space, n)]
-    return float(logsumexp(np.array(vals)) / n)
+    log_g = _log_cover_factors(s, 0.0, n, n, {1})[1]
+    return float(logsumexp([_log_q(s, w, 0.0) + g for w, g in log_g.items()]) / n)
 
 
 def _window_transfer(space, table, window):
@@ -379,14 +368,17 @@ class ConditionReport:
                 "C3_pass": self.c3_pass, "C4_pass": self.c4_pass}
 
 
-def check_conditions(s, depth, t_grid, m_grid=range(1, 9)):
+def check_conditions(s, depth, t_grid):
     """Numeric diagnostics for the quasi-multiplicativity / monotonicity conditions.
 
     Q3: worst two-sided ratio q(uv) vs q(u)q(v) over concatenable pairs with
     |u|+|v| <= depth.  C4: eta nonincreasing along every tree edge to `depth`.
     Q1: worst-case deep-cover deficiency min M(C(u))/q(u) at the test depth.
-    m_of_t: smallest block size whose restricted recursion is attained by a
-    single enclosing cylinder for all shallow test cylinders.
+    m_of_t: smallest block size in 1..8 whose restricted recursion is
+    attained by a single enclosing cylinder for all shallow test cylinders.
+    Both probes read N(C(u))/q(u) = G(|u|, state of u) over every suffix
+    state at once; each state ends some admissible word of every length,
+    since no symbol is dead.
     """
     space = s.space
     if depth < 2:
@@ -415,32 +407,28 @@ def check_conditions(s, depth, t_grid, m_grid=range(1, 9)):
                 if s.eta(u + (c,)) > eu * (1 + 1e-12):
                     c4_pass = False
 
+    def log_g(t, m_blk, depth_cap, l):
+        return np.array(list(
+            _log_cover_factors(s, t, m_blk, depth_cap, {l})[l].values()))
+
     probe_depth = min(depth, 4)
-    q1 = math.inf
-    for u in admissible_words(space, probe_depth):
-        for t in t_grid:
-            val = outer_measure_M(s, [u], t, probe_depth + 2)
-            q1 = min(q1, val / q_weight(s, u, t))
+    q1 = min((math.exp(log_g(t, 1, probe_depth + 2, probe_depth).min())
+              for t in t_grid), default=math.inf)
     c1_pass = q1 > 0
 
-    m_of_t = -1
-    for m_blk in m_grid:
-        ok = True
+    def attained(m_blk):
+        # within a uniform factor: one extra level of depth past the first
+        # admissible one may not cut the cover cost below half
         for l in range(1, probe_depth + 1):
-            cap = -(-max(l, 1) // m_blk) * m_blk + m_blk
-            for u in admissible_words(space, l):
-                for t in t_grid:
-                    full = outer_measure_N(s, [u], t, m_blk, cap)
-                    # value when forced to stop at the first admissible level
-                    first_level = -(-l // m_blk) * m_blk
-                    shallow = outer_measure_N(s, [u], t, m_blk, max(first_level, m_blk))
-                    # attained within a uniform factor: one extra level of
-                    # depth may not cut the cover cost below half
-                    if not full >= 0.5 * shallow or full <= 0:
-                        ok = False
-        if ok:
-            m_of_t = m_blk
-            break
+            first = -(-l // m_blk) * m_blk
+            for t in t_grid:
+                gain = (log_g(t, m_blk, first + m_blk, l)
+                        - log_g(t, m_blk, first, l))
+                if not (gain >= math.log(0.5)).all():
+                    return False
+        return True
+
+    m_of_t = next((m_blk for m_blk in range(1, 9) if attained(m_blk)), -1)
     c2_pass = m_of_t > 0
 
     return ConditionReport(depth=depth, t_grid=t_grid,
@@ -459,7 +447,7 @@ def _representatives(u, space, length):
 
 
 def restricted_outer_measure(s, z, mu, n, eps, t, m_blk, depth_cap,
-                             metric_depth=6, survivor_cap=200000):
+                             metric_depth=6):
     """Cover infimum over cylinders whose representatives empirically track mu.
 
     The covering family is the block-depth family further restricted to
@@ -487,8 +475,8 @@ def restricted_outer_measure(s, z, mu, n, eps, t, m_blk, depth_cap,
         if u in member_cache:
             return member_cache[u]
         tested[0] += 1
-        if tested[0] > survivor_cap:
-            raise SizeError(f"membership probes exceed cap {survivor_cap}",
+        if tested[0] > SURVIVOR_CAP:
+            raise SizeError(f"membership probes exceed cap {SURVIVOR_CAP}",
                             module="carath", operation="restricted_outer_measure")
         ok = False
         if eps > 0:

@@ -68,8 +68,8 @@ def _csv(header, rows):
     return buf.getvalue()
 
 
-def _markov_family(cfg, key="family"):
-    mats = cfg.parameters[key]
+def _markov_family(cfg):
+    mats = cfg.parameters["family"]
     return constructor.MeasureFamily(measures=tuple(
         measures.MarkovMeasure(np.asarray(m, dtype=np.float64), cfg.space)
         for m in mats))
@@ -81,8 +81,8 @@ def _table(cfg):
 
 
 def _structure(cfg):
-    kind = cfg.parameters["kind"]
-    window = int(cfg.parameters.get("window", 1))
+    kind = cfg.parameters.get("kind") or "entropy"
+    window = int(cfg.parameters.get("window") or 1)
     table = _table(cfg) if kind in ("pressure", "appendix") else None
     return carath.CStructure(kind=kind, window=window, table=table,
                              space=cfg.space)
@@ -98,7 +98,7 @@ def _run_entropy(cfg, threads):
 
 def _run_pressure(cfg, threads):
     table = _table(cfg)
-    window = int(cfg.parameters.get("window", 1))
+    window = int(cfg.parameters.get("window") or 1)
     lengths = sorted(int(n) for n in cfg.parameters.get("lengths", [8, 16, 24]))
     exact = carath.pressure_exact(cfg.space, table, window=window)
     s = carath.CStructure(kind="pressure", space=cfg.space, window=window,
@@ -112,7 +112,7 @@ def _run_pressure(cfg, threads):
 
 def _run_bowen(cfg, threads):
     table = _table(cfg)
-    window = int(cfg.parameters.get("window", 1))
+    window = int(cfg.parameters.get("window") or 1)
     root = carath.bowen_dimension(cfg.space, table, window=window)
     h = sofic.topological_entropy(cfg.space)
     return {"bowen.csv": _csv(["topological_entropy", "bowen_root"],
@@ -231,11 +231,9 @@ def _run_restricted_probe(cfg, threads):
     p = cfg.parameters
     mu = measures.MarkovMeasure(
         np.asarray(p["stochastic_list"][0], dtype=np.float64), cfg.space)
-    s = _structure(cfg) if "kind" in p else carath.CStructure(
-        kind="entropy", window=1, table=None, space=cfg.space)
     z = tuple(int(s) for s in p["word"])
     val = carath.restricted_outer_measure(
-        s, z, mu, int(p["n"]), float(p["eps"]), float(p["t"]),
+        _structure(cfg), z, mu, int(p["n"]), float(p["eps"]), float(p["t"]),
         int(p["m_blk"]), int(p["depth_cap"]),
         metric_depth=int(p.get("metric_depth", 6)))
     out = {"value": val, "n": int(p["n"]), "eps": float(p["eps"]),

@@ -42,7 +42,7 @@ class _Collector:
     def add(self, pointer, message):
         self.violations.append((pointer, message))
 
-    def require(self, obj, key, typ, pointer, type_name=None):
+    def require(self, obj, key, typ, pointer):
         """Fetch obj[key], recording a violation if missing or mistyped."""
         if not isinstance(obj, dict) or key not in obj:
             self.add(f"{pointer}/{key}", "required field is missing")
@@ -58,9 +58,8 @@ class _Collector:
             self.add(f"{pointer}/{key}", "expected integer, got bool")
             return None
         if not isinstance(val, typ):
-            name = type_name or getattr(typ, "__name__", str(typ))
             self.add(f"{pointer}/{key}",
-                     f"expected {name}, got {type(val).__name__}")
+                     f"expected {typ.__name__}, got {type(val).__name__}")
             return None
         return val
 
@@ -102,9 +101,18 @@ def _validate_space(obj, col):
         return None
 
 
-def _validate_table(params, col, pointer, required=True):
-    tab = (col.require(params, "table", dict, pointer) if required
-           else col.optional(params, "table", dict, pointer))
+def _validate_structure(params, col, pointer, kind):
+    """Check a structure's kind (one of KINDS), its window (an integer in
+    1..8, default 1) and, for the kinds that carry a potential, its table.
+    Returns the parsed table, or None."""
+    if kind is not None and kind not in KINDS:
+        col.add(f"{pointer}/kind", f"must be one of {KINDS}")
+    win = col.optional(params, "window", int, pointer, default=1)
+    if win is not None and not 1 <= win <= 8:
+        col.add(f"{pointer}/window", f"window must be in 1..8, got {win}")
+    if kind not in ("pressure", "appendix"):
+        return None
+    tab = col.require(params, "table", dict, pointer)
     if tab is None:
         return None
     out = {}
@@ -163,10 +171,7 @@ def _validate_parameters(experiment, params, space, col):
     if experiment == "entropy":
         return
     if experiment == "pressure":
-        _validate_table(params, col, p)
-        win = col.optional(params, "window", int, p, default=1)
-        if win is not None and not 1 <= win <= 8:
-            col.add(f"{p}/window", f"window must be in 1..8, got {win}")
+        _validate_structure(params, col, p, "pressure")
         lengths = col.optional(params, "lengths", list, p, default=[8, 16, 24])
         if lengths is not None:
             for i, n in enumerate(lengths):
@@ -174,19 +179,12 @@ def _validate_parameters(experiment, params, space, col):
                     col.add(f"{p}/lengths/{i}", "must be a positive integer")
         return
     if experiment == "bowen":
-        tab = _validate_table(params, col, p)
+        tab = _validate_structure(params, col, p, "pressure")
         if tab is not None and any(v <= 0 for v in tab.values()):
             col.add(f"{p}/table", "all values must be positive for a root search")
-        win = col.optional(params, "window", int, p, default=1)
-        if win is not None and not 1 <= win <= 8:
-            col.add(f"{p}/window", f"window must be in 1..8, got {win}")
         return
     if experiment == "outer-sweep":
-        kind = col.require(params, "kind", str, p)
-        if kind is not None and kind not in KINDS:
-            col.add(f"{p}/kind", f"must be one of {KINDS}")
-        if kind in ("pressure", "appendix"):
-            _validate_table(params, col, p)
+        _validate_structure(params, col, p, col.require(params, "kind", str, p))
         _number_list(params, col, "t_grid", p)
         caps = col.require(params, "depth_caps", list, p)
         if caps is not None:
@@ -249,17 +247,15 @@ def _validate_parameters(experiment, params, space, col):
                 col.add(f"{p}/slack", f"must be >= 0, got {slack}")
         return
     if experiment == "conditions":
-        kind = col.require(params, "kind", str, p)
-        if kind is not None and kind not in KINDS:
-            col.add(f"{p}/kind", f"must be one of {KINDS}")
-        if kind in ("pressure", "appendix"):
-            _validate_table(params, col, p)
+        _validate_structure(params, col, p, col.require(params, "kind", str, p))
         depth = col.require(params, "depth", int, p)
         if depth is not None and depth < 2:
             col.add(f"{p}/depth", f"must be >= 2, got {depth}")
         _number_list(params, col, "t_grid", p)
         return
     if experiment == "restricted-probe":
+        _validate_structure(params, col, p, col.optional(params, "kind", str, p,
+                                                         default="entropy"))
         word = col.require(params, "word", list, p)
         if word is not None and (not word or not all(
                 isinstance(s, int) and not isinstance(s, bool) for s in word)):

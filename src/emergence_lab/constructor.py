@@ -34,6 +34,10 @@ from .measures import (MarkovMixture, empirical_measure, empirical_snapshots,
 from .sofic import PointPrefix, admissible_words, connector, is_admissible, \
     symbol_array
 
+NODE_CAP = 50_000       # lattice points of one simplex net
+GAMMA_N_CAP = 2 ** 16   # largest entry threshold the estimate tries
+ATTEMPT_CAP = 10_000    # chain samples per typical word
+
 
 @dataclass(frozen=True)
 class MeasureFamily:
@@ -66,16 +70,16 @@ class MeasureFamily:
         return len(self.measures)
 
 
-def _cylinder_vector_gap(mu, nu, depth=2):
-    words = np.asarray(admissible_words(mu.space, depth))
+def _cylinder_vector_gap(mu, nu):
+    """Largest difference of the two measures on a depth-2 cylinder."""
+    words = np.asarray(admissible_words(mu.space, 2))
     return float(np.abs(mu.cylinder_probability(words)
                         - nu.cylinder_probability(words)).max())
 
 
-def independence_rank(family, depth=4):
-    """Rank of the cylinder-probability vectors up to `depth` (diagnostic only)."""
-    levels = [np.asarray(admissible_words(family.space, d))
-              for d in range(1, depth + 1)]
+def independence_rank(family):
+    """Rank of the cylinder-probability vectors up to depth 4 (diagnostic only)."""
+    levels = [np.asarray(admissible_words(family.space, d)) for d in range(1, 5)]
     mat = np.array([np.concatenate([mu.cylinder_probability(w) for w in levels])
                     for mu in family.measures])
     return int(np.linalg.matrix_rank(mat, tol=1e-9))
@@ -94,7 +98,7 @@ class SimplexNet:
         return len(self.nodes)
 
 
-def simplex_net(level, mesh, node_cap=50000):
+def simplex_net(level, mesh):
     """All lattice points k/q on the simplex, q = ceil((level+1)/mesh).
 
     The largest-remainder rounding of any simplex point to this lattice moves
@@ -112,8 +116,8 @@ def simplex_net(level, mesh, node_cap=50000):
     q = int(np.ceil((level + 1) / mesh))
     from math import comb
     count = comb(q + level, level)
-    if count > node_cap:
-        raise SizeError(f"net would have {count} nodes (cap {node_cap})",
+    if count > NODE_CAP:
+        raise SizeError(f"net would have {count} nodes (cap {NODE_CAP})",
                         module="constructor", operation="simplex_net")
     nodes = []
     for parts in _compositions(q, level + 1):
@@ -191,7 +195,7 @@ def default_eps_hat(l_max, nets):
 
 
 def estimate_gamma_thresholds(family, l_max, eps_tilde, eps_hat, seed,
-                              metric_depth=6, samples=200, n_cap=2 ** 16):
+                              metric_depth=6, samples=200):
     """Empirical entry thresholds: smallest n (powers of two) at which a
     1 - eps_hat fraction of sampled length-n words track their measure
     within eps_tilde under W1."""
@@ -209,7 +213,7 @@ def estimate_gamma_thresholds(family, l_max, eps_tilde, eps_hat, seed,
             rng = make_rng(seed + 1009 * L + l)
             n = 16
             found = None
-            while n <= n_cap:
+            while n <= GAMMA_N_CAP:
                 hits = 0
                 for _ in range(samples):
                     w = mu.sample(n + metric_depth - 1, rng)
@@ -223,8 +227,8 @@ def estimate_gamma_thresholds(family, l_max, eps_tilde, eps_hat, seed,
                 n *= 2
             if found is None:
                 raise SamplingError(
-                    f"no n <= {n_cap} reaches acceptance {need:.3f} at level {L}, "
-                    f"component {l}",
+                    f"no n <= {GAMMA_N_CAP} reaches acceptance {need:.3f} "
+                    f"at level {L}, component {l}",
                     module="constructor", operation="estimate_gamma_thresholds")
             table[(L, l)] = found
     return table
@@ -270,9 +274,10 @@ def _group_feasible(n, node, L, prefix, eps_t, gamma_n, l_max):
 
 
 def block_schedule(family, l_max, eps_tilde, eps_hat, gamma_n, nets=None,
-                   mesh=None, length_cap=2 ** 27):
+                   length_cap=2 ** 27):
     """Lay out block lengths group by group; minimal scale via doubling then
-    binary search, with the floors gamma_n[(L, l)] enforced throughout."""
+    binary search, with the floors gamma_n[(L, l)] enforced throughout.
+    Without nets, level L uses the simplex net of mesh eps_tilde[L]."""
     if l_max + 1 > len(family):
         raise InputError(f"need {l_max + 1} measures for levels 0..{l_max}",
                          module="constructor", operation="block_schedule")
@@ -288,9 +293,7 @@ def block_schedule(family, l_max, eps_tilde, eps_hat, gamma_n, nets=None,
         raise ScheduleError("eps_tilde must be positive",
                             module="constructor", operation="block_schedule")
     if nets is None:
-        if mesh is None:
-            mesh = [eps_tilde[L] for L in range(l_max + 1)]
-        nets = tuple(simplex_net(L, mesh[L]) for L in range(l_max + 1))
+        nets = tuple(simplex_net(L, eps_tilde[L]) for L in range(l_max + 1))
     if (l_max + 1, 0) not in gamma_n:
         raise InputError("gamma_n must include the (l_max+1, 0) sentinel entry",
                          module="constructor", operation="block_schedule")
@@ -388,7 +391,7 @@ def check_itinerary(it):
     return out
 
 
-def typical_word(mu, n, eps, seed, metric_depth=6, max_attempts=10000):
+def typical_word(mu, n, eps, seed, metric_depth=6):
     """A length-n word whose periodic continuation empirically tracks mu.
 
     Rejection-samples from the chain until W1(delta_y^n, proxy of mu) < eps,
@@ -400,7 +403,7 @@ def typical_word(mu, n, eps, seed, metric_depth=6, max_attempts=10000):
     space = mu.space
     proxy = truncation_proxy(mu, metric_depth, space)
     rng = make_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(ATTEMPT_CAP):
         w = mu.sample(n, rng)
         if not space.allows(int(w[-1]), int(w[0])):
             continue
@@ -410,7 +413,7 @@ def typical_word(mu, n, eps, seed, metric_depth=6, max_attempts=10000):
         if d < eps:
             return w
     raise SamplingError(
-        f"typical_word budget {max_attempts} exhausted (n={n}, eps={eps})",
+        f"typical_word budget {ATTEMPT_CAP} exhausted (n={n}, eps={eps})",
         module="constructor", operation="typical_word")
 
 
@@ -444,7 +447,7 @@ class ConstructedOrbit:
         return self.word.symbols.astype(np.uint8).tobytes()
 
 
-def build_orbit(it, family, space, seed, metric_depth=6, max_attempts=10000):
+def build_orbit(it, family, space, seed, metric_depth=6):
     """Concatenate typical words per the itinerary, bridging with minimal
     connectors; deterministic for a fixed (itinerary, family, seed)."""
     pieces = []
@@ -454,8 +457,7 @@ def build_orbit(it, family, space, seed, metric_depth=6, max_attempts=10000):
     prev_last = None
     for idx, (L, j, l, n) in enumerate(it.blocks):
         w = typical_word(family.measures[l], n, it.eps_tilde[L],
-                         seed ^ (idx + 1), metric_depth=metric_depth,
-                         max_attempts=max_attempts)
+                         seed ^ (idx + 1), metric_depth=metric_depth)
         gap = 0
         if prev_last is not None and not space.allows(prev_last, int(w[0])):
             bridge = connector((prev_last,), (int(w[0]),), space)

@@ -165,9 +165,12 @@ def _exact_cover(dist, eps):
     return best[0]
 
 
-def covering_number_bounds(snapshots, eps, depth, space, dist=None,
-                           force_greedy=False, exact_cap=24):
-    """(lower, upper) bracket of the eps-covering number of the snapshot set.
+EXACT_CAP = 24   # largest cloud whose covering number is solved exactly
+
+
+def covering_number_bounds(dist, eps):
+    """(lower, upper) bracket of the eps-covering number of a point set with
+    pairwise distance matrix dist.
 
     Exact set cover for small clouds (returned in both slots); otherwise a
     greedy farthest-point cover above and a greedy 2*eps packing below.
@@ -175,13 +178,11 @@ def covering_number_bounds(snapshots, eps, depth, space, dist=None,
     if eps <= 0:
         raise InputError(f"eps must be positive, got {eps}",
                          module="emergence", operation="covering_number_bounds")
-    if dist is None:
-        dist = pairwise_w1(snapshots, depth, space)
     k = dist.shape[0]
     if k == 0:
         raise InputError("need at least one snapshot",
                          module="emergence", operation="covering_number_bounds")
-    if k <= exact_cap and not force_greedy:
+    if k <= EXACT_CAP:
         exact = _exact_cover(dist, eps)
         return exact, exact
     return _greedy_packing(dist, eps), _greedy_cover(dist, eps)
@@ -254,7 +255,7 @@ def emergence_report(cloud, epsilons, tail_fraction=0.5, threads=1):
     dist = pairwise_w1(snaps, cloud.depth, cloud.space, threads=threads)
     lowers, uppers = [], []
     for eps in epsilons:
-        lo, up = covering_number_bounds(snaps, eps, cloud.depth, cloud.space, dist=dist)
+        lo, up = covering_number_bounds(dist, eps)
         lowers.append(lo)
         uppers.append(up)
     u_slope, u_int, u_res, u_deg = emergence_exponent(epsilons, uppers)

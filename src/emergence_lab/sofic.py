@@ -203,7 +203,7 @@ def truncated_metric(x, y, depth, space):
     return value, space.metric_tail_bound(depth)
 
 
-def connector(u, v, space, m_blk=1, allow_empty=True):
+def connector(u, v, space, m_blk=1):
     """Shortest bridge word omega with |omega| a multiple of m_blk and u omega v admissible.
 
     Ties at the minimal length are broken lexicographically.  Only the last
@@ -218,7 +218,7 @@ def connector(u, v, space, m_blk=1, allow_empty=True):
         raise InputError("connector requires nonempty words",
                          module="sofic", operation="connector")
     a, b = u[-1], v[0]
-    if allow_empty and space.allows(a, b):
+    if space.allows(a, b):
         return ()
     max_len = m_blk * ((space.m - 1) ** 2 + 2)
     for length in range(m_blk, max_len + 1, m_blk):
@@ -239,7 +239,7 @@ def specification_constant(space, m_blk=1):
     worst = 0
     for a in range(1, space.m + 1):
         for b in range(1, space.m + 1):
-            w = connector((a,), (b,), space, m_blk=m_blk, allow_empty=True)
+            w = connector((a,), (b,), space, m_blk=m_blk)
             worst = max(worst, len(w))
     return worst
 
@@ -291,7 +291,9 @@ def admissible_words(space, n):
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}",
                          module="sofic", operation="admissible_words")
-    out = [(s,) for s in range(1, space.m + 1)]
+    words = np.arange(1, space.m + 1)[:, None]
     for _ in range(n - 1):
-        out = [w + (s,) for w in out for s in space.successors(w[-1])]
-    return out
+        # row-major nonzero: each word's successors in increasing order
+        rows, nxt = np.nonzero(space.transition[words[:, -1] - 1])
+        words = np.column_stack([words[rows], nxt + 1])
+    return [tuple(w) for w in words.tolist()]

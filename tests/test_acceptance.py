@@ -20,7 +20,8 @@ from emergence_lab.constructor import (MeasureFamily, SimplexNet,
                                        block_schedule, build_orbit,
                                        lambda_measure, oscillating_orbit,
                                        verify_saturation)
-from emergence_lab.emergence import (build_cloud, cloud_at_times,
+from emergence_lab.emergence import (_greedy_cover, _greedy_packing,
+                                     build_cloud, cloud_at_times,
                                      covering_number_bounds,
                                      emergence_report, pairwise_w1)
 from emergence_lab.measures import (FinSuppMeasure, MarkovMeasure,
@@ -348,10 +349,8 @@ def test_exact_covering_inside_greedy_sandwich_200_clouds():
         snaps = [_random_finsupp(rng, depth) for _ in range(k)]
         dist = pairwise_w1(snaps, depth, FULL2)
         eps = float(rng.uniform(0.02, 0.4))
-        lo_g, up_g = covering_number_bounds(snaps, eps, depth, FULL2,
-                                            dist=dist, force_greedy=True)
-        lo_e, up_e = covering_number_bounds(snaps, eps, depth, FULL2,
-                                            dist=dist)
+        lo_g, up_g = _greedy_packing(dist, eps), _greedy_cover(dist, eps)
+        lo_e, up_e = covering_number_bounds(dist, eps)
         assert lo_e == up_e == _exact_cover_count(dist, eps)
         assert lo_g <= lo_e <= up_g
 

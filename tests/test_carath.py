@@ -30,6 +30,15 @@ def test_structure_kind_guard():
         CStructure(kind="box", space=FULL2)
 
 
+def test_structure_window_range_for_every_kind():
+    # window 40 would mean 2^39 suffix states on the full 2-shift
+    for window in (0, 9, 40):
+        with pytest.raises(SizeError):
+            CStructure(kind="entropy", space=FULL2, window=window)
+        with pytest.raises(SizeError):
+            CStructure(kind="hausdorff", space=FULL2, window=window)
+
+
 def test_pressure_needs_complete_table():
     with pytest.raises(InputError):
         CStructure(kind="pressure", space=FULL2)
@@ -233,9 +242,39 @@ def test_pressure_partition_window_paths_agree():
     t2 = {w: t1[(w[0],)] for w in admissible_words(GM, 2)}
     s1 = CStructure(kind="pressure", space=GM, window=1, table=t1)
     s2 = CStructure(kind="pressure", space=GM, window=2, table=t2)
-    for n in (6, 10):
+    for n in (6, 10, 2000):
         assert pressure_partition(s1, n) == pytest.approx(
             pressure_partition(s2, n), abs=1e-9)
+
+
+def test_pressure_partition_window1_deep_closed_form():
+    # on the full 2-shift Z_n = (e^a + e^b)^n exactly
+    a, b = 0.3, -0.7
+    s = CStructure(kind="pressure", space=FULL2, window=1,
+                   table={(1,): a, (2,): b})
+    want = math.log(math.exp(a) + math.exp(b))
+    assert abs(pressure_partition(s, 1000) - want) <= 1e-14
+
+
+def brute_force_partition(space, table, window, n):
+    """(1/n) log sum over n-words u of exp(max Birkhoff sum over the
+    admissible (n + window - 1)-words that start with u)."""
+    best = {}
+    for w in itertools.product(range(1, space.m + 1), repeat=n + window - 1):
+        if all(space.allows(a, b) for a, b in zip(w, w[1:])):
+            total = sum(table[w[i:i + window]] for i in range(n))
+            best[w[:n]] = max(best.get(w[:n], -math.inf), total)
+    return math.log(math.fsum(math.exp(v) for v in best.values())) / n
+
+
+@pytest.mark.parametrize("space, max_n", [(FULL2, 10), (GM, 10), (FULL3, 6)])
+def test_pressure_partition_window3_brute_force(space, max_n):
+    rng = np.random.default_rng(3)
+    table = {w: float(rng.uniform(-1, 1)) for w in admissible_words(space, 3)}
+    s = CStructure(kind="pressure", space=space, window=3, table=table)
+    for n in range(1, max_n + 1):
+        want = brute_force_partition(space, table, 3, n)
+        assert abs(pressure_partition(s, n) - want) <= 1e-13 * abs(want), n
 
 
 def test_pressure_exact_log_p_is_zero():
@@ -299,6 +338,38 @@ def test_conditions_entropy_structure_is_multiplicative():
     # q(uv) == q(u) q(v) exactly for the entropy weights on a full shift
     assert rep.q3_estimate == pytest.approx(1.0, abs=1e-12)
     assert rep.c1_pass and rep.c2_pass and rep.c3_pass and rep.c4_pass
+
+
+def conditions_per_word(s, depth, t_grid):
+    """Q1 and m_of_t from one outer measure per probe word."""
+    probe = min(depth, 4)
+    q1 = min(outer_measure_M(s, [u], t, probe + 2) / q_weight(s, u, t)
+             for u in admissible_words(s.space, probe) for t in t_grid)
+    for m_blk in range(1, 9):
+        ok = True
+        for l in range(1, probe + 1):
+            first = -(-l // m_blk) * m_blk
+            for u in admissible_words(s.space, l):
+                for t in t_grid:
+                    full = outer_measure_N(s, [u], t, m_blk, first + m_blk)
+                    shallow = outer_measure_N(s, [u], t, m_blk, first)
+                    ok = ok and full >= 0.5 * shallow and full > 0
+        if ok:
+            return q1, m_blk
+    return q1, -1
+
+
+@pytest.mark.parametrize("space", [FULL2, GM, FULL3])
+def test_conditions_probes_match_per_word_definitions(space):
+    rng = np.random.default_rng(4)
+    for s in all_structures(space, rng):
+        for depth in (2, 4):
+            t_grid = tuple(float(t) for t in rng.uniform(-0.5, 2.0, size=2))
+            rep = check_conditions(s, depth, t_grid)
+            q1, m_of_t = conditions_per_word(s, depth, t_grid)
+            assert abs(rep.q1_estimate - q1) <= 1e-12 * q1, (s.kind, s.window)
+            assert rep.m_of_t == m_of_t, (s.kind, s.window, depth, t_grid)
+            assert rep.c1_pass == (q1 > 0) and rep.c2_pass == (m_of_t > 0)
 
 
 def test_conditions_hausdorff_eta_monotone():

@@ -148,6 +148,20 @@ def test_cli_pressure_run(tmp_path):
         assert abs(float(part) - math.log(2)) <= 2.0 / int(n)
 
 
+def test_cli_pressure_window2_default_lengths(tmp_path):
+    # the default lengths reach n = 24: 2^24 cylinders, summed by recursion
+    cfg = {"space": FULL2_SPACE, "experiment": "pressure",
+           "parameters": {"table": {"1,1": 0.1, "1,2": -0.2, "2,1": 0.25,
+                                    "2,2": -0.05}, "window": 2},
+           "seed": 0, "output_dir": str(tmp_path / "out")}
+    out_dir, _ = run_ok(tmp_path, cfg, "pressure")
+    rows = (out_dir / "pressure.csv").read_text().strip().split("\n")[1:]
+    assert [int(row.split(",")[0]) for row in rows] == [8, 16, 24]
+    for row in rows:
+        n, part, exact = row.split(",")
+        assert abs(float(part) - float(exact)) <= 2.0 / int(n)
+
+
 def test_cli_bowen_run(tmp_path):
     cfg = {"space": GM_SPACE, "experiment": "bowen",
            "parameters": {"table": {"1": 1.0, "2": 1.0}},
@@ -276,6 +290,46 @@ def test_cli_incomplete_potential_table(tmp_path, subcommand, parameters):
     assert result.exit_code == 1
     err = json.loads((tmp_path / "out" / "error.json").read_text())
     assert err["kind"] == "input" and err["module"] == "carath"
+
+
+PROBE = {"word": [1], "stochastic_list": [[[0.5, 0.5], [0.5, 0.5]]],
+         "n": 16, "m_blk": 1, "depth_cap": 2, "eps": 0.5, "t": 0.5,
+         "metric_depth": 3}
+
+
+@pytest.mark.parametrize("experiment, parameters, pointer", [
+    ("outer-sweep", {"kind": "entropy", "window": "x", "t_grid": [0.5],
+                     "depth_caps": [2]}, "/parameters/window"),
+    ("conditions", {"kind": "entropy", "window": 9, "depth": 2,
+                    "t_grid": [0.5]}, "/parameters/window"),
+    ("restricted-probe", {**PROBE, "kind": "pressure"}, "/parameters/table"),
+    ("restricted-probe", {**PROBE, "kind": "box"}, "/parameters/kind"),
+    ("restricted-probe", {**PROBE, "window": 0}, "/parameters/window"),
+])
+def test_cli_rejects_bad_structure_parameters(tmp_path, experiment,
+                                              parameters, pointer):
+    cfg = {"space": FULL2_SPACE, "experiment": experiment,
+           "parameters": parameters, "seed": 0,
+           "output_dir": str(tmp_path / "out")}
+    out_dir = tmp_path / "err"
+    result = CliRunner().invoke(main, [experiment, "--config",
+                                       write_config(tmp_path, cfg),
+                                       "--out", str(out_dir)])
+    assert result.exit_code == 1
+    err = json.loads((out_dir / "error.json").read_text())
+    assert err["kind"] == "config"
+    assert [v["pointer"] for v in err["violations"]] == [pointer]
+
+
+@pytest.mark.parametrize("experiment, parameters", [
+    ("outer-sweep", {"kind": "entropy", "t_grid": [0.5], "depth_caps": [2]}),
+    ("pressure", {"table": {"1": 0.0, "2": 0.0}, "lengths": [4]}),
+])
+def test_cli_null_window_means_window_one(tmp_path, experiment, parameters):
+    cfg = {"space": FULL2_SPACE, "experiment": experiment,
+           "parameters": {**parameters, "window": None}, "seed": 0,
+           "output_dir": str(tmp_path / "out")}
+    run_ok(tmp_path, cfg, experiment)
 
 
 def test_cli_restricted_probe_run(tmp_path):

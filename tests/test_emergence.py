@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from emergence_lab.emergence import (EmergenceReport, TrajectoryCloud,
-                                     _exact_cover, _greedy_cover,
-                                     _greedy_packing, build_cloud,
-                                     cloud_at_times, covering_number_bounds,
+from emergence_lab.emergence import (EXACT_CAP, EmergenceReport,
+                                     TrajectoryCloud, _exact_cover,
+                                     _greedy_cover, _greedy_packing,
+                                     build_cloud, cloud_at_times,
+                                     covering_number_bounds,
                                      emergence_exponent, emergence_report,
                                      geometric_times, pairwise_w1)
 from emergence_lab.errors import InputError
@@ -74,15 +75,18 @@ def test_greedy_sandwich_brackets_exact():
 def test_covering_bounds_exact_for_small_clouds():
     rng = np.random.default_rng(2)
     dist = random_dist(rng, 8)
-    lo, up = covering_number_bounds(None, 0.3, 2, FULL2, dist=dist)
+    lo, up = covering_number_bounds(dist, 0.3)
     assert lo == up == _exact_cover(dist, 0.3)
 
 
 def test_covering_bounds_greedy_for_large_or_forced():
     rng = np.random.default_rng(3)
     dist = random_dist(rng, 10)
-    lo, up = covering_number_bounds(None, 0.2, 2, FULL2, dist=dist,
-                                    force_greedy=True)
+    lo, up = _greedy_packing(dist, 0.2), _greedy_cover(dist, 0.2)
+    assert lo <= _exact_cover(dist, 0.2) <= up
+    # a cloud above the exact-solve size takes the greedy path
+    dist = random_dist(rng, EXACT_CAP + 1)
+    lo, up = covering_number_bounds(dist, 0.2)
     assert lo == _greedy_packing(dist, 0.2)
     assert up == _greedy_cover(dist, 0.2)
     assert lo <= up
