@@ -10,7 +10,8 @@ measures.
 __version__ = "0.1.0"
 
 from .errors import EmergenceLabError
-from .sofic import PointPrefix, ShiftSpace, topological_entropy
+from .sofic import (PointPrefix, ShiftSpace, count_admissible,
+                    topological_entropy, truncated_metric)
 from .measures import (FinSuppMeasure, MarkovMeasure, MarkovMixture,
                        empirical_measure, measure_entropy, truncation_proxy,
                        wasserstein1)
@@ -18,15 +19,16 @@ from .carath import (CStructure, bowen_dimension, outer_measure_M,
                      outer_measure_N, pressure_exact, pressure_partition)
 from .emergence import build_cloud, emergence_report
 from .constructor import (MeasureFamily, SimplexNet, block_schedule,
-                          build_orbit, verify_saturation)
+                          build_orbit, lambda_measure, verify_saturation)
 
 __all__ = [
-    "EmergenceLabError", "PointPrefix", "ShiftSpace", "topological_entropy",
+    "EmergenceLabError", "PointPrefix", "ShiftSpace", "count_admissible",
+    "topological_entropy", "truncated_metric",
     "FinSuppMeasure", "MarkovMeasure", "MarkovMixture", "empirical_measure",
     "measure_entropy", "truncation_proxy", "wasserstein1",
     "CStructure", "bowen_dimension", "outer_measure_M", "outer_measure_N",
     "pressure_exact", "pressure_partition",
     "build_cloud", "emergence_report",
     "MeasureFamily", "SimplexNet", "block_schedule", "build_orbit",
-    "verify_saturation",
+    "lambda_measure", "verify_saturation",
 ]

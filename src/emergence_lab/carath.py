@@ -8,23 +8,26 @@ Four built-in kinds:
   hausdorff  xi = 1,                eta = (m-1) beta^{-l} / (beta-1)
   appendix   xi = 1,                eta = exp(-sup S_l u), u > 0
 
-Potentials are locally constant with a declared window k (a table over length-k
-words), so Birkhoff sups over a cylinder are exact finite maxima.  Outer
-measures are infima over covers by cylinders of bounded depth; the depth cap is
-explicit everywhere and values are monotone in it.  For every kind the ratio
-q(uc)/q(u) depends only on c and on the last max(k-1, 1) symbols of u, so the
-cover infimum of C(u) is q(u) G(|u|, suffix of u).  M, N, the partition-sum
-pressure (any window) and the Q1 and m_of_t condition probes all come from
-one recursion over (depth, suffix state) in log space, O(cap m^k) work with
-no underflow at deep caps.  The recursion over the whole cylinder tree,
-O(m^cap), is kept only for the restricted outer measure, whose membership
-test reads the whole word.
+Potentials are locally constant with a declared window k (a table over
+length-k words).  The sup of a Birkhoff sum over C(u) is the windows inside u
+plus the best tail after its last min(l, k-1) symbols, which each structure
+works out once by a max-plus recursion over the suffix states.  So for every
+kind the ratio q(uc)/q(u) depends only on c and the last span = max(k-1, 1)
+symbols of u, and the cover infimum of C(u) is q(u) G(|u|, suffix of u).  M,
+N, the partition-sum pressure (any window) and the Q1 and m_of_t condition
+probes all come from one recursion over (depth, suffix state) in log space,
+O(cap m^k) work with no underflow at deep caps.  The Q3 and C4 probes read
+the same per-(state, symbol) steps and hold over all word lengths.  The
+recursion over the whole cylinder tree, O(m^cap), is kept only for the
+restricted outer measure, whose membership test reads the whole word.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -62,62 +65,69 @@ class CStructure:
                 raise InputError("appendix-kind potential must be strictly positive",
                                  module="carath", operation="CStructure")
             object.__setattr__(self, "table", tbl)
-        object.__setattr__(self, "_sup_cache", {})
+
+    @cached_property
+    def _suffix(self):
+        """The suffix-state machine, as a namespace.
+
+        states: the admissible words of length 1..span, span = max(window -
+        1, 1), shortest first, with their index and lengths; (rows, cols):
+        the pairs (i, c - 1) where c may follow states[i], and steps the
+        words states[i] + (c,); nxt[i, c - 1]: the row of the state (last
+        min(len + 1, span) symbols) of that word, or of any state of that
+        length; layers[j]: the rows of length j and their nxt rows counted
+        from the first state of length min(j + 1, span).  tail[w]: V_{|w|}
+        maximised over the length-(window - 1) states that begin with w,
+        where V_0 = 0 and V_{j+1}(w) = max_c (phi(wc) + V_j(state of wc)),
+        the best sum of the Birkhoff terms that start inside w and read past
+        it (0 without a table or at window 1).  sups: sup_birkhoff of the
+        states and of the steps, or None without a potential.
+        """
+        space = self.space
+        span = max(self.window - 1, 1)
+        words = [admissible_words(space, j) for j in range(1, span + 1)]
+        states = [w for layer in words for w in layer]
+        index = {w: i for i, w in enumerate(states)}
+        start = np.cumsum([0] + [len(layer) for layer in words]).tolist()
+        rows, cols = np.nonzero(space.transition[[w[-1] - 1 for w in states]])
+        steps = [states[i] + (c + 1,) for i, c in zip(rows.tolist(),
+                                                     cols.tolist())]
+        nxt = np.array([[start[min(len(w), span - 1)]] * space.m
+                        for w in states], dtype=np.intp)
+        nxt[rows, cols] = [index[w[-span:]] for w in steps]
+        layers = {j: (slice(start[j - 1], start[j]),
+                      nxt[start[j - 1]:start[j]] - start[min(j, span - 1)])
+                  for j in range(1, span + 1)}
+        tail = np.zeros(len(states))
+        if self.table is not None and self.window > 1:
+            phi = np.full((len(words[-1]), space.m), -np.inf)
+            for i, w in enumerate(words[-1]):
+                for c in space.successors(w[-1]):
+                    phi[i, c - 1] = self.table[w + (c,)]
+            best, tail[:] = np.zeros(len(phi)), -np.inf
+            for j in range(1, span + 1):
+                best = (phi + best[layers[span][1]]).max(axis=1)
+                np.maximum.at(tail, [index[w[:j]] for w in words[-1]], best)
+        tail = dict(zip(states, tail.tolist()))
+        sups = ([np.array([_sup(self, tail, u) for u in us])
+                 for us in (states, steps)]
+                if self.kind in ("pressure", "appendix") else (None, None))
+        return SimpleNamespace(states=states, index=index, rows=rows,
+                               cols=cols, nxt=nxt, layers=layers,
+                               lengths=np.array([len(w) for w in states]),
+                               tail=tail, sups=sups)
 
     def sup_birkhoff(self, u):
-        """sup over x in C(u) of the l-term Birkhoff sum of the window potential."""
-        u = tuple(int(s) for s in u)
-        cached = self._sup_cache.get(u)
-        if cached is not None:
-            return cached
-        k = self.window
-        l = len(u)
-        if k == 1:
-            val = float(sum(self.table[(s,)] for s in u))
-        else:
-            fixed = sum(self.table[u[i:i + k]] for i in range(max(l - k + 1, 0)))
-            best = -math.inf
-            # the admissible continuations of length k - 1 after u[-1] are
-            # the admissible k-words starting with u[-1], without it
-            for e in admissible_words(self.space, k):
-                if e[0] == u[-1]:
-                    w = u + e[1:]
-                    tail = sum(self.table[w[i:i + k]]
-                               for i in range(max(l - k + 1, 0), l))
-                    best = max(best, tail)
-            val = float(fixed + best)
-        self._sup_cache[u] = val
-        return val
+        """sup over x in C(u) of the l-term Birkhoff sum of the window
+        potential: the windows inside u plus the best tail after it."""
+        return _sup(self, self._suffix.tail, tuple(int(s) for s in u))
 
-    def xi(self, u):
-        if self.kind == "pressure":
-            return math.exp(self.sup_birkhoff(u))
-        return 1.0
 
-    def eta(self, u):
-        l = len(u)
-        if l == 0:
-            return 0.0
-        if self.kind in ("entropy", "pressure"):
-            return math.exp(-l)
-        if self.kind == "hausdorff":
-            return self.space.metric_tail_bound(l)
-        return math.exp(-self.sup_birkhoff(u))
-
-    def to_json(self):
-        out = {"kind": self.kind, "window": self.window}
-        if self.table is not None:
-            out["table"] = {"".join(str(s) for s in w): v
-                            for w, v in sorted(self.table.items())}
-        return out
-
-    @classmethod
-    def from_json(cls, obj, space):
-        table = obj.get("table")
-        if table is not None:
-            table = {tuple(int(c) for c in w): float(v) for w, v in table.items()}
-        return cls(kind=obj["kind"], space=space,
-                   window=int(obj.get("window", 1)), table=table)
+def _sup(s, tail, u):
+    """sup_birkhoff(u) of s, given its table of best tails."""
+    k = s.window
+    inside = sum(s.table[u[i:i + k]] for i in range(len(u) - k + 1))
+    return float(inside + tail[u[-max(k - 1, 1):]])
 
 
 def _check_window(window, operation):
@@ -143,23 +153,20 @@ def _potential_table(space, table, window):
     return tbl
 
 
-def q_weight(s, u, t):
-    """The cover weight q(C(u), t) = xi * eta^t."""
-    u = tuple(int(x) for x in u)
-    if not u:
-        return 0.0
-    return s.xi(u) * s.eta(u) ** t
-
-
 def _log_q(s, u, t):
     """log q(C(u), t) of a nonempty word, finite at any depth."""
-    l = len(u)
+    sup = s.sup_birkhoff(u) if s.kind in ("pressure", "appendix") else None
+    return _log_weight(s, len(u), sup, t)
+
+
+def _log_weight(s, l, sup, t):
+    """log q(C(u), t) from l = |u| and sup = s.sup_birkhoff(u), which the
+    entropy and hausdorff kinds do not read; elementwise on arrays."""
     if s.kind == "entropy":
         return -l * t
     if s.kind == "hausdorff":
         sp = s.space
         return t * (math.log((sp.m - 1) / (sp.beta - 1.0)) - l * math.log(sp.beta))
-    sup = s.sup_birkhoff(u)
     return sup - l * t if s.kind == "pressure" else -t * sup
 
 
@@ -213,22 +220,19 @@ def _log_cover_factors(s, t, m_blk, depth_cap, depths):
     log G(l, w) = logsumexp_c(log q(uc) - log q(u) + log G(l + 1, wc)),
     clipped at 0 where the cylinder itself may cover (l divisible by m_blk).
     """
+    sm = s._suffix
+    inc = _log_steps(s, t)
     span = max(s.window - 1, 1)
-    states = {l: admissible_words(s.space, l) for l in range(1, span + 1)}
-    steps = {}
     # log G = fsum(shifts) + rel with max(rel) = 0: summing the per-layer
     # shifts exactly keeps deep caps as accurate as shallow ones; their plain
     # running total only decides whether the clip at G = 1 applies
-    rel = np.zeros(len(states[min(depth_cap, span)]))
+    rel = np.zeros(len(sm.layers[min(depth_cap, span)][1]))
     shifts, total = [], 0.0
     out = {}
     for l in range(depth_cap, min(depths) - 1, -1):
-        k = min(l, span)
+        rows, to = sm.layers[min(l, span)]
         if l < depth_cap:
-            if k not in steps:
-                steps[k] = _log_steps(s, t, states[k], states[min(k + 1, span)])
-            nxt, inc = steps[k]
-            x = inc + rel[nxt]
+            x = inc[rows] + rel[to]
             top = x.max(axis=1)
             rel = top + np.log(np.exp(x - top[:, None]).sum(axis=1))
             shifts.append(rel.max())
@@ -239,25 +243,24 @@ def _log_cover_factors(s, t, m_blk, depth_cap, depths):
                 shifts, total = [], 0.0
         if l in depths:
             base = math.fsum(shifts)
-            out[l] = {w: base + r for w, r in zip(states[k], rel.tolist())}
+            out[l] = {w: base + r
+                      for w, r in zip(sm.states[rows], rel.tolist())}
     return out
 
 
-def _log_steps(s, t, states, targets):
-    """For each state w and symbol c: the index in targets of the state of
-    wc (its last len(targets[0]) symbols) and log q(uc) - log q(u), -inf
-    where c may not follow w.  That increment equals log q(wc) - log q(w)
-    for every u ending in w: the sup of a Birkhoff sum over C(u) is a part
-    fixed by u plus the best tail over its last window - 1 symbols."""
-    width = len(targets[0])
-    index = {w: i for i, w in enumerate(targets)}
-    nxt = np.zeros((len(states), s.space.m), dtype=np.intp)
-    inc = np.full((len(states), s.space.m), -np.inf)
-    for i, w in enumerate(states):
-        for c in s.space.successors(w[-1]):
-            nxt[i, c - 1] = index[(w + (c,))[-width:]]
-            inc[i, c - 1] = _log_q(s, w + (c,), t) - _log_q(s, w, t)
-    return nxt, inc
+def _log_steps(s, t):
+    """log q(uc) - log q(u) for each suffix state w of u (a row of
+    s._suffix) and symbol c, -inf where c may not follow w.  It is
+    log q(wc) - log q(w) for every u ending in w: the sup of a Birkhoff sum
+    over C(u) is a part fixed by u plus the best tail after its last
+    window - 1 symbols."""
+    sm = s._suffix
+    sup_w, sup_wc = sm.sups
+    here = _log_weight(s, sm.lengths, sup_w, t)
+    inc = np.full(sm.nxt.shape, -np.inf)
+    inc[sm.rows, sm.cols] = (_log_weight(s, sm.lengths[sm.rows] + 1, sup_wc, t)
+                             - here[sm.rows])
+    return inc
 
 
 def _cover_recursion(s, t, m_blk, depth_cap, member):
@@ -276,13 +279,14 @@ def _cover_recursion(s, t, m_blk, depth_cap, member):
             return memo[u]
         l = len(u)
         eligible = l and l % m_blk == 0 and member(u)
+        q = math.exp(_log_q(s, u, t)) if eligible else 0.0
         if l >= depth_cap:
-            val = q_weight(s, u, t) if eligible else 0.0
+            val = q
         else:
             children = sum(rec(u + (c,)) for c in
                            (space.successors(u[-1]) if u
                             else range(1, space.m + 1)))
-            val = min(q_weight(s, u, t), children) if eligible else children
+            val = min(q, children) if eligible else children
         memo[u] = val
         return val
 
@@ -371,8 +375,11 @@ class ConditionReport:
 def check_conditions(s, depth, t_grid):
     """Numeric diagnostics for the quasi-multiplicativity / monotonicity conditions.
 
-    Q3: worst two-sided ratio q(uv) vs q(u)q(v) over concatenable pairs with
-    |u|+|v| <= depth.  C4: eta nonincreasing along every tree edge to `depth`.
+    Q3: worst two-sided ratio q(uv) vs q(u)q(v) over all concatenable pairs,
+    of any lengths.  C4: eta nonincreasing along every tree edge.  Both are
+    exact: log q(uv) - log q(u) - log q(v) and log eta(uc) - log eta(u) read
+    only the last span = max(window - 1, 1) symbols of u and the first span
+    of v, so they run over the suffix states.
     Q1: worst-case deep-cover deficiency min M(C(u))/q(u) at the test depth.
     m_of_t: smallest block size in 1..8 whose restricted recursion is
     attained by a single enclosing cylinder for all shallow test cylinders.
@@ -380,32 +387,42 @@ def check_conditions(s, depth, t_grid):
     state at once; each state ends some admissible word of every length,
     since no symbol is dead.
     """
-    space = s.space
     if depth < 2:
         raise InputError(f"depth must be >= 2, got {depth}",
                          module="carath", operation="check_conditions")
     t_grid = tuple(float(t) for t in t_grid)
 
-    q3 = 1.0
-    for lu in range(1, depth):
-        for u in admissible_words(space, lu):
-            for lv in range(1, depth - lu + 1):
-                for v in admissible_words(space, lv):
-                    if not space.allows(u[-1], v[0]):
-                        continue
-                    for t in t_grid:
-                        quv = q_weight(s, u + v, t)
-                        qs = q_weight(s, u, t) * q_weight(s, v, t)
-                        q3 = max(q3, quv / qs, qs / quv)
+    # Q3: growing v one symbol at a time, log q(uv) - log q(u) - log q(v)
+    # gains the step from the state of u v[:i] less the step from v[:i].
+    # That state ends in v[:i] (i < span), so it fixes both steps, and a
+    # max-plus pass over span symbols, indexed by it, gives the largest
+    # +-difference over every pair; from span symbols on the steps agree
+    sm = s._suffix
+    rows, cols = sm.rows, sm.cols
+    within_v = [np.array([sm.index[w[-i:]] for w in sm.states])[rows]
+                for i in range(1, max(s.window - 1, 1))]
+    worst = 0.0
+    for t in t_grid:
+        inc = _log_steps(s, t)
+        alone = np.array([_log_q(s, (c,), t)
+                          for c in range(1, s.space.m + 1)])
+        ext = np.zeros((len(sm.states), 2))   # largest +- the difference
+        for v_rows in [None] + within_v:
+            d = inc[rows, cols] - (alone[cols] if v_rows is None
+                                   else inc[v_rows, cols])
+            grown = np.full(ext.shape, -np.inf)
+            np.maximum.at(grown, sm.nxt[rows, cols],
+                          ext[rows] + np.column_stack([d, -d]))
+            ext = grown
+            worst = max(worst, ext.max())
+    with np.errstate(over="ignore"):
+        q3 = float(np.exp(worst))
     c3_pass = math.isfinite(q3)
 
-    c4_pass = True
-    for l in range(1, depth):
-        for u in admissible_words(space, l):
-            eu = s.eta(u)
-            for c in space.successors(u[-1]):
-                if s.eta(u + (c,)) > eu * (1 + 1e-12):
-                    c4_pass = False
+    # log q = log xi + t log eta, so the log-eta steps are the log-q steps at
+    # t = 1 less those at t = 0
+    d_eta = _log_steps(s, 1.0)[rows, cols] - _log_steps(s, 0.0)[rows, cols]
+    c4_pass = bool((d_eta <= 1e-12).all())
 
     def log_g(t, m_blk, depth_cap, l):
         return np.array(list(

@@ -296,8 +296,16 @@ def validate_config(obj):
         raise ConfigError(col.violations,
                           module="config", operation="validate_config")
     return ExperimentConfig(space=space, experiment=experiment,
-                            parameters=params, seed=seed,
+                            parameters=_drop_nulls(params), seed=seed,
                             output_dir=Path(out_dir), raw=obj)
+
+
+def _drop_nulls(obj):
+    """obj without its null-valued keys, nested objects included: a null
+    optional key means its default, which every reader supplies."""
+    if isinstance(obj, dict):
+        return {k: _drop_nulls(v) for k, v in obj.items() if v is not None}
+    return obj
 
 
 def _reject_constant(token):

@@ -77,14 +77,6 @@ def _cylinder_vector_gap(mu, nu):
                         - nu.cylinder_probability(words)).max())
 
 
-def independence_rank(family):
-    """Rank of the cylinder-probability vectors up to depth 4 (diagnostic only)."""
-    levels = [np.asarray(admissible_words(family.space, d)) for d in range(1, 5)]
-    mat = np.array([np.concatenate([mu.cylinder_probability(w) for w in levels])
-                    for mu in family.measures])
-    return int(np.linalg.matrix_rank(mat, tol=1e-9))
-
-
 @dataclass(frozen=True)
 class SimplexNet:
     """A lattice mesh of the L-dimensional probability simplex."""
@@ -132,17 +124,6 @@ def _compositions(total, parts):
     for head in range(total + 1):
         for rest in _compositions(total - head, parts - 1):
             yield (head,) + rest
-
-
-def net_covering_radius_check(net, samples=1000, seed=0):
-    """Monte Carlo max L1 distance from random simplex points to the net."""
-    rng = make_rng(seed)
-    nodes = np.array(net.nodes)
-    worst = 0.0
-    for _ in range(samples):
-        p = rng.dirichlet(np.ones(net.level + 1))
-        worst = max(worst, float(np.abs(nodes - p).sum(axis=1).min()))
-    return worst
 
 
 @dataclass(frozen=True)

@@ -108,17 +108,6 @@ class MarkovMeasure:
         _chain_walk(cums, u, s0, out)
         return out
 
-    def to_json(self):
-        return {"stochastic": self.stochastic.tolist(),
-                "stationary": self.stationary.tolist()}
-
-    @classmethod
-    def from_json(cls, obj, space):
-        return cls(stochastic=np.array(obj["stochastic"], dtype=np.float64),
-                   space=space,
-                   stationary=(np.array(obj["stationary"], dtype=np.float64)
-                               if obj.get("stationary") is not None else None))
-
     @classmethod
     def bernoulli(cls, probs, space):
         probs = np.asarray(probs, dtype=np.float64)

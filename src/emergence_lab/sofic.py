@@ -94,12 +94,6 @@ class ShiftSpace:
                 "transition": self.transition.astype(int).tolist()}
 
     @classmethod
-    def from_json(cls, obj):
-        return cls(alphabet_size=int(obj["m"]),
-                   transition=np.array(obj["transition"], dtype=np.int8),
-                   beta=float(obj["beta"]))
-
-    @classmethod
     def full_shift(cls, m, beta=2.0):
         return cls(alphabet_size=m, transition=np.ones((m, m), dtype=np.int8), beta=beta)
 
@@ -232,16 +226,6 @@ def connector(u, v, space, m_blk=1):
         f"no bridge of length <= {max_len} between symbols {a} and {b}; "
         "space should have been rejected as non-primitive",
         module="sofic", operation="connector")
-
-
-def specification_constant(space, m_blk=1):
-    """Diagnostic tau: max over symbol pairs of the minimal bridge length."""
-    worst = 0
-    for a in range(1, space.m + 1):
-        for b in range(1, space.m + 1):
-            w = connector((a,), (b,), space, m_blk=m_blk)
-            worst = max(worst, len(w))
-    return worst
 
 
 def perron(a):

@@ -1,0 +1,57 @@
+"""Per-word oracles for the Caratheodory structures of `emergence_lab.carath`.
+
+The library works with log q on suffix states; these compute the same
+quantities one word at a time from the definitions: the Birkhoff sup over a
+cylinder by a scan of every admissible continuation, and the cover weight
+q(C(u), t) = xi(u) * eta(u)^t.
+"""
+
+import math
+
+from emergence_lab.sofic import admissible_words
+
+
+def scan_sup_birkhoff(s, u):
+    """sup over x in C(u) of the |u|-term Birkhoff sum of the window
+    potential, maximised over the admissible continuations of length
+    window - 1 after u."""
+    u = tuple(int(c) for c in u)
+    k, l = s.window, len(u)
+    if k == 1:
+        return float(sum(s.table[(c,)] for c in u))
+    fixed = sum(s.table[u[i:i + k]] for i in range(max(l - k + 1, 0)))
+    best = -math.inf
+    for e in _windows(s.space, k):
+        if e[0] == u[-1]:
+            w = u + e[1:]
+            best = max(best, sum(s.table[w[i:i + k]]
+                                 for i in range(max(l - k + 1, 0), l)))
+    return float(fixed + best)
+
+
+_WINDOWS = {}
+
+
+def _windows(space, k):
+    key = (space.transition.tobytes(), space.m, k)
+    if key not in _WINDOWS:
+        _WINDOWS[key] = admissible_words(space, k)
+    return _WINDOWS[key]
+
+
+def xi(s, u):
+    return math.exp(scan_sup_birkhoff(s, u)) if s.kind == "pressure" else 1.0
+
+
+def eta(s, u):
+    l = len(u)
+    if s.kind in ("entropy", "pressure"):
+        return math.exp(-l)
+    if s.kind == "hausdorff":
+        return s.space.metric_tail_bound(l)
+    return math.exp(-scan_sup_birkhoff(s, u))
+
+
+def q_weight(s, u, t):
+    """The cover weight q(C(u), t) = xi * eta^t of a nonempty word."""
+    return xi(s, u) * eta(s, u) ** t

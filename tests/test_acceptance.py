@@ -14,7 +14,7 @@ import pytest
 from emergence_lab.carath import (CStructure, bowen_dimension,
                                   check_conditions, outer_measure_M,
                                   outer_measure_N, pressure_exact,
-                                  pressure_partition, q_weight,
+                                  pressure_partition,
                                   restricted_outer_measure)
 from emergence_lab.constructor import (MeasureFamily, SimplexNet,
                                        block_schedule, build_orbit,
@@ -30,6 +30,7 @@ from emergence_lab.measures import (FinSuppMeasure, MarkovMeasure,
                                     wasserstein1)
 from emergence_lab.sofic import (PointPrefix, ShiftSpace, admissible_words,
                                  topological_entropy)
+from oracles import eta, q_weight
 
 FULL2 = ShiftSpace.full_shift(2)
 FULL3 = ShiftSpace.full_shift(3)
@@ -127,9 +128,10 @@ def test_eta_monotone_depth_10_all_kinds():
         # exhaustive monotonicity of eta along every tree edge to depth 10
         for l in range(1, 10):
             for u in admissible_words(FULL2, l):
-                eu = s.eta(u)
+                eu = eta(s, u)
                 for c in FULL2.successors(u[-1]):
-                    assert s.eta(u + (c,)) <= eu * (1 + 1e-12)
+                    assert eta(s, u + (c,)) <= eu * (1 + 1e-12)
+        assert check_conditions(s, depth=2, t_grid=(1.0,)).c4_pass
 
 
 # ---------------------------------------------------------------- criterion 6

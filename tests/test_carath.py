@@ -4,15 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from emergence_lab.carath import (CStructure, _cover_recursion,
+from emergence_lab.carath import (CStructure, _cover_recursion, _log_q,
                                   bowen_dimension, check_conditions,
                                   outer_measure_M, outer_measure_N,
                                   pressure_exact, pressure_partition,
-                                  q_weight, restricted_outer_measure)
+                                  restricted_outer_measure)
 from emergence_lab.errors import DepthError, InputError, SizeError
 from emergence_lab.measures import MarkovMeasure
 from emergence_lab.sofic import (ShiftSpace, admissible_words,
                                  topological_entropy)
+from oracles import eta, q_weight, scan_sup_birkhoff
 
 FULL2 = ShiftSpace.full_shift(2)
 FULL3 = ShiftSpace.full_shift(3)
@@ -70,19 +71,30 @@ def test_sup_birkhoff_window_two_maximizes_tail():
 
 def test_weight_factorisations():
     s = CStructure(kind="entropy", space=FULL2)
-    assert q_weight(s, (1, 2, 1), 0.7) == pytest.approx(math.exp(-3 * 0.7))
+    assert _log_q(s, (1, 2, 1), 0.7) == pytest.approx(-3 * 0.7)
     h = CStructure(kind="hausdorff", space=FULL2)
-    assert h.eta((1, 2)) == pytest.approx(FULL2.metric_tail_bound(2))
+    assert _log_q(h, (1, 2), 1.0) == pytest.approx(
+        math.log(FULL2.metric_tail_bound(2)))
     a = CStructure(kind="appendix", space=FULL2, window=1,
                    table={(1,): 2.0, (2,): 3.0})
-    assert a.eta((1, 2)) == pytest.approx(math.exp(-5.0))
+    assert _log_q(a, (1, 2), 1.0) == pytest.approx(-5.0)
 
 
-def test_structure_json_round_trip():
-    s = CStructure(kind="pressure", space=GM, window=1,
-                   table={(1,): 0.25, (2,): -0.5})
-    s2 = CStructure.from_json(s.to_json(), GM)
-    assert s2.kind == s.kind and s2.table == s.table
+@pytest.mark.parametrize("space", [FULL2, GM, FULL3])
+def test_sup_birkhoff_matches_continuation_scan(space):
+    # words shorter than window - 1 read the best tail over the states
+    # that begin with them
+    rng = np.random.default_rng(11)
+    for window in (1, 2, 3, 4):
+        table = {w: float(rng.uniform(-1, 1))
+                 for w in admissible_words(space, window)}
+        s = CStructure(kind="pressure", space=space, window=window,
+                       table=table)
+        for l in range(1, 8):
+            for u in admissible_words(space, l):
+                want = scan_sup_birkhoff(s, u)
+                assert abs(s.sup_birkhoff(u) - want) <= 1e-12 * max(
+                    1.0, abs(want)), (window, u)
 
 
 # ----------------------------------------------------------- outer measures
@@ -225,6 +237,28 @@ def test_deep_cap_pressure_window2_does_not_underflow():
         assert math.isfinite(deep) and 0 < deep <= shallow
 
 
+def oracle_tree(s, t, cap, u=()):
+    """The cover infimum of C(u) by cylinders of depth <= cap, down the
+    cylinder tree with the per-word oracle weight."""
+    kids = s.space.successors(u[-1]) if u else range(1, s.space.m + 1)
+    if len(u) == cap:
+        return q_weight(s, u, t)
+    children = sum(oracle_tree(s, t, cap, u + (c,)) for c in kids)
+    return min(q_weight(s, u, t), children) if u else children
+
+
+def test_window8_outer_measure_matches_oracle_tree():
+    rng = np.random.default_rng(8)
+    words = admissible_words(FULL2, 8)
+    for kind, lo, hi in (("pressure", -1.0, 1.0), ("appendix", 0.2, 1.5)):
+        s = CStructure(kind=kind, space=FULL2, window=8,
+                       table={w: float(rng.uniform(lo, hi)) for w in words})
+        for t in (0.3, 1.1):
+            want = oracle_tree(s, t, 5)
+            got = outer_measure_M(s, "X", t, 5)
+            assert abs(got - want) <= 1e-12 * want, (kind, t)
+
+
 # ---------------------------------------------------------------- pressure
 
 def test_pressure_partition_zero_potential_is_entropy_rate():
@@ -343,7 +377,7 @@ def test_conditions_entropy_structure_is_multiplicative():
 def conditions_per_word(s, depth, t_grid):
     """Q1 and m_of_t from one outer measure per probe word."""
     probe = min(depth, 4)
-    q1 = min(outer_measure_M(s, [u], t, probe + 2) / q_weight(s, u, t)
+    q1 = min(outer_measure_M(s, [u], t, probe + 2) / math.exp(_log_q(s, u, t))
              for u in admissible_words(s.space, probe) for t in t_grid)
     for m_blk in range(1, 9):
         ok = True
@@ -370,6 +404,58 @@ def test_conditions_probes_match_per_word_definitions(space):
             assert abs(rep.q1_estimate - q1) <= 1e-12 * q1, (s.kind, s.window)
             assert rep.m_of_t == m_of_t, (s.kind, s.window, depth, t_grid)
             assert rep.c1_pass == (q1 > 0) and rep.c2_pass == (m_of_t > 0)
+
+
+def pair_scan_q3(s, t_grid):
+    """Worst two-sided ratio of q(uv) and q(u) q(v) over the concatenable
+    pairs with |u| + |v| <= 2 max(window - 1, 1), from the oracle weights."""
+    span = max(s.window - 1, 1)
+    worst = 0.0
+    for lu in range(1, 2 * span):
+        for u in admissible_words(s.space, lu):
+            for lv in range(1, 2 * span - lu + 1):
+                for v in admissible_words(s.space, lv):
+                    if s.space.allows(u[-1], v[0]):
+                        for t in t_grid:
+                            worst = max(worst, abs(
+                                math.log(q_weight(s, u + v, t))
+                                - math.log(q_weight(s, u, t))
+                                - math.log(q_weight(s, v, t))))
+    return math.exp(worst)
+
+
+def edge_scan_c4(s):
+    """eta nonincreasing along every tree edge out of the words of length
+    1..max(window - 1, 1), which end in every suffix state."""
+    return all(eta(s, u + (c,)) <= eta(s, u) * (1 + 1e-12)
+               for l in range(1, max(s.window - 1, 1) + 1)
+               for u in admissible_words(s.space, l)
+               for c in s.space.successors(u[-1]))
+
+
+@pytest.mark.parametrize("space", [FULL2, GM, FULL3])
+def test_conditions_q3_and_c4_match_scans(space):
+    rng = np.random.default_rng(5)
+    # the window-2 appendix potential drops from 5 on the edge 11 to 0.1
+    # on 12, so eta grows along the edge 1 -> 12 and C4 fails
+    steep = {w: (5.0 if w == (1, 1) else 0.1)
+             for w in admissible_words(space, 2)}
+    # window 4 (span 3, so the v-side steps read states two symbols back)
+    # on the 2-symbol spaces, where the pair scan stays small
+    wide = [CStructure(kind=kind, space=space, window=4,
+                       table={w: float(rng.uniform(lo, hi))
+                              for w in admissible_words(space, 4)})
+            for kind, lo, hi in (("pressure", -1.0, 1.0),
+                                 ("appendix", 0.2, 1.5)) if space.m == 2]
+    for s in [*all_structures(space, rng), *wide,
+              CStructure(kind="appendix", space=space, window=2,
+                         table=steep)]:
+        t_grid = tuple(float(t) for t in rng.uniform(-0.5, 2.0, size=2))
+        rep = check_conditions(s, 2, t_grid)
+        want = pair_scan_q3(s, t_grid)
+        assert abs(rep.q3_estimate - want) <= 1e-12 * want, (s.kind, s.window)
+        assert rep.c4_pass == edge_scan_c4(s), (s.kind, s.window)
+    assert not rep.c4_pass
 
 
 def test_conditions_hausdorff_eta_monotone():

@@ -344,23 +344,63 @@ def test_cli_restricted_probe_run(tmp_path):
     assert rep["value"] >= 0.0
 
 
+CONSTRUCT = {"family": [[[0.2, 0.8], [0.2, 0.8]], [[0.8, 0.2], [0.8, 0.2]]],
+             "l_max": 1,
+             "eps_tilde": [0.9, 0.8, 0.7],
+             "eps_hat": [0.1, 0.1, 0.1],
+             "gamma": {f"{L},{l}": 32 for L in range(3) for l in range(L + 1)},
+             "nets": [{"level": 0, "mesh": 0.9, "nodes": [[1.0]]},
+                      {"level": 1, "mesh": 0.6,
+                       "nodes": [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]}],
+             "metric_depth": 4}
+
+
 def test_cli_construct_run(tmp_path):
     cfg = {"space": FULL2_SPACE, "experiment": "construct",
-           "parameters": {"family": [[[0.2, 0.8], [0.2, 0.8]],
-                                     [[0.8, 0.2], [0.8, 0.2]]],
-                          "l_max": 1,
-                          "eps_tilde": [0.9, 0.8, 0.7],
-                          "eps_hat": [0.1, 0.1, 0.1],
-                          "gamma": {f"{L},{l}": 32 for L in range(3)
-                                    for l in range(L + 1)},
-                          "nets": [{"level": 0, "mesh": 0.9,
-                                    "nodes": [[1.0]]},
-                                   {"level": 1, "mesh": 0.6,
-                                    "nodes": [[1.0, 0.0], [0.5, 0.5],
-                                              [0.0, 1.0]]}],
-                          "metric_depth": 4},
+           "parameters": CONSTRUCT,
            "seed": 5, "output_dir": str(tmp_path / "out")}
     out_dir, manifest = run_ok(tmp_path, cfg, "construct")
     assert manifest["files"] == ["blocks.csv", "itinerary.json", "orbit.json"]
     orbit = json.loads((out_dir / "orbit.json").read_text())
     assert orbit["seed"] == 5 and orbit["length"] > 0
+
+
+SMALL_EMERGENCE = {"epsilons": [0.3, 0.15, 0.075], "n_min": 16, "n_max": 128,
+                   "count": 4, "depth": 3}
+OSCILLATING = {"kind": "oscillating", "probs_a": [0.2, 0.8],
+               "probs_b": [0.8, 0.2]}
+
+
+@pytest.mark.parametrize("experiment, parameters, key", [
+    ("outer-sweep", {"kind": "entropy", "t_grid": [0.5], "depth_caps": [2, 3]},
+     "m_blk"),
+    ("pressure", {"table": {"1": 0.0, "2": 0.1}}, "lengths"),
+    ("restricted-probe",
+     {k: v for k, v in PROBE.items() if k != "metric_depth"}, "metric_depth"),
+    ("construct", CONSTRUCT, "length_cap"),
+    ("emergence", {**SMALL_EMERGENCE,
+                   "source": {"kind": "bernoulli", "probs": [0.5, 0.5]}},
+     "tail_fraction"),
+    ("emergence", {**SMALL_EMERGENCE, "source": OSCILLATING},
+     "source/first_block"),
+    ("emergence", {**SMALL_EMERGENCE, "source": OSCILLATING}, "source/growth"),
+])
+def test_cli_null_optional_key_means_default(tmp_path, experiment, parameters,
+                                             key):
+    def data_files(params, name):
+        cfg = {"space": FULL2_SPACE, "experiment": experiment,
+               "parameters": params, "seed": 0,
+               "output_dir": str(tmp_path / name)}
+        result = CliRunner().invoke(main, [
+            experiment, "--config", write_config(tmp_path, cfg, f"{name}.json")])
+        assert result.exit_code == 0, result.output
+        return {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()
+                if p.name != "manifest.json"}
+
+    nulled = json.loads(json.dumps(parameters))
+    *path, last = key.split("/")
+    target = nulled
+    for part in path:
+        target = target[part]
+    target[last] = None
+    assert data_files(nulled, "null") == data_files(parameters, "absent")

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from emergence_lab.errors import DepthError, InputError, InvariantError
 from emergence_lab.sofic import (PointPrefix, ShiftSpace, admissible_words,
                                  connector, count_admissible, is_admissible,
-                                 perron, specification_constant,
-                                 topological_entropy, truncated_metric)
+                                 perron, topological_entropy,
+                                 truncated_metric)
 
 
 def test_full_shift_entropy_is_log_m():
@@ -140,14 +140,18 @@ def test_shift_drops_prefix():
 def test_connector_full_shift_is_empty():
     space = ShiftSpace.full_shift(3)
     assert connector((1,), (3,), space) == ()
-    assert specification_constant(space) == 0
+    assert all(connector((a,), (b,), space) == ()
+               for a in range(1, 4) for b in range(1, 4))
 
 
 def test_connector_golden_mean():
     gm = ShiftSpace.golden_mean()
     assert connector((2,), (2,), gm) == (1,)
     assert connector((1,), (2,), gm) == ()
-    assert specification_constant(gm) == 1
+    # only 2 -> 2 needs a bridge, of length one
+    assert {(a, b): len(connector((a,), (b,), gm))
+            for a in (1, 2) for b in (1, 2)} == {
+                (1, 1): 0, (1, 2): 0, (2, 1): 0, (2, 2): 1}
 
 
 def test_connector_block_alignment():
