@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -165,6 +166,48 @@ def _validate_matrix_list(params, col, key, pointer, m):
     return out
 
 
+def _validate_gamma(params, col, pointer):
+    """Entry thresholds: keys "L,l" with integers L, l >= 0, values positive
+    integers."""
+    gamma = col.optional(params, "gamma", dict, pointer)
+    for key, n in (gamma or {}).items():
+        if not re.fullmatch(r"\s*[0-9]+\s*,\s*[0-9]+\s*", key):
+            col.add(f"{pointer}/gamma/{key}",
+                    'key must be "L,l" with integers L, l >= 0')
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            col.add(f"{pointer}/gamma/{key}", "value must be a positive integer")
+
+
+def _validate_nets(params, col, pointer, l_max):
+    """Simplex nets: net L has level L, a mesh > 0 and a nonempty list of
+    nodes of L + 1 nonnegative numbers; one net per level 0..l_max."""
+    nets = col.optional(params, "nets", list, pointer)
+    if nets is None:
+        return
+    if l_max is not None and len(nets) < l_max + 1:
+        col.add(f"{pointer}/nets", f"need at least {l_max + 1} nets")
+    for i, net in enumerate(nets):
+        q = f"{pointer}/nets/{i}"
+        if not isinstance(net, dict):
+            col.add(q, "must be an object")
+            continue
+        level = col.require(net, "level", int, q)
+        if level is not None and level != i:
+            col.add(f"{q}/level", f"net {i} must have level {i}, got {level}")
+        mesh = col.require(net, "mesh", float, q)
+        if mesh is not None and mesh <= 0:
+            col.add(f"{q}/mesh", f"must be > 0, got {mesh}")
+        nodes = col.require(net, "nodes", list, q)
+        if nodes is not None and not nodes:
+            col.add(f"{q}/nodes", "must be nonempty")
+        for k, node in enumerate(nodes or []):
+            if not (isinstance(node, list) and len(node) == i + 1 and all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and v >= 0 for v in node)):
+                col.add(f"{q}/nodes/{k}",
+                        f"must be a list of {i + 1} nonnegative numbers")
+
+
 def _validate_parameters(experiment, params, space, col):
     p = "/parameters"
     m = space.m if space is not None else None
@@ -211,6 +254,12 @@ def _validate_parameters(experiment, params, space, col):
                     probs = _number_list(src, col, key, f"{p}/source")
                     if probs is not None and m is not None and len(probs) != m:
                         col.add(f"{p}/source/{key}", f"need {m} probabilities")
+                first = col.optional(src, "first_block", int, f"{p}/source")
+                if first is not None and first < 1:
+                    col.add(f"{p}/source/first_block", f"must be >= 1, got {first}")
+                growth = col.optional(src, "growth", float, f"{p}/source")
+                if growth is not None and growth <= 1.0:
+                    col.add(f"{p}/source/growth", f"must be > 1, got {growth}")
             elif kind is not None:
                 col.add(f"{p}/source/kind",
                         "must be one of ('bernoulli', 'markov', 'oscillating')")
@@ -241,6 +290,8 @@ def _validate_parameters(experiment, params, space, col):
         if caps is not None and caps < 1:
             col.add(f"{p}/length_cap", "must be >= 1")
         col.optional(params, "metric_depth", int, p, default=6)
+        _validate_gamma(params, col, p)
+        _validate_nets(params, col, p, l_max)
         if experiment == "saturate":
             slack = col.require(params, "slack", float, p)
             if slack is not None and slack < 0:

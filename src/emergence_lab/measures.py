@@ -2,13 +2,18 @@
 
 Finitely supported measures store their atoms as a (k, width) array of
 symbol prefixes.  The W1 solver works on ground costs truncated at an
-explicit depth; the only error source is the metric truncation bound, which
-is returned alongside every value.
+explicit depth, sum_d beta^-(d+1) |x_d - y_d|, which is the path metric of
+the grid of all m^depth prefixes; W1 is then one min-cost flow on that grid
+(EMD-L1), solved by HiGHS at primal and dual feasibility tolerances 1e-10.
+Grids larger than `GRID_CAP` nodes raise SizeError.  Apart from the solver
+tolerance, the only error source is the metric truncation bound, which is
+returned alongside every value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,6 +23,13 @@ from scipy.optimize import linprog
 from .errors import DepthError, InputError, InvariantError, SizeError
 from .sofic import PointPrefix, ShiftSpace, admissible_words, perron, \
     symbol_array
+
+# Largest symbol grid (m^depth nodes) the W1 flow LP is built on: FULL2 to
+# depth 12, FULL3 to depth 7.  HiGHS time grows about quadratically in the
+# grid: two atoms a side took 0.85 s at 2^12 nodes and 14 s at 2^14 on a
+# 2-core Xeon VM.
+GRID_CAP = 2 ** 12
+
 
 # Counter-based RNG used by every sampling operation (documented in the CLI).
 def make_rng(seed):
@@ -289,6 +301,14 @@ def truncation_proxy(mu, depth, space=None):
 def wasserstein1(mu, nu, depth, space, atom_cap=4096):
     """Exact W1 between finitely supported measures at truncated ground costs.
 
+    The truncated metric sum_d beta^-(d+1) |x_d - y_d| is the path metric of
+    the grid of all m^depth symbol prefixes, with an arc between prefixes
+    that differ by one in one coordinate d, so W1 is a min-cost flow on that
+    grid, whatever the atom counts.  HiGHS solves it with primal and dual
+    feasibility tolerances 1e-10.  A residual with one atom on either side
+    needs no LP.  Raises SizeError for more than `atom_cap` merged atoms,
+    and before building a grid of more than `GRID_CAP` nodes.
+
     Returns (value, error_bound).  Truncated costs underestimate the true
     metric, so the true W1 lies in [value, value + error_bound].
     """
@@ -318,9 +338,24 @@ def wasserstein1(mu, nu, depth, space, atom_cap=4096):
     mass = float(a_w.sum())
     a_w = a_w / a_w.sum()
     b_w = b_w / b_w.sum()
+    if min(a_atoms.shape[0], b_atoms.shape[0]) == 1:
+        cost = _truncated_cost_matrix(a_atoms, b_atoms, space.beta)
+        value = cost[0] @ b_w if a_atoms.shape[0] == 1 else cost[:, 0] @ a_w
+        return mass * float(value), err
 
-    cost = _truncated_cost_matrix(a_atoms, b_atoms, space.beta)
-    return mass * _solve_transport(cost, a_w, b_w), err
+    incidence, cost = _grid_flow(space.m, depth, float(space.beta))
+    place = space.m ** np.arange(depth, dtype=np.int64)
+    supply = np.zeros(space.m ** depth)
+    supply[(a_atoms.astype(np.int64) - 1) @ place] = a_w
+    supply[(b_atoms.astype(np.int64) - 1) @ place] = -b_w
+    res = linprog(cost, A_eq=incidence, b_eq=supply[:-1], bounds=(0, None),
+                  method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if not res.success:
+        raise InvariantError(f"transport flow LP failed: {res.message}",
+                             module="measures", operation="wasserstein1")
+    return mass * float(res.fun), err
 
 
 def _truncated_cost_matrix(a, b, beta):
@@ -333,33 +368,32 @@ def _truncated_cost_matrix(a, b, beta):
     return cost
 
 
-def _solve_transport(cost, supply, demand):
-    """Exact transportation LP (HiGHS simplex on the dense bipartite instance)."""
-    na, nb = cost.shape
-    if na == 1:
-        return float(cost[0] @ demand)
-    if nb == 1:
-        return float(cost[:, 0] @ supply)
-    rows = []
-    cols = []
-    for i in range(na):
-        rows.append(np.full(nb, i))
-        cols.append(np.arange(i * nb, (i + 1) * nb))
-    for j in range(nb - 1):  # drop the last demand row (redundant)
-        rows.append(np.full(na, na + j))
-        cols.append(j + np.arange(na) * nb)
-    a_eq = sp.coo_matrix(
-        (np.ones(na * nb + na * (nb - 1)),
-         (np.concatenate(rows), np.concatenate(cols))),
-        shape=(na + nb - 1, na * nb)).tocsr()
-    b_eq = np.concatenate([supply, demand[:-1]])
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if res.status == 2:
-        # HiGHS presolve can misreport balanced instances with tiny masses
-        # (~1e-9) as infeasible; the raw simplex handles them.
-        res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                      method="highs", options={"presolve": False})
-    if not res.success:
-        raise InvariantError(f"transport LP failed: {res.message}",
-                             module="measures", operation="wasserstein1")
-    return float(res.fun)
+@lru_cache(maxsize=8)
+def _grid_flow(m, depth, beta):
+    """Node-arc incidence (last node row dropped) and arc costs of the
+    m^depth symbol grid; node sum_d (x_d - 1) m^d, arcs both ways between
+    nodes one apart in coordinate d, at cost beta^-(d+1).  Dropping a row
+    leaves the flow LP feasible for any supply.  Shared read-only by every
+    caller, the `pairwise_w1` pool threads included."""
+    n = m ** depth
+    if n > GRID_CAP:
+        raise SizeError(f"W1 grid of {m}^{depth} = {n} nodes exceeds cap {GRID_CAP}",
+                        module="measures", operation="wasserstein1")
+    node = np.arange(n, dtype=np.int64)
+    tails, heads, costs = [], [], []
+    for d in range(depth):
+        step = m ** d
+        low = node[(node // step) % m < m - 1]
+        tails += [low, low + step]
+        heads += [low + step, low]
+        costs.append(np.full(2 * low.shape[0], beta ** (-(d + 1))))
+    tail, head = np.concatenate(tails), np.concatenate(heads)
+    arc = np.arange(tail.shape[0])
+    incidence = sp.csr_matrix(
+        (np.concatenate([np.ones(arc.shape[0]), -np.ones(arc.shape[0])]),
+         (np.concatenate([tail, head]), np.concatenate([arc, arc]))),
+        shape=(n, arc.shape[0]))[:-1]
+    cost = np.concatenate(costs)
+    for a in (incidence.data, incidence.indices, incidence.indptr, cost):
+        a.setflags(write=False)
+    return incidence, cost

@@ -1,12 +1,18 @@
-"""Per-word oracles for the Caratheodory structures of `emergence_lab.carath`.
+"""Oracles that compute library quantities the direct way.
 
 The library works with log q on suffix states; these compute the same
 quantities one word at a time from the definitions: the Birkhoff sup over a
 cylinder by a scan of every admissible continuation, and the cover weight
-q(C(u), t) = xi(u) * eta(u)^t.
+q(C(u), t) = xi(u) * eta(u)^t.  W1 is solved on the symbol grid as a
+min-cost flow; `dense_transport` solves the same problem as the dense
+bipartite transportation LP between the two sets of atoms.
 """
 
 import math
+
+import numpy as np
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from emergence_lab.sofic import admissible_words
 
@@ -55,3 +61,25 @@ def eta(s, u):
 def q_weight(s, u, t):
     """The cover weight q(C(u), t) = xi * eta^t of a nonempty word."""
     return xi(s, u) * eta(s, u) ** t
+
+
+def dense_transport(cost, supply, demand, tol):
+    """Optimal cost of moving `supply` onto `demand` (equal totals) at the
+    (n_a, n_b) ground costs `cost`: HiGHS on the n_a * n_b plan, with the
+    last demand row dropped as redundant and primal and dual feasibility
+    tolerances `tol`."""
+    na, nb = cost.shape
+    rows = np.concatenate([np.repeat(np.arange(na), nb),
+                           na + np.tile(np.arange(nb - 1), na)])
+    cols = np.concatenate([np.arange(na * nb),
+                           (np.arange(na)[:, None] * nb
+                            + np.arange(nb - 1)[None, :]).ravel()])
+    a_eq = sp.csr_matrix((np.ones(rows.shape[0]), (rows, cols)),
+                         shape=(na + nb - 1, na * nb))
+    res = linprog(cost.ravel(), A_eq=a_eq,
+                  b_eq=np.concatenate([supply, demand[:-1]]), bounds=(0, None),
+                  method="highs",
+                  options={"primal_feasibility_tolerance": tol,
+                           "dual_feasibility_tolerance": tol})
+    assert res.success, res.message
+    return float(res.fun)

@@ -308,6 +308,12 @@ PROBE = {"word": [1], "stochastic_list": [[[0.5, 0.5], [0.5, 0.5]]],
 ])
 def test_cli_rejects_bad_structure_parameters(tmp_path, experiment,
                                               parameters, pointer):
+    assert_config_error(tmp_path, experiment, parameters, pointer)
+
+
+def assert_config_error(tmp_path, experiment, parameters, pointer):
+    """The CLI exits 1 with an error.json of kind config naming only
+    `pointer`."""
     cfg = {"space": FULL2_SPACE, "experiment": experiment,
            "parameters": parameters, "seed": 0,
            "output_dir": str(tmp_path / "out")}
@@ -404,3 +410,22 @@ def test_cli_null_optional_key_means_default(tmp_path, experiment, parameters,
         target = target[part]
     target[last] = None
     assert data_files(nulled, "null") == data_files(parameters, "absent")
+
+
+@pytest.mark.parametrize("experiment, parameters, pointer", [
+    ("emergence", {**SMALL_EMERGENCE,
+                   "source": {**OSCILLATING, "first_block": 0}},
+     "/parameters/source/first_block"),
+    ("emergence", {**SMALL_EMERGENCE,
+                   "source": {**OSCILLATING, "growth": "fast"}},
+     "/parameters/source/growth"),
+    ("construct", {**CONSTRUCT, "gamma": {**CONSTRUCT["gamma"], "0,0": "many"}},
+     "/parameters/gamma/0,0"),
+    ("saturate", {**CONSTRUCT, "slack": 0.5,
+                  "nets": [CONSTRUCT["nets"][0],
+                           {"level": 1, "mesh": 0.6, "nodes": [[1.0]]}]},
+     "/parameters/nets/1/nodes/0"),
+])
+def test_cli_rejects_bad_source_and_schedule_keys(tmp_path, experiment,
+                                                  parameters, pointer):
+    assert_config_error(tmp_path, experiment, parameters, pointer)

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emergence_lab.errors import InputError, InvariantError, SizeError
-from emergence_lab.measures import (FinSuppMeasure, MarkovMeasure,
+from emergence_lab.measures import (GRID_CAP, FinSuppMeasure, MarkovMeasure,
                                     MarkovMixture, empirical_measure,
                                     empirical_snapshots, make_rng,
                                     measure_entropy, truncation_proxy,
                                     wasserstein1)
 from emergence_lab.sofic import PointPrefix, ShiftSpace, admissible_words
+from oracles import dense_transport
 
 FULL2 = ShiftSpace.full_shift(2)
 FULL3 = ShiftSpace.full_shift(3)
@@ -281,6 +282,83 @@ def test_w1_atom_cap():
     mu = truncation_proxy(bern([0.5, 0.5]), 6, FULL2)
     with pytest.raises(SizeError):
         wasserstein1(mu, mu, 6, FULL2, atom_cap=10)
+
+
+def test_w1_grid_cap():
+    # two atoms a side, so the flow LP is needed: the depth-13 grid has
+    # 2^13 nodes, more than GRID_CAP; the depth-12 grid is at the cap
+    assert GRID_CAP == 2 ** 12
+    atoms = np.array([[1] * 13, [2] * 13, [1, 2] * 6 + [1], [2, 1] * 6 + [2]],
+                     dtype=np.int16)
+    mu = FinSuppMeasure(atoms=atoms[:2], weights=np.array([0.5, 0.5]))
+    nu = FinSuppMeasure(atoms=atoms[2:], weights=np.array([0.5, 0.5]))
+    with pytest.raises(SizeError, match="grid"):
+        wasserstein1(mu, nu, 13, FULL2)
+    assert wasserstein1(mu, nu, 12, FULL2)[0] == pytest.approx(
+        (1 - 2.0 ** -12) / 3, rel=1e-12)
+
+
+def dense_w1(mu, nu, depth, space):
+    """W1 by the dense transportation LP between the atoms left after the
+    common mass is removed, at tolerance 1e-10."""
+    a, a_w, _ = mu.merged(depth, space.m)
+    b, b_w, _ = nu.merged(depth, space.m)
+    shared = {tuple(x): min(w, v) for x, w in zip(a, a_w)
+              for y, v in zip(b, b_w) if tuple(x) == tuple(y)}
+    a_w = np.array([w - shared.get(tuple(x), 0.0) for x, w in zip(a, a_w)])
+    b_w = np.array([w - shared.get(tuple(y), 0.0) for y, w in zip(b, b_w)])
+    a, a_w = a[a_w > 1e-15], a_w[a_w > 1e-15]
+    b, b_w = b[b_w > 1e-15], b_w[b_w > 1e-15]
+    if not a_w.size or not b_w.size:
+        return 0.0
+    scale = space.beta ** -np.arange(1.0, depth + 1)
+    cost = np.abs(a[:, None, :].astype(float) - b[None, :, :]) @ scale
+    return a_w.sum() * dense_transport(cost, a_w / a_w.sum(),
+                                       b_w / b_w.sum(), 1e-10)
+
+
+def w1_oracle_cases():
+    """The W1-axiom and triangle data above, random pairs on FULL2, the
+    golden mean and FULL3 up to depth 6, and residual masses near 1e-9."""
+    mu = truncation_proxy(bern([0.3, 0.7]), 5, FULL2)
+    nu = truncation_proxy(bern([0.6, 0.4]), 5, FULL2)
+    yield mu, nu, 5, FULL2
+    rng = make_rng(17)
+    for _ in range(25):
+        mus = [truncation_proxy(bern([p, 1 - p]), 4, FULL2)
+               for p in rng.random(3)]
+        for i, j in ((0, 1), (1, 2), (0, 2)):
+            yield mus[i], mus[j], 4, FULL2
+    rng = make_rng(23)
+    for space in (FULL2, GM, FULL3):
+        words = np.asarray(admissible_words(space, 6), dtype=np.int16)
+        for depth in range(1, 7):
+            for _ in range(4):
+                pair = []
+                for _ in range(2):
+                    k = int(rng.integers(1, min(len(words), 60) + 1))
+                    pick = rng.choice(len(words), size=k, replace=False)
+                    w = rng.random(k) + 0.05
+                    pair.append(FinSuppMeasure(words[pick], w / w.sum()))
+                yield pair[0], pair[1], depth, space
+    # about 1e-9 of the mass moves, from two atoms to two others
+    w = mu.weights.copy()
+    w[[0, 1]] -= [6e-10, 4e-10]
+    w[[6, 7]] += [5e-10, 5e-10]
+    yield mu, FinSuppMeasure(mu.atoms, w), 5, FULL2
+    # one residual atom of relative mass about 1e-9 beside atoms of about 1/2
+    a = FinSuppMeasure(np.array([[1, 1, 1], [1, 2, 1], [2, 2, 2]], np.int16),
+                       np.array([0.5, 0.5 - 1e-9, 1e-9]))
+    b = FinSuppMeasure(np.array([[2, 1, 1], [2, 1, 2]], np.int16),
+                       np.array([0.5, 0.5]))
+    yield a, b, 3, FULL2
+
+
+def test_w1_flow_matches_dense_oracle():
+    for mu, nu, depth, space in w1_oracle_cases():
+        got, _ = wasserstein1(mu, nu, depth, space)
+        want = dense_w1(mu, nu, depth, space)
+        assert abs(got - want) <= 1e-12 * want, (depth, got, want)
 
 
 def test_w1_scale_invariance_under_common_mass():
