@@ -180,7 +180,8 @@ def _validate_gamma(params, col, pointer):
 
 def _validate_nets(params, col, pointer, l_max):
     """Simplex nets: net L has level L, a mesh > 0 and a nonempty list of
-    nodes of L + 1 nonnegative numbers; one net per level 0..l_max."""
+    nodes of L + 1 nonnegative numbers summing to 1 within 1e-12 (the
+    `MarkovMixture` tolerance); one net per level 0..l_max."""
     nets = col.optional(params, "nets", list, pointer)
     if nets is None:
         return
@@ -206,6 +207,9 @@ def _validate_nets(params, col, pointer, l_max):
                     and v >= 0 for v in node)):
                 col.add(f"{q}/nodes/{k}",
                         f"must be a list of {i + 1} nonnegative numbers")
+            elif abs(float(np.sum(node)) - 1.0) > 1e-12:
+                col.add(f"{q}/nodes/{k}",
+                        f"node {node} must sum to 1 within 1e-12")
 
 
 def _validate_parameters(experiment, params, space, col):

@@ -1,13 +1,16 @@
 """Markov measures, empirical measures, and exact Wasserstein-1 transport.
 
 Finitely supported measures store their atoms as a (k, width) array of
-symbol prefixes.  The W1 solver works on ground costs truncated at an
-explicit depth, sum_d beta^-(d+1) |x_d - y_d|, which is the path metric of
-the grid of all m^depth prefixes; W1 is then one min-cost flow on that grid
-(EMD-L1), solved by HiGHS at primal and dual feasibility tolerances 1e-10.
-Grids larger than `GRID_CAP` nodes raise SizeError.  Apart from the solver
-tolerance, the only error source is the metric truncation bound, which is
-returned alongside every value.
+symbol prefixes.  One prefix code serves windows, merged atoms and W1: the
+prefix (x_0, ..., x_{D-1}) is the grid node sum_d (x_d - 1) m^d, and sorted
+codes list prefixes in reversed-lexicographic order.  The W1 solver works on
+ground costs truncated at an explicit depth, sum_d beta^-(d+1) |x_d - y_d|,
+which is the path metric of the grid of all m^depth prefixes; W1 is then one
+min-cost flow on that grid (EMD-L1) with supply mu - nu, solved by HiGHS at
+primal and dual feasibility tolerances 1e-10.  Grids larger than `GRID_CAP`
+nodes raise SizeError.  Apart from the solver tolerance, the only error
+source is the metric truncation bound, which is returned alongside every
+value.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import linprog
 
 from .errors import DepthError, InputError, InvariantError, SizeError
-from .sofic import PointPrefix, ShiftSpace, admissible_words, perron, \
-    symbol_array
+from .sofic import ShiftSpace, admissible_words, perron, symbol_array
 
 # Largest symbol grid (m^depth nodes) the W1 flow LP is built on: FULL2 to
 # depth 12, FULL3 to depth 7.  HiGHS time grows about quadratically in the
@@ -36,13 +38,22 @@ def make_rng(seed):
     return np.random.Generator(np.random.Philox(int(seed) & 0xFFFFFFFFFFFFFFFF))
 
 
+def _inverse_cdf(p):
+    """Cumulative sums along the last axis, +inf from each row's last
+    positive entry on: a right-sided search for any u in [0, 1) lands on a
+    positive entry, even where the float sums fall short of 1."""
+    cum = np.cumsum(p, axis=-1)
+    last = p.shape[-1] - 1 - np.argmax(p[..., ::-1] > 0, axis=-1)
+    cum[np.arange(p.shape[-1]) >= np.expand_dims(last, -1)] = np.inf
+    return cum
+
+
 def _chain_walk(cums, u, s0, out):
     """Inverse-CDF walk of the chain."""
     s = s0
-    m = cums.shape[0]
     out[0] = s + 1
     for i in range(1, u.shape[0]):
-        s = min(int(np.searchsorted(cums[s], u[i], side="right")), m - 1)
+        s = int(np.searchsorted(cums[s], u[i], side="right"))
         out[i] = s + 1
 
 
@@ -107,16 +118,12 @@ class MarkovMeasure:
         if n < 1:
             raise InputError(f"n must be >= 1, got {n}",
                              module="measures", operation="sample")
-        if self.is_bernoulli:
-            cum = np.cumsum(self.stochastic[0])
-            u = rng.random(n)
-            idx = np.minimum(np.searchsorted(cum, u, side="right"), self.space.m - 1)
-            return (idx + 1).astype(np.int16)
-        cums = np.cumsum(self.stochastic, axis=1)
+        cums = _inverse_cdf(self.stochastic)
         u = rng.random(n)
+        if self.is_bernoulli:
+            return (np.searchsorted(cums[0], u, side="right") + 1).astype(np.int16)
         out = np.empty(n, dtype=np.int16)
-        s0 = min(int(np.searchsorted(np.cumsum(self.stationary), u[0], side="right")),
-                 self.space.m - 1)
+        s0 = int(np.searchsorted(_inverse_cdf(self.stationary), u[0], side="right"))
         _chain_walk(cums, u, s0, out)
         return out
 
@@ -167,44 +174,38 @@ class FinSuppMeasure:
     def n_atoms(self):
         return int(self.atoms.shape[0])
 
-    def atom(self, i):
-        return PointPrefix(self.atoms[i])
-
     def merged(self, depth, m):
         """Atoms truncated to `depth` with duplicate prefixes merged.
 
-        Returns (prefixes, weights, keys) with keys the packed integer codes,
-        all sorted by key for determinism.
+        Returns (codes, weights): the sorted distinct prefix codes (grid
+        nodes, see `_pack_prefixes`) and the summed weight of each.
         """
         if depth > self.width:
             raise DepthError(f"depth {depth} exceeds stored atom width {self.width}",
                              module="measures", operation="merged")
-        keys = _pack_prefixes(self.atoms[:, :depth], m)
-        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        w = np.bincount(inverse, weights=self.weights, minlength=uniq.shape[0])
-        return np.ascontiguousarray(self.atoms[first, :depth]), w, uniq
-
-    @classmethod
-    def point_mass(cls, point, width):
-        return cls(atoms=np.asarray(point.head(width), dtype=np.int16)[None, :],
-                   weights=np.array([1.0]))
+        codes, inverse = np.unique(_pack_prefixes(self.atoms[:, :depth], m),
+                                   return_inverse=True)
+        return codes, np.bincount(inverse, weights=self.weights,
+                                  minlength=codes.shape[0])
 
 
 def _pack_prefixes(rows, m):
-    """Encode the rows of a (k, width) symbol array as int64 radix-(m+1)
-    keys, one column at a time; requires width small enough."""
+    """The grid nodes sum_d (x_d - 1) m^d of the rows of a (k, width) symbol
+    array, as int64 radix-m codes; requires m^width < 2^62."""
     width = rows.shape[1]
-    if width * np.log2(m + 1) > 62:
+    if int(m) ** width >= 2 ** 62:
         raise SizeError(f"prefix width {width} too large to pack for m={m}",
                         module="measures", operation="_pack_prefixes")
-    keys = np.zeros(rows.shape[0], dtype=np.int64)
-    for d in range(width):
-        keys += rows[:, d].astype(np.int64) * (m + 1) ** d
-    return keys
+    codes = np.zeros(rows.shape[0], dtype=np.int64)
+    for d in reversed(range(width)):
+        codes *= m
+        codes += rows[:, d]
+        codes -= 1
+    return codes
 
 
 def _window_keys(symbols, n, depth, m):
-    """Packed keys of the n sliding depth-windows of a symbol array."""
+    """Prefix codes of the n sliding depth-windows of a symbol array."""
     if n + depth - 1 > symbols.shape[0]:
         raise DepthError(
             f"need {n + depth - 1} symbols for {n} windows of depth {depth}, "
@@ -241,12 +242,13 @@ def empirical_snapshots(x, times, depth, space):
     return out
 
 
-def _unpack_keys(keys, width, m):
-    out = np.empty((keys.shape[0], width), dtype=np.int16)
-    k = keys.copy()
+def _unpack_keys(codes, width, m):
+    """The (k, width) symbol rows of prefix codes; inverse of `_pack_prefixes`."""
+    out = np.empty((codes.shape[0], width), dtype=np.int16)
+    k = codes.copy()
     for d in range(width):
-        out[:, d] = (k % (m + 1)).astype(np.int16)
-        k //= m + 1
+        out[:, d] = k % m + 1
+        k //= m
     return out
 
 
@@ -283,14 +285,13 @@ def measure_entropy(mu):
     return mu.entropy()
 
 
-def truncation_proxy(mu, depth, space=None):
+def truncation_proxy(mu, depth, space):
     """Exact depth-truncation of a Markov measure or mixture.
 
     Atoms are the admissible depth-cylinders weighted by their exact
     probabilities; W1 against the true measure is at most the metric tail
     bound at `depth`.
     """
-    space = space or mu.space
     words = np.asarray(admissible_words(space, depth), dtype=np.int16)
     probs = mu.cylinder_probability(words)
     keep = probs > 0
@@ -298,56 +299,54 @@ def truncation_proxy(mu, depth, space=None):
     return FinSuppMeasure(atoms=words[keep], weights=w / w.sum())
 
 
-def wasserstein1(mu, nu, depth, space, atom_cap=4096):
+def wasserstein1(mu, nu, depth, space):
     """Exact W1 between finitely supported measures at truncated ground costs.
 
     The truncated metric sum_d beta^-(d+1) |x_d - y_d| is the path metric of
     the grid of all m^depth symbol prefixes, with an arc between prefixes
     that differ by one in one coordinate d, so W1 is a min-cost flow on that
-    grid, whatever the atom counts.  HiGHS solves it with primal and dual
-    feasibility tolerances 1e-10.  A residual with one atom on either side
-    needs no LP.  Raises SizeError for more than `atom_cap` merged atoms,
-    and before building a grid of more than `GRID_CAP` nodes.
+    grid, whatever the atom counts.  Both measures are merged to prefix
+    codes, which are grid nodes, and the supply is mu - nu on the union of
+    their codes; net masses of at most 1e-15 count as zero.  If either side
+    of the supply is one atom, W1 is its mass times the mean distance to the
+    other side, with no grid, at any depth.  Otherwise HiGHS solves the flow
+    at primal and dual feasibility tolerances 1e-10; a grid of more than
+    `GRID_CAP` nodes raises SizeError before it is built.
 
     Returns (value, error_bound).  Truncated costs underestimate the true
     metric, so the true W1 lies in [value, value + error_bound].
     """
-    a_atoms, a_w, a_keys = mu.merged(depth, space.m)
-    b_atoms, b_w, b_keys = nu.merged(depth, space.m)
-    if a_atoms.shape[0] + b_atoms.shape[0] > atom_cap:
-        raise SizeError(
-            f"combined atom count {a_atoms.shape[0] + b_atoms.shape[0]} exceeds cap {atom_cap}",
-            module="measures", operation="wasserstein1")
+    m = space.m
+    a_codes, a_w = mu.merged(depth, m)
+    b_codes, b_w = nu.merged(depth, m)
     err = space.metric_tail_bound(depth)
-
-    # W1 depends only on mu - nu: drop the common mass exactly.
-    common, ia, ib = np.intersect1d(a_keys, b_keys, return_indices=True)
-    if common.shape[0]:
-        shared = np.minimum(a_w[ia], b_w[ib])
-        a_w = a_w.copy()
-        b_w = b_w.copy()
-        a_w[ia] -= shared
-        b_w[ib] -= shared
-    keep_a = a_w > 1e-15
-    keep_b = b_w > 1e-15
-    a_atoms, a_w = a_atoms[keep_a], a_w[keep_a]
-    b_atoms, b_w = b_atoms[keep_b], b_w[keep_b]
-    if a_atoms.shape[0] == 0 or b_atoms.shape[0] == 0:
+    codes, inverse = np.unique(np.concatenate([a_codes, b_codes]),
+                               return_inverse=True)
+    net = np.bincount(inverse, weights=np.concatenate([a_w, -b_w]),
+                      minlength=codes.shape[0])
+    src, dst = net > 1e-15, net < -1e-15
+    if not (src.any() and dst.any()):
         return 0.0, err
-    # normalize residual masses (cost is linear in mass; rescale afterwards)
+    # normalize each side (cost is linear in mass; rescale afterwards)
+    a_codes, a_w = codes[src], net[src]
+    b_codes, b_w = codes[dst], -net[dst]
     mass = float(a_w.sum())
-    a_w = a_w / a_w.sum()
+    a_w = a_w / mass
     b_w = b_w / b_w.sum()
-    if min(a_atoms.shape[0], b_atoms.shape[0]) == 1:
-        cost = _truncated_cost_matrix(a_atoms, b_atoms, space.beta)
-        value = cost[0] @ b_w if a_atoms.shape[0] == 1 else cost[:, 0] @ a_w
-        return mass * float(value), err
+    if min(a_codes.shape[0], b_codes.shape[0]) == 1:
+        one, many, w = ((a_codes, b_codes, b_w) if a_codes.shape[0] == 1
+                        else (b_codes, a_codes, a_w))
+        x = _unpack_keys(one, depth, m)[0]
+        y = _unpack_keys(many, depth, m)
+        cost = np.zeros(many.shape[0])
+        for d in range(depth):
+            cost += np.abs(y[:, d] - x[d]) * space.beta ** (-(d + 1))
+        return mass * float(cost @ w), err
 
-    incidence, cost = _grid_flow(space.m, depth, float(space.beta))
-    place = space.m ** np.arange(depth, dtype=np.int64)
-    supply = np.zeros(space.m ** depth)
-    supply[(a_atoms.astype(np.int64) - 1) @ place] = a_w
-    supply[(b_atoms.astype(np.int64) - 1) @ place] = -b_w
+    incidence, cost = _grid_flow(m, depth, float(space.beta))
+    supply = np.zeros(m ** depth)
+    supply[a_codes] = a_w
+    supply[b_codes] = -b_w
     res = linprog(cost, A_eq=incidence, b_eq=supply[:-1], bounds=(0, None),
                   method="highs",
                   options={"primal_feasibility_tolerance": 1e-10,
@@ -356,16 +355,6 @@ def wasserstein1(mu, nu, depth, space, atom_cap=4096):
         raise InvariantError(f"transport flow LP failed: {res.message}",
                              module="measures", operation="wasserstein1")
     return mass * float(res.fun), err
-
-
-def _truncated_cost_matrix(a, b, beta):
-    depth = a.shape[1]
-    cost = np.zeros((a.shape[0], b.shape[0]))
-    af = a.astype(np.float64)
-    bf = b.astype(np.float64)
-    for d in range(depth):
-        cost += np.abs(af[:, d, None] - bf[None, :, d]) * beta ** (-(d + 1))
-    return cost
 
 
 @lru_cache(maxsize=8)

@@ -425,6 +425,10 @@ def test_cli_null_optional_key_means_default(tmp_path, experiment, parameters,
                   "nets": [CONSTRUCT["nets"][0],
                            {"level": 1, "mesh": 0.6, "nodes": [[1.0]]}]},
      "/parameters/nets/1/nodes/0"),
+    ("construct", {**CONSTRUCT,
+                   "nets": [CONSTRUCT["nets"][0],
+                            {"level": 1, "mesh": 0.6, "nodes": [[0.3, 0.3]]}]},
+     "/parameters/nets/1/nodes/0"),
 ])
 def test_cli_rejects_bad_source_and_schedule_keys(tmp_path, experiment,
                                                   parameters, pointer):

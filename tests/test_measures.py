@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from emergence_lab.errors import InputError, InvariantError, SizeError
 from emergence_lab.measures import (GRID_CAP, FinSuppMeasure, MarkovMeasure,
-                                    MarkovMixture, empirical_measure,
+                                    MarkovMixture, _pack_prefixes,
+                                    _unpack_keys, empirical_measure,
                                     empirical_snapshots, make_rng,
                                     measure_entropy, truncation_proxy,
                                     wasserstein1)
-from emergence_lab.sofic import PointPrefix, ShiftSpace, admissible_words
+from emergence_lab.sofic import (PointPrefix, ShiftSpace, admissible_words,
+                                 is_admissible)
 from oracles import dense_transport
 
 FULL2 = ShiftSpace.full_shift(2)
@@ -113,13 +115,14 @@ def test_chain_walk_jit_matches_python_semantics():
 
 
 class _FixedUniform:
-    """A stand-in rng whose `random` always returns the same value."""
+    """A stand-in rng whose `random` returns the given values in turn,
+    repeating them as often as needed."""
 
-    def __init__(self, u):
-        self.u = u
+    def __init__(self, *u):
+        self.u = np.array(u)
 
     def random(self, n):
-        return np.full(n, self.u)
+        return np.resize(self.u, n)
 
 
 def test_bernoulli_sample_stays_in_alphabet():
@@ -130,6 +133,29 @@ def test_bernoulli_sample_stays_in_alphabet():
     assert np.cumsum(mu.stochastic[0])[-1] < 1.0
     w = mu.sample(3, _FixedUniform(1.0 - 2.0 ** -53))
     assert w.tolist() == [10, 10, 10]
+
+
+# 0.7 + 0.2 + 0.1 sums to 0.9999999999999999, the largest uniform rng.random
+# can return; symbol 4 has probability 0 after these weights
+ROW = [0.7, 0.2, 0.1, 0.0]
+
+
+def test_bernoulli_sample_skips_zero_probability_symbol():
+    mu = MarkovMeasure.bernoulli(ROW, ShiftSpace.full_shift(4))
+    w = mu.sample(3, _FixedUniform(1.0 - 2.0 ** -53))
+    assert w.tolist() == [3, 3, 3]
+
+
+def test_markov_sample_skips_forbidden_symbol():
+    t = np.ones((4, 4), dtype=np.int8)
+    t[0, 3] = 0
+    space = ShiftSpace(alphabet_size=4, transition=t, beta=2.0)
+    p = np.full((4, 4), 0.25)
+    p[0] = ROW
+    mu = MarkovMeasure(p, space)
+    w = mu.sample(2, _FixedUniform(0.0, 1.0 - 2.0 ** -53))
+    assert w.tolist() == [1, 3]
+    assert is_admissible(w, space)
 
 
 def test_stationary_of_period_two_chain():
@@ -178,12 +204,21 @@ def test_finsupp_weight_validation():
 def test_merged_combines_duplicate_prefixes():
     atoms = np.array([[1, 1, 1], [1, 1, 2], [2, 1, 1]], dtype=np.int16)
     mu = FinSuppMeasure(atoms=atoms, weights=np.array([0.25, 0.25, 0.5]))
-    prefixes, weights, keys = mu.merged(2, 2)
-    assert prefixes.shape == (2, 2)
-    got = {tuple(p): w for p, w in zip(prefixes, weights)}
-    assert got[(1, 1)] == pytest.approx(0.5)
-    assert got[(2, 1)] == pytest.approx(0.5)
-    assert np.all(np.diff(keys) > 0)
+    codes, weights = mu.merged(2, 2)
+    # prefix (x_0, x_1) is the grid node (x_0 - 1) + 2 (x_1 - 1)
+    assert codes.tolist() == [0, 1]
+    assert weights.tolist() == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("space", [FULL2, GM, FULL3])
+def test_prefix_codes_are_grid_nodes_and_round_trip(space):
+    for width in range(1, 7):
+        words = np.asarray(admissible_words(space, width), dtype=np.int16)
+        codes = _pack_prefixes(words, space.m)
+        nodes = [sum((x - 1) * space.m ** d for d, x in enumerate(w))
+                 for w in words.tolist()]
+        assert codes.tolist() == nodes
+        assert np.array_equal(_unpack_keys(codes, width, space.m), words)
 
 
 def test_empirical_measure_counts_windows():
@@ -278,10 +313,11 @@ def test_w1_bernoulli_shift_one_step_oracle():
     assert val == pytest.approx(0.3 * 0.5, abs=1e-12)
 
 
-def test_w1_atom_cap():
-    mu = truncation_proxy(bern([0.5, 0.5]), 6, FULL2)
-    with pytest.raises(SizeError):
-        wasserstein1(mu, mu, 6, FULL2, atom_cap=10)
+def test_w1_one_atom_side_needs_no_grid():
+    # depth 20 is far beyond GRID_CAP; one atom a side has a closed form
+    a = point((1,) * 20, 20)
+    b = point((2,) * 20, 20)
+    assert wasserstein1(a, b, 20, FULL2)[0] == 1.0 - 2.0 ** -20
 
 
 def test_w1_grid_cap():
@@ -299,18 +335,18 @@ def test_w1_grid_cap():
 
 
 def dense_w1(mu, nu, depth, space):
-    """W1 by the dense transportation LP between the atoms left after the
-    common mass is removed, at tolerance 1e-10."""
-    a, a_w, _ = mu.merged(depth, space.m)
-    b, b_w, _ = nu.merged(depth, space.m)
-    shared = {tuple(x): min(w, v) for x, w in zip(a, a_w)
-              for y, v in zip(b, b_w) if tuple(x) == tuple(y)}
-    a_w = np.array([w - shared.get(tuple(x), 0.0) for x, w in zip(a, a_w)])
-    b_w = np.array([w - shared.get(tuple(y), 0.0) for y, w in zip(b, b_w)])
-    a, a_w = a[a_w > 1e-15], a_w[a_w > 1e-15]
-    b, b_w = b[b_w > 1e-15], b_w[b_w > 1e-15]
-    if not a_w.size or not b_w.size:
+    """W1 by the dense transportation LP between the prefixes where mu - nu
+    is positive and those where it is negative, at tolerance 1e-10."""
+    net = {}
+    for sign, measure in ((1.0, mu), (-1.0, nu)):
+        for atom, w in zip(measure.atoms[:, :depth].tolist(), measure.weights):
+            net[tuple(atom)] = net.get(tuple(atom), 0.0) + sign * w
+    a = np.array([x for x, v in net.items() if v > 1e-15]).reshape(-1, depth)
+    b = np.array([x for x, v in net.items() if v < -1e-15]).reshape(-1, depth)
+    if not a.size or not b.size:
         return 0.0
+    a_w = np.array([v for v in net.values() if v > 1e-15])
+    b_w = -np.array([v for v in net.values() if v < -1e-15])
     scale = space.beta ** -np.arange(1.0, depth + 1)
     cost = np.abs(a[:, None, :].astype(float) - b[None, :, :]) @ scale
     return a_w.sum() * dense_transport(cost, a_w / a_w.sum(),

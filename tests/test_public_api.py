@@ -1,10 +1,11 @@
-"""The package has no public function or class without a caller."""
+"""The package has no public function, class or method without a caller."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "emergence_lab"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "emergence_lab"
 
 
 def referenced(node):
@@ -29,5 +30,24 @@ def test_public_definitions_are_referenced_or_exported():
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                 and not node.name.startswith("_")
                 and node.name not in exported
+                and uses[node.name] == referenced(node)[node.name]]
+    assert uncalled == []
+
+
+def test_public_methods_are_referenced():
+    """Every public method of a package class is used outside its own
+    definition, in the package, the tests or perfbench."""
+    package = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    others = [ast.parse(path.read_text(encoding="utf-8"))
+              for pattern in ("tests/*.py", "perfbench/**/*.py")
+              for path in sorted(ROOT.glob(pattern))]
+    uses = sum((referenced(tree)
+                for tree in [*package.values(), *others]), Counter())
+    uncalled = [f"{module}:{cls.name}.{node.name}"
+                for module, tree in package.items() for cls in tree.body
+                if isinstance(cls, ast.ClassDef) for node in cls.body
+                if isinstance(node, ast.FunctionDef)
+                and not node.name.startswith("_")
                 and uses[node.name] == referenced(node)[node.name]]
     assert uncalled == []
