@@ -18,8 +18,8 @@ N, the partition-sum pressure (any window) and the Q1 and m_of_t condition
 probes all come from one recursion over (depth, suffix state) in log space,
 O(cap m^k) work with no underflow at deep caps.  The Q3 and C4 probes read
 the same per-(state, symbol) steps and hold over all word lengths.  The
-recursion over the whole cylinder tree, O(m^cap), is kept only for the
-restricted outer measure, whose membership test reads the whole word.
+restricted outer measure, whose membership test reads the whole word, sweeps
+the words below its cylinder one length at a time, O(m^cap) words.
 """
 
 from __future__ import annotations
@@ -263,36 +263,6 @@ def _log_steps(s, t):
     return inc
 
 
-def _cover_recursion(s, t, m_blk, depth_cap, member):
-    """The memoised cover infimum rec(u) of C(u) by cylinders C(v) with |v|
-    a positive multiple of m_blk, |v| <= depth_cap and member(v), each
-    weighing q(C(v), t); a cylinder at depth_cap that fails member costs 0.
-
-    It visits every admissible cylinder down to depth_cap, O(m^depth_cap),
-    so it serves only the restricted outer measure, whose member reads the
-    whole word."""
-    space = s.space
-    memo = {}
-
-    def rec(u):
-        if u in memo:
-            return memo[u]
-        l = len(u)
-        eligible = l and l % m_blk == 0 and member(u)
-        q = math.exp(_log_q(s, u, t)) if eligible else 0.0
-        if l >= depth_cap:
-            val = q
-        else:
-            children = sum(rec(u + (c,)) for c in
-                           (space.successors(u[-1]) if u
-                            else range(1, space.m + 1)))
-            val = min(q, children) if eligible else children
-        memo[u] = val
-        return val
-
-    return rec
-
-
 def pressure_partition(s, n):
     """(1/n) log of the partition sum of exp(sup-Birkhoff) over depth-n cylinders.
 
@@ -471,6 +441,11 @@ def restricted_outer_measure(s, z, mu, n, eps, t, m_blk, depth_cap,
     cylinders C(u) whose representative orbit y has W1(delta_y^n, mu-proxy)
     < eps at the stated metric depth.  Cylinders at depth_cap failing the
     test contribute 0 (treated as disjoint from the tracked set).
+
+    The words below z are one array per length, each row with its parent's
+    row.  The probes, the words at positive depths divisible by m_blk, are
+    counted against SURVIVOR_CAP before any W1 solve; then the infimum runs
+    up from depth_cap one layer at a time.
     """
     if eps < 0:
         raise InputError(f"eps must be >= 0, got {eps}",
@@ -484,24 +459,35 @@ def restricted_outer_measure(s, z, mu, n, eps, t, m_blk, depth_cap,
         raise DepthError("z is deeper than depth_cap",
                          module="carath", operation="restricted_outer_measure")
     proxy = truncation_proxy(mu, metric_depth, space)
+    layers, parents, probes = [np.array([z], dtype=np.int16)], [], 0
+    for l in range(len(z), depth_cap + 1):
+        if l and l % m_blk == 0:
+            probes += len(layers[-1])
+            if probes > SURVIVOR_CAP:
+                raise SizeError(f"membership probes exceed cap {SURVIVOR_CAP}",
+                                module="carath",
+                                operation="restricted_outer_measure")
+        if l < depth_cap:
+            # row-major nonzero: each word's children in increasing order
+            rows, nxt = np.nonzero(space.transition[layers[-1][:, -1] - 1]
+                                   if l else np.ones((1, space.m)))
+            layers.append(np.column_stack([layers[-1][rows], nxt + 1])
+                          .astype(np.int16))
+            parents.append(rows)
     rep_len = n + metric_depth - 1
-    member_cache = {}
-    tested = [0]
-
-    def member(u):
-        if u in member_cache:
-            return member_cache[u]
-        tested[0] += 1
-        if tested[0] > SURVIVOR_CAP:
-            raise SizeError(f"membership probes exceed cap {SURVIVOR_CAP}",
-                            module="carath", operation="restricted_outer_measure")
-        ok = False
-        if eps > 0:
-            y = _representatives(u, space, rep_len)
-            d, _ = wasserstein1(empirical_measure(y, n, metric_depth, space),
-                                proxy, metric_depth, space)
-            ok = d < eps
-        member_cache[u] = ok
-        return ok
-
-    return float(_cover_recursion(s, t, m_blk, depth_cap, member)(z))
+    val = np.zeros(len(layers[-1]))
+    for l in range(depth_cap, len(z) - 1, -1):
+        words = layers[l - len(z)]
+        if l < depth_cap:
+            # each word's children added left to right
+            val = np.bincount(parents[l - len(z)], weights=val,
+                              minlength=len(words))
+        if eps > 0 and l and l % m_blk == 0:
+            for i, u in enumerate(map(tuple, words.tolist())):
+                y = _representatives(u, space, rep_len)
+                d, _ = wasserstein1(empirical_measure(y, n, metric_depth, space),
+                                    proxy, metric_depth, space)
+                if d < eps:
+                    q = math.exp(_log_q(s, u, t))
+                    val[i] = q if l == depth_cap else min(q, val[i])
+    return float(val[0])

@@ -80,13 +80,14 @@ def _validate_space(obj, col):
         col.add("/space/beta", f"beta must be > 1, got {beta}")
     if None in (m, beta, trans) or m < 2 or beta <= 1.0:
         return None
-    t = np.asarray(trans)
-    if t.ndim != 2 or t.shape != (m, m):
+    if len(trans) != m or not all(isinstance(r, list) and len(r) == m
+                                  for r in trans):
         col.add("/space/transition", f"must be an {m}x{m} 0/1 matrix")
         return None
-    if not np.isin(t, (0, 1)).all():
+    if not all(v in (0, 1) for r in trans for v in r):
         col.add("/space/transition", "entries must be 0 or 1")
         return None
+    t = np.asarray(trans)
     for i in range(m):
         if not t[i].any():
             col.add(f"/space/transition/{i}", f"row {i + 1} is all zero")
@@ -150,6 +151,9 @@ def _number_list(params, col, key, pointer, required=True, positive=False):
 def _validate_matrix_list(params, col, key, pointer, m):
     fams = col.require(params, key, list, pointer)
     if fams is None:
+        return None
+    if not fams:
+        col.add(f"{pointer}/{key}", "must hold at least one matrix")
         return None
     out = []
     for i, mat in enumerate(fams):

@@ -197,15 +197,12 @@ def truncated_metric(x, y, depth, space):
     return value, space.metric_tail_bound(depth)
 
 
-def connector(u, v, space, m_blk=1):
-    """Shortest bridge word omega with |omega| a multiple of m_blk and u omega v admissible.
+def connector(u, v, space):
+    """Shortest bridge word omega with u omega v admissible.
 
     Ties at the minimal length are broken lexicographically.  Only the last
     symbol of u and the first of v matter.
     """
-    if m_blk < 1:
-        raise InputError(f"m_blk must be >= 1, got {m_blk}",
-                         module="sofic", operation="connector")
     u = _as_symbols(u)
     v = _as_symbols(v)
     if not u or not v:
@@ -214,8 +211,8 @@ def connector(u, v, space, m_blk=1):
     a, b = u[-1], v[0]
     if space.allows(a, b):
         return ()
-    max_len = m_blk * ((space.m - 1) ** 2 + 2)
-    for length in range(m_blk, max_len + 1, m_blk):
+    max_len = (space.m - 1) ** 2 + 2
+    for length in range(1, max_len + 1):
         for cand in itertools.product(range(1, space.m + 1), repeat=length):
             if not space.allows(a, cand[0]):
                 continue

@@ -2,8 +2,9 @@
 
 The library works with log q on suffix states; these compute the same
 quantities one word at a time from the definitions: the Birkhoff sup over a
-cylinder by a scan of every admissible continuation, and the cover weight
-q(C(u), t) = xi(u) * eta(u)^t.  W1 is solved on the symbol grid as a
+cylinder by a scan of every admissible continuation, the cover weight
+q(C(u), t) = xi(u) * eta(u)^t, and the cover infimum by a memoised walk down
+the cylinder tree, O(m^cap).  W1 is solved on the symbol grid as a
 min-cost flow; `dense_transport` solves the same problem as the dense
 bipartite transportation LP between the two sets of atoms.
 """
@@ -14,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
+from emergence_lab.carath import _log_q
 from emergence_lab.sofic import admissible_words
 
 
@@ -61,6 +63,32 @@ def eta(s, u):
 def q_weight(s, u, t):
     """The cover weight q(C(u), t) = xi * eta^t of a nonempty word."""
     return xi(s, u) * eta(s, u) ** t
+
+
+def _cover_recursion(s, t, m_blk, depth_cap, member):
+    """The memoised cover infimum rec(u) of C(u) by cylinders C(v) with |v|
+    a positive multiple of m_blk, |v| <= depth_cap and member(v), each
+    weighing q(C(v), t); a cylinder at depth_cap that fails member costs 0."""
+    space = s.space
+    memo = {}
+
+    def rec(u):
+        if u in memo:
+            return memo[u]
+        l = len(u)
+        eligible = l and l % m_blk == 0 and member(u)
+        q = math.exp(_log_q(s, u, t)) if eligible else 0.0
+        if l >= depth_cap:
+            val = q
+        else:
+            children = sum(rec(u + (c,)) for c in
+                           (space.successors(u[-1]) if u
+                            else range(1, space.m + 1)))
+            val = min(q, children) if eligible else children
+        memo[u] = val
+        return val
+
+    return rec
 
 
 def dense_transport(cost, supply, demand, tol):

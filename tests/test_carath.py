@@ -4,16 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from emergence_lab.carath import (CStructure, _cover_recursion, _log_q,
+from emergence_lab import carath
+from emergence_lab.carath import (CStructure, _log_q, _representatives,
                                   bowen_dimension, check_conditions,
                                   outer_measure_M, outer_measure_N,
                                   pressure_exact, pressure_partition,
                                   restricted_outer_measure)
 from emergence_lab.errors import DepthError, InputError, SizeError
-from emergence_lab.measures import MarkovMeasure
+from emergence_lab.measures import (MarkovMeasure, empirical_measure,
+                                    truncation_proxy, wasserstein1)
 from emergence_lab.sofic import (ShiftSpace, admissible_words,
                                  topological_entropy)
-from oracles import eta, q_weight, scan_sup_birkhoff
+from oracles import _cover_recursion, eta, q_weight, scan_sup_birkhoff
 
 FULL2 = ShiftSpace.full_shift(2)
 FULL3 = ShiftSpace.full_shift(3)
@@ -481,6 +483,58 @@ def test_restricted_measure_bounded_by_unrestricted():
     assert restricted_outer_measure(s, (), mu, n=64, eps=0.0, t=t,
                                     m_blk=2, depth_cap=cap,
                                     metric_depth=3) == 0.0
+
+
+def test_restricted_measure_matches_tree():
+    # the layered sweep against the tree walk with the same membership test:
+    # both add a word's children left to right, so they agree exactly
+    n, depth, t, cap = 16, 3, 0.7, 4
+    gm_table = {w: float(v) for w, v in zip(
+        admissible_words(GM, 2), np.random.default_rng(5).uniform(0.2, 1.2, 3))}
+    for s, mu in ((CStructure(kind="entropy", space=FULL2),
+                   MarkovMeasure.bernoulli([0.5, 0.5], FULL2)),
+                  (CStructure(kind="pressure", space=GM, window=2,
+                              table=gm_table), MarkovMeasure.parry(GM))):
+        space = s.space
+        proxy = truncation_proxy(mu, depth, space)
+        dist = {}
+
+        def w1(u):
+            if u not in dist:
+                y = _representatives(u, space, n + depth - 1)
+                dist[u], _ = wasserstein1(
+                    empirical_measure(y, n, depth, space), proxy, depth, space)
+            return dist[u]
+
+        for z in ((), (1,), (1, 2)):
+            for m_blk in (1, 2):
+                for eps in (0.0, 0.15, 0.4):
+                    want = _cover_recursion(s, t, m_blk, cap,
+                                            lambda u: w1(u) < eps)(z)
+                    got = restricted_outer_measure(s, z, mu, n=n, eps=eps, t=t,
+                                                   m_blk=m_blk, depth_cap=cap,
+                                                   metric_depth=depth)
+                    assert got == want, (s.kind, z, m_blk, eps)
+        # eps = 0.15 splits the words into tracked and untracked ones
+        assert min(dist.values()) < 0.15 < max(dist.values())
+
+
+def test_restricted_measure_caps_probes_before_any_solve(monkeypatch):
+    # FULL2 below z = () to depth 3 has 2 + 4 + 8 = 14 probes
+    s = CStructure(kind="entropy", space=FULL2)
+    mu = MarkovMeasure.bernoulli([0.5, 0.5], FULL2)
+
+    def no_solve(*args):
+        raise AssertionError("W1 solved before the probe count was checked")
+
+    monkeypatch.setattr(carath, "wasserstein1", no_solve)
+    monkeypatch.setattr(carath, "SURVIVOR_CAP", 13)
+    with pytest.raises(SizeError):
+        restricted_outer_measure(s, (), mu, n=16, eps=0.5, t=0.5, m_blk=1,
+                                 depth_cap=3, metric_depth=3)
+    monkeypatch.setattr(carath, "SURVIVOR_CAP", 14)
+    assert restricted_outer_measure(s, (), mu, n=16, eps=0.0, t=0.5, m_blk=1,
+                                    depth_cap=3, metric_depth=3) == 0.0
 
 
 def test_restricted_measure_guards():

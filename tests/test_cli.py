@@ -113,6 +113,23 @@ def test_cli_validate_reports_violations(tmp_path):
     assert any(v["pointer"] == "/seed" for v in err["violations"])
 
 
+@pytest.mark.parametrize("transition", [[[1, 1], [1]], [[1, [1]], [1, 1]]])
+def test_cli_rejects_ragged_transition(tmp_path, transition):
+    path = write_config(tmp_path, entropy_config(
+        tmp_path, {**FULL2_SPACE, "transition": transition}))
+    result = CliRunner().invoke(main, ["validate", "--config", path])
+    assert result.exit_code == 1
+    err = json.loads(result.output)
+    assert [v["pointer"] for v in err["violations"]] == ["/space/transition"]
+    out_dir = tmp_path / "err"
+    result = CliRunner().invoke(main, ["entropy", "--config", path,
+                                       "--out", str(out_dir)])
+    assert result.exit_code == 1
+    err = json.loads((out_dir / "error.json").read_text())
+    assert err["kind"] == "config"
+    assert [v["pointer"] for v in err["violations"]] == ["/space/transition"]
+
+
 # --------------------------------------------------------------------- runs
 
 def run_ok(tmp_path, cfg, subcommand):
@@ -429,6 +446,11 @@ def test_cli_null_optional_key_means_default(tmp_path, experiment, parameters,
                    "nets": [CONSTRUCT["nets"][0],
                             {"level": 1, "mesh": 0.6, "nodes": [[0.3, 0.3]]}]},
      "/parameters/nets/1/nodes/0"),
+    ("restricted-probe", {**PROBE, "stochastic_list": []},
+     "/parameters/stochastic_list"),
+    ("emergence", {**SMALL_EMERGENCE,
+                   "source": {"kind": "markov", "stochastic_list": []}},
+     "/parameters/source/stochastic_list"),
 ])
 def test_cli_rejects_bad_source_and_schedule_keys(tmp_path, experiment,
                                                   parameters, pointer):

@@ -154,14 +154,6 @@ def test_connector_golden_mean():
                 (1, 1): 0, (1, 2): 0, (2, 1): 0, (2, 2): 1}
 
 
-def test_connector_block_alignment():
-    gm = ShiftSpace.golden_mean()
-    w = connector((2,), (2,), gm, m_blk=2)
-    assert len(w) % 2 == 0 and len(w) > 0
-    u = (2,) + w + (2,)
-    assert is_admissible(u, gm)
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=1, max_value=8))
 def test_full_shift_word_count_property(n):
