@@ -13,8 +13,7 @@ from .errors import EmergenceLabError
 from .sofic import (PointPrefix, ShiftSpace, count_admissible,
                     topological_entropy, truncated_metric)
 from .measures import (FinSuppMeasure, MarkovMeasure, MarkovMixture,
-                       empirical_measure, measure_entropy, truncation_proxy,
-                       wasserstein1)
+                       empirical_measure, truncation_proxy, wasserstein1)
 from .carath import (CStructure, bowen_dimension, outer_measure_M,
                      outer_measure_N, pressure_exact, pressure_partition)
 from .emergence import build_cloud, emergence_report
@@ -25,7 +24,7 @@ __all__ = [
     "EmergenceLabError", "PointPrefix", "ShiftSpace", "count_admissible",
     "topological_entropy", "truncated_metric",
     "FinSuppMeasure", "MarkovMeasure", "MarkovMixture", "empirical_measure",
-    "measure_entropy", "truncation_proxy", "wasserstein1",
+    "truncation_proxy", "wasserstein1",
     "CStructure", "bowen_dimension", "outer_measure_M", "outer_measure_N",
     "pressure_exact", "pressure_partition",
     "build_cloud", "emergence_report",

@@ -434,7 +434,7 @@ def _representatives(u, space, length):
 
 
 def restricted_outer_measure(s, z, mu, n, eps, t, m_blk, depth_cap,
-                             metric_depth=6):
+                             metric_depth):
     """Cover infimum over cylinders whose representatives empirically track mu.
 
     The covering family is the block-depth family further restricted to
@@ -449,6 +449,9 @@ def restricted_outer_measure(s, z, mu, n, eps, t, m_blk, depth_cap,
     """
     if eps < 0:
         raise InputError(f"eps must be >= 0, got {eps}",
+                         module="carath", operation="restricted_outer_measure")
+    if m_blk < 1:
+        raise InputError(f"m_blk must be >= 1, got {m_blk}",
                          module="carath", operation="restricted_outer_measure")
     space = s.space
     z = tuple(int(c) for c in z)

@@ -4,6 +4,8 @@ emergence-lab <subcommand> --config <path> [--threads N] [--out DIR]
 
 Each subcommand loads a JSON config, runs one experiment, and writes its
 outputs atomically (temp file + rename) into the config's output directory.
+Config validation returns the parsed parameters, typed and with every
+default filled in; a runner reads `cfg.parameters` and nothing else.
 A run manifest listing every produced file is written last; on any error the
 output directory receives only a machine-readable error JSON.
 """
@@ -19,7 +21,6 @@ import tempfile
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import carath, config as config_mod, constructor, emergence, measures, sofic
 from .errors import EmergenceLabError, InputError
@@ -68,24 +69,10 @@ def _csv(header, rows):
     return buf.getvalue()
 
 
-def _markov_family(cfg):
-    mats = cfg.parameters["family"]
-    return constructor.MeasureFamily(measures=tuple(
-        measures.MarkovMeasure(np.asarray(m, dtype=np.float64), cfg.space)
-        for m in mats))
-
-
-def _table(cfg):
-    return {tuple(int(s) for s in k.split(",")): float(v)
-            for k, v in cfg.parameters["table"].items()}
-
-
 def _structure(cfg):
-    kind = cfg.parameters.get("kind") or "entropy"
-    window = int(cfg.parameters.get("window") or 1)
-    table = _table(cfg) if kind in ("pressure", "appendix") else None
-    return carath.CStructure(kind=kind, window=window, table=table,
-                             space=cfg.space)
+    p = cfg.parameters
+    return carath.CStructure(kind=p["kind"], window=p["window"],
+                             table=p["table"], space=cfg.space)
 
 
 # ---------------------------------------------------------------- experiments
@@ -97,23 +84,17 @@ def _run_entropy(cfg, threads):
 
 
 def _run_pressure(cfg, threads):
-    table = _table(cfg)
-    window = int(cfg.parameters.get("window") or 1)
-    lengths = sorted(int(n) for n in cfg.parameters.get("lengths", [8, 16, 24]))
-    exact = carath.pressure_exact(cfg.space, table, window=window)
-    s = carath.CStructure(kind="pressure", space=cfg.space, window=window,
-                          table=table)
-    rows = []
-    for n in lengths:
-        part = carath.pressure_partition(s, n)
-        rows.append([str(n), _fmt(part), _fmt(exact)])
+    p = cfg.parameters
+    exact = carath.pressure_exact(cfg.space, p["table"], window=p["window"])
+    s = _structure(cfg)
+    rows = [[str(n), _fmt(carath.pressure_partition(s, n)), _fmt(exact)]
+            for n in sorted(p["lengths"])]
     return {"pressure.csv": _csv(["n", "partition_estimate", "exact"], rows)}
 
 
 def _run_bowen(cfg, threads):
-    table = _table(cfg)
-    window = int(cfg.parameters.get("window") or 1)
-    root = carath.bowen_dimension(cfg.space, table, window=window)
+    p = cfg.parameters
+    root = carath.bowen_dimension(cfg.space, p["table"], window=p["window"])
     h = sofic.topological_entropy(cfg.space)
     return {"bowen.csv": _csv(["topological_entropy", "bowen_root"],
                               [[_fmt(h), _fmt(root)]])}
@@ -121,86 +102,66 @@ def _run_bowen(cfg, threads):
 
 def _run_outer_sweep(cfg, threads):
     s = _structure(cfg)
-    m_blk = int(cfg.parameters.get("m_blk", 1))
+    m_blk = cfg.parameters["m_blk"]
     rows = []
     for t in sorted(cfg.parameters["t_grid"]):
         for cap in sorted(cfg.parameters["depth_caps"]):
             cap_n = m_blk * ((cap + m_blk - 1) // m_blk)
-            m_val = carath.outer_measure_M(s, "X", float(t), cap)
-            n_val = carath.outer_measure_N(s, "X", float(t), m_blk, cap_n)
+            m_val = carath.outer_measure_M(s, "X", t, cap)
+            n_val = carath.outer_measure_N(s, "X", t, m_blk, cap_n)
             rows.append([_fmt(t), str(cap), _fmt(m_val), _fmt(n_val)])
     return {"outer_sweep.csv": _csv(["t", "depth_cap", "M", "N"], rows)}
 
 
 def _emergence_source(cfg):
-    src = cfg.parameters["source"]
-    n_need = int(cfg.parameters["n_max"]) + int(cfg.parameters["depth"]) - 1
-    rng = measures.make_rng(cfg.seed)
-    if src["kind"] == "bernoulli":
-        mu = measures.MarkovMeasure.bernoulli(src["probs"], cfg.space)
-        return sofic.PointPrefix(mu.sample(n_need, rng))
-    if src["kind"] == "markov":
-        mu = measures.MarkovMeasure(
-            np.asarray(src["stochastic_list"][0], dtype=np.float64), cfg.space)
-        return sofic.PointPrefix(mu.sample(n_need, rng))
+    p = cfg.parameters
+    src = p["source"]
+    n_need = p["n_max"] + p["depth"] - 1
     if src["kind"] == "oscillating":
-        mu_a = measures.MarkovMeasure.bernoulli(src["probs_a"], cfg.space)
-        mu_b = measures.MarkovMeasure.bernoulli(src["probs_b"], cfg.space)
-        return constructor.oscillating_orbit(
-            mu_a, mu_b, n_need, cfg.seed,
-            first_block=int(src.get("first_block", 64)),
-            growth=float(src.get("growth", 2.0)))
-    raise InputError(f"unknown source kind {src['kind']!r}",
-                     module="cli", operation="emergence")
+        mu_a, mu_b = (measures.MarkovMeasure.bernoulli(src[key], cfg.space)
+                      for key in ("probs_a", "probs_b"))
+        return constructor.oscillating_orbit(mu_a, mu_b, n_need, cfg.seed,
+                                             src["first_block"], src["growth"])
+    mu = (measures.MarkovMeasure.bernoulli(src["probs"], cfg.space)
+          if src["kind"] == "bernoulli"
+          else measures.MarkovMeasure(src["stochastic_list"][0], cfg.space))
+    return sofic.PointPrefix(mu.sample(n_need, measures.make_rng(cfg.seed)))
 
 
 def _run_emergence(cfg, threads):
     p = cfg.parameters
     x = _emergence_source(cfg)
-    cloud = emergence.build_cloud(x, int(p["n_min"]), int(p["n_max"]),
-                                  int(p["count"]), int(p["depth"]), cfg.space)
-    report = emergence.emergence_report(cloud, tuple(p["epsilons"]),
-                                        tail_fraction=float(
-                                            p.get("tail_fraction", 0.5)),
-                                        threads=threads)
+    cloud = emergence.build_cloud(x, p["n_min"], p["n_max"], p["count"],
+                                  p["depth"], cfg.space)
+    report = emergence.emergence_report(cloud, p["epsilons"],
+                                        p["tail_fraction"], threads=threads)
     return {"emergence.csv": report.to_csv(), "fit.json": report.to_json()}
 
 
 def _build_from_config(cfg):
+    """The family, itinerary and orbit of a construct or saturate config.
+    Without nets, level L uses the simplex net of mesh eps_tilde[L]; the
+    default eps_hat and the estimated gamma follow from those nets."""
     p = cfg.parameters
-    family = _markov_family(cfg)
-    l_max = int(p["l_max"])
-    eps_tilde = tuple(p.get("eps_tilde") or
-                      constructor.default_eps_tilde(l_max))
-    nets = None
-    if p.get("nets") is not None:
-        nets = tuple(constructor.SimplexNet(
-            level=int(nd["level"]), mesh=float(nd["mesh"]),
-            nodes=tuple(tuple(float(v) for v in node) for node in nd["nodes"]))
-            for nd in p["nets"])
-    else:
-        nets = tuple(constructor.simplex_net(L, eps_tilde[L])
-                     for L in range(l_max + 1))
-    eps_hat = tuple(p.get("eps_hat") or
-                    constructor.default_eps_hat(l_max, nets))
-    metric_depth = int(p.get("metric_depth", 6))
-    if p.get("gamma") is not None:
-        gamma = {tuple(int(v) for v in k.split(",")): int(n)
-                 for k, n in p["gamma"].items()}
-    else:
+    family = constructor.MeasureFamily(measures=tuple(
+        measures.MarkovMeasure(mat, cfg.space) for mat in p["family"]))
+    l_max, eps_tilde = p["l_max"], p["eps_tilde"]
+    nets = p["nets"] or tuple(constructor.simplex_net(L, eps_tilde[L])
+                              for L in range(l_max + 1))
+    eps_hat = p["eps_hat"] or constructor.default_eps_hat(l_max, nets)
+    gamma = p["gamma"]
+    if gamma is None:   # an empty table is an error, not the default
         gamma = constructor.estimate_gamma_thresholds(
-            family, l_max, eps_tilde, eps_hat, cfg.seed,
-            metric_depth=metric_depth)
-    itinerary = constructor.block_schedule(
-        family, l_max, eps_tilde, eps_hat, gamma, nets=nets,
-        length_cap=int(p.get("length_cap", 2 ** 27)))
+            family, l_max, eps_tilde, eps_hat, cfg.seed, p["metric_depth"])
+    itinerary = constructor.block_schedule(family, l_max, eps_tilde, eps_hat,
+                                           gamma, nets, p["length_cap"])
     orbit = constructor.build_orbit(itinerary, family, cfg.space, cfg.seed,
-                                    metric_depth=metric_depth)
-    return family, itinerary, orbit, metric_depth
+                                    p["metric_depth"])
+    return family, itinerary, orbit
 
 
 def _run_construct(cfg, threads):
-    family, itinerary, orbit, _ = _build_from_config(cfg)
+    family, itinerary, orbit = _build_from_config(cfg)
     rows = [[str(L), str(j), str(l), str(start), str(end)]
             for (L, j, l, start, end) in orbit.block_map]
     return {"itinerary.json": itinerary.to_json(),
@@ -210,35 +171,29 @@ def _run_construct(cfg, threads):
 
 
 def _run_saturate(cfg, threads):
-    family, itinerary, orbit, metric_depth = _build_from_config(cfg)
-    net = itinerary.nets[-1]
-    report = constructor.verify_saturation(orbit, net, family,
-                                           float(cfg.parameters["slack"]),
-                                           metric_depth=metric_depth)
+    p = cfg.parameters
+    family, itinerary, orbit = _build_from_config(cfg)
+    report = constructor.verify_saturation(orbit, itinerary.nets[-1], family,
+                                           p["slack"], p["metric_depth"])
     return {"saturation.json": report.to_json(),
             "orbit.json": orbit.to_json()}
 
 
 def _run_conditions(cfg, threads):
-    s = _structure(cfg)
-    report = carath.check_conditions(s, int(cfg.parameters["depth"]),
-                                     tuple(cfg.parameters["t_grid"]))
+    p = cfg.parameters
+    report = carath.check_conditions(_structure(cfg), p["depth"], p["t_grid"])
     return {"conditions.json": json.dumps(report.to_json(), indent=2,
                                           sort_keys=True)}
 
 
 def _run_restricted_probe(cfg, threads):
     p = cfg.parameters
-    mu = measures.MarkovMeasure(
-        np.asarray(p["stochastic_list"][0], dtype=np.float64), cfg.space)
-    z = tuple(int(s) for s in p["word"])
+    mu = measures.MarkovMeasure(p["stochastic_list"][0], cfg.space)
     val = carath.restricted_outer_measure(
-        _structure(cfg), z, mu, int(p["n"]), float(p["eps"]), float(p["t"]),
-        int(p["m_blk"]), int(p["depth_cap"]),
-        metric_depth=int(p.get("metric_depth", 6)))
-    out = {"value": val, "n": int(p["n"]), "eps": float(p["eps"]),
-           "t": float(p["t"]), "m_blk": int(p["m_blk"]),
-           "depth_cap": int(p["depth_cap"])}
+        _structure(cfg), p["word"], mu, p["n"], p["eps"], p["t"], p["m_blk"],
+        p["depth_cap"], p["metric_depth"])
+    out = {"value": val, **{key: p[key] for key in
+                            ("n", "eps", "t", "m_blk", "depth_cap")}}
     return {"restricted_probe.json": json.dumps(out, indent=2, sort_keys=True)}
 
 

@@ -1,7 +1,12 @@
-"""Experiment configuration: JSON schema validation with full violation lists.
+"""Experiment configuration: parse a JSON config into typed run parameters.
 
 Validation is hand-rolled so every problem in a config is reported at once,
 each with a JSON-pointer location, instead of failing at the first issue.
+It parses as it checks: `ExperimentConfig.parameters` holds exactly the
+values the experiment's runner reads, typed (potential tables keyed by
+symbol tuples, matrices as float arrays, gamma keyed by (L, l), nets as
+`SimplexNet`s), with every absent or null optional key at its default.  The
+runners read nothing else, so each default is stated here and only here.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .carath import KINDS
+from .constructor import LENGTH_CAP, SimplexNet, default_eps_tilde
 from .errors import ConfigError, InvariantError
 from .sofic import ShiftSpace
 
@@ -64,10 +70,19 @@ class _Collector:
             return None
         return val
 
-    def optional(self, obj, key, typ, pointer, default=None):
+    def optional(self, obj, key, typ, pointer, default):
+        """obj[key] as require() fetches it; default when absent or null."""
         if not isinstance(obj, dict) or key not in obj or obj[key] is None:
             return default
         return self.require(obj, key, typ, pointer)
+
+    def integer(self, obj, key, pointer, lo, default=None):
+        """obj[key] as an integer >= lo; required without a default."""
+        val = (self.require(obj, key, int, pointer) if default is None
+               else self.optional(obj, key, int, pointer, default))
+        if val is not None and val < lo:
+            self.add(f"{pointer}/{key}", f"must be >= {lo}, got {val}")
+        return val
 
 
 def _validate_space(obj, col):
@@ -104,20 +119,21 @@ def _validate_space(obj, col):
 
 
 def _validate_structure(params, col, pointer, kind):
-    """Check a structure's kind (one of KINDS), its window (an integer in
-    1..8, default 1) and, for the kinds that carry a potential, its table.
-    Returns the parsed table, or None."""
+    """A structure's kind (one of KINDS), its window (an integer in 1..8,
+    default 1) and its potential table keyed by symbol tuples, which only
+    the pressure and appendix kinds carry (None for the others)."""
     if kind is not None and kind not in KINDS:
         col.add(f"{pointer}/kind", f"must be one of {KINDS}")
-    win = col.optional(params, "window", int, pointer, default=1)
+    win = col.optional(params, "window", int, pointer, 1)
     if win is not None and not 1 <= win <= 8:
         col.add(f"{pointer}/window", f"window must be in 1..8, got {win}")
+    out = {"kind": kind, "window": win, "table": None}
     if kind not in ("pressure", "appendix"):
-        return None
+        return out
     tab = col.require(params, "table", dict, pointer)
     if tab is None:
-        return None
-    out = {}
+        return out
+    out["table"] = {}
     for k, v in tab.items():
         try:
             word = tuple(int(s) for s in k.split(","))
@@ -127,13 +143,13 @@ def _validate_structure(params, col, pointer, kind):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             col.add(f"{pointer}/table/{k}", "value must be a number")
             continue
-        out[word] = float(v)
+        out["table"][word] = float(v)
     return out
 
 
 def _number_list(params, col, key, pointer, required=True, positive=False):
     lst = (col.require(params, key, list, pointer) if required
-           else col.optional(params, key, list, pointer))
+           else col.optional(params, key, list, pointer, None))
     if lst is None:
         return None
     out = []
@@ -146,6 +162,15 @@ def _number_list(params, col, key, pointer, required=True, positive=False):
             return None
         out.append(float(v))
     return out
+
+
+def _positive_ints(lst, col, pointer):
+    """lst, recording a violation at each entry that is not a positive
+    integer."""
+    for i, n in enumerate(lst or ()):
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            col.add(f"{pointer}/{i}", "must be a positive integer")
+    return lst
 
 
 def _validate_matrix_list(params, col, key, pointer, m):
@@ -171,31 +196,41 @@ def _validate_matrix_list(params, col, key, pointer, m):
 
 
 def _validate_gamma(params, col, pointer):
-    """Entry thresholds: keys "L,l" with integers L, l >= 0, values positive
-    integers."""
-    gamma = col.optional(params, "gamma", dict, pointer)
-    for key, n in (gamma or {}).items():
-        if not re.fullmatch(r"\s*[0-9]+\s*,\s*[0-9]+\s*", key):
+    """Entry thresholds keyed by (L, l), from keys "L,l" with integers
+    L, l >= 0 and positive integer values; None when absent."""
+    gamma = col.optional(params, "gamma", dict, pointer, None)
+    if gamma is None:
+        return None
+    out = {}
+    for key, n in gamma.items():
+        match = re.fullmatch(r"\s*([0-9]+)\s*,\s*([0-9]+)\s*", key)
+        if match:
+            out[int(match[1]), int(match[2])] = n
+        else:
             col.add(f"{pointer}/gamma/{key}",
                     'key must be "L,l" with integers L, l >= 0')
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             col.add(f"{pointer}/gamma/{key}", "value must be a positive integer")
+    return out
 
 
 def _validate_nets(params, col, pointer, l_max):
     """Simplex nets: net L has level L, a mesh > 0 and a nonempty list of
     nodes of L + 1 nonnegative numbers summing to 1 within 1e-12 (the
-    `MarkovMixture` tolerance); one net per level 0..l_max."""
-    nets = col.optional(params, "nets", list, pointer)
+    `MarkovMixture` tolerance); one net per level 0..l_max.  A tuple of
+    `SimplexNet`s, or None when absent."""
+    nets = col.optional(params, "nets", list, pointer, None)
     if nets is None:
-        return
+        return None
     if l_max is not None and len(nets) < l_max + 1:
         col.add(f"{pointer}/nets", f"need at least {l_max + 1} nets")
+    out = []
     for i, net in enumerate(nets):
         q = f"{pointer}/nets/{i}"
         if not isinstance(net, dict):
             col.add(q, "must be an object")
             continue
+        before = len(col.violations)
         level = col.require(net, "level", int, q)
         if level is not None and level != i:
             col.add(f"{q}/level", f"net {i} must have level {i}, got {level}")
@@ -214,126 +249,142 @@ def _validate_nets(params, col, pointer, l_max):
             elif abs(float(np.sum(node)) - 1.0) > 1e-12:
                 col.add(f"{q}/nodes/{k}",
                         f"node {node} must sum to 1 within 1e-12")
+        if len(col.violations) == before:
+            out.append(SimplexNet(level=level, mesh=mesh, nodes=tuple(
+                tuple(float(v) for v in node) for node in nodes)))
+    return tuple(out)
+
+
+def _metric_depth(params, col, pointer):
+    """The truncation depth of the W1 comparisons: an integer >= 1."""
+    return col.integer(params, "metric_depth", pointer, 1, 6)
+
+
+def _validate_source(src, col, pointer, m):
+    """The orbit source of an emergence run: its kind and the parameters of
+    that kind."""
+    kind = col.require(src, "kind", str, pointer)
+    out = {"kind": kind}
+    if kind == "markov":
+        out["stochastic_list"] = _validate_matrix_list(
+            src, col, "stochastic_list", pointer, m)
+    elif kind in ("bernoulli", "oscillating"):
+        for key in (("probs",) if kind == "bernoulli"
+                    else ("probs_a", "probs_b")):
+            out[key] = _number_list(src, col, key, pointer)
+            if out[key] is not None and m is not None and len(out[key]) != m:
+                col.add(f"{pointer}/{key}", f"need {m} probabilities")
+    elif kind is not None:
+        col.add(f"{pointer}/kind",
+                "must be one of ('bernoulli', 'markov', 'oscillating')")
+    if kind == "oscillating":
+        out["first_block"] = col.integer(src, "first_block", pointer, 1, 64)
+        out["growth"] = growth = col.optional(src, "growth", float, pointer,
+                                              2.0)
+        if growth is not None and growth <= 1.0:
+            col.add(f"{pointer}/growth", f"must be > 1, got {growth}")
+    return out
 
 
 def _validate_parameters(experiment, params, space, col):
+    """The parameters the runner of `experiment` reads, parsed."""
     p = "/parameters"
     m = space.m if space is not None else None
     if experiment == "entropy":
-        return
+        return {}
     if experiment == "pressure":
-        _validate_structure(params, col, p, "pressure")
-        lengths = col.optional(params, "lengths", list, p, default=[8, 16, 24])
-        if lengths is not None:
-            for i, n in enumerate(lengths):
-                if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-                    col.add(f"{p}/lengths/{i}", "must be a positive integer")
-        return
+        out = _validate_structure(params, col, p, "pressure")
+        out["lengths"] = _positive_ints(
+            col.optional(params, "lengths", list, p, [8, 16, 24]), col,
+            f"{p}/lengths")
+        return out
     if experiment == "bowen":
-        tab = _validate_structure(params, col, p, "pressure")
-        if tab is not None and any(v <= 0 for v in tab.values()):
+        out = _validate_structure(params, col, p, "pressure")
+        if out["table"] is not None and any(v <= 0
+                                            for v in out["table"].values()):
             col.add(f"{p}/table", "all values must be positive for a root search")
-        return
+        return out
     if experiment == "outer-sweep":
-        _validate_structure(params, col, p, col.require(params, "kind", str, p))
-        _number_list(params, col, "t_grid", p)
-        caps = col.require(params, "depth_caps", list, p)
-        if caps is not None:
-            for i, d in enumerate(caps):
-                if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-                    col.add(f"{p}/depth_caps/{i}", "must be a positive integer")
-        blk = col.optional(params, "m_blk", int, p, default=1)
-        if blk is not None and blk < 1:
-            col.add(f"{p}/m_blk", f"must be >= 1, got {blk}")
-        return
+        out = _validate_structure(params, col, p,
+                                  col.require(params, "kind", str, p))
+        out["t_grid"] = _number_list(params, col, "t_grid", p)
+        out["depth_caps"] = _positive_ints(
+            col.require(params, "depth_caps", list, p), col, f"{p}/depth_caps")
+        out["m_blk"] = col.integer(params, "m_blk", p, 1, 1)
+        return out
     if experiment == "emergence":
         src = col.require(params, "source", dict, p)
-        if src is not None:
-            kind = col.require(src, "kind", str, f"{p}/source")
-            if kind == "bernoulli":
-                probs = _number_list(src, col, "probs", f"{p}/source")
-                if probs is not None and m is not None and len(probs) != m:
-                    col.add(f"{p}/source/probs", f"need {m} probabilities")
-            elif kind == "markov":
-                _validate_matrix_list(src, col, "stochastic_list",
-                                      f"{p}/source", m)
-            elif kind == "oscillating":
-                for key in ("probs_a", "probs_b"):
-                    probs = _number_list(src, col, key, f"{p}/source")
-                    if probs is not None and m is not None and len(probs) != m:
-                        col.add(f"{p}/source/{key}", f"need {m} probabilities")
-                first = col.optional(src, "first_block", int, f"{p}/source")
-                if first is not None and first < 1:
-                    col.add(f"{p}/source/first_block", f"must be >= 1, got {first}")
-                growth = col.optional(src, "growth", float, f"{p}/source")
-                if growth is not None and growth <= 1.0:
-                    col.add(f"{p}/source/growth", f"must be > 1, got {growth}")
-            elif kind is not None:
-                col.add(f"{p}/source/kind",
-                        "must be one of ('bernoulli', 'markov', 'oscillating')")
-        eps = _number_list(params, col, "epsilons", p, positive=True)
+        out = {"source": (_validate_source(src, col, f"{p}/source", m)
+                          if src is not None else None)}
+        out["epsilons"] = eps = _number_list(params, col, "epsilons", p,
+                                             positive=True)
         if eps is not None and (len(eps) < 3
                                 or any(b >= a for a, b in zip(eps, eps[1:]))):
             col.add(f"{p}/epsilons", ">= 3 strictly decreasing scales required")
         for key in ("n_min", "n_max", "count", "depth"):
-            val = col.require(params, key, int, p)
-            if val is not None and val < 1:
-                col.add(f"{p}/{key}", f"must be >= 1, got {val}")
-        tf = col.optional(params, "tail_fraction", float, p, default=0.5)
+            out[key] = col.integer(params, key, p, 1)
+        out["tail_fraction"] = tf = col.optional(params, "tail_fraction",
+                                                 float, p, 0.5)
         if tf is not None and not 0.0 < tf <= 1.0:
             col.add(f"{p}/tail_fraction", f"must be in (0, 1], got {tf}")
-        return
+        return out
     if experiment in ("construct", "saturate"):
-        _validate_matrix_list(params, col, "family", p, m)
-        l_max = col.require(params, "l_max", int, p)
-        if l_max is not None and l_max < 0:
-            col.add(f"{p}/l_max", f"must be >= 0, got {l_max}")
+        family = _validate_matrix_list(params, col, "family", p, m)
+        l_max = col.integer(params, "l_max", p, 0)
+        if None not in (family, l_max) and l_max >= len(family):
+            col.add(f"{p}/l_max", f"levels 0..{l_max} need {l_max + 1} "
+                                  f"family matrices, got {len(family)}")
+        out = {"family": family, "l_max": l_max}
         for key in ("eps_tilde", "eps_hat"):
             vals = _number_list(params, col, key, p, required=False,
                                 positive=True)
             if (vals is not None and l_max is not None
                     and len(vals) < l_max + 2):
                 col.add(f"{p}/{key}", f"need at least {l_max + 2} entries")
-        caps = col.optional(params, "length_cap", int, p, default=2 ** 27)
-        if caps is not None and caps < 1:
-            col.add(f"{p}/length_cap", "must be >= 1")
-        col.optional(params, "metric_depth", int, p, default=6)
-        _validate_gamma(params, col, p)
-        _validate_nets(params, col, p, l_max)
+            out[key] = tuple(vals) if vals else None
+        out["length_cap"] = col.integer(params, "length_cap", p, 1, LENGTH_CAP)
+        out["metric_depth"] = _metric_depth(params, col, p)
+        out["gamma"] = _validate_gamma(params, col, p)
+        out["nets"] = _validate_nets(params, col, p, l_max)
         if experiment == "saturate":
-            slack = col.require(params, "slack", float, p)
+            out["slack"] = slack = col.require(params, "slack", float, p)
             if slack is not None and slack < 0:
                 col.add(f"{p}/slack", f"must be >= 0, got {slack}")
-        return
+        # the default schedule has l_max + 2 entries: fill it only once
+        # l_max is known to be below the family size
+        if out["eps_tilde"] is None and not col.violations:
+            out["eps_tilde"] = default_eps_tilde(l_max)
+        return out
     if experiment == "conditions":
-        _validate_structure(params, col, p, col.require(params, "kind", str, p))
-        depth = col.require(params, "depth", int, p)
-        if depth is not None and depth < 2:
-            col.add(f"{p}/depth", f"must be >= 2, got {depth}")
-        _number_list(params, col, "t_grid", p)
-        return
+        out = _validate_structure(params, col, p,
+                                  col.require(params, "kind", str, p))
+        out["depth"] = col.integer(params, "depth", p, 2)
+        out["t_grid"] = _number_list(params, col, "t_grid", p)
+        return out
     if experiment == "restricted-probe":
-        _validate_structure(params, col, p, col.optional(params, "kind", str, p,
-                                                         default="entropy"))
+        out = _validate_structure(params, col, p, col.optional(
+            params, "kind", str, p, "entropy"))
         word = col.require(params, "word", list, p)
         if word is not None and (not word or not all(
                 isinstance(s, int) and not isinstance(s, bool) for s in word)):
             col.add(f"{p}/word", "must be a nonempty list of symbols")
-        _validate_matrix_list(params, col, "stochastic_list", p, m)
-        for key, lo in (("n", 1), ("m_blk", 1), ("depth_cap", 1)):
-            val = col.require(params, key, int, p)
-            if val is not None and val < lo:
-                col.add(f"{p}/{key}", f"must be >= {lo}, got {val}")
+        out["word"] = tuple(word or ())
+        out["stochastic_list"] = _validate_matrix_list(
+            params, col, "stochastic_list", p, m)
+        for key in ("n", "m_blk", "depth_cap"):
+            out[key] = col.integer(params, key, p, 1)
         for key in ("eps", "t"):
-            val = col.require(params, key, float, p)
-            if val is not None and val < 0:
-                col.add(f"{p}/{key}", f"must be >= 0, got {val}")
-        return
+            out[key] = col.require(params, key, float, p)
+            if out[key] is not None and out[key] < 0:
+                col.add(f"{p}/{key}", f"must be >= 0, got {out[key]}")
+        out["metric_depth"] = _metric_depth(params, col, p)
+        return out
     raise AssertionError(f"unhandled experiment {experiment}")
 
 
 def validate_config(obj):
-    """Validate a parsed JSON config; collect every violation before failing."""
+    """Parse a JSON config into an ExperimentConfig; collect every violation
+    before failing."""
     col = _Collector()
     if not isinstance(obj, dict):
         raise ConfigError([("/", "config root must be a JSON object")],
@@ -350,21 +401,13 @@ def validate_config(obj):
         col.add("/seed", "must be a 64-bit unsigned integer")
     out_dir = col.require(obj, "output_dir", str, "")
     if experiment is not None and params is not None:
-        _validate_parameters(experiment, params, space, col)
+        params = _validate_parameters(experiment, params, space, col)
     if col.violations:
         raise ConfigError(col.violations,
                           module="config", operation="validate_config")
     return ExperimentConfig(space=space, experiment=experiment,
-                            parameters=_drop_nulls(params), seed=seed,
+                            parameters=params, seed=seed,
                             output_dir=Path(out_dir), raw=obj)
-
-
-def _drop_nulls(obj):
-    """obj without its null-valued keys, nested objects included: a null
-    optional key means its default, which every reader supplies."""
-    if isinstance(obj, dict):
-        return {k: _drop_nulls(v) for k, v in obj.items() if v is not None}
-    return obj
 
 
 def _reject_constant(token):

@@ -37,6 +37,7 @@ from .sofic import PointPrefix, admissible_words, connector, is_admissible, \
 NODE_CAP = 50_000       # lattice points of one simplex net
 GAMMA_N_CAP = 2 ** 16   # largest entry threshold the estimate tries
 ATTEMPT_CAP = 10_000    # chain samples per typical word
+LENGTH_CAP = 2 ** 27    # default cap on the total length of a block schedule
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,7 @@ def default_eps_hat(l_max, nets):
 
 
 def estimate_gamma_thresholds(family, l_max, eps_tilde, eps_hat, seed,
-                              metric_depth=6, samples=200):
+                              metric_depth, samples=200):
     """Empirical entry thresholds: smallest n (powers of two) at which a
     1 - eps_hat fraction of sampled length-n words track their measure
     within eps_tilde under W1."""
@@ -254,11 +255,11 @@ def _group_feasible(n, node, L, prefix, eps_t, gamma_n, l_max):
     return True
 
 
-def block_schedule(family, l_max, eps_tilde, eps_hat, gamma_n, nets=None,
-                   length_cap=2 ** 27):
-    """Lay out block lengths group by group; minimal scale via doubling then
-    binary search, with the floors gamma_n[(L, l)] enforced throughout.
-    Without nets, level L uses the simplex net of mesh eps_tilde[L]."""
+def block_schedule(family, l_max, eps_tilde, eps_hat, gamma_n, nets,
+                   length_cap=LENGTH_CAP):
+    """Lay out block lengths group by group, one group per node of nets[L]
+    at level L; minimal scale via doubling then binary search, with the
+    floors gamma_n[(L, l)] enforced throughout."""
     if l_max + 1 > len(family):
         raise InputError(f"need {l_max + 1} measures for levels 0..{l_max}",
                          module="constructor", operation="block_schedule")
@@ -273,8 +274,6 @@ def block_schedule(family, l_max, eps_tilde, eps_hat, gamma_n, nets=None,
     if any(b <= 0 for b in eps_tilde):
         raise ScheduleError("eps_tilde must be positive",
                             module="constructor", operation="block_schedule")
-    if nets is None:
-        nets = tuple(simplex_net(L, eps_tilde[L]) for L in range(l_max + 1))
     if (l_max + 1, 0) not in gamma_n:
         raise InputError("gamma_n must include the (l_max+1, 0) sentinel entry",
                          module="constructor", operation="block_schedule")
@@ -372,7 +371,7 @@ def check_itinerary(it):
     return out
 
 
-def typical_word(mu, n, eps, seed, metric_depth=6):
+def typical_word(mu, n, eps, seed, metric_depth):
     """A length-n word whose periodic continuation empirically tracks mu.
 
     Rejection-samples from the chain until W1(delta_y^n, proxy of mu) < eps,
@@ -428,7 +427,7 @@ class ConstructedOrbit:
         return self.word.symbols.astype(np.uint8).tobytes()
 
 
-def build_orbit(it, family, space, seed, metric_depth=6):
+def build_orbit(it, family, space, seed, metric_depth):
     """Concatenate typical words per the itinerary, bridging with minimal
     connectors; deterministic for a fixed (itinerary, family, seed)."""
     pieces = []
@@ -504,7 +503,7 @@ class SaturationReport:
         }, indent=2, sort_keys=True)
 
 
-def verify_saturation(orbit, net, family, slack, metric_depth=6):
+def verify_saturation(orbit, net, family, slack, metric_depth):
     """For each net node, the closest approach of the empirical measure (over
     block-boundary times) to the node's mixture; pass iff every node is
     reached within eps_tilde[level] + slack."""
@@ -542,7 +541,7 @@ def verify_saturation(orbit, net, family, slack, metric_depth=6):
                             passed=bool(worst <= eps_level + slack))
 
 
-def oscillating_orbit(mu_a, mu_b, total_len, seed, first_block=64, growth=2.0):
+def oscillating_orbit(mu_a, mu_b, total_len, seed, first_block, growth):
     """An orbit alternating ever-longer blocks from two measures, so its
     empirical measure sweeps back and forth along the segment between them."""
     if total_len < first_block:

@@ -249,7 +249,7 @@ def emergence_exponent(epsilons, counts):
     return float(slope), float(intercept), residual, False
 
 
-def emergence_report(cloud, epsilons, tail_fraction=0.5, threads=1):
+def emergence_report(cloud, epsilons, tail_fraction, threads=1):
     """Per-scale covering brackets plus two-sided exponent fits for one orbit."""
     times, snaps = cloud.tail(tail_fraction)
     dist = pairwise_w1(snaps, cloud.depth, cloud.space, threads=threads)

@@ -281,10 +281,6 @@ class MarkovMixture:
         return float(p) if np.ndim(word) == 1 else p
 
 
-def measure_entropy(mu):
-    return mu.entropy()
-
-
 def truncation_proxy(mu, depth, space):
     """Exact depth-truncation of a Markov measure or mixture.
 

@@ -8,7 +8,6 @@ numpy arrays indexed from 0 (symbol s occupies row/column s-1).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,10 +153,6 @@ class PointPrefix:
                                  module="sofic", operation="PointPrefix.periodic")
         return cls(np.resize(w, depth))
 
-    @classmethod
-    def from_word(cls, word):
-        return cls(word)
-
 
 def symbol_array(word, space, module, operation):
     """A word or an array of words as an integer array; raises InputError,
@@ -201,7 +196,10 @@ def connector(u, v, space):
     """Shortest bridge word omega with u omega v admissible.
 
     Ties at the minimal length are broken lexicographically.  Only the last
-    symbol of u and the first of v matter.
+    symbol a of u and the first b of v matter.  One reverse breadth-first
+    search from b gives each symbol's distance to b; the bridge then steps
+    from a to the smallest successor one step closer, until it reaches a
+    symbol that b may follow.
     """
     u = _as_symbols(u)
     v = _as_symbols(v)
@@ -209,20 +207,24 @@ def connector(u, v, space):
         raise InputError("connector requires nonempty words",
                          module="sofic", operation="connector")
     a, b = u[-1], v[0]
-    if space.allows(a, b):
-        return ()
-    max_len = (space.m - 1) ** 2 + 2
-    for length in range(1, max_len + 1):
-        for cand in itertools.product(range(1, space.m + 1), repeat=length):
-            if not space.allows(a, cand[0]):
-                continue
-            ok = all(space.allows(p, q) for p, q in zip(cand, cand[1:]))
-            if ok and space.allows(cand[-1], b):
-                return cand
-    raise InvariantError(
-        f"no bridge of length <= {max_len} between symbols {a} and {b}; "
-        "space should have been rejected as non-primitive",
-        module="sofic", operation="connector")
+    t = space.transition.astype(bool)
+    # dist[c]: fewest arcs from symbol c to b, 0 while unknown
+    dist = np.zeros(space.m, dtype=np.int64)
+    reach = t[:, b - 1]
+    while not dist[a - 1]:
+        new = reach & (dist == 0)
+        if not new.any():
+            raise InvariantError(
+                f"no bridge between symbols {a} and {b}; space should have "
+                "been rejected as non-primitive",
+                module="sofic", operation="connector")
+        dist[new] = dist.max() + 1
+        reach = t[:, new].any(axis=1)
+    bridge = [a]
+    for _ in range(dist[a - 1] - 1):
+        closer = t[bridge[-1] - 1] & (dist == dist[bridge[-1] - 1] - 1)
+        bridge.append(int(np.flatnonzero(closer)[0]) + 1)
+    return tuple(bridge[1:])
 
 
 def perron(a):

@@ -6,9 +6,12 @@ cylinder by a scan of every admissible continuation, the cover weight
 q(C(u), t) = xi(u) * eta(u)^t, and the cover infimum by a memoised walk down
 the cylinder tree, O(m^cap).  W1 is solved on the symbol grid as a
 min-cost flow; `dense_transport` solves the same problem as the dense
-bipartite transportation LP between the two sets of atoms.
+bipartite transportation LP between the two sets of atoms.  The connector
+is found by breadth-first search; `product_connector` tries every word in
+length and then lexicographic order, O(m^length).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +19,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from emergence_lab.carath import _log_q
+from emergence_lab.errors import InvariantError
 from emergence_lab.sofic import admissible_words
 
 
@@ -111,3 +115,21 @@ def dense_transport(cost, supply, demand, tol):
                            "dual_feasibility_tolerance": tol})
     assert res.success, res.message
     return float(res.fun)
+
+
+def product_connector(u, v, space):
+    """The first bridge word omega, in length and then lexicographic order,
+    with u omega v admissible, among the words up to the Wielandt length."""
+    a, b = int(u[-1]), int(v[0])
+    if space.allows(a, b):
+        return ()
+    max_len = (space.m - 1) ** 2 + 2
+    for length in range(1, max_len + 1):
+        for cand in itertools.product(range(1, space.m + 1), repeat=length):
+            if not space.allows(a, cand[0]):
+                continue
+            ok = all(space.allows(p, q) for p, q in zip(cand, cand[1:]))
+            if ok and space.allows(cand[-1], b):
+                return cand
+    raise InvariantError(f"no bridge of length <= {max_len} between symbols "
+                         f"{a} and {b}")

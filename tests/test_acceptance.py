@@ -26,8 +26,7 @@ from emergence_lab.emergence import (_greedy_cover, _greedy_packing,
                                      emergence_report, pairwise_w1)
 from emergence_lab.measures import (FinSuppMeasure, MarkovMeasure,
                                     empirical_measure, make_rng,
-                                    measure_entropy, truncation_proxy,
-                                    wasserstein1)
+                                    truncation_proxy, wasserstein1)
 from emergence_lab.sofic import (PointPrefix, ShiftSpace, admissible_words,
                                  topological_entropy)
 from oracles import eta, q_weight
@@ -325,7 +324,7 @@ def test_level2_saturation_three_seeds():
 
 def test_level2_lambda_measure_dimension_probe():
     fam, it, orbit = _l2_orbit(101)
-    h_min = min(measure_entropy(mu) for mu in fam.measures)
+    h_min = min(mu.entropy() for mu in fam.measures)
     bound = h_min - it.eps_tilde[2] - 0.05
     for t in orbit.boundary_times():
         log_lam = lambda_measure(orbit, fam, t, as_log=True)

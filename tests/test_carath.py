@@ -542,7 +542,17 @@ def test_restricted_measure_guards():
     mu = MarkovMeasure.bernoulli([0.5, 0.5], FULL2)
     with pytest.raises(InputError):
         restricted_outer_measure(s, (), mu, n=16, eps=-0.1, t=0.5,
-                                 m_blk=1, depth_cap=2)
+                                 m_blk=1, depth_cap=2, metric_depth=3)
     with pytest.raises(DepthError):
         restricted_outer_measure(s, (1, 1, 1), mu, n=16, eps=0.5, t=0.5,
-                                 m_blk=1, depth_cap=2)
+                                 m_blk=1, depth_cap=2, metric_depth=3)
+
+
+@pytest.mark.parametrize("m_blk", [0, -1])
+def test_restricted_measure_rejects_block_size_below_one(m_blk):
+    # m_blk 0 divided by zero and m_blk -1 made every depth a block depth
+    s = CStructure(kind="entropy", space=FULL2)
+    mu = MarkovMeasure.bernoulli([0.5, 0.5], FULL2)
+    with pytest.raises(InputError, match="m_blk"):
+        restricted_outer_measure(s, (), mu, n=16, eps=0.5, t=0.8,
+                                 m_blk=m_blk, depth_cap=2, metric_depth=3)

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from emergence_lab.cli import _resolve_threads, main
 from emergence_lab.config import load_config, validate_config
+from emergence_lab.constructor import LENGTH_CAP, SimplexNet, default_eps_tilde
 from emergence_lab.errors import ConfigError, InputError
 
 FULL2_SPACE = {"m": 2, "beta": 2.0, "transition": [[1, 1], [1, 1]]}
@@ -451,7 +452,59 @@ def test_cli_null_optional_key_means_default(tmp_path, experiment, parameters,
     ("emergence", {**SMALL_EMERGENCE,
                    "source": {"kind": "markov", "stochastic_list": []}},
      "/parameters/source/stochastic_list"),
+    ("construct", {**{k: v for k, v in CONSTRUCT.items()
+                      if k not in ("eps_tilde", "eps_hat", "nets")},
+                   "l_max": 2}, "/parameters/l_max"),
+    *[("restricted-probe", {**PROBE, "metric_depth": depth},
+       "/parameters/metric_depth") for depth in ("x", 2.5, True, 0)],
+    ("construct", {**CONSTRUCT, "metric_depth": 0},
+     "/parameters/metric_depth"),
 ])
 def test_cli_rejects_bad_source_and_schedule_keys(tmp_path, experiment,
                                                   parameters, pointer):
     assert_config_error(tmp_path, experiment, parameters, pointer)
+
+
+def parsed(experiment, parameters):
+    return validate_config({"space": FULL2_SPACE, "experiment": experiment,
+                            "parameters": parameters, "seed": 0,
+                            "output_dir": "x"}).parameters
+
+
+def test_validate_config_fills_every_default():
+    assert parsed("outer-sweep", {"kind": "entropy", "t_grid": [0.5],
+                                  "depth_caps": [2]})["m_blk"] == 1
+    pressure = parsed("pressure", {"table": {"1": 0, "2": 0.5}})
+    assert pressure == {"kind": "pressure", "window": 1,
+                        "table": {(1,): 0.0, (2,): 0.5},
+                        "lengths": [8, 16, 24]}
+    probe = parsed("restricted-probe", {k: v for k, v in PROBE.items()
+                                        if k != "metric_depth"})
+    assert (probe["kind"], probe["window"], probe["table"]) == ("entropy", 1,
+                                                                None)
+    assert probe["metric_depth"] == 6 and probe["word"] == (1,)
+    construct = parsed("construct", {k: v for k, v in CONSTRUCT.items()
+                                     if k not in ("metric_depth",
+                                                  "eps_tilde")})
+    assert construct["metric_depth"] == 6
+    assert construct["length_cap"] == LENGTH_CAP
+    assert construct["eps_tilde"] == default_eps_tilde(1)
+    emergence = parsed("emergence", {**SMALL_EMERGENCE,
+                                     "source": OSCILLATING})
+    assert emergence["tail_fraction"] == 0.5
+    assert emergence["source"] == {"kind": "oscillating",
+                                   "probs_a": [0.2, 0.8],
+                                   "probs_b": [0.8, 0.2],
+                                   "first_block": 64, "growth": 2.0}
+
+
+def test_validate_config_parses_schedule_keys():
+    p = parsed("construct", CONSTRUCT)
+    assert [m.dtype for m in p["family"]] == ["float64", "float64"]
+    assert p["gamma"] == {(L, l): 32 for L in range(3) for l in range(L + 1)}
+    assert p["nets"] == (SimplexNet(level=0, mesh=0.9, nodes=((1.0,),)),
+                         SimplexNet(level=1, mesh=0.6, nodes=(
+                             (1.0, 0.0), (0.5, 0.5), (0.0, 1.0))))
+    assert (p["eps_tilde"], p["eps_hat"]) == ((0.9, 0.8, 0.7), (0.1,) * 3)
+    absent = parsed("construct", {**CONSTRUCT, "gamma": None, "nets": None})
+    assert absent["gamma"] is None and absent["nets"] is None

@@ -102,9 +102,9 @@ def test_typical_word_deterministic():
 
 def test_typical_word_guards():
     with pytest.raises(InputError):
-        typical_word(bern([0.5, 0.5]), 0, 0.1, seed=0)
+        typical_word(bern([0.5, 0.5]), 0, 0.1, seed=0, metric_depth=4)
     with pytest.raises(InputError):
-        typical_word(bern([0.5, 0.5]), 10, 0.0, seed=0)
+        typical_word(bern([0.5, 0.5]), 10, 0.0, seed=0, metric_depth=4)
 
 
 # ----------------------------------------------------------- block_schedule
@@ -168,10 +168,11 @@ def test_block_schedule_needs_sentinel():
 def test_block_schedule_rejects_bad_eps():
     fam = small_family()
     gamma = {(0, 0): 32, (1, 0): 32}
+    nets = (simplex_net(0, 0.5),)
     with pytest.raises(ScheduleError):
-        block_schedule(fam, 0, (0.5, 0.25), (1.5, 0.1), gamma)
+        block_schedule(fam, 0, (0.5, 0.25), (1.5, 0.1), gamma, nets)
     with pytest.raises(InputError):
-        block_schedule(fam, 0, (0.5,), (0.1,), gamma)
+        block_schedule(fam, 0, (0.5,), (0.1,), gamma, nets)
 
 
 def test_block_schedule_length_cap():
@@ -179,7 +180,7 @@ def test_block_schedule_length_cap():
     gamma = {(0, 0): 32, (1, 0): 32}
     with pytest.raises(ScheduleError):
         block_schedule(fam, 0, (1e-4, 1e-4), (0.1, 0.1), gamma,
-                       length_cap=10000)
+                       (simplex_net(0, 1e-4),), length_cap=10000)
 
 
 def test_check_itinerary_flags_broken_order():
@@ -291,10 +292,10 @@ def test_verify_saturation_unreachable_level():
 
 def test_oscillating_orbit_alternates():
     a, b = bern([0.05, 0.95]), bern([0.95, 0.05])
-    x = oscillating_orbit(a, b, 4000, seed=2, first_block=64)
+    x = oscillating_orbit(a, b, 4000, seed=2, first_block=64, growth=2.0)
     assert x.usable_depth == 4000
     # early prefix dominated by measure a (mostly symbol 2)
     head = x.symbols[:64]
     assert (head == 2).mean() > 0.7
     with pytest.raises(InputError):
-        oscillating_orbit(a, b, 10, seed=0, first_block=64)
+        oscillating_orbit(a, b, 10, seed=0, first_block=64, growth=2.0)

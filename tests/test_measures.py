@@ -10,8 +10,7 @@ from emergence_lab.measures import (GRID_CAP, FinSuppMeasure, MarkovMeasure,
                                     MarkovMixture, _pack_prefixes,
                                     _unpack_keys, empirical_measure,
                                     empirical_snapshots, make_rng,
-                                    measure_entropy, truncation_proxy,
-                                    wasserstein1)
+                                    truncation_proxy, wasserstein1)
 from emergence_lab.sofic import (PointPrefix, ShiftSpace, admissible_words,
                                  is_admissible)
 from oracles import dense_transport
@@ -47,7 +46,7 @@ def test_parry_measure_golden_mean():
     mu = MarkovMeasure.parry(GM)
     phi = (1 + math.sqrt(5)) / 2
     # the Parry measure attains the topological entropy
-    assert measure_entropy(mu) == pytest.approx(math.log(phi), abs=1e-9)
+    assert mu.entropy() == pytest.approx(math.log(phi), abs=1e-9)
     assert mu.cylinder_probability((2, 2)) == 0.0
 
 
@@ -86,8 +85,8 @@ def test_cylinder_probability_rejects_symbols_outside_alphabet():
 
 
 def test_entropy_bernoulli_half():
-    assert measure_entropy(bern([0.5, 0.5])) == pytest.approx(math.log(2))
-    assert measure_entropy(bern([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
+    assert bern([0.5, 0.5]).entropy() == pytest.approx(math.log(2))
+    assert bern([1.0, 0.0]).entropy() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sampling_deterministic_and_admissible():
@@ -222,7 +221,7 @@ def test_prefix_codes_are_grid_nodes_and_round_trip(space):
 
 
 def test_empirical_measure_counts_windows():
-    x = PointPrefix.from_word((1, 1, 2, 1, 1))
+    x = PointPrefix((1, 1, 2, 1, 1))
     mu = empirical_measure(x, 4, 2, FULL2)
     got = {tuple(a): w for a, w in zip(mu.atoms, mu.weights)}
     assert got[(1, 1)] == pytest.approx(0.5)

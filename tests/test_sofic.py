@@ -1,4 +1,6 @@
 import math
+from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from emergence_lab.sofic import (PointPrefix, ShiftSpace, admissible_words,
                                  connector, count_admissible, is_admissible,
                                  perron, topological_entropy,
                                  truncated_metric)
+from oracles import product_connector
 
 
 def test_full_shift_entropy_is_log_m():
@@ -107,7 +110,7 @@ def test_truncated_metric_periodic_points():
 
 def test_truncated_metric_depth_guard():
     space = ShiftSpace.full_shift(2)
-    x = PointPrefix.from_word((1, 2, 1))
+    x = PointPrefix((1, 2, 1))
     with pytest.raises(DepthError):
         truncated_metric(x, x, 5, space)
 
@@ -131,7 +134,7 @@ def test_periodic_point_wrap_validation():
 
 
 def test_shift_drops_prefix():
-    x = PointPrefix.from_word((1, 2, 1, 1))
+    x = PointPrefix((1, 2, 1, 1))
     assert x.shift(2).head(2) == (1, 1)
     with pytest.raises(DepthError):
         x.shift(5)
@@ -152,6 +155,48 @@ def test_connector_golden_mean():
     assert {(a, b): len(connector((a,), (b,), gm))
             for a in (1, 2) for b in (1, 2)} == {
                 (1, 1): 0, (1, 2): 0, (2, 1): 0, (2, 2): 1}
+
+
+def cycle_with_chord(m):
+    """Arcs i -> i + 1, m -> 1 and m -> 2: primitive (cycles of lengths m
+    and m - 1), and the bridge from 2 to 1 has length m - 2."""
+    t = np.zeros((m, m), dtype=np.int8)
+    t[np.arange(m - 1), np.arange(1, m)] = 1
+    t[m - 1, :2] = 1
+    return ShiftSpace(alphabet_size=m, transition=t, beta=2.0)
+
+
+def test_connector_matches_product_search():
+    rng = np.random.default_rng(0)
+    spaces = [ShiftSpace.golden_mean(), cycle_with_chord(6)]
+    for m in (2, 3, 4, 5):
+        for _ in range(100):
+            try:
+                spaces.append(ShiftSpace(alphabet_size=m, beta=2.0,
+                                         transition=rng.integers(0, 2, (m, m))))
+            except InvariantError:   # not primitive
+                pass
+    assert len(spaces) > 100
+    for space in spaces:
+        for a, b in product(range(1, space.m + 1), repeat=2):
+            assert (connector((a,), (b,), space)
+                    == product_connector((a,), (b,), space))
+
+
+def test_connector_long_bridge():
+    # the product search would try about 12^10 words here
+    space = cycle_with_chord(12)
+    assert connector((1, 2), (1, 2), space) == tuple(range(3, 13))
+    assert connector((12,), (3,), space) == (2,)
+    assert connector((11,), (12,), space) == ()
+
+
+def test_connector_missing_bridge():
+    # a reducible matrix, which ShiftSpace rejects: 1 never follows 2
+    reducible = SimpleNamespace(m=2, transition=np.array([[1, 1], [0, 1]]))
+    assert connector((1,), (2,), reducible) == ()
+    with pytest.raises(InvariantError):
+        connector((2,), (1,), reducible)
 
 
 @settings(max_examples=50, deadline=None)
