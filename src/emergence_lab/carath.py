@@ -18,8 +18,10 @@ N, the partition-sum pressure (any window) and the Q1 and m_of_t condition
 probes all come from one recursion over (depth, suffix state) in log space,
 O(cap m^k) work with no underflow at deep caps.  The Q3 and C4 probes read
 the same per-(state, symbol) steps and hold over all word lengths.  The
-restricted outer measure, whose membership test reads the whole word, sweeps
-the words below its cylinder one length at a time, O(m^cap) words.
+exact pressure (pressure kind) and the Bowen root (appendix kind) read the
+transfer matrix of e^phi on the steady suffix states, the words of length
+span.  The restricted outer measure, whose membership test reads the whole
+word, sweeps the words below its cylinder one length at a time, O(m^cap).
 """
 
 from __future__ import annotations
@@ -36,10 +38,12 @@ from scipy.special import logsumexp
 from .errors import DepthError, InputError, InvariantError, SizeError
 from .measures import truncation_proxy, wasserstein1, empirical_measure
 from .sofic import PointPrefix, ShiftSpace, admissible_words, connector, \
-    is_admissible, perron, topological_entropy
+    count_admissible, is_admissible, perron, topological_entropy
 
 KINDS = ("entropy", "hausdorff", "pressure", "appendix")
 SURVIVOR_CAP = 200_000   # membership probes of one restricted outer measure
+STATE_CAP = 2 ** 17      # suffix states of one structure (10^5 at m = 10)
+TRANSFER_CAP = 2 ** 12   # states of the dense exact-pressure transfer matrix
 
 
 @dataclass(frozen=True)
@@ -55,12 +59,24 @@ class CStructure:
         if self.kind not in KINDS:
             raise InputError(f"unknown structure kind {self.kind!r}",
                              module="carath", operation="CStructure")
-        _check_window(self.window, "CStructure")
+        if not 1 <= self.window <= 8:
+            raise SizeError(f"potential window must be in 1..8, got {self.window}",
+                            module="carath", operation="CStructure")
+        n_states = count_admissible(self.space, max(self.window - 1, 1))
+        if n_states > STATE_CAP:
+            raise SizeError(f"{n_states} suffix states exceed cap {STATE_CAP}",
+                            module="carath", operation="CStructure")
         if self.kind in ("pressure", "appendix"):
             if self.table is None:
                 raise InputError(f"{self.kind} kind needs a potential table",
                                  module="carath", operation="CStructure")
-            tbl = _potential_table(self.space, self.table, self.window)
+            tbl = {tuple(int(s) for s in w): float(v)
+                   for w, v in self.table.items()}
+            if (set(tbl) != set(admissible_words(self.space, self.window))
+                    or not all(map(math.isfinite, tbl.values()))):
+                raise InputError("potential table must map exactly the "
+                                 "admissible windows to finite values",
+                                 module="carath", operation="CStructure")
             if self.kind == "appendix" and min(tbl.values()) <= 0:
                 raise InputError("appendix-kind potential must be strictly positive",
                                  module="carath", operation="CStructure")
@@ -76,12 +92,15 @@ class CStructure:
         words states[i] + (c,); nxt[i, c - 1]: the row of the state (last
         min(len + 1, span) symbols) of that word, or of any state of that
         length; layers[j]: the rows of length j and their nxt rows counted
-        from the first state of length min(j + 1, span).  tail[w]: V_{|w|}
-        maximised over the length-(window - 1) states that begin with w,
-        where V_0 = 0 and V_{j+1}(w) = max_c (phi(wc) + V_j(state of wc)),
-        the best sum of the Birkhoff terms that start inside w and read past
-        it (0 without a table or at window 1).  sups: sup_birkhoff of the
-        states and of the steps, or None without a potential.
+        from the first state of length min(j + 1, span).  phi[i, c - 1]:
+        the potential of the last window of w + (c,), for w the i-th steady
+        state (length span), -inf where c may not follow w; None without a
+        potential.  tail[w]: V_{|w|} maximised over the length-(window - 1)
+        states that begin with w, where V_0 = 0 and V_{j+1}(w) = max_c
+        (phi(wc) + V_j(state of wc)), the best sum of the Birkhoff terms that
+        start inside w and read past it (0 without a table or at window 1).
+        sups: sup_birkhoff of the states and of the steps, or None without a
+        potential.
         """
         space = self.space
         span = max(self.window - 1, 1)
@@ -98,12 +117,14 @@ class CStructure:
         layers = {j: (slice(start[j - 1], start[j]),
                       nxt[start[j - 1]:start[j]] - start[min(j, span - 1)])
                   for j in range(1, span + 1)}
-        tail = np.zeros(len(states))
-        if self.table is not None and self.window > 1:
+        tail, phi = np.zeros(len(states)), None
+        if self.kind in ("pressure", "appendix"):
+            first = start[span - 1]
+            k = int(np.searchsorted(rows, first))   # the first steady step
             phi = np.full((len(words[-1]), space.m), -np.inf)
-            for i, w in enumerate(words[-1]):
-                for c in space.successors(w[-1]):
-                    phi[i, c - 1] = self.table[w + (c,)]
+            phi[rows[k:] - first, cols[k:]] = [self.table[w[-self.window:]]
+                                               for w in steps[k:]]
+        if self.window > 1 and phi is not None:
             best, tail[:] = np.zeros(len(phi)), -np.inf
             for j in range(1, span + 1):
                 best = (phi + best[layers[span][1]]).max(axis=1)
@@ -115,7 +136,7 @@ class CStructure:
         return SimpleNamespace(states=states, index=index, rows=rows,
                                cols=cols, nxt=nxt, layers=layers,
                                lengths=np.array([len(w) for w in states]),
-                               tail=tail, sups=sups)
+                               tail=tail, phi=phi, sups=sups)
 
     def sup_birkhoff(self, u):
         """sup over x in C(u) of the l-term Birkhoff sum of the window
@@ -128,29 +149,6 @@ def _sup(s, tail, u):
     k = s.window
     inside = sum(s.table[u[i:i + k]] for i in range(len(u) - k + 1))
     return float(inside + tail[u[-max(k - 1, 1):]])
-
-
-def _check_window(window, operation):
-    """Raise unless the potential window is in 1..8: the suffix recursion
-    keeps one state per admissible word of length window - 1."""
-    if window < 1 or window > 8:
-        raise SizeError(f"potential window must be in 1..8, got {window}",
-                        module="carath", operation=operation)
-
-
-def _potential_table(space, table, window):
-    """The table of a window potential with int-tuple keys and float values.
-
-    Raises unless the window is in 1..8 and the keys are exactly the
-    admissible words of that length.
-    """
-    _check_window(window, "potential_table")
-    tbl = {tuple(int(s) for s in w): float(v) for w, v in table.items()}
-    if set(tbl) != set(admissible_words(space, window)):
-        raise InputError(
-            "potential table must cover exactly the admissible windows",
-            module="carath", operation="potential_table")
-    return tbl
 
 
 def _log_q(s, u, t):
@@ -186,6 +184,12 @@ def _normalize_target(target, space):
     return words
 
 
+def _check_t(t, operation):
+    if not math.isfinite(t):
+        raise InputError(f"t must be finite, got {t}",
+                         module="carath", operation=operation)
+
+
 def outer_measure_M(s, target, t, depth_cap):
     """Infimum of sum q(C_i, t) over covers by cylinders of depth <= depth_cap."""
     return outer_measure_N(s, target, t, 1, depth_cap)
@@ -193,6 +197,7 @@ def outer_measure_M(s, target, t, depth_cap):
 
 def outer_measure_N(s, target, t, m_blk, depth_cap):
     """Same infimum with cover cylinders restricted to depths divisible by m_blk."""
+    _check_t(t, "outer_measure_N")
     if m_blk < 1:
         raise InputError(f"m_blk must be >= 1, got {m_blk}",
                          module="carath", operation="outer_measure_N")
@@ -263,6 +268,12 @@ def _log_steps(s, t):
     return inc
 
 
+def _require_kind(s, kind, operation):
+    if s.kind != kind:
+        raise InputError(f"{operation} needs a {kind}-kind structure, got "
+                         f"{s.kind!r}", module="carath", operation=operation)
+
+
 def pressure_partition(s, n):
     """(1/n) log of the partition sum of exp(sup-Birkhoff) over depth-n cylinders.
 
@@ -272,49 +283,44 @@ def pressure_partition(s, n):
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}",
                          module="carath", operation="pressure_partition")
-    if s.kind != "pressure":
-        raise InputError("pressure_partition needs a pressure-kind structure",
-                         module="carath", operation="pressure_partition")
+    _require_kind(s, "pressure", "pressure_partition")
     log_g = _log_cover_factors(s, 0.0, n, n, {1})[1]
     return float(logsumexp([_log_q(s, w, 0.0) + g for w, g in log_g.items()]) / n)
 
 
-def _window_transfer(space, table, window):
-    """The checked potential as a vector over the admissible windows, and the
-    0/1 matrix of the window shift w -> w[1:] + (c,) between them."""
-    tbl = _potential_table(space, table, window)
-    states = admissible_words(space, window)
-    idx = {w: i for i, w in enumerate(states)}
-    shift = np.zeros((len(states), len(states)))
-    for w in states:
-        for c in space.successors(w[-1]):
-            shift[idx[w], idx[w[1:] + (c,)]] = 1.0
-    return np.array([tbl[w] for w in states]), shift
+def _log_radius(s, scale):
+    """log Perron eigenvalue of the transfer matrix of scale * phi on the
+    steady suffix states of s: entry (w, state of wc) is
+    e^(scale * phi(wc)) for each step wc that is allowed."""
+    sm = s._suffix
+    to = sm.layers[max(s.window - 1, 1)][1]
+    if len(to) > TRANSFER_CAP:
+        raise SizeError(f"{len(to)} transfer states exceed cap {TRANSFER_CAP}",
+                        module="carath", operation="pressure_exact")
+    # scatter the allowed steps only: a forbidden step's nxt entry may
+    # coincide with an allowed step's target
+    i, c = np.nonzero(np.isfinite(sm.phi))
+    a = np.zeros((len(to), len(to)))
+    a[i, to[i, c]] = np.exp(scale * sm.phi[i, c])
+    return float(np.log(perron(a)[0]))
 
 
-def _transfer_pressure(phi, shift):
-    """log Perron eigenvalue of the window shift weighted by e^phi."""
-    weights = np.array([math.exp(v) for v in phi])
-    return float(np.log(perron(shift * weights[:, None])[0]))
+def pressure_exact(s):
+    """The topological pressure of a pressure-kind structure's k-window
+    potential: the log spectral radius of its (k - 1)-block transfer matrix
+    (Walters 1982), on the steady suffix states."""
+    _require_kind(s, "pressure", "pressure_exact")
+    return _log_radius(s, 1.0)
 
 
-def pressure_exact(space, table, window=1):
-    """log Perron eigenvalue of the window-block transfer matrix weighted by e^phi."""
-    return _transfer_pressure(*_window_transfer(space, table, window))
+def bowen_dimension(s, tol=1e-9):
+    """The unique root r of P(-r u) = 0 for the positive window potential u
+    of an appendix-kind structure, located by Brent's method to within tol."""
+    _require_kind(s, "appendix", "bowen_dimension")
+    hi = topological_entropy(s.space) / min(s.table.values()) + tol
 
-
-def bowen_dimension(space, table, window=1, tol=1e-9):
-    """The unique root s of pressure_exact(-s * u) = 0 for a positive potential
-    u, located by Brent's method to within tol."""
-    u, shift = _window_transfer(space, table, window)
-    u_min = u.min()
-    if u_min <= 0:
-        raise InputError("Bowen potential must be strictly positive",
-                         module="carath", operation="bowen_dimension")
-    hi = topological_entropy(space) / u_min + tol
-
-    def p(sv):
-        return _transfer_pressure(-sv * u, shift)
+    def p(r):
+        return _log_radius(s, -r)
 
     if p(hi) > 0:
         raise InvariantError("root bracket failed (pressure positive at cap)",
@@ -373,6 +379,7 @@ def check_conditions(s, depth, t_grid):
                 for i in range(1, max(s.window - 1, 1))]
     worst = 0.0
     for t in t_grid:
+        _check_t(t, "check_conditions")   # every t, before any probe
         inc = _log_steps(s, t)
         alone = np.array([_log_q(s, (c,), t)
                           for c in range(1, s.space.m + 1)])
@@ -447,9 +454,10 @@ def restricted_outer_measure(s, z, mu, n, eps, t, m_blk, depth_cap,
     counted against SURVIVOR_CAP before any W1 solve; then the infimum runs
     up from depth_cap one layer at a time.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise InputError(f"eps must be >= 0, got {eps}",
                          module="carath", operation="restricted_outer_measure")
+    _check_t(t, "restricted_outer_measure")
     if m_blk < 1:
         raise InputError(f"m_blk must be >= 1, got {m_blk}",
                          module="carath", operation="restricted_outer_measure")

@@ -84,17 +84,15 @@ def _run_entropy(cfg, threads):
 
 
 def _run_pressure(cfg, threads):
-    p = cfg.parameters
-    exact = carath.pressure_exact(cfg.space, p["table"], window=p["window"])
     s = _structure(cfg)
+    exact = carath.pressure_exact(s)
     rows = [[str(n), _fmt(carath.pressure_partition(s, n)), _fmt(exact)]
-            for n in sorted(p["lengths"])]
+            for n in sorted(cfg.parameters["lengths"])]
     return {"pressure.csv": _csv(["n", "partition_estimate", "exact"], rows)}
 
 
 def _run_bowen(cfg, threads):
-    p = cfg.parameters
-    root = carath.bowen_dimension(cfg.space, p["table"], window=p["window"])
+    root = carath.bowen_dimension(_structure(cfg))
     h = sofic.topological_entropy(cfg.space)
     return {"bowen.csv": _csv(["topological_entropy", "bowen_root"],
                               [[_fmt(h), _fmt(root)]])}

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -102,18 +103,11 @@ def _validate_space(obj, col):
     if not all(v in (0, 1) for r in trans for v in r):
         col.add("/space/transition", "entries must be 0 or 1")
         return None
-    t = np.asarray(trans)
-    for i in range(m):
-        if not t[i].any():
-            col.add(f"/space/transition/{i}", f"row {i + 1} is all zero")
-            return None
-        if not t[:, i].any():
-            col.add(f"/space/transition/{i}", f"column {i + 1} is all zero")
-            return None
     try:
-        return ShiftSpace(alphabet_size=m, transition=t.astype(np.int8),
+        return ShiftSpace(alphabet_size=m,
+                          transition=np.asarray(trans, dtype=np.int8),
                           beta=beta)
-    except InvariantError as exc:  # primitivity
+    except InvariantError as exc:  # a dead symbol, or not primitive
         col.add("/space", str(exc))
         return None
 
@@ -299,7 +293,7 @@ def _validate_parameters(experiment, params, space, col):
             f"{p}/lengths")
         return out
     if experiment == "bowen":
-        out = _validate_structure(params, col, p, "pressure")
+        out = _validate_structure(params, col, p, "appendix")
         if out["table"] is not None and any(v <= 0
                                             for v in out["table"].values()):
             col.add(f"{p}/table", "all values must be positive for a root search")
@@ -410,10 +404,16 @@ def validate_config(obj):
                             output_dir=Path(out_dir), raw=obj)
 
 
-def _reject_constant(token):
-    """json.loads hook for NaN, Infinity and -Infinity, which JSON lacks."""
-    raise ConfigError([("/", f"non-finite number {token} is not allowed")],
-                      module="config", operation="load_config")
+def _finite(parse):
+    """A json.loads hook parsing a number token with `parse`; rejects any whose
+    float value is not finite: NaN, Infinity, 1e400, 400-digit integers."""
+    def hook(token):
+        if not math.isfinite(float(token)):
+            shown = token if len(token) <= 24 else token[:20] + "..."
+            raise ConfigError([("/", f"non-finite number {shown} is not allowed")],
+                              module="config", operation="load_config")
+        return parse(token)
+    return hook
 
 
 def load_config(path):
@@ -423,7 +423,8 @@ def load_config(path):
                           module="config", operation="load_config")
     try:
         obj = json.loads(p.read_text(encoding="utf-8"),
-                         parse_constant=_reject_constant)
+                         parse_constant=_finite(float),
+                         parse_float=_finite(float), parse_int=_finite(int))
     except json.JSONDecodeError as exc:
         raise ConfigError([("/", f"JSON parse error: {exc}")],
                           module="config", operation="load_config") from exc

@@ -101,7 +101,7 @@ def simplex_net(level, mesh):
     if level < 0:
         raise InputError(f"level must be >= 0, got {level}",
                          module="constructor", operation="simplex_net")
-    if mesh <= 0:
+    if not mesh > 0:
         raise InputError(f"mesh must be > 0, got {mesh}",
                          module="constructor", operation="simplex_net")
     if level == 0:
@@ -268,10 +268,10 @@ def block_schedule(family, l_max, eps_tilde, eps_hat, gamma_n, nets,
     if len(eps_tilde) < l_max + 2 or len(eps_hat) < l_max + 2:
         raise InputError("schedules must cover levels 0..l_max+1",
                          module="constructor", operation="block_schedule")
-    if any(e <= 0 or e >= 1 for e in eps_hat[:l_max + 2]):
+    if any(not 0 < e < 1 for e in eps_hat[:l_max + 2]):
         raise ScheduleError("eps_hat must lie in (0,1) (product positivity)",
                             module="constructor", operation="block_schedule")
-    if any(b <= 0 for b in eps_tilde):
+    if any(not b > 0 for b in eps_tilde):
         raise ScheduleError("eps_tilde must be positive",
                             module="constructor", operation="block_schedule")
     if (l_max + 1, 0) not in gamma_n:
@@ -377,7 +377,7 @@ def typical_word(mu, n, eps, seed, metric_depth):
     Rejection-samples from the chain until W1(delta_y^n, proxy of mu) < eps,
     where y is the word continued periodically.
     """
-    if n < 1 or eps <= 0:
+    if n < 1 or not eps > 0:
         raise InputError(f"need n >= 1 and eps > 0, got n={n}, eps={eps}",
                          module="constructor", operation="typical_word")
     space = mu.space

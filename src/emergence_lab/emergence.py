@@ -89,22 +89,18 @@ def cloud_at_times(x, times, depth, space):
 
 
 def pairwise_w1(snapshots, depth, space, threads=1):
-    """Symmetric matrix of exact W1 distances between snapshots."""
+    """Symmetric matrix of exact W1 distances between snapshots, one pair
+    per task of a pool of `threads` workers."""
     k = len(snapshots)
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    rows, cols = np.triu_indices(k, 1)
 
-    def solve(pair):
-        i, j = pair
+    def solve(i, j):
         return wasserstein1(snapshots[i], snapshots[j], depth, space)[0]
 
-    if threads > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(solve, pairs))
-    else:
-        vals = [solve(p) for p in pairs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        vals = list(pool.map(solve, rows, cols))
     dist = np.zeros((k, k))
-    for (i, j), v in zip(pairs, vals):
-        dist[i, j] = dist[j, i] = v
+    dist[rows, cols] = dist[cols, rows] = vals
     return dist
 
 
@@ -175,7 +171,7 @@ def covering_number_bounds(dist, eps):
     Exact set cover for small clouds (returned in both slots); otherwise a
     greedy farthest-point cover above and a greedy 2*eps packing below.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise InputError(f"eps must be positive, got {eps}",
                          module="emergence", operation="covering_number_bounds")
     k = dist.shape[0]

@@ -158,7 +158,7 @@ class FinSuppMeasure:
         if a.ndim != 2 or a.shape[0] != w.shape[0]:
             raise InvariantError("atoms/weights shape mismatch",
                                  module="measures", operation="FinSuppMeasure")
-        if (w < 0).any() or abs(float(w.sum()) - 1.0) > 1e-12:
+        if not ((w >= 0).all() and abs(float(w.sum()) - 1.0) <= 1e-12):
             raise InvariantError("weights must be nonnegative and sum to 1 within 1e-12",
                                  module="measures", operation="FinSuppMeasure")
         a.setflags(write=False)
@@ -261,7 +261,7 @@ class MarkovMixture:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
-        if (w < 0).any() or abs(float(w.sum()) - 1.0) > 1e-12:
+        if not ((w >= 0).all() and abs(float(w.sum()) - 1.0) <= 1e-12):
             raise InvariantError("mixture weights must lie on the probability simplex",
                                  module="measures", operation="MarkovMixture")
         if w.shape[0] != len(self.components):

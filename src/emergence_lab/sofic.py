@@ -34,8 +34,8 @@ class ShiftSpace:
         if m < 2:
             raise InvariantError(f"alphabet_size must be >= 2, got {m}",
                                  module="sofic", operation="ShiftSpace")
-        if self.beta <= 1.0:
-            raise InvariantError(f"beta must be > 1, got {self.beta}",
+        if not 1.0 < self.beta < np.inf:
+            raise InvariantError(f"beta must be finite and > 1, got {self.beta}",
                                  module="sofic", operation="ShiftSpace")
         t = np.asarray(self.transition, dtype=np.int8)
         if t.shape != (m, m):
@@ -44,13 +44,11 @@ class ShiftSpace:
         if not np.isin(t, (0, 1)).all():
             raise InvariantError("transition entries must be 0 or 1",
                                  module="sofic", operation="ShiftSpace")
-        for i in range(m):
-            if not t[i].any():
-                raise InvariantError(f"transition row {i + 1} is all zero (dead symbol)",
-                                     module="sofic", operation="ShiftSpace")
-            if not t[:, i].any():
-                raise InvariantError(f"transition column {i + 1} is all zero (dead symbol)",
-                                     module="sofic", operation="ShiftSpace")
+        dead = ~t.any(axis=1) | ~t.any(axis=0)
+        if dead.any():
+            raise InvariantError(f"symbol {dead.argmax() + 1} has no successor "
+                                 "or no predecessor (dead symbol)",
+                                 module="sofic", operation="ShiftSpace")
         t.setflags(write=False)
         object.__setattr__(self, "transition", t)
         if not self._is_primitive():
@@ -60,16 +58,12 @@ class ShiftSpace:
 
     def _is_primitive(self):
         # Wielandt bound: a primitive m x m matrix has a positive power with
-        # exponent at most (m-1)^2 + 1.
-        m = self.alphabet_size
-        bound = (m - 1) ** 2 + 1
-        p = np.asarray(self.transition, dtype=bool)
-        acc = p.copy()
-        for _ in range(bound - 1):
-            if acc.all():
-                return True
-            acc = (acc.astype(np.int64) @ p.astype(np.int64)) > 0
-        return bool(acc.all())
+        # exponent at most (m-1)^2 + 1, and with no zero column every higher
+        # power is positive too; squaring reaches a power past the bound.
+        p = self.transition.astype(np.int64)
+        for _ in range(((self.m - 1) ** 2).bit_length()):
+            p = np.minimum(p @ p, 1)
+        return bool(p.all())
 
     @property
     def m(self):

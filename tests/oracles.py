@@ -4,7 +4,11 @@ The library works with log q on suffix states; these compute the same
 quantities one word at a time from the definitions: the Birkhoff sup over a
 cylinder by a scan of every admissible continuation, the cover weight
 q(C(u), t) = xi(u) * eta(u)^t, and the cover infimum by a memoised walk down
-the cylinder tree, O(m^cap).  W1 is solved on the symbol grid as a
+the cylinder tree, O(m^cap).  The library's exact pressure and Bowen root
+read the transfer matrix on a structure's suffix states, the words of
+length window - 1; `window_shift_pressure` and `window_shift_bowen_root`
+build the window shift w -> w[1:] + (c,) on the admissible windows
+themselves, m times as many states.  W1 is solved on the symbol grid as a
 min-cost flow; `dense_transport` solves the same problem as the dense
 bipartite transportation LP between the two sets of atoms.  The connector
 is found by breadth-first search; `product_connector` tries every word in
@@ -16,11 +20,11 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize import brentq, linprog
 
 from emergence_lab.carath import _log_q
 from emergence_lab.errors import InvariantError
-from emergence_lab.sofic import admissible_words
+from emergence_lab.sofic import admissible_words, perron, topological_entropy
 
 
 def scan_sup_birkhoff(s, u):
@@ -67,6 +71,30 @@ def eta(s, u):
 def q_weight(s, u, t):
     """The cover weight q(C(u), t) = xi * eta^t of a nonempty word."""
     return xi(s, u) * eta(s, u) ** t
+
+
+def window_shift_pressure(space, table, window):
+    """log Perron eigenvalue of the window shift w -> w[1:] + (c,) on the
+    admissible windows, row w weighted by e^table[w]."""
+    states = admissible_words(space, window)
+    idx = {w: i for i, w in enumerate(states)}
+    a = np.zeros((len(states), len(states)))
+    for w in states:
+        for c in space.successors(w[-1]):
+            a[idx[w], idx[w[1:] + (c,)]] = math.exp(table[w])
+    return float(np.log(perron(a)[0]))
+
+
+def window_shift_bowen_root(space, table, window, tol):
+    """The root r of window_shift_pressure(-r u) = 0 for a positive table u,
+    by Brent's method on [0, h_top / min u + tol]."""
+    hi = topological_entropy(space) / min(table.values()) + tol
+
+    def p(r):
+        return window_shift_pressure(
+            space, {w: -r * v for w, v in table.items()}, window)
+
+    return brentq(p, 0.0, hi, xtol=tol)
 
 
 def _cover_recursion(s, t, m_blk, depth_cap, member):

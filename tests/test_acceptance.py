@@ -62,7 +62,8 @@ def test_pressure_exact_log_bernoulli_weights_vanish():
     for p in ([0.5, 0.5], [0.2, 0.8], [0.3, 0.3, 0.4], [0.05, 0.9, 0.05]):
         space = FULL2 if len(p) == 2 else FULL3
         table = {(i + 1,): math.log(pi) for i, pi in enumerate(p)}
-        assert abs(pressure_exact(space, table)) <= 1e-9
+        s = CStructure(kind="pressure", space=space, window=1, table=table)
+        assert abs(pressure_exact(s)) <= 1e-9
 
 
 # ---------------------------------------------------------------- criterion 3
@@ -70,12 +71,11 @@ def test_pressure_exact_log_bernoulli_weights_vanish():
 def test_bowen_roots():
     for space in (FULL2, GM):
         h = topological_entropy(space)
-        ones = {w: 1.0 for w in admissible_words(space, 1)}
-        assert abs(bowen_dimension(space, ones, tol=1e-11) - h) <= 1e-9
-        for beta in (2.0, 3.0):
-            tbl = {w: math.log(beta) for w in admissible_words(space, 1)}
-            assert abs(bowen_dimension(space, tbl, tol=1e-11)
-                       - h / math.log(beta)) <= 1e-9
+        for u, want in [(1.0, h)] + [(math.log(beta), h / math.log(beta))
+                                     for beta in (2.0, 3.0)]:
+            s = CStructure(kind="appendix", space=space, window=1,
+                           table={w: u for w in admissible_words(space, 1)})
+            assert abs(bowen_dimension(s, tol=1e-11) - want) <= 1e-9
 
 
 # ---------------------------------------------------------------- criterion 4

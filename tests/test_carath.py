@@ -15,7 +15,8 @@ from emergence_lab.measures import (MarkovMeasure, empirical_measure,
                                     truncation_proxy, wasserstein1)
 from emergence_lab.sofic import (ShiftSpace, admissible_words,
                                  topological_entropy)
-from oracles import _cover_recursion, eta, q_weight, scan_sup_birkhoff
+from oracles import (_cover_recursion, eta, q_weight, scan_sup_birkhoff,
+                     window_shift_bowen_root, window_shift_pressure)
 
 FULL2 = ShiftSpace.full_shift(2)
 FULL3 = ShiftSpace.full_shift(3)
@@ -34,12 +35,14 @@ def test_structure_kind_guard():
 
 
 def test_structure_window_range_for_every_kind():
-    # window 40 would mean 2^39 suffix states on the full 2-shift
-    for window in (0, 9, 40):
-        with pytest.raises(SizeError):
-            CStructure(kind="entropy", space=FULL2, window=window)
-        with pytest.raises(SizeError):
-            CStructure(kind="hausdorff", space=FULL2, window=window)
+    # window 40 would mean 2^39 suffix states on the full 2-shift, and
+    # window 8 on ten symbols 10^7; both raise before any enumeration
+    full10 = ShiftSpace.full_shift(10)
+    for space, window in ((FULL2, 0), (FULL2, 9), (FULL2, 40), (full10, 8)):
+        for kind in carath.KINDS:
+            table = {} if kind in ("pressure", "appendix") else None
+            with pytest.raises(SizeError):
+                CStructure(kind=kind, space=space, window=window, table=table)
 
 
 def test_pressure_needs_complete_table():
@@ -313,24 +316,76 @@ def test_pressure_partition_window3_brute_force(space, max_n):
         assert abs(pressure_partition(s, n) - want) <= 1e-13 * abs(want), n
 
 
+def pressure_structure(space, table, window=1):
+    return CStructure(kind="pressure", space=space, window=window,
+                      table=table)
+
+
+def appendix_structure(space, table, window=1):
+    return CStructure(kind="appendix", space=space, window=window,
+                      table=table)
+
+
 def test_pressure_exact_log_p_is_zero():
     # phi(i) = log p_i for a probability vector: the transfer matrix is
     # stochastic, so the pressure vanishes
     for p in ([0.5, 0.5], [0.2, 0.8], [0.1, 0.3, 0.6]):
         space = FULL2 if len(p) == 2 else FULL3
         table = {(i + 1,): math.log(pi) for i, pi in enumerate(p)}
-        assert pressure_exact(space, table) == pytest.approx(0.0, abs=1e-10)
+        assert pressure_exact(pressure_structure(space, table)) == \
+            pytest.approx(0.0, abs=1e-10)
 
 
 def test_pressure_exact_zero_potential_is_entropy():
-    assert pressure_exact(GM, const_table(GM, 1, 0.0)) == pytest.approx(
-        topological_entropy(GM), abs=1e-10)
+    s = pressure_structure(GM, const_table(GM, 1, 0.0))
+    assert pressure_exact(s) == pytest.approx(topological_entropy(GM),
+                                              abs=1e-10)
 
 
 def test_pressure_exact_constant_shift():
-    base = pressure_exact(FULL2, const_table(FULL2, 1, 0.0))
-    shifted = pressure_exact(FULL2, const_table(FULL2, 1, 0.7))
+    base = pressure_exact(pressure_structure(FULL2, const_table(FULL2, 1, 0.0)))
+    shifted = pressure_exact(pressure_structure(FULL2,
+                                                const_table(FULL2, 1, 0.7)))
     assert shifted == pytest.approx(base + 0.7, abs=1e-10)
+
+
+@pytest.mark.parametrize("space", [FULL2, GM, FULL3],
+                         ids=["full2", "gm", "full3"])
+def test_transfer_on_suffix_states_matches_window_shift(space):
+    # random tables at windows 1-4: the (window - 1)-block transfer matrix
+    # of the structure against the window shift on the admissible windows
+    rng = np.random.default_rng(space.m + int(space.transition.sum()))
+    for window in range(1, 5):
+        words = admissible_words(space, window)
+        for _ in range(3):
+            phi = dict(zip(words, rng.uniform(-1.0, 1.0, len(words))))
+            want = window_shift_pressure(space, phi, window)
+            got = pressure_exact(pressure_structure(space, phi, window))
+            assert abs(got - want) <= 1e-12 * abs(want), (window, got, want)
+        u = dict(zip(words, rng.uniform(0.2, 1.2, len(words))))
+        want = window_shift_bowen_root(space, u, window, 1e-12)
+        got = bowen_dimension(appendix_structure(space, u, window), tol=1e-12)
+        assert abs(got - want) <= 1e-9, (window, got, want)
+
+
+def test_pressure_exact_full3_window7_between_entropy_bounds():
+    # 729 steady states; h_top + min phi <= P(phi) <= h_top + max phi
+    words = admissible_words(FULL3, 7)
+    phi = dict(zip(words, np.random.default_rng(7).uniform(-1.0, 1.0,
+                                                           len(words))))
+    p = pressure_exact(pressure_structure(FULL3, phi, 7))
+    h = math.log(3)
+    assert h + min(phi.values()) <= p <= h + max(phi.values())
+
+
+def test_exact_pressure_and_root_need_their_kind():
+    table = const_table(FULL2, 1, 1.0)
+    with pytest.raises(InputError):
+        pressure_exact(appendix_structure(FULL2, table))
+    with pytest.raises(InputError):
+        bowen_dimension(pressure_structure(FULL2, table))
+    with pytest.raises(InputError):
+        bowen_dimension(CStructure(kind="entropy", space=FULL2))
 
 
 # -------------------------------------------------------------------- Bowen
@@ -339,15 +394,15 @@ def test_bowen_constant_potential_oracle():
     # u == log beta: the root of P(-s u) = 0 is h_top / log beta
     h = topological_entropy(GM)
     for beta in (2.0, 3.0):
-        table = const_table(GM, 1, math.log(beta))
-        assert bowen_dimension(GM, table) == pytest.approx(
-            h / math.log(beta), abs=1e-7)
+        s = appendix_structure(GM, const_table(GM, 1, math.log(beta)))
+        assert bowen_dimension(s) == pytest.approx(h / math.log(beta),
+                                                   abs=1e-7)
 
 
 def test_bowen_unit_potential_is_entropy():
     h = topological_entropy(FULL3)
-    assert bowen_dimension(FULL3, const_table(FULL3, 1, 1.0)) == pytest.approx(
-        h, abs=1e-7)
+    s = appendix_structure(FULL3, const_table(FULL3, 1, 1.0))
+    assert bowen_dimension(s) == pytest.approx(h, abs=1e-7)
 
 
 def test_bowen_window2_coboundary_oracle():
@@ -358,12 +413,13 @@ def test_bowen_window2_coboundary_oracle():
     for c in (0.5, 1.0, 2.0):
         table = {(a, b): c + g[b] - g[a] for a, b in admissible_words(GM, 2)}
         assert min(table.values()) > 0
-        assert abs(bowen_dimension(GM, table, window=2) - h / c) <= 1e-9
+        s = appendix_structure(GM, table, window=2)
+        assert abs(bowen_dimension(s) - h / c) <= 1e-9
 
 
 def test_bowen_rejects_nonpositive_potential():
     with pytest.raises(InputError):
-        bowen_dimension(FULL2, {(1,): 1.0, (2,): -1.0})
+        bowen_dimension(appendix_structure(FULL2, {(1,): 1.0, (2,): -1.0}))
 
 
 # --------------------------------------------------------------- conditions
@@ -556,3 +612,26 @@ def test_restricted_measure_rejects_block_size_below_one(m_blk):
     with pytest.raises(InputError, match="m_blk"):
         restricted_outer_measure(s, (), mu, n=16, eps=0.5, t=0.8,
                                  m_blk=m_blk, depth_cap=2, metric_depth=3)
+
+
+def test_outer_measures_reject_nan_and_infinite_inputs():
+    # at these inputs the restricted measure returned 0.0 for eps = nan and
+    # nan for t = nan, and N returned nan
+    s = CStructure(kind="entropy", space=FULL2)
+    mu = MarkovMeasure.bernoulli([0.5, 0.5], FULL2)
+    probe = dict(n=16, m_blk=1, depth_cap=4, metric_depth=3)
+    for eps, t in ((math.nan, 0.5), (0.5, math.nan), (0.5, math.inf)):
+        with pytest.raises(InputError):
+            restricted_outer_measure(s, (1,), mu, eps=eps, t=t, **probe)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match="t must be finite"):
+            outer_measure_N(s, "X", t, 1, 4)
+        with pytest.raises(InputError, match="t must be finite"):
+            check_conditions(s, 2, [0.5, t])
+
+
+def test_structure_rejects_non_finite_potential():
+    for value in (math.nan, math.inf):
+        with pytest.raises(InputError, match="finite"):
+            CStructure(kind="pressure", space=FULL2,
+                       table={(1,): 0.0, (2,): value})

@@ -220,6 +220,34 @@ def test_cli_rejects_non_finite_config_numbers(tmp_path):
     assert err["kind"] == "config" and "NaN" in err["detail"]
 
 
+@pytest.mark.parametrize("beta, parameters, shown", [
+    ("2.0", '{"kind": "entropy", "t_grid": [1e400], "depth_caps": [4]}',
+     "1e400"),
+    ("1e400", '{"kind": "hausdorff", "t_grid": [0.5], "depth_caps": [2]}',
+     "1e400"),
+    ("1" + "0" * 400,
+     '{"kind": "hausdorff", "t_grid": [0.5], "depth_caps": [2]}',
+     "1" + "0" * 19 + "..."),
+], ids=["t_grid-1e400", "beta-1e400", "beta-401-digits"])
+def test_cli_rejects_numbers_that_overflow(tmp_path, beta, parameters, shown):
+    # literals past the float range: 1e400 read as inf (a row of inf and
+    # nan, or a math domain error), and an integer of 401 digits overflowed
+    # on conversion to float
+    path = tmp_path / "config.json"
+    path.write_text(
+        f'{{"space": {{"m": 2, "beta": {beta}, "transition": [[1, 1], [1, 1]]}}, '
+        f'"experiment": "outer-sweep", "parameters": {parameters}, '
+        f'"seed": 0, "output_dir": {json.dumps(str(tmp_path / "out"))}}}')
+    out_dir = tmp_path / "err"
+    result = CliRunner().invoke(main, ["outer-sweep", "--config", str(path),
+                                       "--out", str(out_dir)])
+    assert result.exit_code == 1
+    assert sorted(p.name for p in out_dir.iterdir()) == ["error.json"]
+    err = json.loads((out_dir / "error.json").read_text())
+    assert err["kind"] == "config"
+    assert err["detail"] == f"/: non-finite number {shown} is not allowed"
+
+
 def test_cli_conditions_run(tmp_path):
     cfg = {"space": FULL2_SPACE, "experiment": "conditions",
            "parameters": {"kind": "entropy", "depth": 4, "t_grid": [0.5]},

@@ -107,6 +107,21 @@ def test_typical_word_guards():
         typical_word(bern([0.5, 0.5]), 10, 0.0, seed=0, metric_depth=4)
 
 
+def test_constructor_rejects_nan_tolerances():
+    # eps = nan ran the whole attempt budget of typical_word before a
+    # SamplingError; a nan mesh or schedule entry passed the range checks
+    with pytest.raises(InputError):
+        typical_word(bern([0.5, 0.5]), 32, math.nan, seed=1, metric_depth=3)
+    with pytest.raises(InputError):
+        simplex_net(1, math.nan)
+    gamma = {(0, 0): 32, (1, 0): 32}
+    nets = (simplex_net(0, 0.5),)
+    for eps_tilde, eps_hat in (((0.5, math.nan), (0.5, 0.1)),
+                               ((0.5, 0.25), (math.nan, 0.1))):
+        with pytest.raises(ScheduleError):
+            block_schedule(small_family(), 0, eps_tilde, eps_hat, gamma, nets)
+
+
 # ----------------------------------------------------------- block_schedule
 
 _SCHEDULE_CACHE = {}

@@ -92,6 +92,13 @@ def test_covering_bounds_greedy_for_large_or_forced():
     assert lo <= up
 
 
+def test_covering_bounds_reject_nan_scale():
+    # eps = nan gave (3, 3) on three points
+    dist = random_dist(np.random.default_rng(4), 3)
+    with pytest.raises(InputError):
+        covering_number_bounds(dist, math.nan)
+
+
 def test_emergence_exponent_doubling_counts():
     eps = (0.2, 0.1, 0.05)
     slope, _, res, degenerate = emergence_exponent(eps, (1, 4, 16))

@@ -425,6 +425,17 @@ def test_mixture_weights_validation():
         MarkovMixture(components=(bern([0.5, 0.5]),), weights=np.array([0.7]))
 
 
+def test_nan_weights_rejected():
+    # with these weights W1 gave 0.5 and P(C(1)) under the mixture nan
+    weights = np.array([math.nan, 1.0])
+    with pytest.raises(InvariantError):
+        FinSuppMeasure(atoms=np.array([[1], [2]], dtype=np.int16),
+                       weights=weights)
+    with pytest.raises(InvariantError):
+        MarkovMixture(components=(bern([0.5, 0.5]), bern([0.2, 0.8])),
+                      weights=weights)
+
+
 def test_mixture_cylinder_probability_is_convex():
     a, b = bern([0.2, 0.8]), bern([0.9, 0.1])
     mix = MarkovMixture(components=(a, b), weights=np.array([0.25, 0.75]))

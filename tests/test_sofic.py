@@ -54,6 +54,15 @@ def test_beta_must_exceed_one():
         ShiftSpace.full_shift(2, beta=1.0)
 
 
+def test_beta_must_be_finite():
+    # beta = nan gave a nan tail bound, and beta = inf a truncated metric of
+    # (0.0, 0.0) between (1, 1, 1) and (2, 2, 2)
+    for beta in (math.nan, math.inf):
+        with pytest.raises(InvariantError, match="finite"):
+            ShiftSpace(alphabet_size=2, transition=np.ones((2, 2)),
+                       beta=beta)
+
+
 def test_admissibility_golden_mean():
     gm = ShiftSpace.golden_mean()
     assert is_admissible((1, 2, 1, 1, 2), gm)
