@@ -322,10 +322,11 @@ def bowen_dimension(s, tol=1e-9):
     def p(r):
         return _log_radius(s, -r)
 
-    if p(hi) > 0:
+    try:
+        return float(brentq(p, 0.0, hi, xtol=tol))
+    except ValueError as exc:   # p(0) and p(hi) share a sign
         raise InvariantError("root bracket failed (pressure positive at cap)",
-                             module="carath", operation="bowen_dimension")
-    return float(brentq(p, 0.0, hi, xtol=tol))
+                             module="carath", operation="bowen_dimension") from exc
 
 
 @dataclass(frozen=True)
@@ -363,10 +364,10 @@ def check_conditions(s, depth, t_grid):
     state at once; each state ends some admissible word of every length,
     since no symbol is dead.
     """
-    if depth < 2:
-        raise InputError(f"depth must be >= 2, got {depth}",
-                         module="carath", operation="check_conditions")
     t_grid = tuple(float(t) for t in t_grid)
+    if depth < 2 or not t_grid:
+        raise InputError(f"need depth >= 2 and a nonempty t_grid, got {depth}, {t_grid}",
+                         module="carath", operation="check_conditions")
 
     # Q3: growing v one symbol at a time, log q(uv) - log q(u) - log q(v)
     # gains the step from the state of u v[:i] less the step from v[:i].
@@ -406,8 +407,8 @@ def check_conditions(s, depth, t_grid):
             _log_cover_factors(s, t, m_blk, depth_cap, {l})[l].values()))
 
     probe_depth = min(depth, 4)
-    q1 = min((math.exp(log_g(t, 1, probe_depth + 2, probe_depth).min())
-              for t in t_grid), default=math.inf)
+    q1 = min(math.exp(log_g(t, 1, probe_depth + 2, probe_depth).min())
+             for t in t_grid)
     c1_pass = q1 > 0
 
     def attained(m_blk):

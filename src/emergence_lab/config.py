@@ -146,6 +146,9 @@ def _number_list(params, col, key, pointer, required=True, positive=False):
            else col.optional(params, key, list, pointer, None))
     if lst is None:
         return None
+    if not lst:
+        col.add(f"{pointer}/{key}", "must be nonempty")
+        return None
     out = []
     for i, v in enumerate(lst):
         if isinstance(v, bool) or not isinstance(v, (int, float)):

@@ -3,7 +3,9 @@
 Finitely supported measures store their atoms as a (k, width) array of
 symbol prefixes.  One prefix code serves windows, merged atoms and W1: the
 prefix (x_0, ..., x_{D-1}) is the grid node sum_d (x_d - 1) m^d, and sorted
-codes list prefixes in reversed-lexicographic order.  The W1 solver works on
+codes list prefixes in reversed-lexicographic order.  A symbol outside 1..m
+would alias another prefix's code, so window keys and merged atoms raise
+InputError on one.  The W1 solver works on
 ground costs truncated at an explicit depth, sum_d beta^-(d+1) |x_d - y_d|,
 which is the path metric of the grid of all m^depth prefixes; W1 is then one
 min-cost flow on that grid (EMD-L1) with supply mu - nu, solved by HiGHS at
@@ -46,15 +48,6 @@ def _inverse_cdf(p):
     last = p.shape[-1] - 1 - np.argmax(p[..., ::-1] > 0, axis=-1)
     cum[np.arange(p.shape[-1]) >= np.expand_dims(last, -1)] = np.inf
     return cum
-
-
-def _chain_walk(cums, u, s0, out):
-    """Inverse-CDF walk of the chain."""
-    s = s0
-    out[0] = s + 1
-    for i in range(1, u.shape[0]):
-        s = int(np.searchsorted(cums[s], u[i], side="right"))
-        out[i] = s + 1
 
 
 @dataclass(frozen=True)
@@ -114,18 +107,24 @@ class MarkovMeasure:
         return float(-(self.stationary @ plogp.sum(axis=1)))
 
     def sample(self, n, rng):
-        """A length-n word from the stationary chain (fast path for iid rows)."""
+        """A length-n word from the stationary chain, by an inverse-CDF walk
+        on n uniforms.  Column i of the table f maps the state before step i
+        to the one after (column 0 draws from the stationary law); a doubling
+        (Hillis-Steele) scan composes the columns until none depends on its
+        argument, which iid rows satisfy from the start."""
         if n < 1:
             raise InputError(f"n must be >= 1, got {n}",
                              module="measures", operation="sample")
-        cums = _inverse_cdf(self.stochastic)
         u = rng.random(n)
-        if self.is_bernoulli:
-            return (np.searchsorted(cums[0], u, side="right") + 1).astype(np.int16)
-        out = np.empty(n, dtype=np.int16)
-        s0 = int(np.searchsorted(_inverse_cdf(self.stationary), u[0], side="right"))
-        _chain_walk(cums, u, s0, out)
-        return out
+        f = np.empty((self.space.m, n), dtype=np.int16)
+        for s, cum in enumerate(_inverse_cdf(self.stochastic)):
+            f[s] = np.searchsorted(cum, u, side="right")
+        f[:, 0] = np.searchsorted(_inverse_cdf(self.stationary), u[0], side="right")
+        d = 1
+        while not (f == f[0]).all():
+            f[:, d:] = np.take_along_axis(f[:, d:], f[:, :-d], axis=0)
+            d *= 2
+        return f[0] + 1
 
     @classmethod
     def bernoulli(cls, probs, space):
@@ -174,7 +173,7 @@ class FinSuppMeasure:
     def n_atoms(self):
         return int(self.atoms.shape[0])
 
-    def merged(self, depth, m):
+    def merged(self, depth, space):
         """Atoms truncated to `depth` with duplicate prefixes merged.
 
         Returns (codes, weights): the sorted distinct prefix codes (grid
@@ -183,7 +182,8 @@ class FinSuppMeasure:
         if depth > self.width:
             raise DepthError(f"depth {depth} exceeds stored atom width {self.width}",
                              module="measures", operation="merged")
-        codes, inverse = np.unique(_pack_prefixes(self.atoms[:, :depth], m),
+        rows = symbol_array(self.atoms[:, :depth], space, "measures", "merged")
+        codes, inverse = np.unique(_pack_prefixes(rows, space.m),
                                    return_inverse=True)
         return codes, np.bincount(inverse, weights=self.weights,
                                   minlength=codes.shape[0])
@@ -204,14 +204,16 @@ def _pack_prefixes(rows, m):
     return codes
 
 
-def _window_keys(symbols, n, depth, m):
+def _window_keys(symbols, n, depth, space):
     """Prefix codes of the n sliding depth-windows of a symbol array."""
     if n + depth - 1 > symbols.shape[0]:
         raise DepthError(
             f"need {n + depth - 1} symbols for {n} windows of depth {depth}, "
             f"have {symbols.shape[0]}",
             module="measures", operation="empirical_measure")
-    return _pack_prefixes(sliding_window_view(symbols[:n + depth - 1], depth), m)
+    head = symbol_array(symbols[:n + depth - 1], space, "measures",
+                        "empirical_measure")
+    return _pack_prefixes(sliding_window_view(head, depth), space.m)
 
 
 def empirical_measure(x, n, depth, space):
@@ -227,7 +229,7 @@ def empirical_snapshots(x, times, depth, space):
     if not times or any(t < 1 for t in times):
         raise InputError(f"times must be nonempty positive integers, got {times}",
                          module="measures", operation="empirical_snapshots")
-    keys = _window_keys(x.symbols, max(times), depth, space.m)
+    keys = _window_keys(x.symbols, max(times), depth, space)
     uniq, inverse = np.unique(keys, return_inverse=True)
     del keys
     atoms_all = _unpack_keys(uniq, depth, space.m)
@@ -313,8 +315,8 @@ def wasserstein1(mu, nu, depth, space):
     metric, so the true W1 lies in [value, value + error_bound].
     """
     m = space.m
-    a_codes, a_w = mu.merged(depth, m)
-    b_codes, b_w = nu.merged(depth, m)
+    a_codes, a_w = mu.merged(depth, space)
+    b_codes, b_w = nu.merged(depth, space)
     err = space.metric_tail_bound(depth)
     codes, inverse = np.unique(np.concatenate([a_codes, b_codes]),
                                return_inverse=True)

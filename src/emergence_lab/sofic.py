@@ -16,11 +16,6 @@ import scipy.linalg
 from .errors import DepthError, InputError, InvariantError
 
 
-def _as_symbols(word):
-    """Normalize a word-like input to a tuple of Python ints."""
-    return tuple(int(s) for s in word)
-
-
 @dataclass(frozen=True)
 class ShiftSpace:
     """A topologically mixing SFT: alphabet size, 0/1 transition matrix, metric base."""
@@ -128,7 +123,7 @@ class PointPrefix:
         if depth > self.usable_depth:
             raise DepthError(f"requested depth {depth} > usable depth {self.usable_depth}",
                              module="sofic", operation="head")
-        return _as_symbols(self.symbols[:depth])
+        return tuple(self.symbols[:depth].tolist())
 
     @classmethod
     def periodic(cls, word, depth, space=None):
@@ -195,12 +190,10 @@ def connector(u, v, space):
     from a to the smallest successor one step closer, until it reaches a
     symbol that b may follow.
     """
-    u = _as_symbols(u)
-    v = _as_symbols(v)
-    if not u or not v:
+    if not (len(u) and len(v)):
         raise InputError("connector requires nonempty words",
                          module="sofic", operation="connector")
-    a, b = u[-1], v[0]
+    a, b = symbol_array((u[-1], v[0]), space, "sofic", "connector").tolist()
     t = space.transition.astype(bool)
     # dist[c]: fewest arcs from symbol c to b, 0 while unknown
     dist = np.zeros(space.m, dtype=np.int64)

@@ -12,7 +12,9 @@ themselves, m times as many states.  W1 is solved on the symbol grid as a
 min-cost flow; `dense_transport` solves the same problem as the dense
 bipartite transportation LP between the two sets of atoms.  The connector
 is found by breadth-first search; `product_connector` tries every word in
-length and then lexicographic order, O(m^length).
+length and then lexicographic order, O(m^length).  A Markov sample is one
+prefix scan over the per-step state tables; `loop_chain_walk` walks the
+chain one symbol at a time.
 """
 
 import itertools
@@ -24,6 +26,7 @@ from scipy.optimize import brentq, linprog
 
 from emergence_lab.carath import _log_q
 from emergence_lab.errors import InvariantError
+from emergence_lab.measures import _inverse_cdf
 from emergence_lab.sofic import admissible_words, perron, topological_entropy
 
 
@@ -161,3 +164,17 @@ def product_connector(u, v, space):
                 return cand
     raise InvariantError(f"no bridge of length <= {max_len} between symbols "
                          f"{a} and {b}")
+
+
+def loop_chain_walk(mu, u):
+    """The inverse-CDF walk of the Markov measure mu on the uniforms u, one
+    symbol at a time: the first state from the stationary law, each next
+    one from the row of the current one."""
+    cums = _inverse_cdf(mu.stochastic)
+    s = int(np.searchsorted(_inverse_cdf(mu.stationary), u[0], side="right"))
+    out = np.empty(u.shape[0], dtype=np.int16)
+    out[0] = s + 1
+    for i in range(1, u.shape[0]):
+        s = int(np.searchsorted(cums[s], u[i], side="right"))
+        out[i] = s + 1
+    return out

@@ -5,6 +5,7 @@ derives it from an independent closed form or a brute-force enumeration
 rather than from the code under test.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -263,6 +264,10 @@ def _l3_orbit():
 
 def test_constructed_orbit_superlinear_slope():
     fam, it, orbit = _l3_orbit()
+    # the orbit's bytes pin the sampling contract: a change that moves one
+    # symbol of any block shows here
+    assert hashlib.sha256(orbit.symbols_bytes()).hexdigest() == (
+        "eec92b0e4a189a148023f80ae53506ef28e532e6727130718961f999e043356e")
     length = orbit.word.usable_depth
     usable = length - L3_METRIC_DEPTH + 1
     # cloud: the ends of the level-3 groups (where the steering lands on the

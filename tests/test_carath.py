@@ -10,7 +10,8 @@ from emergence_lab.carath import (CStructure, _log_q, _representatives,
                                   outer_measure_M, outer_measure_N,
                                   pressure_exact, pressure_partition,
                                   restricted_outer_measure)
-from emergence_lab.errors import DepthError, InputError, SizeError
+from emergence_lab.errors import (DepthError, InputError, InvariantError,
+                                  SizeError)
 from emergence_lab.measures import (MarkovMeasure, empirical_measure,
                                     truncation_proxy, wasserstein1)
 from emergence_lab.sofic import (ShiftSpace, admissible_words,
@@ -422,6 +423,29 @@ def test_bowen_rejects_nonpositive_potential():
         bowen_dimension(appendix_structure(FULL2, {(1,): 1.0, (2,): -1.0}))
 
 
+def test_bowen_solves_each_bracket_end_once(monkeypatch):
+    # Brent's method evaluates p(0) and p(hi) itself, so no point is solved
+    # twice; a separate p(hi) > 0 check cost one more Perron solve
+    words = admissible_words(FULL3, 3)
+    u3 = dict(zip(words, np.random.default_rng(3).uniform(0.2, 1.2,
+                                                           len(words))))
+    cases = ((appendix_structure(GM, const_table(GM, 1, 1.0)), 3),
+             (appendix_structure(FULL3, u3, window=3), 8))
+    solve = carath._log_radius
+    for s, want in cases:
+        points = []
+        monkeypatch.setattr(carath, "_log_radius",
+                            lambda st, scale: points.append(scale)
+                            or solve(st, scale))
+        root = bowen_dimension(s)
+        assert len(points) == len(set(points)) == want
+        assert abs(solve(s, -root)) <= 1e-6
+    # a bracket that fails is an InvariantError, not scipy's ValueError
+    monkeypatch.setattr(carath, "_log_radius", lambda st, scale: 1.0)
+    with pytest.raises(InvariantError, match="root bracket failed"):
+        bowen_dimension(cases[0][0])
+
+
 # --------------------------------------------------------------- conditions
 
 def test_conditions_entropy_structure_is_multiplicative():
@@ -522,6 +546,13 @@ def test_conditions_hausdorff_eta_monotone():
     assert rep.c4_pass
     with pytest.raises(InputError):
         check_conditions(s, depth=1, t_grid=(0.5,))
+
+
+def test_conditions_reject_empty_t_grid():
+    # an empty grid used to pass C1-C4 with Q1 = inf
+    with pytest.raises(InputError, match="t_grid"):
+        check_conditions(CStructure(kind="entropy", space=GM), depth=5,
+                         t_grid=())
 
 
 # ----------------------------------------------------- restricted measures

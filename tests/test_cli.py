@@ -351,6 +351,10 @@ PROBE = {"word": [1], "stochastic_list": [[[0.5, 0.5], [0.5, 0.5]]],
     ("restricted-probe", {**PROBE, "kind": "pressure"}, "/parameters/table"),
     ("restricted-probe", {**PROBE, "kind": "box"}, "/parameters/kind"),
     ("restricted-probe", {**PROBE, "window": 0}, "/parameters/window"),
+    ("conditions", {"kind": "entropy", "depth": 2, "t_grid": []},
+     "/parameters/t_grid"),
+    ("outer-sweep", {"kind": "entropy", "t_grid": [], "depth_caps": [2]},
+     "/parameters/t_grid"),
 ])
 def test_cli_rejects_bad_structure_parameters(tmp_path, experiment,
                                               parameters, pointer):

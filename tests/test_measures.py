@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from emergence_lab.measures import (GRID_CAP, FinSuppMeasure, MarkovMeasure,
                                     truncation_proxy, wasserstein1)
 from emergence_lab.sofic import (PointPrefix, ShiftSpace, admissible_words,
                                  is_admissible)
-from oracles import dense_transport
+from oracles import dense_transport, loop_chain_walk
 
 FULL2 = ShiftSpace.full_shift(2)
 FULL3 = ShiftSpace.full_shift(3)
@@ -157,6 +158,70 @@ def test_markov_sample_skips_forbidden_symbol():
     assert is_admissible(w, space)
 
 
+E = 0.005
+# an iid chain given as a matrix (its stationary law comes from `perron`),
+# the level-3 alt13 chain, a chain with a forbidden transition, and a
+# period-2 chain whose step tables never coalesce, so every scan round runs
+WALK_CHAINS = {
+    "tiled-bernoulli": MarkovMeasure(np.array([[0.2, 0.8], [0.2, 0.8]]),
+                                     FULL2),
+    "alt13": MarkovMeasure(np.array([[E, E, 1 - 2 * E], [0.4, 0.2, 0.4],
+                                     [1 - 2 * E, E, E]]), FULL3),
+    "parry-gm": MarkovMeasure.parry(GM),
+    "period-2": MarkovMeasure(np.array([[0.0, 1.0], [1.0, 0.0]]), FULL2),
+}
+
+
+@pytest.mark.parametrize("name", WALK_CHAINS)
+def test_sample_matches_loop_walk(name):
+    mu = WALK_CHAINS[name]
+    lengths = [1, 2, 3] + [2 ** k + d for k in (2, 5, 12) for d in (-1, 0, 1)]
+    for n in lengths:
+        for seed in (0, 1):
+            w = mu.sample(n, make_rng(seed))
+            assert w.dtype == np.int16
+            want = loop_chain_walk(mu, make_rng(seed).random(n))
+            assert np.array_equal(w, want), (n, seed)
+
+
+@pytest.mark.parametrize("name", WALK_CHAINS)
+def test_sample_matches_loop_walk_at_edge_uniforms(name):
+    mu = WALK_CHAINS[name]
+    top = 1.0 - 2.0 ** -53
+    for u in ((0.0,), (top,), (0.0, top), (top, 0.0, 0.5)):
+        for n in (1, 2, 5):
+            want = loop_chain_walk(mu, _FixedUniform(*u).random(n))
+            assert np.array_equal(mu.sample(n, _FixedUniform(*u)), want)
+
+
+# sha256 of the int16 bytes of mu.sample(n, make_rng(seed)), as the
+# per-symbol walk wrote them; a sampling change that moves a symbol shows here
+SAMPLE_SHA256 = {
+    ("tiled-bernoulli", 0, 4097):
+        "92c1b5d4894000d0aaa3855a5813be36e24ed5c119f9758eaad47094ef3cab75",
+    ("tiled-bernoulli", 7, 100000):
+        "d494c2ee8100e31ddb1b222b82ca8fb4799b474956f1e82b821ccacd6f81742b",
+    ("alt13", 0, 4097):
+        "a83749e55fdf14c5e54bc569829e81a8c2a59d9136270265211802c425e52222",
+    ("alt13", 7, 100000):
+        "3f6bd63a58e55067531746f28a70298b1344fc4b79710badae696b8d8dc18c33",
+    ("parry-gm", 0, 4097):
+        "5b8d07469e62d959f7f8213ca56359ae84e4d02712259c56085a9445011dc6b9",
+    ("parry-gm", 7, 100000):
+        "3d1f92e3fe302a33b5e9c56e5522f19c68ebb467f4118333abd1255da2a2b763",
+    ("period-2", 0, 4097):
+        "a7b2a25884aa06b0e5e5b6d05f26ac4dcd74f9885f45a178f6281919a23f0bd1",
+    ("period-2", 7, 100000):
+        "6e682dbf6b15fdc69d9e4b57df6aa555a70943b45b9075ac15aed2a49b8e89e4",
+}
+
+
+def test_sample_bytes_are_pinned():
+    for (name, seed, n), digest in SAMPLE_SHA256.items():
+        w = WALK_CHAINS[name].sample(n, make_rng(seed))
+        assert hashlib.sha256(w.tobytes()).hexdigest() == digest, (name, n)
+
+
 def test_stationary_of_period_two_chain():
     # irreducible but not aperiodic: eigenvalues 1, -1 and 0
     p = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
@@ -203,7 +268,7 @@ def test_finsupp_weight_validation():
 def test_merged_combines_duplicate_prefixes():
     atoms = np.array([[1, 1, 1], [1, 1, 2], [2, 1, 1]], dtype=np.int16)
     mu = FinSuppMeasure(atoms=atoms, weights=np.array([0.25, 0.25, 0.5]))
-    codes, weights = mu.merged(2, 2)
+    codes, weights = mu.merged(2, FULL2)
     # prefix (x_0, x_1) is the grid node (x_0 - 1) + 2 (x_1 - 1)
     assert codes.tolist() == [0, 1]
     assert weights.tolist() == [0.5, 0.5]
@@ -227,6 +292,16 @@ def test_empirical_measure_counts_windows():
     assert got[(1, 1)] == pytest.approx(0.5)
     assert got[(1, 2)] == pytest.approx(0.25)
     assert got[(2, 1)] == pytest.approx(0.25)
+
+
+def test_empirical_measure_rejects_symbols_outside_alphabet():
+    # symbol 3 used to be packed as a second atom (1,) on the full 2-shift
+    x = PointPrefix((1, 3, 1, 2, 1))
+    with pytest.raises(InputError, match="symbol 3 outside"):
+        empirical_measure(x, 4, 1, FULL2)
+    # only the symbols the windows read are checked
+    y = PointPrefix((1, 2, 1, 2, 0))
+    assert empirical_measure(y, 4, 1, FULL2).n_atoms == 2
 
 
 def test_empirical_snapshots_match_single_calls():
@@ -317,6 +392,20 @@ def test_w1_one_atom_side_needs_no_grid():
     a = point((1,) * 20, 20)
     b = point((2,) * 20, 20)
     assert wasserstein1(a, b, 20, FULL2)[0] == 1.0 - 2.0 ** -20
+
+
+def test_w1_rejects_atoms_outside_alphabet():
+    # (3, 1) used to be packed as (1, 2), (0, 1) as a node off the grid, and
+    # a one-atom side (5, 1) took the closed form: W1 0.375, 0.125 and 0.5
+    nu = FinSuppMeasure(atoms=np.array([[1, 2], [2, 2]], dtype=np.int16),
+                        weights=np.array([0.5, 0.5]))
+    for atoms, bad in (([[3, 1], [1, 1]], 3), ([[0, 1], [1, 1]], 0),
+                       ([[5, 1]], 5)):
+        mu = FinSuppMeasure(atoms=np.array(atoms, dtype=np.int16),
+                            weights=np.full(len(atoms), 1 / len(atoms)))
+        for a, b in ((mu, nu), (nu, mu)):
+            with pytest.raises(InputError, match=f"symbol {bad} outside"):
+                wasserstein1(a, b, 2, FULL2)
 
 
 def test_w1_grid_cap():

@@ -166,6 +166,14 @@ def test_connector_golden_mean():
                 (1, 1): 0, (1, 2): 0, (2, 1): 0, (2, 2): 1}
 
 
+def test_connector_rejects_symbols_outside_alphabet():
+    # (0,) to (2,) used to bridge as (1,): symbol 0 read row -1, symbol 2's
+    gm = ShiftSpace.golden_mean()
+    for u, v, bad in (((0,), (2,), 0), ((1,), (3,), 3), ((2, 5), (1,), 5)):
+        with pytest.raises(InputError, match=f"symbol {bad} outside"):
+            connector(u, v, gm)
+
+
 def cycle_with_chord(m):
     """Arcs i -> i + 1, m -> 1 and m -> 2: primitive (cycles of lengths m
     and m - 1), and the bridge from 2 to 1 has length m - 2."""
