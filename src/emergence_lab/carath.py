@@ -36,7 +36,7 @@ from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from .errors import DepthError, InputError, InvariantError, SizeError
-from .measures import truncation_proxy, wasserstein1, empirical_measure
+from .measures import empirical_measure, truncation_proxy, w1_below
 from .sofic import PointPrefix, ShiftSpace, admissible_words, connector, \
     count_admissible, is_admissible, perron, topological_entropy
 
@@ -497,9 +497,8 @@ def restricted_outer_measure(s, z, mu, n, eps, t, m_blk, depth_cap,
         if eps > 0 and l and l % m_blk == 0:
             for i, u in enumerate(map(tuple, words.tolist())):
                 y = _representatives(u, space, rep_len)
-                d, _ = wasserstein1(empirical_measure(y, n, metric_depth, space),
-                                    proxy, metric_depth, space)
-                if d < eps:
+                if w1_below(empirical_measure(y, n, metric_depth, space),
+                            proxy, eps, metric_depth, space):
                     q = math.exp(_log_q(s, u, t))
                     val[i] = q if l == depth_cap else min(q, val[i])
     return float(val[0])

@@ -29,16 +29,23 @@ ARTIFACT_VERSION = "1.0"
 
 
 def _resolve_threads(flag):
-    if flag is not None:
-        return max(1, int(flag))
-    env = os.environ.get("EMERGENCE_THREADS")
-    if env is not None:
+    """Worker threads: the --threads flag, else EMERGENCE_THREADS, else the
+    CPU count; a count below 1 raises InputError."""
+    source = "--threads"
+    if flag is None:
+        env = os.environ.get("EMERGENCE_THREADS")
+        if env is None:
+            return max(1, os.cpu_count() or 1)
+        source = "EMERGENCE_THREADS"
         try:
-            return max(1, int(env))
+            flag = int(env)
         except ValueError:
             raise InputError(f"EMERGENCE_THREADS is not an integer: {env!r}",
                              module="cli", operation="threads")
-    return max(1, os.cpu_count() or 1)
+    if flag < 1:
+        raise InputError(f"{source} must be >= 1, got {flag}",
+                         module="cli", operation="threads")
+    return flag
 
 
 def _atomic_write(directory, name, data):

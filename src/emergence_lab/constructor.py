@@ -29,8 +29,9 @@ import numpy as np
 
 from .errors import (AlignmentError, InputError, InvariantError, SamplingError,
                      ScheduleError, SizeError)
-from .measures import (MarkovMixture, empirical_measure, empirical_snapshots,
-                       make_rng, truncation_proxy, wasserstein1)
+from .measures import (MARGIN, MarkovMixture, empirical_measure,
+                       empirical_snapshots, make_rng, truncation_proxy,
+                       w1_below, w1_bounds, wasserstein1)
 from .sofic import PointPrefix, admissible_words, connector, is_admissible, \
     symbol_array
 
@@ -200,8 +201,7 @@ def estimate_gamma_thresholds(family, l_max, eps_tilde, eps_hat, seed,
                 for _ in range(samples):
                     w = mu.sample(n + metric_depth - 1, rng)
                     emp = empirical_measure(PointPrefix(w), n, metric_depth, space)
-                    d, _ = wasserstein1(emp, proxy, metric_depth, space)
-                    if d < eps:
+                    if w1_below(emp, proxy, eps, metric_depth, space):
                         hits += 1
                 if hits / samples >= need:
                     found = n
@@ -389,8 +389,7 @@ def typical_word(mu, n, eps, seed, metric_depth):
             continue
         y = PointPrefix.periodic(w, n + metric_depth - 1)
         emp = empirical_measure(y, n, metric_depth, space)
-        d, _ = wasserstein1(emp, proxy, metric_depth, space)
-        if d < eps:
+        if w1_below(emp, proxy, eps, metric_depth, space):
             return w
     raise SamplingError(
         f"typical_word budget {ATTEMPT_CAP} exhausted (n={n}, eps={eps})",
@@ -506,7 +505,9 @@ class SaturationReport:
 def verify_saturation(orbit, net, family, slack, metric_depth):
     """For each net node, the closest approach of the empirical measure (over
     block-boundary times) to the node's mixture; pass iff every node is
-    reached within eps_tilde[level] + slack."""
+    reached within eps_tilde[level] + slack.  Times are taken in order, and
+    one whose W1 lower bound exceeds the minimum so far by MARGIN is skipped
+    without an exact solve."""
     space = family.space
     L = net.level
     if not any(b[0] == L for b in orbit.block_map):
@@ -530,6 +531,9 @@ def verify_saturation(orbit, net, family, slack, metric_depth):
         proxy = truncation_proxy(mix, metric_depth, space)
         best, best_t = np.inf, -1
         for t, emp in zip(times, emps):
+            # d >= lb > best: this time cannot improve the minimum
+            if w1_bounds(emp, proxy, metric_depth, space)[0] > best + MARGIN:
+                continue
             d, _ = wasserstein1(emp, proxy, metric_depth, space)
             if d < best:
                 best, best_t = d, t

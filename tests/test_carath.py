@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from emergence_lab import carath
+from emergence_lab import carath, measures
 from emergence_lab.carath import (CStructure, _log_q, _representatives,
                                   bowen_dimension, check_conditions,
                                   outer_measure_M, outer_measure_N,
@@ -614,7 +614,12 @@ def test_restricted_measure_caps_probes_before_any_solve(monkeypatch):
     def no_solve(*args):
         raise AssertionError("W1 solved before the probe count was checked")
 
-    monkeypatch.setattr(carath, "wasserstein1", no_solve)
+    # every W1 entry point carath imports, and the bounds and exact solve
+    # behind the decision in measures
+    for mod in (carath, measures):
+        for name in ("w1_below", "w1_bounds", "wasserstein1"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, no_solve)
     monkeypatch.setattr(carath, "SURVIVOR_CAP", 13)
     with pytest.raises(SizeError):
         restricted_outer_measure(s, (), mu, n=16, eps=0.5, t=0.5, m_blk=1,

@@ -89,6 +89,13 @@ def test_threads_flag_beats_env(monkeypatch):
     monkeypatch.setenv("EMERGENCE_THREADS", "junk")
     with pytest.raises(InputError):
         _resolve_threads(None)
+    monkeypatch.setenv("EMERGENCE_THREADS", "0")
+    with pytest.raises(InputError, match="EMERGENCE_THREADS must be >= 1, got 0"):
+        _resolve_threads(None)
+    for flag in (0, -2):
+        with pytest.raises(InputError, match=f"--threads must be >= 1, got {flag}"):
+            _resolve_threads(flag)
+    assert _resolve_threads(1) == 1
     monkeypatch.delenv("EMERGENCE_THREADS")
     assert _resolve_threads(None) >= 1
 

@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from emergence_lab import constructor, measures
+from emergence_lab.carath import CStructure, restricted_outer_measure
 from emergence_lab.constructor import (ConstructedOrbit, Itinerary,
                                        _log_cylinder_probability,
                                        MeasureFamily, SimplexNet,
@@ -301,6 +304,53 @@ def test_verify_saturation_unreachable_level():
     missing = SimplexNet(level=2, mesh=0.5, nodes=((1 / 3, 1 / 3, 1 / 3),))
     rep = verify_saturation(orbit, missing, fam, slack=0.1, metric_depth=4)
     assert rep.unreachable and not rep.passed
+
+
+def test_bound_decisions_match_exact_path(monkeypatch):
+    # bounds that settle nothing send every decision to the exact solve: the
+    # results are bit-identical, and the real bounds spare some of the solves
+    fam, it = tiny_schedule()
+    orbit = tiny_orbit()
+    # a boundary every 16 symbols and an 11-node net, so that the minima
+    # move often and some times fall between a node's bounds
+    orbit = replace(orbit, block_map=tuple(
+        (1, 0, 0, t - 16, t)
+        for t in range(16, orbit.word.usable_depth + 1, 16)))
+    net = SimplexNet(level=1, mesh=0.1,
+                     nodes=tuple((i / 10, 1 - i / 10) for i in range(11)))
+    s = CStructure(kind="entropy", space=FULL2)
+    half = bern([0.5, 0.5])
+
+    def run():
+        return (
+            [typical_word(mu, n, eps, seed=3, metric_depth=4).tobytes()
+             for mu in (bern([0.2, 0.8]), half, MarkovMeasure.parry(GM))
+             for n in (64, 256) for eps in (0.1, 0.3)],
+            estimate_gamma_thresholds(fam, 1, (0.1, 0.08, 0.06), (0.2,) * 3,
+                                      seed=5, metric_depth=3, samples=40),
+            verify_saturation(orbit, net, fam, slack=0.15,
+                              metric_depth=3).node_minima,
+            [restricted_outer_measure(s, z, half, n=16, eps=eps, t=0.7,
+                                      m_blk=m_blk, depth_cap=4,
+                                      metric_depth=3)
+             for z in ((), (1,)) for eps in (0.15, 0.4) for m_blk in (1, 2)],
+        )
+
+    solves = []
+
+    def exact(*args):
+        solves.append(args)
+        return wasserstein1(*args)
+
+    for mod in (measures, constructor):
+        monkeypatch.setattr(mod, "wasserstein1", exact)
+    with_bounds = run()
+    bounded_solves = len(solves)
+    for mod in (measures, constructor):
+        monkeypatch.setattr(mod, "w1_bounds", lambda *args: (0.0, math.inf))
+    solves.clear()
+    assert run() == with_bounds
+    assert bounded_solves < len(solves)
 
 
 # --------------------------------------------------------------- oscillator

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emergence_lab import measures
 from emergence_lab.errors import InputError, InvariantError, SizeError
-from emergence_lab.measures import (GRID_CAP, FinSuppMeasure, MarkovMeasure,
-                                    MarkovMixture, _pack_prefixes,
-                                    _unpack_keys, empirical_measure,
-                                    empirical_snapshots, make_rng,
-                                    truncation_proxy, wasserstein1)
+from emergence_lab.measures import (GRID_CAP, MARGIN, FinSuppMeasure,
+                                    MarkovMeasure, MarkovMixture,
+                                    _pack_prefixes, _unpack_keys,
+                                    empirical_measure, empirical_snapshots,
+                                    make_rng, truncation_proxy, w1_below,
+                                    w1_bounds, wasserstein1)
 from emergence_lab.sofic import (PointPrefix, ShiftSpace, admissible_words,
                                  is_admissible)
 from oracles import dense_transport, loop_chain_walk
@@ -420,6 +422,12 @@ def test_w1_grid_cap():
         wasserstein1(mu, nu, 13, FULL2)
     assert wasserstein1(mu, nu, 12, FULL2)[0] == pytest.approx(
         (1 - 2.0 ** -12) / 3, rel=1e-12)
+    # a test the bounds settle needs no grid (lb = 0, ub = 0.49988 at depth
+    # 13); one they leave open needs the exact value and so the grid
+    assert w1_bounds(mu, nu, 13, FULL2)[1] < 0.5 - MARGIN
+    assert w1_below(mu, nu, 0.5, 13, FULL2)
+    with pytest.raises(SizeError, match="grid"):
+        w1_below(mu, nu, 0.3, 13, FULL2)
 
 
 def dense_w1(mu, nu, depth, space):
@@ -458,13 +466,7 @@ def w1_oracle_cases():
         words = np.asarray(admissible_words(space, 6), dtype=np.int16)
         for depth in range(1, 7):
             for _ in range(4):
-                pair = []
-                for _ in range(2):
-                    k = int(rng.integers(1, min(len(words), 60) + 1))
-                    pick = rng.choice(len(words), size=k, replace=False)
-                    w = rng.random(k) + 0.05
-                    pair.append(FinSuppMeasure(words[pick], w / w.sum()))
-                yield pair[0], pair[1], depth, space
+                yield (*random_pair(rng, words, 60), depth, space)
     # about 1e-9 of the mass moves, from two atoms to two others
     w = mu.weights.copy()
     w[[0, 1]] -= [6e-10, 4e-10]
@@ -505,6 +507,78 @@ def test_w1_nonnegative_and_bounded(p, q):
     val, err = wasserstein1(mu, nu, 4, FULL2)
     assert 0.0 <= val <= 1.0  # diameter of the depth-4 truncated metric
     assert err > 0
+
+
+def random_pair(rng, words, max_atoms):
+    """Two measures, each on 1..max_atoms distinct rows of words with random
+    positive weights."""
+    pair = []
+    for _ in range(2):
+        k = int(rng.integers(1, min(len(words), max_atoms) + 1))
+        pick = rng.choice(len(words), size=k, replace=False)
+        w = rng.random(k) + 0.05
+        pair.append(FinSuppMeasure(words[pick], w / w.sum()))
+    return pair
+
+
+def test_w1_bounds_sound():
+    # lb <= W1 <= ub on random pairs of 1-40 atoms a side
+    rng = make_rng(31)
+    for space, depth in ((FULL2, 4), (FULL2, 5), (FULL2, 8), (GM, 5),
+                         (FULL3, 5)):
+        words = np.asarray(admissible_words(space, depth), dtype=np.int16)
+        for _ in range(40):
+            mu, nu = random_pair(rng, words, 40)
+            lb, ub = w1_bounds(mu, nu, depth, space)
+            d, _ = wasserstein1(mu, nu, depth, space)
+            assert lb - 1e-12 <= d <= ub + 1e-12, (space.m, depth, lb, d, ub)
+    # one atom against many, on both sides
+    a = point((1, 2, 2, 1, 2), 5)
+    b = truncation_proxy(bern([0.3, 0.7]), 5, FULL2)
+    for x, y in ((a, b), (b, a)):
+        lb, ub = w1_bounds(x, y, 5, FULL2)
+        assert lb - 1e-12 <= wasserstein1(x, y, 5, FULL2)[0] <= ub + 1e-12
+    # identical measures
+    assert w1_bounds(b, b, 5, FULL2) == (0.0, 0.0)
+    # at depth 1 on FULL2 both bounds are the distance itself
+    for p, q in ((0.2, 0.5), (0.9, 0.1)):
+        mu = truncation_proxy(bern([p, 1 - p]), 1, FULL2)
+        nu = truncation_proxy(bern([q, 1 - q]), 1, FULL2)
+        d, _ = wasserstein1(mu, nu, 1, FULL2)
+        lb, ub = w1_bounds(mu, nu, 1, FULL2)
+        assert lb == pytest.approx(d, abs=1e-15)
+        assert ub == pytest.approx(d, abs=1e-15)
+
+
+def test_w1_below_margin_cases(monkeypatch):
+    # eps at the exact value or at a bound leaves the test to the exact
+    # solve; eps clear of both bounds by more than MARGIN does not
+    solves = []
+
+    def spy(*args):
+        solves.append(1)
+        return wasserstein1(*args)
+
+    monkeypatch.setattr(measures, "wasserstein1", spy)
+    mu = truncation_proxy(bern([0.3, 0.7]), 5, FULL2)
+    nu = truncation_proxy(bern([0.6, 0.4]), 5, FULL2)
+    cases = [(mu, nu, 5)]
+    # depth 1 on FULL2: lb = ub = d
+    cases.append((truncation_proxy(bern([0.3, 0.7]), 1, FULL2),
+                  truncation_proxy(bern([0.6, 0.4]), 1, FULL2), 1))
+    for a, b, depth in cases:
+        d, _ = wasserstein1(a, b, depth, FULL2)
+        lb, ub = w1_bounds(a, b, depth, FULL2)
+        assert lb > 2 * MARGIN
+        for eps in (d, lb, ub, lb - MARGIN / 2, ub + MARGIN / 2,
+                    np.nextafter(d, 0), np.nextafter(d, 1)):
+            solves.clear()
+            assert w1_below(a, b, eps, depth, FULL2) == (d < eps), (depth, eps)
+            assert solves == [1], (depth, eps)
+        for eps, want in ((lb - 2 * MARGIN, False), (ub + 2 * MARGIN, True)):
+            solves.clear()
+            assert w1_below(a, b, eps, depth, FULL2) is want
+            assert solves == []
 
 
 # ----------------------------------------------------------------- mixtures
