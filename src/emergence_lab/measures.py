@@ -1,21 +1,23 @@
 """Markov measures, empirical measures, and exact Wasserstein-1 transport.
 
-Finitely supported measures store their atoms as a (k, width) array of
-symbol prefixes.  One prefix code serves windows, merged atoms and W1: the
-prefix (x_0, ..., x_{D-1}) is the grid node sum_d (x_d - 1) m^d, and sorted
-codes list prefixes in reversed-lexicographic order.  A symbol outside 1..m
-would alias another prefix's code, so window keys and merged atoms raise
-InputError on one.  The W1 solver works on
-ground costs truncated at an explicit depth, sum_d beta^-(d+1) |x_d - y_d|,
-which is the path metric of the grid of all m^depth prefixes; W1 is then one
-min-cost flow on that grid (EMD-L1) with supply mu - nu, solved by HiGHS at
-primal and dual feasibility tolerances 1e-10.  Grids larger than `GRID_CAP`
-nodes raise SizeError.  Apart from the solver tolerance, the only error
-source is the metric truncation bound, which is returned alongside every
-value.  Tests of W1 < eps go through `w1_below`, and saturation minima
-prune by the lower bound: both consult sound O(atoms * depth) bounds
-(`w1_bounds`, no grid) first and trust one only when it clears the
-threshold by MARGIN, so every decision equals the exact one.
+Every finitely supported measure is a mass vector on the grid of the m^depth
+symbol prefixes: the prefix (x_0, ..., x_{depth-1}) is the grid node
+sum_d (x_d - 1) m^d, the one code that window keys, measures and W1 share.
+Truncating to a shallower depth sums the nodes that agree in their low
+digits.  A symbol outside 1..m would alias another prefix's node, so window
+keys and `FinSuppMeasure.from_atoms` raise InputError on one, and a grid of
+more than `MEASURE_CAP` nodes raises SizeError before it is allocated.  The
+W1 solver works on ground costs truncated at an explicit depth,
+sum_d beta^-(d+1) |x_d - y_d|, which is the path metric of the prefix grid;
+W1 is then one min-cost flow on that grid (EMD-L1) with supply mu - nu,
+solved by HiGHS at primal and dual feasibility tolerances 1e-10.  Flow grids
+larger than `GRID_CAP` nodes raise SizeError.  Apart from the solver
+tolerance, the only error source is the metric truncation bound, which is
+returned alongside every value.  Tests of W1 < eps go through `w1_below`,
+and saturation minima prune by the lower bound: both consult sound
+O(m^depth * depth) bounds (`w1_bounds`, no flow) first and trust one only
+when it clears the threshold by MARGIN, so every decision equals the exact
+one.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ from .sofic import ShiftSpace, admissible_words, perron, symbol_array
 # grid: two atoms a side took 0.85 s at 2^12 nodes and 14 s at 2^14 on a
 # 2-core Xeon VM.
 GRID_CAP = 2 ** 12
+
+# Largest prefix grid (m^depth entries) a finitely supported measure is
+# stored on, 32 MB of float64: FULL2 to depth 22, metric depth 6 to m = 12.
+MEASURE_CAP = 2 ** 22
 
 # How far a W1 bound must clear eps before `w1_below` trusts it without an
 # exact solve: above the flow LP's 1e-10 tolerances and the bounds' rounding
@@ -154,101 +160,98 @@ class MarkovMeasure:
 
 @dataclass(frozen=True)
 class FinSuppMeasure:
-    """Weighted atoms, each a symbol prefix of uniform width."""
+    """A probability measure on the m^depth symbol prefixes: mass[c] is the
+    mass of the prefix whose grid node (see `_pack_prefixes`) is c."""
 
-    atoms: np.ndarray     # (k, width) int16
-    weights: np.ndarray   # (k,) float64
+    mass: np.ndarray      # (m ** depth,) float64
+    depth: int
+    m: int
 
     def __post_init__(self):
-        a = np.ascontiguousarray(np.asarray(self.atoms, dtype=np.int16))
-        w = np.asarray(self.weights, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != w.shape[0]:
-            raise InvariantError("atoms/weights shape mismatch",
+        w = np.asarray(self.mass, dtype=np.float64)
+        if not (w.shape == (self.m ** self.depth,) and (w >= 0).all()
+                and abs(float(w.sum()) - 1.0) <= 1e-12):
+            raise InvariantError(f"mass must be {self.m}^{self.depth} nonnegative "
+                                 f"entries summing to 1 within 1e-12",
                                  module="measures", operation="FinSuppMeasure")
-        if not ((w >= 0).all() and abs(float(w.sum()) - 1.0) <= 1e-12):
-            raise InvariantError("weights must be nonnegative and sum to 1 within 1e-12",
-                                 module="measures", operation="FinSuppMeasure")
-        a.setflags(write=False)
         w.setflags(write=False)
-        object.__setattr__(self, "atoms", a)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "mass", w)
 
-    @property
-    def width(self):
-        return int(self.atoms.shape[1])
+    @classmethod
+    def from_atoms(cls, atoms, weights, space):
+        """The measure with weight w_i on the prefix in row i of a (k, depth)
+        symbol array; rows with the same prefix add up."""
+        rows = symbol_array(atoms, space, "measures", "from_atoms")
+        w = np.asarray(weights, dtype=np.float64)
+        if not (rows.ndim == 2 and w.shape == rows.shape[:1] and (w >= 0).all()):
+            raise InvariantError("need a (k, depth) symbol array and k "
+                                 "nonnegative weights",
+                                 module="measures", operation="from_atoms")
+        size = _grid_size(space.m, rows.shape[1], "from_atoms")
+        mass = np.bincount(_pack_prefixes(rows, space.m), weights=w,
+                           minlength=size)
+        return cls(mass, rows.shape[1], space.m)
 
-    @property
-    def n_atoms(self):
-        return int(self.atoms.shape[0])
+    def truncated(self, depth):
+        """The image measure on the depth-`depth` prefixes: nodes that agree
+        in their low `depth` radix-m digits sum."""
+        if depth > self.depth:
+            raise DepthError(f"depth {depth} exceeds stored depth {self.depth}",
+                             module="measures", operation="truncated")
+        if depth == self.depth:
+            return self
+        return FinSuppMeasure(self.mass.reshape(-1, self.m ** depth).sum(axis=0),
+                              depth, self.m)
 
-    def merged(self, depth, space):
-        """Atoms truncated to `depth` with duplicate prefixes merged.
 
-        Returns (codes, weights): the sorted distinct prefix codes (grid
-        nodes, see `_pack_prefixes`) and the summed weight of each.
-        """
-        if depth > self.width:
-            raise DepthError(f"depth {depth} exceeds stored atom width {self.width}",
-                             module="measures", operation="merged")
-        rows = symbol_array(self.atoms[:, :depth], space, "measures", "merged")
-        codes, inverse = np.unique(_pack_prefixes(rows, space.m),
-                                   return_inverse=True)
-        return codes, np.bincount(inverse, weights=self.weights,
-                                  minlength=codes.shape[0])
+def _grid_size(m, depth, operation):
+    """m^depth, the entry count of a measure on the depth-`depth` prefixes;
+    raises SizeError above MEASURE_CAP, before anything that size exists."""
+    size = int(m) ** int(depth)
+    if size > MEASURE_CAP:
+        raise SizeError(f"measure grid of {m}^{depth} = {size} prefixes exceeds "
+                        f"cap {MEASURE_CAP}", module="measures", operation=operation)
+    return size
 
 
 def _pack_prefixes(rows, m):
     """The grid nodes sum_d (x_d - 1) m^d of the rows of a (k, width) symbol
-    array, as int64 radix-m codes; requires m^width < 2^62."""
-    width = rows.shape[1]
-    if int(m) ** width >= 2 ** 62:
-        raise SizeError(f"prefix width {width} too large to pack for m={m}",
-                        module="measures", operation="_pack_prefixes")
+    array, as int64 radix-m codes."""
     codes = np.zeros(rows.shape[0], dtype=np.int64)
-    for d in reversed(range(width)):
+    for d in reversed(range(rows.shape[1])):
         codes *= m
         codes += rows[:, d]
         codes -= 1
     return codes
 
 
-def _window_keys(symbols, n, depth, space):
-    """Prefix codes of the n sliding depth-windows of a symbol array."""
-    if n + depth - 1 > symbols.shape[0]:
-        raise DepthError(
-            f"need {n + depth - 1} symbols for {n} windows of depth {depth}, "
-            f"have {symbols.shape[0]}",
-            module="measures", operation="empirical_measure")
-    head = symbol_array(symbols[:n + depth - 1], space, "measures",
-                        "empirical_measure")
-    return _pack_prefixes(sliding_window_view(head, depth), space.m)
-
-
 def empirical_measure(x, n, depth, space):
-    """The uniform measure on the first n shifts of x, merged at `depth`."""
+    """The uniform measure on the first n shifts of x, at `depth`."""
     return empirical_snapshots(x, [n], depth, space)[0]
 
 
 def empirical_snapshots(x, times, depth, space):
-    """Empirical measures at several window counts, sharing one key pass:
-    the uniform measure on the first t shifts of x, merged at `depth`, for
-    each t in times."""
+    """Empirical measures at several window counts, sharing one pass over
+    the window keys (the prefix codes of the sliding depth-windows of x):
+    the uniform measure on the first t shifts of x, at `depth`, for each t
+    in times.  Each is normalised by the sum of its nonzero masses in node
+    order."""
     times = [int(t) for t in times]
     if not times or any(t < 1 for t in times):
         raise InputError(f"times must be nonempty positive integers, got {times}",
                          module="measures", operation="empirical_snapshots")
-    keys = _window_keys(x.symbols, max(times), depth, space)
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    del keys
-    atoms_all = _unpack_keys(uniq, depth, space.m)
+    size = _grid_size(space.m, depth, "empirical_snapshots")
+    n = max(times) + depth - 1
+    if n > x.symbols.shape[0]:
+        raise DepthError(f"need {n} symbols for {max(times)} windows of depth "
+                         f"{depth}, have {x.symbols.shape[0]}",
+                         module="measures", operation="empirical_measure")
+    head = symbol_array(x.symbols[:n], space, "measures", "empirical_measure")
+    keys = _pack_prefixes(sliding_window_view(head, depth), space.m)
     out = []
     for t in times:
-        w = np.bincount(inverse[:t], weights=np.full(t, 1.0 / t),
-                        minlength=uniq.shape[0])
-        keep = w > 0
-        w = w[keep]
-        out.append(FinSuppMeasure(atoms=np.ascontiguousarray(atoms_all[keep]),
-                                  weights=w / w.sum()))
+        w = np.bincount(keys[:t], weights=np.full(t, 1.0 / t), minlength=size)
+        out.append(FinSuppMeasure(w / w[w > 0].sum(), depth, space.m))
     return out
 
 
@@ -294,28 +297,26 @@ class MarkovMixture:
 def truncation_proxy(mu, depth, space):
     """Exact depth-truncation of a Markov measure or mixture.
 
-    Atoms are the admissible depth-cylinders weighted by their exact
-    probabilities; W1 against the true measure is at most the metric tail
-    bound at `depth`.
+    Each admissible depth-cylinder holds its exact probability; W1 against
+    the true measure is at most the metric tail bound at `depth`.
     """
+    _grid_size(space.m, depth, "truncation_proxy")
     words = np.asarray(admissible_words(space, depth), dtype=np.int16)
     probs = mu.cylinder_probability(words)
     keep = probs > 0
     w = probs[keep]
-    return FinSuppMeasure(atoms=words[keep], weights=w / w.sum())
+    return FinSuppMeasure.from_atoms(words[keep], w / w.sum(), space)
 
 
 def _net_supply(mu, nu, depth, space):
-    """The supply mu - nu on the union of both measures' prefix codes at
-    `depth`: (codes, net), with net masses of at most 1e-15 dropped."""
-    a_codes, a_w = mu.merged(depth, space)
-    b_codes, b_w = nu.merged(depth, space)
-    codes, inverse = np.unique(np.concatenate([a_codes, b_codes]),
-                               return_inverse=True)
-    net = np.bincount(inverse, weights=np.concatenate([a_w, -b_w]),
-                      minlength=codes.shape[0])
-    keep = np.abs(net) > 1e-15
-    return codes[keep], net[keep]
+    """The supply mu - nu on the m^depth grid, with entries of absolute value
+    at most 1e-15 set to 0."""
+    if not mu.m == nu.m == space.m:
+        raise InputError(f"measures on {mu.m} and {nu.m} symbols, space on "
+                         f"{space.m}", module="measures", operation="wasserstein1")
+    net = mu.truncated(depth).mass - nu.truncated(depth).mass
+    net[np.abs(net) <= 1e-15] = 0.0
+    return net
 
 
 def wasserstein1(mu, nu, depth, space):
@@ -324,28 +325,26 @@ def wasserstein1(mu, nu, depth, space):
     The truncated metric sum_d beta^-(d+1) |x_d - y_d| is the path metric of
     the grid of all m^depth symbol prefixes, with an arc between prefixes
     that differ by one in one coordinate d, so W1 is a min-cost flow on that
-    grid, whatever the atom counts.  Both measures are merged to prefix
-    codes, which are grid nodes, and the supply is mu - nu on the union of
-    their codes; net masses of at most 1e-15 count as zero.  If either side
-    of the supply is one atom, W1 is its mass times the mean distance to the
-    other side, with no grid, at any depth.  Otherwise HiGHS solves the flow
-    at primal and dual feasibility tolerances 1e-10; a grid of more than
-    `GRID_CAP` nodes raises SizeError before it is built.  `w1_below`, which
-    needs the exact value only when `w1_bounds` leave a test open, raises
-    it only then.
+    grid, whatever the atom counts.  The supply is mu - nu, both truncated
+    to `depth`; net masses of at most 1e-15 count as zero.  If either side
+    of the supply is one node, W1 is its mass times the mean distance to the
+    other side, with no flow.  Otherwise HiGHS solves the flow at primal
+    and dual feasibility tolerances 1e-10; a grid of more than `GRID_CAP`
+    nodes raises SizeError before it is built.  `w1_below`, which needs the
+    exact value only when `w1_bounds` leave a test open, raises it only
+    then.
 
     Returns (value, error_bound).  Truncated costs underestimate the true
     metric, so the true W1 lies in [value, value + error_bound].
     """
     m = space.m
-    codes, net = _net_supply(mu, nu, depth, space)
+    net = _net_supply(mu, nu, depth, space)
     err = space.metric_tail_bound(depth)
-    src, dst = net > 0, net < 0
-    if not (src.any() and dst.any()):
+    a_codes, b_codes = np.flatnonzero(net > 0), np.flatnonzero(net < 0)
+    if not (a_codes.shape[0] and b_codes.shape[0]):
         return 0.0, err
     # normalize each side (cost is linear in mass; rescale afterwards)
-    a_codes, a_w = codes[src], net[src]
-    b_codes, b_w = codes[dst], -net[dst]
+    a_w, b_w = net[a_codes], -net[b_codes]
     mass = float(a_w.sum())
     a_w = a_w / mass
     b_w = b_w / b_w.sum()
@@ -375,7 +374,7 @@ def wasserstein1(mu, nu, depth, space):
 
 def w1_bounds(mu, nu, depth, space):
     """Bounds lb <= W1 <= ub at the truncated costs of `wasserstein1`, in
-    O(atoms * depth) with no grid, so also beyond `GRID_CAP`.
+    O(m^depth * depth) with no flow, so also beyond `GRID_CAP`.
 
     lb: the cost splits over coordinates, so W1 is at least the sum over d
     of beta^-(d+1) times the 1-D W1 of the coordinate-d marginals, the
@@ -387,26 +386,17 @@ def w1_bounds(mu, nu, depth, space):
     apart.
     """
     m = space.m
-    codes, net = _net_supply(mu, nu, depth, space)
+    net = _net_supply(mu, nu, depth, space)
     if not ((net > 0).any() and (net < 0).any()):
         return 0.0, 0.0
     scale = space.beta ** -np.arange(1.0, depth + 1)
-    digits = _unpack_keys(codes, depth, m) - 1     # (k, depth), 0..m-1
-    marginals = np.bincount((digits + m * np.arange(depth)).ravel(),
-                            weights=np.repeat(net, depth),
-                            minlength=m * depth).reshape(depth, m)
+    # coordinate d is digit d of the node: the middle axis of this view
+    marginals = np.array([net.reshape(-1, m, m ** d).sum(axis=(0, 2))
+                          for d in range(depth)])
     lb = float(scale @ np.abs(np.cumsum(marginals, axis=1)[:, :-1]).sum(axis=1))
-    # rows in prefix order, so each cylinder is a run of rows; row i opens
-    # a depth-l cylinder when the first digit unlike row i-1's is below l
-    order = np.lexsort(digits.T[::-1])
-    digits, net = digits[order], net[order]
-    first_change = np.argmax(digits[1:] != digits[:-1], axis=1)
-    opens = np.vstack([np.ones((1, depth + 1), dtype=bool),
-                       first_change[:, None] < np.arange(depth + 1)])
-    cylinders = np.cumsum(opens.ravel(order="F")) - 1    # level-major ids
-    mass = np.bincount(cylinders, weights=np.tile(net, depth + 1))
-    e = 0.5 * np.bincount(np.repeat(np.arange(depth + 1), opens.sum(axis=0)),
-                          weights=np.abs(mass), minlength=depth + 1)
+    # the depth-l cylinder masses are the column sums of this view
+    e = 0.5 * np.array([np.abs(net.reshape(-1, m ** l).sum(axis=0)).sum()
+                        for l in range(depth + 1)])
     diameter = (m - 1) * np.cumsum(scale[::-1])[::-1]
     return lb, float(np.diff(e) @ diameter)
 

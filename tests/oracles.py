@@ -10,7 +10,11 @@ length window - 1; `window_shift_pressure` and `window_shift_bowen_root`
 build the window shift w -> w[1:] + (c,) on the admissible windows
 themselves, m times as many states.  W1 is solved on the symbol grid as a
 min-cost flow; `dense_transport` solves the same problem as the dense
-bipartite transportation LP between the two sets of atoms.  The connector
+bipartite transportation LP between the two sets of atoms.  Measures are
+mass vectors on the m^depth prefix grid; `sparse_snapshots` and
+`sparse_proxy` build the same measures as sorted distinct prefix codes and
+their weights, merged by `np.unique`, and `tree_bounds` finds the W1 bounds'
+cylinders by sorting the atoms in prefix order.  The connector
 is found by breadth-first search; `product_connector` tries every word in
 length and then lexicographic order, O(m^length).  A Markov sample is one
 prefix scan over the per-step state tables; `loop_chain_walk` walks the
@@ -26,8 +30,9 @@ from scipy.optimize import brentq, linprog
 
 from emergence_lab.carath import _log_q
 from emergence_lab.errors import InvariantError
-from emergence_lab.measures import _inverse_cdf
-from emergence_lab.sofic import admissible_words, perron, topological_entropy
+from emergence_lab.measures import _inverse_cdf, _pack_prefixes, _unpack_keys
+from emergence_lab.sofic import (admissible_words, perron, symbol_array,
+                                 topological_entropy)
 
 
 def scan_sup_birkhoff(s, u):
@@ -178,3 +183,80 @@ def loop_chain_walk(mu, u):
         s = int(np.searchsorted(cums[s], u[i], side="right"))
         out[i] = s + 1
     return out
+
+
+def merged(atoms, weights, space):
+    """Atoms with duplicate prefixes merged: the sorted distinct prefix codes
+    and the summed weight of each."""
+    rows = symbol_array(atoms, space, "oracles", "merged")
+    codes, inverse = np.unique(_pack_prefixes(rows, space.m),
+                               return_inverse=True)
+    return codes, np.bincount(inverse, weights=weights,
+                              minlength=codes.shape[0])
+
+
+def sparse_snapshots(x, times, depth, space):
+    """[(codes, weights)] of the empirical measures of x at the window counts
+    `times`: np.unique of the window keys, one weighted bincount of the
+    inverse per t, the empty codes dropped and the rest normalised."""
+    n = max(times)
+    rows = symbol_array(np.lib.stride_tricks.sliding_window_view(
+        x.symbols[:n + depth - 1], depth), space, "oracles", "snapshots")
+    uniq, inverse = np.unique(_pack_prefixes(rows, space.m),
+                              return_inverse=True)
+    out = []
+    for t in times:
+        w = np.bincount(inverse[:t], weights=np.full(t, 1.0 / t),
+                        minlength=uniq.shape[0])
+        keep = w > 0
+        w = w[keep]
+        out.append((uniq[keep], w / w.sum()))
+    return out
+
+
+def sparse_proxy(mu, depth, space):
+    """(codes, weights) of the depth-truncation of mu: the admissible words
+    of positive probability, normalised, then merged."""
+    words = np.asarray(admissible_words(space, depth), dtype=np.int16)
+    probs = mu.cylinder_probability(words)
+    keep = probs > 0
+    w = probs[keep]
+    return merged(words[keep], w / w.sum(), space)
+
+
+def tree_bounds(mu, nu, depth, space):
+    """The W1 bounds of `measures.w1_bounds` on the nonzero nodes alone:
+    the coordinate marginals by one bincount over the digits, and the
+    cylinder masses by sorting the nodes in prefix order, so that each
+    depth-l cylinder is a run of rows."""
+    m = space.m
+    parts = []
+    for sign, x in ((1.0, mu), (-1.0, nu)):
+        c = np.flatnonzero(x.mass)
+        parts.append((c % m ** depth, sign * x.mass[c]))
+    codes, inverse = np.unique(np.concatenate([c for c, _ in parts]),
+                               return_inverse=True)
+    net = np.bincount(inverse, weights=np.concatenate([w for _, w in parts]))
+    keep = np.abs(net) > 1e-15
+    codes, net = codes[keep], net[keep]
+    if not ((net > 0).any() and (net < 0).any()):
+        return 0.0, 0.0
+    scale = space.beta ** -np.arange(1.0, depth + 1)
+    digits = _unpack_keys(codes, depth, m) - 1     # (k, depth), 0..m-1
+    marginals = np.bincount((digits + m * np.arange(depth)).ravel(),
+                            weights=np.repeat(net, depth),
+                            minlength=m * depth).reshape(depth, m)
+    lb = float(scale @ np.abs(np.cumsum(marginals, axis=1)[:, :-1]).sum(axis=1))
+    # rows in prefix order; row i opens a depth-l cylinder when the first
+    # digit unlike row i-1's is below l
+    order = np.lexsort(digits.T[::-1])
+    digits, net = digits[order], net[order]
+    first_change = np.argmax(digits[1:] != digits[:-1], axis=1)
+    opens = np.vstack([np.ones((1, depth + 1), dtype=bool),
+                       first_change[:, None] < np.arange(depth + 1)])
+    cylinders = np.cumsum(opens.ravel(order="F")) - 1    # level-major ids
+    mass = np.bincount(cylinders, weights=np.tile(net, depth + 1))
+    e = 0.5 * np.bincount(np.repeat(np.arange(depth + 1), opens.sum(axis=0)),
+                          weights=np.abs(mass), minlength=depth + 1)
+    diameter = (m - 1) * np.cumsum(scale[::-1])[::-1]
+    return lb, float(np.diff(e) @ diameter)

@@ -141,7 +141,7 @@ def _random_finsupp(rng, depth=4):
     atoms = rng.integers(1, 3, size=(n_atoms, depth)).astype(np.int16)
     atoms = np.unique(atoms, axis=0)
     w = rng.random(atoms.shape[0]) + 0.05
-    return FinSuppMeasure(atoms=atoms, weights=w / w.sum())
+    return FinSuppMeasure.from_atoms(atoms, w / w.sum(), FULL2)
 
 
 def test_w1_axioms_thousand_triples():

@@ -330,6 +330,22 @@ def test_cli_error_leaves_no_partial_outputs(tmp_path):
     assert set(err) >= {"module", "operation", "kind", "detail"}
 
 
+def test_cli_emergence_past_measure_grid_cap(tmp_path):
+    # 2^40 prefixes at depth 40: a typed size error before any grid exists
+    cfg = {"space": FULL2_SPACE, "experiment": "emergence",
+           "parameters": {"source": {"kind": "bernoulli", "probs": [0.5, 0.5]},
+                          "epsilons": [0.3, 0.15, 0.075],
+                          "n_min": 32, "n_max": 1024, "count": 8, "depth": 40},
+           "seed": 3, "output_dir": str(tmp_path / "out")}
+    result = CliRunner().invoke(main, ["emergence", "--config",
+                                       write_config(tmp_path, cfg)])
+    assert result.exit_code == 1
+    out_dir = tmp_path / "out"
+    assert sorted(p.name for p in out_dir.iterdir()) == ["error.json"]
+    err = json.loads((out_dir / "error.json").read_text())
+    assert (err["kind"], err["operation"]) == ("size", "empirical_snapshots")
+
+
 @pytest.mark.parametrize("subcommand, parameters", [
     ("pressure", {"table": {"1,1": 0.1, "1,2": 0.2, "2,1": 0.3}, "window": 2}),
     ("bowen", {"table": {"1": 0.5}}),

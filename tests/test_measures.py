@@ -7,16 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emergence_lab import measures
-from emergence_lab.errors import InputError, InvariantError, SizeError
-from emergence_lab.measures import (GRID_CAP, MARGIN, FinSuppMeasure,
-                                    MarkovMeasure, MarkovMixture,
-                                    _pack_prefixes, _unpack_keys,
-                                    empirical_measure, empirical_snapshots,
-                                    make_rng, truncation_proxy, w1_below,
-                                    w1_bounds, wasserstein1)
+from emergence_lab.errors import (DepthError, InputError, InvariantError,
+                                  SizeError)
+from emergence_lab.measures import (GRID_CAP, MARGIN, MEASURE_CAP,
+                                    FinSuppMeasure, MarkovMeasure,
+                                    MarkovMixture, _pack_prefixes,
+                                    _unpack_keys, empirical_measure,
+                                    empirical_snapshots, make_rng,
+                                    truncation_proxy, w1_below, w1_bounds,
+                                    wasserstein1)
 from emergence_lab.sofic import (PointPrefix, ShiftSpace, admissible_words,
                                  is_admissible)
-from oracles import dense_transport, loop_chain_walk
+from oracles import (dense_transport, loop_chain_walk, sparse_proxy,
+                     sparse_snapshots, tree_bounds)
 
 FULL2 = ShiftSpace.full_shift(2)
 FULL3 = ShiftSpace.full_shift(3)
@@ -261,19 +264,35 @@ def test_stationary_must_be_finite():
 
 # ----------------------------------------------------------- FinSuppMeasure
 
+def atom_masses(measure):
+    """{prefix: mass} over the nonzero nodes of a measure."""
+    codes = np.flatnonzero(measure.mass)
+    rows = _unpack_keys(codes, measure.depth, measure.m)
+    return {tuple(a): w for a, w in zip(rows.tolist(), measure.mass[codes])}
+
+
 def test_finsupp_weight_validation():
     with pytest.raises(InvariantError):
-        FinSuppMeasure(atoms=np.array([[1, 1]], dtype=np.int16),
-                       weights=np.array([0.9]))
+        FinSuppMeasure.from_atoms(np.array([[1, 1]], dtype=np.int16),
+                                  np.array([0.9]), FULL2)
+    with pytest.raises(InvariantError):
+        FinSuppMeasure.from_atoms(np.array([[1], [1]], dtype=np.int16),
+                                  np.array([1.5, -0.5]), FULL2)
+    with pytest.raises(InvariantError):
+        FinSuppMeasure(np.array([0.5, 0.5, 0.0]), 1, 2)
 
 
-def test_merged_combines_duplicate_prefixes():
-    atoms = np.array([[1, 1, 1], [1, 1, 2], [2, 1, 1]], dtype=np.int16)
-    mu = FinSuppMeasure(atoms=atoms, weights=np.array([0.25, 0.25, 0.5]))
-    codes, weights = mu.merged(2, FULL2)
-    # prefix (x_0, x_1) is the grid node (x_0 - 1) + 2 (x_1 - 1)
-    assert codes.tolist() == [0, 1]
-    assert weights.tolist() == [0.5, 0.5]
+def test_from_atoms_sums_duplicate_prefixes_and_truncates():
+    atoms = np.array([[1, 1, 1], [1, 1, 2], [2, 1, 1], [1, 1, 2]],
+                     dtype=np.int16)
+    mu = FinSuppMeasure.from_atoms(atoms, np.array([0.25, 0.125, 0.5, 0.125]),
+                                   FULL2)
+    # prefix (x_0, x_1, x_2) is the grid node (x_0 - 1) + 2 (x_1 - 1) + 4 (x_2 - 1)
+    assert mu.mass.tolist() == [0.25, 0.5, 0, 0, 0.25, 0, 0, 0]
+    assert mu.truncated(2).mass.tolist() == [0.5, 0.5, 0, 0]
+    assert mu.truncated(3) is mu
+    with pytest.raises(DepthError):
+        mu.truncated(4)
 
 
 @pytest.mark.parametrize("space", [FULL2, GM, FULL3])
@@ -290,7 +309,7 @@ def test_prefix_codes_are_grid_nodes_and_round_trip(space):
 def test_empirical_measure_counts_windows():
     x = PointPrefix((1, 1, 2, 1, 1))
     mu = empirical_measure(x, 4, 2, FULL2)
-    got = {tuple(a): w for a, w in zip(mu.atoms, mu.weights)}
+    got = atom_masses(mu)
     assert got[(1, 1)] == pytest.approx(0.5)
     assert got[(1, 2)] == pytest.approx(0.25)
     assert got[(2, 1)] == pytest.approx(0.25)
@@ -303,7 +322,7 @@ def test_empirical_measure_rejects_symbols_outside_alphabet():
         empirical_measure(x, 4, 1, FULL2)
     # only the symbols the windows read are checked
     y = PointPrefix((1, 2, 1, 2, 0))
-    assert empirical_measure(y, 4, 1, FULL2).n_atoms == 2
+    assert np.count_nonzero(empirical_measure(y, 4, 1, FULL2).mass) == 2
 
 
 def test_empirical_snapshots_match_single_calls():
@@ -320,7 +339,7 @@ def test_empirical_snapshots_match_single_calls():
 def test_truncation_proxy_masses_are_cylinder_probabilities():
     mu = bern([0.3, 0.7])
     proxy = truncation_proxy(mu, 3, FULL2)
-    got = {tuple(a): w for a, w in zip(proxy.atoms, proxy.weights)}
+    got = atom_masses(proxy)
     assert got[(1, 1, 1)] == pytest.approx(0.3 ** 3, rel=1e-12)
     assert got[(2, 1, 2)] == pytest.approx(0.7 * 0.3 * 0.7, rel=1e-12)
     assert sum(got.values()) == pytest.approx(1.0)
@@ -329,15 +348,67 @@ def test_truncation_proxy_masses_are_cylinder_probabilities():
 def test_truncation_proxy_respects_support():
     mu = MarkovMeasure.parry(GM)
     proxy = truncation_proxy(mu, 4, GM)
-    for a in proxy.atoms:
+    for a in atom_masses(proxy):
         assert not any(x == 2 and y == 2 for x, y in zip(a, a[1:]))
+
+
+def scatter(codes, weights, size):
+    out = np.zeros(size)
+    out[codes] = weights
+    return out
+
+
+def random_chain(rng, space):
+    """A Markov measure with random positive rows on the allowed transitions."""
+    p = space.transition * (rng.random((space.m, space.m)) + 0.05)
+    return MarkovMeasure(p / p.sum(axis=1, keepdims=True), space)
+
+
+@pytest.mark.parametrize("space", [FULL2, GM, FULL3])
+def test_grid_measures_equal_sparse_oracle(space):
+    # each snapshot and proxy, bit for bit, against the sorted-unique-code
+    # path: the oracle's weights scattered onto their codes
+    rng = make_rng(5)
+    x = PointPrefix(MarkovMeasure.parry(space).sample(3000, make_rng(3)))
+    for depth in range(1, 7):
+        size = space.m ** depth
+        for _ in range(3):
+            times = rng.integers(1, 2995, size=int(rng.integers(1, 9))).tolist()
+            snaps = empirical_snapshots(x, times, depth, space)
+            for snap, (codes, w) in zip(snaps, sparse_snapshots(x, times, depth,
+                                                                space)):
+                assert np.array_equal(snap.mass, scatter(codes, w, size))
+        chains = (MarkovMeasure.parry(space), random_chain(rng, space))
+        mix = MarkovMixture(chains, np.array([0.3, 0.7]))
+        for mu in chains + (mix,):
+            proxy = truncation_proxy(mu, depth, space)
+            assert np.array_equal(proxy.mass,
+                                  scatter(*sparse_proxy(mu, depth, space), size))
+
+
+def test_measure_grid_cap():
+    # FULL2 at depth 40 has 2^40 prefixes: a typed error, not a MemoryError
+    assert MEASURE_CAP == 2 ** 22
+    x = PointPrefix(np.ones(100, dtype=np.int16))
+    with pytest.raises(SizeError, match="measure grid"):
+        empirical_measure(x, 10, 40, FULL2)
+    with pytest.raises(SizeError, match="measure grid"):
+        FinSuppMeasure.from_atoms(np.ones((1, 40), np.int16), [1.0], FULL2)
+    with pytest.raises(SizeError, match="measure grid"):
+        truncation_proxy(bern([0.5, 0.5]), 40, FULL2)
+    # metric depth 6 fits up to m = 12 and raises from m = 13 on
+    assert FinSuppMeasure.from_atoms(np.ones((1, 6), np.int16), [1.0],
+                                     ShiftSpace.full_shift(12)).mass[0] == 1.0
+    with pytest.raises(SizeError, match="measure grid"):
+        FinSuppMeasure.from_atoms(np.ones((1, 6), np.int16), [1.0],
+                                  ShiftSpace.full_shift(13))
 
 
 # ------------------------------------------------------------- Wasserstein-1
 
 def point(word, width):
-    return FinSuppMeasure(atoms=np.asarray(word, dtype=np.int16)[None, :width],
-                          weights=np.array([1.0]))
+    return FinSuppMeasure.from_atoms(
+        np.asarray(word, dtype=np.int16)[None, :width], np.array([1.0]), FULL2)
 
 
 def test_w1_point_masses_equals_truncated_metric():
@@ -350,10 +421,11 @@ def test_w1_point_masses_equals_truncated_metric():
 
 def test_w1_half_mass_move():
     # move half the mass from 111 to 211: cost 0.5 * beta^-1
-    a = FinSuppMeasure(atoms=np.array([[1, 1, 1]], dtype=np.int16),
-                       weights=np.array([1.0]))
-    b = FinSuppMeasure(atoms=np.array([[1, 1, 1], [2, 1, 1]], dtype=np.int16),
-                       weights=np.array([0.5, 0.5]))
+    a = FinSuppMeasure.from_atoms(np.array([[1, 1, 1]], dtype=np.int16),
+                                  np.array([1.0]), FULL2)
+    b = FinSuppMeasure.from_atoms(
+        np.array([[1, 1, 1], [2, 1, 1]], dtype=np.int16),
+        np.array([0.5, 0.5]), FULL2)
     val, _ = wasserstein1(a, b, 3, FULL2)
     assert val == pytest.approx(0.25, abs=1e-12)
 
@@ -398,16 +470,20 @@ def test_w1_one_atom_side_needs_no_grid():
 
 def test_w1_rejects_atoms_outside_alphabet():
     # (3, 1) used to be packed as (1, 2), (0, 1) as a node off the grid, and
-    # a one-atom side (5, 1) took the closed form: W1 0.375, 0.125 and 0.5
-    nu = FinSuppMeasure(atoms=np.array([[1, 2], [2, 2]], dtype=np.int16),
-                        weights=np.array([0.5, 0.5]))
+    # a one-atom side (5, 1) took the closed form: W1 0.375, 0.125 and 0.5;
+    # such a measure cannot be built
     for atoms, bad in (([[3, 1], [1, 1]], 3), ([[0, 1], [1, 1]], 0),
                        ([[5, 1]], 5)):
-        mu = FinSuppMeasure(atoms=np.array(atoms, dtype=np.int16),
-                            weights=np.full(len(atoms), 1 / len(atoms)))
-        for a, b in ((mu, nu), (nu, mu)):
-            with pytest.raises(InputError, match=f"symbol {bad} outside"):
-                wasserstein1(a, b, 2, FULL2)
+        with pytest.raises(InputError, match=f"symbol {bad} outside"):
+            FinSuppMeasure.from_atoms(np.array(atoms, dtype=np.int16),
+                                      np.full(len(atoms), 1 / len(atoms)),
+                                      FULL2)
+    # nor compared on a space of another alphabet
+    mu = FinSuppMeasure.from_atoms([[1, 2], [2, 2]], [0.5, 0.5], FULL2)
+    nu = FinSuppMeasure.from_atoms([[1, 2], [3, 2]], [0.5, 0.5], FULL3)
+    for a, b in ((mu, nu), (nu, mu)):
+        with pytest.raises(InputError, match="symbols, space on 2"):
+            wasserstein1(a, b, 2, FULL2)
 
 
 def test_w1_grid_cap():
@@ -416,8 +492,8 @@ def test_w1_grid_cap():
     assert GRID_CAP == 2 ** 12
     atoms = np.array([[1] * 13, [2] * 13, [1, 2] * 6 + [1], [2, 1] * 6 + [2]],
                      dtype=np.int16)
-    mu = FinSuppMeasure(atoms=atoms[:2], weights=np.array([0.5, 0.5]))
-    nu = FinSuppMeasure(atoms=atoms[2:], weights=np.array([0.5, 0.5]))
+    mu = FinSuppMeasure.from_atoms(atoms[:2], np.array([0.5, 0.5]), FULL2)
+    nu = FinSuppMeasure.from_atoms(atoms[2:], np.array([0.5, 0.5]), FULL2)
     with pytest.raises(SizeError, match="grid"):
         wasserstein1(mu, nu, 13, FULL2)
     assert wasserstein1(mu, nu, 12, FULL2)[0] == pytest.approx(
@@ -435,8 +511,8 @@ def dense_w1(mu, nu, depth, space):
     is positive and those where it is negative, at tolerance 1e-10."""
     net = {}
     for sign, measure in ((1.0, mu), (-1.0, nu)):
-        for atom, w in zip(measure.atoms[:, :depth].tolist(), measure.weights):
-            net[tuple(atom)] = net.get(tuple(atom), 0.0) + sign * w
+        for atom, w in atom_masses(measure).items():
+            net[atom[:depth]] = net.get(atom[:depth], 0.0) + sign * w
     a = np.array([x for x, v in net.items() if v > 1e-15]).reshape(-1, depth)
     b = np.array([x for x, v in net.items() if v < -1e-15]).reshape(-1, depth)
     if not a.size or not b.size:
@@ -466,17 +542,21 @@ def w1_oracle_cases():
         words = np.asarray(admissible_words(space, 6), dtype=np.int16)
         for depth in range(1, 7):
             for _ in range(4):
-                yield (*random_pair(rng, words, 60), depth, space)
-    # about 1e-9 of the mass moves, from two atoms to two others
-    w = mu.weights.copy()
-    w[[0, 1]] -= [6e-10, 4e-10]
-    w[[6, 7]] += [5e-10, 5e-10]
-    yield mu, FinSuppMeasure(mu.atoms, w), 5, FULL2
+                yield (*random_pair(rng, words, 60, space), depth, space)
+    # about 1e-9 of the mass moves, from two atoms to two others (the first,
+    # second, seventh and eighth words in lexicographic order)
+    w = mu.mass.copy()
+    moved = _pack_prefixes(np.array([[1, 1, 1, 1, 1], [1, 1, 1, 1, 2],
+                                     [1, 1, 2, 2, 1], [1, 1, 2, 2, 2]]), 2)
+    w[moved[:2]] -= [6e-10, 4e-10]
+    w[moved[2:]] += [5e-10, 5e-10]
+    yield mu, FinSuppMeasure(w, 5, 2), 5, FULL2
     # one residual atom of relative mass about 1e-9 beside atoms of about 1/2
-    a = FinSuppMeasure(np.array([[1, 1, 1], [1, 2, 1], [2, 2, 2]], np.int16),
-                       np.array([0.5, 0.5 - 1e-9, 1e-9]))
-    b = FinSuppMeasure(np.array([[2, 1, 1], [2, 1, 2]], np.int16),
-                       np.array([0.5, 0.5]))
+    a = FinSuppMeasure.from_atoms(
+        np.array([[1, 1, 1], [1, 2, 1], [2, 2, 2]], np.int16),
+        np.array([0.5, 0.5 - 1e-9, 1e-9]), FULL2)
+    b = FinSuppMeasure.from_atoms(np.array([[2, 1, 1], [2, 1, 2]], np.int16),
+                                  np.array([0.5, 0.5]), FULL2)
     yield a, b, 3, FULL2
 
 
@@ -489,10 +569,10 @@ def test_w1_flow_matches_dense_oracle():
 
 def test_w1_scale_invariance_under_common_mass():
     # adding identical extra mass to both sides must not change the distance
-    a = FinSuppMeasure(atoms=np.array([[1, 1], [2, 2]], dtype=np.int16),
-                       weights=np.array([0.5, 0.5]))
-    b = FinSuppMeasure(atoms=np.array([[1, 2], [2, 2]], dtype=np.int16),
-                       weights=np.array([0.5, 0.5]))
+    a = FinSuppMeasure.from_atoms(np.array([[1, 1], [2, 2]], dtype=np.int16),
+                                  np.array([0.5, 0.5]), FULL2)
+    b = FinSuppMeasure.from_atoms(np.array([[1, 2], [2, 2]], dtype=np.int16),
+                                  np.array([0.5, 0.5]), FULL2)
     val, _ = wasserstein1(a, b, 2, FULL2)
     # only 0.5 mass moves from 11 to 12: 0.5 * 2^-2
     assert val == pytest.approx(0.125, abs=1e-12)
@@ -509,7 +589,7 @@ def test_w1_nonnegative_and_bounded(p, q):
     assert err > 0
 
 
-def random_pair(rng, words, max_atoms):
+def random_pair(rng, words, max_atoms, space):
     """Two measures, each on 1..max_atoms distinct rows of words with random
     positive weights."""
     pair = []
@@ -517,7 +597,7 @@ def random_pair(rng, words, max_atoms):
         k = int(rng.integers(1, min(len(words), max_atoms) + 1))
         pick = rng.choice(len(words), size=k, replace=False)
         w = rng.random(k) + 0.05
-        pair.append(FinSuppMeasure(words[pick], w / w.sum()))
+        pair.append(FinSuppMeasure.from_atoms(words[pick], w / w.sum(), space))
     return pair
 
 
@@ -528,7 +608,7 @@ def test_w1_bounds_sound():
                          (FULL3, 5)):
         words = np.asarray(admissible_words(space, depth), dtype=np.int16)
         for _ in range(40):
-            mu, nu = random_pair(rng, words, 40)
+            mu, nu = random_pair(rng, words, 40, space)
             lb, ub = w1_bounds(mu, nu, depth, space)
             d, _ = wasserstein1(mu, nu, depth, space)
             assert lb - 1e-12 <= d <= ub + 1e-12, (space.m, depth, lb, d, ub)
@@ -548,6 +628,24 @@ def test_w1_bounds_sound():
         lb, ub = w1_bounds(mu, nu, 1, FULL2)
         assert lb == pytest.approx(d, abs=1e-15)
         assert ub == pytest.approx(d, abs=1e-15)
+
+
+def test_w1_bounds_match_prefix_tree_oracle():
+    # the random pairs of the soundness test, then FULL2 at depth 13, beyond
+    # GRID_CAP, and bounds at a depth below the stored one
+    rng = make_rng(31)
+    cases = []
+    for space, depth in ((FULL2, 4), (FULL2, 5), (FULL2, 8), (GM, 5),
+                         (FULL3, 5), (FULL2, 13)):
+        words = np.asarray(admissible_words(space, depth), dtype=np.int16)
+        cases += [(*random_pair(rng, words, 40, space), depth, space)
+                  for _ in range(40)]
+    cases += [(mu, nu, depth - 2, space) for mu, nu, depth, space in cases[:80]]
+    assert len(cases) == 320
+    for mu, nu, depth, space in cases:
+        got = w1_bounds(mu, nu, depth, space)
+        want = tree_bounds(mu, nu, depth, space)
+        assert np.abs(np.subtract(got, want)).max() <= 1e-14, (depth, got, want)
 
 
 def test_w1_below_margin_cases(monkeypatch):
@@ -592,8 +690,8 @@ def test_nan_weights_rejected():
     # with these weights W1 gave 0.5 and P(C(1)) under the mixture nan
     weights = np.array([math.nan, 1.0])
     with pytest.raises(InvariantError):
-        FinSuppMeasure(atoms=np.array([[1], [2]], dtype=np.int16),
-                       weights=weights)
+        FinSuppMeasure.from_atoms(np.array([[1], [2]], dtype=np.int16),
+                                  weights, FULL2)
     with pytest.raises(InvariantError):
         MarkovMixture(components=(bern([0.5, 0.5]), bern([0.2, 0.8])),
                       weights=weights)
