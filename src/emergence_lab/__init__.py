@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 from .errors import EmergenceLabError
 from .sofic import (PointPrefix, ShiftSpace, count_admissible,
                     topological_entropy, truncated_metric)
-from .measures import (FinSuppMeasure, MarkovMeasure, MarkovMixture,
-                       empirical_measure, truncation_proxy, wasserstein1)
+from .measures import (FinSuppMeasure, MarkovMeasure, empirical_measure,
+                       truncation_proxy, wasserstein1)
 from .carath import (CStructure, bowen_dimension, outer_measure_M,
                      outer_measure_N, pressure_exact, pressure_partition)
 from .emergence import build_cloud, emergence_report
@@ -23,8 +23,8 @@ from .constructor import (MeasureFamily, SimplexNet, block_schedule,
 __all__ = [
     "EmergenceLabError", "PointPrefix", "ShiftSpace", "count_admissible",
     "topological_entropy", "truncated_metric",
-    "FinSuppMeasure", "MarkovMeasure", "MarkovMixture", "empirical_measure",
-    "truncation_proxy", "wasserstein1",
+    "FinSuppMeasure", "MarkovMeasure", "empirical_measure", "truncation_proxy",
+    "wasserstein1",
     "CStructure", "bowen_dimension", "outer_measure_M", "outer_measure_N",
     "pressure_exact", "pressure_partition",
     "build_cloud", "emergence_report",

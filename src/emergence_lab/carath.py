@@ -470,7 +470,10 @@ def restricted_outer_measure(s, z, mu, n, eps, t, m_blk, depth_cap,
     if len(z) > depth_cap:
         raise DepthError("z is deeper than depth_cap",
                          module="carath", operation="restricted_outer_measure")
-    proxy = truncation_proxy(mu, metric_depth, space)
+    if mu.space != space:
+        raise InputError("mu lives on another space than the structure",
+                         module="carath", operation="restricted_outer_measure")
+    proxy = truncation_proxy((mu,), (1.0,), metric_depth)
     layers, parents, probes = [np.array([z], dtype=np.int16)], [], 0
     for l in range(len(z), depth_cap + 1):
         if l and l % m_blk == 0:

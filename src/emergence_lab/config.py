@@ -214,8 +214,8 @@ def _validate_gamma(params, col, pointer):
 def _validate_nets(params, col, pointer, l_max):
     """Simplex nets: net L has level L, a mesh > 0 and a nonempty list of
     nodes of L + 1 nonnegative numbers summing to 1 within 1e-12 (the
-    `MarkovMixture` tolerance); one net per level 0..l_max.  A tuple of
-    `SimplexNet`s, or None when absent."""
+    tolerance of the mixture weights of `truncation_proxy`); one net per
+    level 0..l_max.  A tuple of `SimplexNet`s, or None when absent."""
     nets = col.optional(params, "nets", list, pointer, None)
     if nets is None:
         return None

@@ -17,6 +17,8 @@ lengths:
 An independent checker re-evaluates every inequality from its definition
 after construction.  Empirical measures along the built orbit then sweep the
 whole simplex of the family, which is what the saturation report verifies.
+Typical words, entry thresholds and saturation minima all compare against
+`truncation_proxy`: one family measure, or a net node's mixture of them.
 """
 
 from __future__ import annotations
@@ -29,11 +31,10 @@ import numpy as np
 
 from .errors import (AlignmentError, InputError, InvariantError, SamplingError,
                      ScheduleError, SizeError)
-from .measures import (MARGIN, MarkovMixture, empirical_measure,
-                       empirical_snapshots, make_rng, truncation_proxy,
-                       w1_below, w1_bounds, wasserstein1)
-from .sofic import PointPrefix, admissible_words, connector, is_admissible, \
-    symbol_array
+from .measures import (MARGIN, empirical_measure, empirical_snapshots,
+                       make_rng, truncation_proxy, w1_below, w1_bounds,
+                       wasserstein1)
+from .sofic import PointPrefix, connector, is_admissible, symbol_array
 
 NODE_CAP = 50_000       # lattice points of one simplex net
 GAMMA_N_CAP = 2 ** 16   # largest entry threshold the estimate tries
@@ -54,11 +55,12 @@ class MeasureFamily:
                              module="constructor", operation="MeasureFamily")
         space = ms[0].space
         for mu in ms[1:]:
-            if mu.space is not space and mu.space.to_json() != space.to_json():
+            if mu.space != space:
                 raise InputError("family measures live on different spaces",
                                  module="constructor", operation="MeasureFamily")
         for a, b in itertools.combinations(range(len(ms)), 2):
-            if _cylinder_vector_gap(ms[a], ms[b]) <= 1e-9:
+            # the largest difference on a depth-2 cylinder
+            if np.abs(ms[a].prefix_law(2) - ms[b].prefix_law(2)).max() <= 1e-9:
                 raise InputError(
                     f"measures {a} and {b} are indistinguishable on short cylinders",
                     module="constructor", operation="MeasureFamily")
@@ -70,13 +72,6 @@ class MeasureFamily:
 
     def __len__(self):
         return len(self.measures)
-
-
-def _cylinder_vector_gap(mu, nu):
-    """Largest difference of the two measures on a depth-2 cylinder."""
-    words = np.asarray(admissible_words(mu.space, 2))
-    return float(np.abs(mu.cylinder_probability(words)
-                        - nu.cylinder_probability(words)).max())
 
 
 @dataclass(frozen=True)
@@ -192,7 +187,7 @@ def estimate_gamma_thresholds(family, l_max, eps_tilde, eps_hat, seed,
             if l >= len(family):
                 continue
             mu = family.measures[l]
-            proxy = truncation_proxy(mu, metric_depth, space)
+            proxy = truncation_proxy((mu,), (1.0,), metric_depth)
             rng = make_rng(seed + 1009 * L + l)
             n = 16
             found = None
@@ -381,7 +376,7 @@ def typical_word(mu, n, eps, seed, metric_depth):
         raise InputError(f"need n >= 1 and eps > 0, got n={n}, eps={eps}",
                          module="constructor", operation="typical_word")
     space = mu.space
-    proxy = truncation_proxy(mu, metric_depth, space)
+    proxy = truncation_proxy((mu,), (1.0,), metric_depth)
     rng = make_rng(seed)
     for _ in range(ATTEMPT_CAP):
         w = mu.sample(n, rng)
@@ -527,8 +522,7 @@ def verify_saturation(orbit, net, family, slack, metric_depth):
     minima = []
     worst = 0.0
     for node in net.nodes:
-        mix = MarkovMixture(tuple(family.measures[:L + 1]), np.asarray(node))
-        proxy = truncation_proxy(mix, metric_depth, space)
+        proxy = truncation_proxy(family.measures[:L + 1], node, metric_depth)
         best, best_t = np.inf, -1
         for t, emp in zip(times, emps):
             # d >= lb > best: this time cannot improve the minimum

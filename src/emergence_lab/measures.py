@@ -6,8 +6,10 @@ sum_d (x_d - 1) m^d, the one code that window keys, measures and W1 share.
 Truncating to a shallower depth sums the nodes that agree in their low
 digits.  A symbol outside 1..m would alias another prefix's node, so window
 keys and `FinSuppMeasure.from_atoms` raise InputError on one, and a grid of
-more than `MEASURE_CAP` nodes raises SizeError before it is allocated.  The
-W1 solver works on ground costs truncated at an explicit depth,
+more than `MEASURE_CAP` nodes raises SizeError before it is allocated.  A
+Markov measure's law on the grid is one product recursion from its
+stationary vector, and `truncation_proxy` mixes and normalises those laws.
+The W1 solver works on ground costs truncated at an explicit depth,
 sum_d beta^-(d+1) |x_d - y_d|, which is the path metric of the prefix grid;
 W1 is then one min-cost flow on that grid (EMD-L1) with supply mu - nu,
 solved by HiGHS at primal and dual feasibility tolerances 1e-10.  Flow grids
@@ -31,7 +33,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import linprog
 
 from .errors import DepthError, InputError, InvariantError, SizeError
-from .sofic import ShiftSpace, admissible_words, perron, symbol_array
+from .sofic import ShiftSpace, perron, symbol_array
 
 # Largest symbol grid (m^depth nodes) the W1 flow LP is built on: FULL2 to
 # depth 12, FULL3 to depth 7.  HiGHS time grows about quadratically in the
@@ -92,8 +94,10 @@ class MarkovMeasure:
         if self.stationary is None:
             object.__setattr__(self, "stationary", perron(p)[1])
         pi = np.asarray(self.stationary, dtype=np.float64)
-        if not ((pi >= 0).all() and abs(pi.sum() - 1.0) <= 1e-10):
-            raise InvariantError("stationary vector must be a probability vector",
+        if not (pi.shape == (m,) and (pi >= 0).all()
+                and abs(pi.sum() - 1.0) <= 1e-10):
+            raise InvariantError(f"stationary vector must be a probability "
+                                 f"vector of length {m}, got shape {pi.shape}",
                                  module="measures", operation="MarkovMeasure")
         if not np.abs(pi @ p - pi).max() <= 1e-10:
             raise InvariantError("stationary vector is not invariant within 1e-10",
@@ -105,14 +109,19 @@ class MarkovMeasure:
     def is_bernoulli(self):
         return bool(np.abs(self.stochastic - self.stochastic[0]).max() == 0.0)
 
-    def cylinder_probability(self, word):
-        """Probability of the cylinder of a word, or an array of the
-        probabilities of the rows of a (k, d) word array."""
-        w = symbol_array(word, self.space, "measures", "cylinder_probability") - 1
-        p = self.stationary[w[..., 0]] if w.shape[-1] else np.ones(w.shape[:-1])
-        for j in range(1, w.shape[-1]):
-            p = p * self.stochastic[w[..., j - 1], w[..., j]]
-        return float(p) if w.ndim == 1 else p
+    def prefix_law(self, depth):
+        """The probabilities pi[x_0] P[x_0, x_1] ... P[x_{depth-2}, x_{depth-1}]
+        of the m^depth prefixes on the grid, multiplied left to right: step d
+        adds x_d as the top digit, times P[old top digit, x_d]."""
+        if depth < 1:
+            raise InputError(f"depth must be >= 1, got {depth}",
+                             module="measures", operation="prefix_law")
+        m = self.space.m
+        _grid_size(m, depth, "prefix_law")
+        law = self.stationary
+        for _ in range(depth - 1):
+            law = (self.stochastic.T[:, :, None] * law.reshape(m, -1)).ravel()
+        return law
 
     def entropy(self):
         p = self.stochastic
@@ -245,8 +254,8 @@ def empirical_snapshots(x, times, depth, space):
     if n > x.symbols.shape[0]:
         raise DepthError(f"need {n} symbols for {max(times)} windows of depth "
                          f"{depth}, have {x.symbols.shape[0]}",
-                         module="measures", operation="empirical_measure")
-    head = symbol_array(x.symbols[:n], space, "measures", "empirical_measure")
+                         module="measures", operation="empirical_snapshots")
+    head = symbol_array(x.symbols[:n], space, "measures", "empirical_snapshots")
     keys = _pack_prefixes(sliding_window_view(head, depth), space.m)
     out = []
     for t in times:
@@ -265,47 +274,31 @@ def _unpack_keys(codes, width, m):
     return out
 
 
-@dataclass(frozen=True)
-class MarkovMixture:
-    """A convex combination of Markov measures (a point of the simplex A_L)."""
-
-    components: tuple
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if not ((w >= 0).all() and abs(float(w.sum()) - 1.0) <= 1e-12):
-            raise InvariantError("mixture weights must lie on the probability simplex",
-                                 module="measures", operation="MarkovMixture")
-        if w.shape[0] != len(self.components):
-            raise InvariantError("mixture weights/components length mismatch",
-                                 module="measures", operation="MarkovMixture")
-        w.setflags(write=False)
-        object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def space(self):
-        return self.components[0].space
-
-    def cylinder_probability(self, word):
-        p = sum(t * c.cylinder_probability(word)
-                for t, c in zip(self.weights, self.components))
-        return float(p) if np.ndim(word) == 1 else p
-
-
-def truncation_proxy(mu, depth, space):
-    """Exact depth-truncation of a Markov measure or mixture.
-
-    Each admissible depth-cylinder holds its exact probability; W1 against
-    the true measure is at most the metric tail bound at `depth`.
-    """
-    _grid_size(space.m, depth, "truncation_proxy")
-    words = np.asarray(admissible_words(space, depth), dtype=np.int16)
-    probs = mu.cylinder_probability(words)
-    keep = probs > 0
-    w = probs[keep]
-    return FinSuppMeasure.from_atoms(words[keep], w / w.sum(), space)
+def truncation_proxy(measures, weights, depth):
+    """Exact depth-truncation of the mixture sum_i weights[i] measures[i] of
+    Markov measures on one space (InputError otherwise); a single measure mu
+    is ((mu,), (1.0,)).  The weights, one per measure, lie on the simplex
+    within 1e-12 (InvariantError otherwise).  The component laws sum from 0
+    in order, and the result is divided by the sum of its positive masses in
+    lexicographic order.  W1 against the true measure is at most the metric
+    tail bound at `depth`."""
+    w = np.asarray(weights, dtype=np.float64)
+    # a NaN weight fails >= 0, an infinite one the sum
+    if not (w.shape == (len(measures),) and (w >= 0).all()
+            and abs(float(w.sum()) - 1.0) <= 1e-12):
+        raise InvariantError("mixture weights must be one nonnegative weight per "
+                             "measure, summing to 1 within 1e-12",
+                             module="measures", operation="truncation_proxy")
+    space = measures[0].space
+    if any(mu.space != space for mu in measures[1:]):
+        raise InputError("mixture components live on different spaces",
+                         module="measures", operation="truncation_proxy")
+    law = 0.0
+    for t, mu in zip(w, measures):
+        law = law + t * mu.prefix_law(depth)
+    # the grid is little-endian: reversed axes put x_0 first
+    lex = law.reshape((space.m,) * depth).T.ravel()
+    return FinSuppMeasure(law / lex[lex > 0].sum(), depth, space.m)
 
 
 def _net_supply(mu, nu, depth, space):

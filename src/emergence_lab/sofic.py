@@ -76,6 +76,11 @@ class ShiftSpace:
         """Upper bound on the metric mass beyond the given depth."""
         return (self.m - 1) * self.beta ** (-depth) / (self.beta - 1.0)
 
+    def __eq__(self, other):
+        """Equal alphabet size, transitions and beta."""
+        return self is other or (isinstance(other, ShiftSpace)
+                                 and self.to_json() == other.to_json())
+
     def to_json(self):
         return {"m": self.alphabet_size,
                 "beta": float(self.beta),

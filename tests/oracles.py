@@ -14,7 +14,10 @@ bipartite transportation LP between the two sets of atoms.  Measures are
 mass vectors on the m^depth prefix grid; `sparse_snapshots` and
 `sparse_proxy` build the same measures as sorted distinct prefix codes and
 their weights, merged by `np.unique`, and `tree_bounds` finds the W1 bounds'
-cylinders by sorting the atoms in prefix order.  The connector
+cylinders by sorting the atoms in prefix order.  The library's Markov law
+is one product recursion over the whole grid; `cylinder_probability`
+multiplies out one word at a time, and `sparse_proxy` runs it on every
+admissible word.  The connector
 is found by breadth-first search; `product_connector` tries every word in
 length and then lexicographic order, O(m^length).  A Markov sample is one
 prefix scan over the per-step state tables; `loop_chain_walk` walks the
@@ -214,11 +217,30 @@ def sparse_snapshots(x, times, depth, space):
     return out
 
 
-def sparse_proxy(mu, depth, space):
-    """(codes, weights) of the depth-truncation of mu: the admissible words
-    of positive probability, normalised, then merged."""
+def cylinder_probability(measures, weights, word):
+    """The probability of the cylinder of `word` under the mixture
+    sum_i weights[i] measures[i]: each component's pi[x_0] P[x_0, x_1] ...
+    multiplied left to right, one word at a time, and the components summed
+    as t * p by Python's `sum`."""
+    w = [int(c) - 1 for c in word]
+
+    def product(mu):
+        p = mu.stationary[w[0]] if w else 1.0
+        for a, b in zip(w, w[1:]):
+            p = p * mu.stochastic[a, b]
+        return p
+
+    return sum(t * product(mu) for t, mu in zip(weights, measures))
+
+
+def sparse_proxy(measures, weights, depth):
+    """(codes, weights) of the depth-truncation of a mixture of Markov
+    measures: the admissible words of positive probability, in
+    lexicographic order, normalised, then merged."""
+    space = measures[0].space
     words = np.asarray(admissible_words(space, depth), dtype=np.int16)
-    probs = mu.cylinder_probability(words)
+    probs = np.array([cylinder_probability(measures, weights, u)
+                      for u in words.tolist()])
     keep = probs > 0
     w = probs[keep]
     return merged(words[keep], w / w.sum(), space)

@@ -583,7 +583,7 @@ def test_restricted_measure_matches_tree():
                   (CStructure(kind="pressure", space=GM, window=2,
                               table=gm_table), MarkovMeasure.parry(GM))):
         space = s.space
-        proxy = truncation_proxy(mu, depth, space)
+        proxy = truncation_proxy((mu,), (1.0,), depth)
         dist = {}
 
         def w1(u):
@@ -638,6 +638,18 @@ def test_restricted_measure_guards():
     with pytest.raises(DepthError):
         restricted_outer_measure(s, (1, 1, 1), mu, n=16, eps=0.5, t=0.5,
                                  m_blk=1, depth_cap=2, metric_depth=3)
+
+
+def test_restricted_measure_rejects_measure_on_another_space():
+    # the proxy was built on the structure's space: a FULL3 Bernoulli became
+    # a law on the FULL2 words, a FULL2 one the uniform law on the golden
+    # mean's words
+    for space, mu in ((FULL2, MarkovMeasure.bernoulli([0.2, 0.3, 0.5], FULL3)),
+                      (GM, MarkovMeasure.bernoulli([0.5, 0.5], FULL2))):
+        s = CStructure(kind="entropy", space=space)
+        with pytest.raises(InputError, match="another space"):
+            restricted_outer_measure(s, (), mu, n=16, eps=0.5, t=0.5,
+                                     m_blk=1, depth_cap=2, metric_depth=3)
 
 
 @pytest.mark.parametrize("m_blk", [0, -1])

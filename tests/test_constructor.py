@@ -15,11 +15,12 @@ from emergence_lab.constructor import (ConstructedOrbit, Itinerary,
                                        estimate_gamma_thresholds,
                                        lambda_measure, oscillating_orbit, simplex_net,
                                        typical_word, verify_saturation)
-from emergence_lab.errors import (AlignmentError, InputError, ScheduleError,
-                                  SizeError)
+from emergence_lab.errors import (AlignmentError, InputError, InvariantError,
+                                  ScheduleError, SizeError)
 from emergence_lab.measures import (MarkovMeasure, empirical_measure,
                                     make_rng, truncation_proxy, wasserstein1)
 from emergence_lab.sofic import PointPrefix, ShiftSpace, is_admissible
+from oracles import cylinder_probability
 
 FULL2 = ShiftSpace.full_shift(2)
 GM = ShiftSpace.golden_mean()
@@ -91,7 +92,8 @@ def test_typical_word_tracks_measure():
     assert len(w) == n
     y = PointPrefix.periodic(tuple(int(c) for c in w), n + depth - 1)
     emp = empirical_measure(y, n, depth, FULL2)
-    d, _ = wasserstein1(emp, truncation_proxy(mu, depth, FULL2), depth, FULL2)
+    d, _ = wasserstein1(emp, truncation_proxy((mu,), (1.0,), depth), depth,
+                        FULL2)
     assert d < eps
 
 
@@ -245,7 +247,7 @@ def test_build_orbit_blocks_track_their_measures():
         block = orbit.word.symbols[start:end]
         y = PointPrefix.periodic(tuple(int(c) for c in block), n + depth - 1)
         emp = empirical_measure(y, n, depth, FULL2)
-        proxy = truncation_proxy(fam.measures[l], depth, FULL2)
+        proxy = truncation_proxy((fam.measures[l],), (1.0,), depth)
         d, _ = wasserstein1(emp, proxy, depth, FULL2)
         assert d < it.eps_tilde[L]
 
@@ -257,7 +259,7 @@ def test_lambda_measure_products():
     lp = lambda_measure(orbit, fam, first_end, as_log=True)
     mu = fam.measures[orbit.block_map[0][2]]
     word = orbit.word.symbols[orbit.block_map[0][3]:first_end]
-    expected = math.log(mu.cylinder_probability(tuple(int(c) for c in word)))
+    expected = math.log(cylinder_probability((mu,), (1.0,), word))
     assert lp == pytest.approx(expected, rel=1e-9)
     assert lambda_measure(orbit, fam, 0) == 1.0
     with pytest.raises(AlignmentError):
@@ -281,7 +283,7 @@ def test_lambda_measure_is_product_of_blocks():
     parts = 0.0
     for L, j, l, start, end in orbit.block_map[:2]:
         w = tuple(int(c) for c in orbit.word.symbols[start:end])
-        parts += math.log(fam.measures[l].cylinder_probability(w))
+        parts += math.log(cylinder_probability((fam.measures[l],), (1.0,), w))
     assert lp2 == pytest.approx(parts, rel=1e-9)
 
 
@@ -296,6 +298,10 @@ def test_verify_saturation_level_one():
     for node, d, t in rep.node_minima:
         assert d <= rep.eps_level + rep.slack
         assert t in set(orbit.boundary_times())
+    # a level-1 node mixes two measures: three weights are one too many
+    wrong = SimplexNet(level=1, mesh=1.0, nodes=((0.5, 0.25, 0.25),))
+    with pytest.raises(InvariantError):
+        verify_saturation(orbit, wrong, fam, slack=0.15, metric_depth=4)
 
 
 def test_verify_saturation_unreachable_level():

@@ -11,23 +11,32 @@ from emergence_lab.errors import (DepthError, InputError, InvariantError,
                                   SizeError)
 from emergence_lab.measures import (GRID_CAP, MARGIN, MEASURE_CAP,
                                     FinSuppMeasure, MarkovMeasure,
-                                    MarkovMixture, _pack_prefixes,
-                                    _unpack_keys, empirical_measure,
+                                    _pack_prefixes, _unpack_keys,
+                                    empirical_measure,
                                     empirical_snapshots, make_rng,
                                     truncation_proxy, w1_below, w1_bounds,
                                     wasserstein1)
 from emergence_lab.sofic import (PointPrefix, ShiftSpace, admissible_words,
                                  is_admissible)
-from oracles import (dense_transport, loop_chain_walk, sparse_proxy,
-                     sparse_snapshots, tree_bounds)
+from oracles import (cylinder_probability, dense_transport, loop_chain_walk,
+                     sparse_proxy, sparse_snapshots, tree_bounds)
 
 FULL2 = ShiftSpace.full_shift(2)
 FULL3 = ShiftSpace.full_shift(3)
 GM = ShiftSpace.golden_mean()
+# a 3-symbol SFT that is not full: 1 -> 3 and 2 -> 1 are forbidden
+SFT3 = ShiftSpace(3, np.array([[1, 1, 0], [0, 1, 1], [1, 1, 1]]), 2.0)
 
 
 def bern(p, space=FULL2):
     return MarkovMeasure.bernoulli(p, space)
+
+
+def law_at(mu, word):
+    """The mass of one word's prefix in mu's grid law."""
+    m = mu.space.m
+    return mu.prefix_law(len(word))[sum((x - 1) * m ** d
+                                        for d, x in enumerate(word))]
 
 
 # ------------------------------------------------------------- MarkovMeasure
@@ -53,41 +62,35 @@ def test_parry_measure_golden_mean():
     phi = (1 + math.sqrt(5)) / 2
     # the Parry measure attains the topological entropy
     assert mu.entropy() == pytest.approx(math.log(phi), abs=1e-9)
-    assert mu.cylinder_probability((2, 2)) == 0.0
+    assert law_at(mu, (2, 2)) == 0.0
 
 
 def test_cylinder_probability_markov():
     p = np.array([[0.9, 0.1], [0.2, 0.8]])
     mu = MarkovMeasure(p, FULL2)
     pi = mu.stationary
-    assert mu.cylinder_probability((1, 2, 2)) == pytest.approx(
-        pi[0] * 0.1 * 0.8, rel=1e-12)
-    assert mu.cylinder_probability(()) == 1.0
+    assert law_at(mu, (1, 2, 2)) == pytest.approx(pi[0] * 0.1 * 0.8, rel=1e-12)
+    assert cylinder_probability((mu,), (1.0,), ()) == 1.0
+    assert mu.prefix_law(1).tolist() == pi.tolist()
+    with pytest.raises(InputError):
+        mu.prefix_law(0)
 
 
 def test_cylinder_probability_word_array_matches_per_word():
+    # the grid law holds each admissible word's per-word product, bit for
+    # bit, at the word's node, and 0 at every other node
     p = np.array([[0.9, 0.1], [0.2, 0.8]])
-    mix = MarkovMixture((MarkovMeasure(p, FULL2), bern([0.3, 0.7])),
-                        np.array([0.4, 0.6]))
-    parry = MarkovMeasure.parry(GM)
-    for mu, space in ((mix.components[0], FULL2), (mix, FULL2), (parry, GM),
-                      (MarkovMeasure.parry(FULL3), FULL3)):
+    for mu in (MarkovMeasure(p, FULL2), bern([0.3, 0.7]),
+               MarkovMeasure.parry(GM), MarkovMeasure.parry(FULL3)):
+        space = mu.space
         for d in (1, 2, 5):
-            words = admissible_words(space, d)
-            probs = mu.cylinder_probability(np.array(words, dtype=np.int16))
-            assert probs.shape == (len(words),)
-            assert probs.tolist() == [mu.cylinder_probability(w) for w in words]
-
-
-def test_cylinder_probability_rejects_symbols_outside_alphabet():
-    # symbol - 1 = -1 would wrap around to the last symbol's row
-    mu = bern([0.3, 0.7])
-    for word in ((0, 1), (1, 3), np.array([[1, 2], [2, 0]], dtype=np.int16)):
-        with pytest.raises(InputError):
-            mu.cylinder_probability(word)
-    mix = MarkovMixture((mu, bern([0.5, 0.5])), np.array([0.5, 0.5]))
-    with pytest.raises(InputError):
-        mix.cylinder_probability((0,))
+            words = np.asarray(admissible_words(space, d), dtype=np.int16)
+            codes = _pack_prefixes(words, space.m)
+            law = mu.prefix_law(d)
+            assert law.shape == (space.m ** d,)
+            assert law[codes].tolist() == [
+                cylinder_probability((mu,), (1.0,), w) for w in words.tolist()]
+            assert not np.delete(law, codes).any()
 
 
 def test_entropy_bernoulli_half():
@@ -254,6 +257,15 @@ def test_stationary_of_reducible_chain_is_a_probability_vector():
     assert abs(mu.stationary.sum() - 1.0) <= 1e-15
 
 
+def test_stationary_must_have_length_m():
+    # on FULL2 a (1, 2) vector was stored 2-D, and (1,) and (3,) escaped as
+    # a ValueError from the invariance product
+    p = np.array([[0.5, 0.5], [0.5, 0.5]])
+    for pi in ([[0.5, 0.5]], [1.0], [0.5, 0.25, 0.25]):
+        with pytest.raises(InvariantError, match="length 2"):
+            MarkovMeasure(p, FULL2, stationary=np.array(pi))
+
+
 def test_stationary_must_be_finite():
     p = np.array([[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(InvariantError):
@@ -318,8 +330,12 @@ def test_empirical_measure_counts_windows():
 def test_empirical_measure_rejects_symbols_outside_alphabet():
     # symbol 3 used to be packed as a second atom (1,) on the full 2-shift
     x = PointPrefix((1, 3, 1, 2, 1))
-    with pytest.raises(InputError, match="symbol 3 outside"):
+    with pytest.raises(InputError, match="symbol 3 outside") as exc:
         empirical_measure(x, 4, 1, FULL2)
+    assert exc.value.operation == "empirical_snapshots"
+    with pytest.raises(DepthError) as exc:
+        empirical_measure(x, 5, 2, FULL2)
+    assert exc.value.operation == "empirical_snapshots"
     # only the symbols the windows read are checked
     y = PointPrefix((1, 2, 1, 2, 0))
     assert np.count_nonzero(empirical_measure(y, 4, 1, FULL2).mass) == 2
@@ -338,7 +354,7 @@ def test_empirical_snapshots_match_single_calls():
 
 def test_truncation_proxy_masses_are_cylinder_probabilities():
     mu = bern([0.3, 0.7])
-    proxy = truncation_proxy(mu, 3, FULL2)
+    proxy = truncation_proxy((mu,), (1.0,), 3)
     got = atom_masses(proxy)
     assert got[(1, 1, 1)] == pytest.approx(0.3 ** 3, rel=1e-12)
     assert got[(2, 1, 2)] == pytest.approx(0.7 * 0.3 * 0.7, rel=1e-12)
@@ -347,7 +363,7 @@ def test_truncation_proxy_masses_are_cylinder_probabilities():
 
 def test_truncation_proxy_respects_support():
     mu = MarkovMeasure.parry(GM)
-    proxy = truncation_proxy(mu, 4, GM)
+    proxy = truncation_proxy((mu,), (1.0,), 4)
     for a in atom_masses(proxy):
         assert not any(x == 2 and y == 2 for x, y in zip(a, a[1:]))
 
@@ -364,10 +380,21 @@ def random_chain(rng, space):
     return MarkovMeasure(p / p.sum(axis=1, keepdims=True), space)
 
 
-@pytest.mark.parametrize("space", [FULL2, GM, FULL3])
+def zero_bernoulli(space):
+    """A Bernoulli measure, uniform on the symbols that may follow every
+    symbol but one of them at least, so some symbol has probability 0."""
+    probs = space.transition.all(axis=0).astype(np.float64)
+    if probs.all():
+        probs[0] = 0.0
+    return bern(probs / probs.sum(), space)
+
+
+@pytest.mark.parametrize("space", [FULL2, GM, FULL3, SFT3])
 def test_grid_measures_equal_sparse_oracle(space):
     # each snapshot and proxy, bit for bit, against the sorted-unique-code
-    # path: the oracle's weights scattered onto their codes
+    # path: the oracle's weights scattered onto their codes.  The proxies
+    # are those of 5 measures and 6 mixtures (zero weights included) at each
+    # depth, against the oracle's per-word products
     rng = make_rng(5)
     x = PointPrefix(MarkovMeasure.parry(space).sample(3000, make_rng(3)))
     for depth in range(1, 7):
@@ -378,12 +405,18 @@ def test_grid_measures_equal_sparse_oracle(space):
             for snap, (codes, w) in zip(snaps, sparse_snapshots(x, times, depth,
                                                                 space)):
                 assert np.array_equal(snap.mass, scatter(codes, w, size))
-        chains = (MarkovMeasure.parry(space), random_chain(rng, space))
-        mix = MarkovMixture(chains, np.array([0.3, 0.7]))
-        for mu in chains + (mix,):
-            proxy = truncation_proxy(mu, depth, space)
-            assert np.array_equal(proxy.mass,
-                                  scatter(*sparse_proxy(mu, depth, space), size))
+        singles = (MarkovMeasure.parry(space), random_chain(rng, space),
+                   random_chain(rng, space), random_chain(rng, space),
+                   zero_bernoulli(space))
+        parry, c1, c2, c3, zb = singles
+        cases = [((mu,), (1.0,)) for mu in singles] + [
+            ((parry, c1), (0.3, 0.7)), ((c1, c2, c3), (0.0, 0.5, 0.5)),
+            ((parry, zb), (0.25, 0.75)), ((c2, zb, c3), (0.6, 0.4, 0.0)),
+            ((zb, c1), (1.0, 0.0)), (singles, (0.1, 0.2, 0.0, 0.3, 0.4))]
+        for ms, weights in cases:
+            proxy = truncation_proxy(ms, weights, depth)
+            assert np.array_equal(
+                proxy.mass, scatter(*sparse_proxy(ms, weights, depth), size))
 
 
 def test_measure_grid_cap():
@@ -395,7 +428,7 @@ def test_measure_grid_cap():
     with pytest.raises(SizeError, match="measure grid"):
         FinSuppMeasure.from_atoms(np.ones((1, 40), np.int16), [1.0], FULL2)
     with pytest.raises(SizeError, match="measure grid"):
-        truncation_proxy(bern([0.5, 0.5]), 40, FULL2)
+        truncation_proxy((bern([0.5, 0.5]),), (1.0,), 40)
     # metric depth 6 fits up to m = 12 and raises from m = 13 on
     assert FinSuppMeasure.from_atoms(np.ones((1, 6), np.int16), [1.0],
                                      ShiftSpace.full_shift(12)).mass[0] == 1.0
@@ -431,8 +464,8 @@ def test_w1_half_mass_move():
 
 
 def test_w1_identity_and_symmetry():
-    mu = truncation_proxy(bern([0.3, 0.7]), 5, FULL2)
-    nu = truncation_proxy(bern([0.6, 0.4]), 5, FULL2)
+    mu = truncation_proxy((bern([0.3, 0.7]),), (1.0,), 5)
+    nu = truncation_proxy((bern([0.6, 0.4]),), (1.0,), 5)
     d_self, _ = wasserstein1(mu, mu, 5, FULL2)
     assert d_self == 0.0
     d_ab, _ = wasserstein1(mu, nu, 5, FULL2)
@@ -445,7 +478,7 @@ def test_w1_triangle_inequality_random():
     rng = make_rng(17)
     for _ in range(25):
         ps = rng.random(3)
-        mus = [truncation_proxy(bern([p, 1 - p]), 4, FULL2) for p in ps]
+        mus = [truncation_proxy((bern([p, 1 - p]),), (1.0,), 4) for p in ps]
         d01, _ = wasserstein1(mus[0], mus[1], 4, FULL2)
         d12, _ = wasserstein1(mus[1], mus[2], 4, FULL2)
         d02, _ = wasserstein1(mus[0], mus[2], 4, FULL2)
@@ -455,8 +488,8 @@ def test_w1_triangle_inequality_random():
 def test_w1_bernoulli_shift_one_step_oracle():
     # depth-1 marginals alone: |p - q| * beta^-1 is a lower bound, and for
     # product measures the optimal coupling realizes it at depth 1
-    mu = truncation_proxy(bern([0.2, 0.8]), 1, FULL2)
-    nu = truncation_proxy(bern([0.5, 0.5]), 1, FULL2)
+    mu = truncation_proxy((bern([0.2, 0.8]),), (1.0,), 1)
+    nu = truncation_proxy((bern([0.5, 0.5]),), (1.0,), 1)
     val, _ = wasserstein1(mu, nu, 1, FULL2)
     assert val == pytest.approx(0.3 * 0.5, abs=1e-12)
 
@@ -528,12 +561,12 @@ def dense_w1(mu, nu, depth, space):
 def w1_oracle_cases():
     """The W1-axiom and triangle data above, random pairs on FULL2, the
     golden mean and FULL3 up to depth 6, and residual masses near 1e-9."""
-    mu = truncation_proxy(bern([0.3, 0.7]), 5, FULL2)
-    nu = truncation_proxy(bern([0.6, 0.4]), 5, FULL2)
+    mu = truncation_proxy((bern([0.3, 0.7]),), (1.0,), 5)
+    nu = truncation_proxy((bern([0.6, 0.4]),), (1.0,), 5)
     yield mu, nu, 5, FULL2
     rng = make_rng(17)
     for _ in range(25):
-        mus = [truncation_proxy(bern([p, 1 - p]), 4, FULL2)
+        mus = [truncation_proxy((bern([p, 1 - p]),), (1.0,), 4)
                for p in rng.random(3)]
         for i, j in ((0, 1), (1, 2), (0, 2)):
             yield mus[i], mus[j], 4, FULL2
@@ -582,8 +615,8 @@ def test_w1_scale_invariance_under_common_mass():
 @given(st.floats(min_value=0.05, max_value=0.95),
        st.floats(min_value=0.05, max_value=0.95))
 def test_w1_nonnegative_and_bounded(p, q):
-    mu = truncation_proxy(bern([p, 1 - p]), 4, FULL2)
-    nu = truncation_proxy(bern([q, 1 - q]), 4, FULL2)
+    mu = truncation_proxy((bern([p, 1 - p]),), (1.0,), 4)
+    nu = truncation_proxy((bern([q, 1 - q]),), (1.0,), 4)
     val, err = wasserstein1(mu, nu, 4, FULL2)
     assert 0.0 <= val <= 1.0  # diameter of the depth-4 truncated metric
     assert err > 0
@@ -614,7 +647,7 @@ def test_w1_bounds_sound():
             assert lb - 1e-12 <= d <= ub + 1e-12, (space.m, depth, lb, d, ub)
     # one atom against many, on both sides
     a = point((1, 2, 2, 1, 2), 5)
-    b = truncation_proxy(bern([0.3, 0.7]), 5, FULL2)
+    b = truncation_proxy((bern([0.3, 0.7]),), (1.0,), 5)
     for x, y in ((a, b), (b, a)):
         lb, ub = w1_bounds(x, y, 5, FULL2)
         assert lb - 1e-12 <= wasserstein1(x, y, 5, FULL2)[0] <= ub + 1e-12
@@ -622,8 +655,8 @@ def test_w1_bounds_sound():
     assert w1_bounds(b, b, 5, FULL2) == (0.0, 0.0)
     # at depth 1 on FULL2 both bounds are the distance itself
     for p, q in ((0.2, 0.5), (0.9, 0.1)):
-        mu = truncation_proxy(bern([p, 1 - p]), 1, FULL2)
-        nu = truncation_proxy(bern([q, 1 - q]), 1, FULL2)
+        mu = truncation_proxy((bern([p, 1 - p]),), (1.0,), 1)
+        nu = truncation_proxy((bern([q, 1 - q]),), (1.0,), 1)
         d, _ = wasserstein1(mu, nu, 1, FULL2)
         lb, ub = w1_bounds(mu, nu, 1, FULL2)
         assert lb == pytest.approx(d, abs=1e-15)
@@ -658,12 +691,12 @@ def test_w1_below_margin_cases(monkeypatch):
         return wasserstein1(*args)
 
     monkeypatch.setattr(measures, "wasserstein1", spy)
-    mu = truncation_proxy(bern([0.3, 0.7]), 5, FULL2)
-    nu = truncation_proxy(bern([0.6, 0.4]), 5, FULL2)
+    mu = truncation_proxy((bern([0.3, 0.7]),), (1.0,), 5)
+    nu = truncation_proxy((bern([0.6, 0.4]),), (1.0,), 5)
     cases = [(mu, nu, 5)]
     # depth 1 on FULL2: lb = ub = d
-    cases.append((truncation_proxy(bern([0.3, 0.7]), 1, FULL2),
-                  truncation_proxy(bern([0.6, 0.4]), 1, FULL2), 1))
+    cases.append((truncation_proxy((bern([0.3, 0.7]),), (1.0,), 1),
+                  truncation_proxy((bern([0.6, 0.4]),), (1.0,), 1), 1))
     for a, b, depth in cases:
         d, _ = wasserstein1(a, b, depth, FULL2)
         lb, ub = w1_bounds(a, b, depth, FULL2)
@@ -682,8 +715,13 @@ def test_w1_below_margin_cases(monkeypatch):
 # ----------------------------------------------------------------- mixtures
 
 def test_mixture_weights_validation():
-    with pytest.raises(InvariantError):
-        MarkovMixture(components=(bern([0.5, 0.5]),), weights=np.array([0.7]))
+    a, b = bern([0.5, 0.5]), bern([0.2, 0.8])
+    # off the simplex, a weight too many or too few, a negative or an
+    # infinite weight
+    for ms, weights in (((a,), [0.7]), ((a,), [0.5, 0.5]), ((a, b), [1.0]),
+                        ((a, b), [1.5, -0.5]), ((a, b), [math.inf, 1.0])):
+        with pytest.raises(InvariantError):
+            truncation_proxy(ms, np.array(weights), 2)
 
 
 def test_nan_weights_rejected():
@@ -693,16 +731,33 @@ def test_nan_weights_rejected():
         FinSuppMeasure.from_atoms(np.array([[1], [2]], dtype=np.int16),
                                   weights, FULL2)
     with pytest.raises(InvariantError):
-        MarkovMixture(components=(bern([0.5, 0.5]), bern([0.2, 0.8])),
-                      weights=weights)
+        truncation_proxy((bern([0.5, 0.5]), bern([0.2, 0.8])), weights, 1)
 
 
 def test_mixture_cylinder_probability_is_convex():
     a, b = bern([0.2, 0.8]), bern([0.9, 0.1])
-    mix = MarkovMixture(components=(a, b), weights=np.array([0.25, 0.75]))
+    mix = truncation_proxy((a, b), np.array([0.25, 0.75]), 2)
     w = (1, 2)
-    expected = 0.25 * a.cylinder_probability(w) + 0.75 * b.cylinder_probability(w)
-    assert mix.cylinder_probability(w) == pytest.approx(expected, rel=1e-12)
+    expected = (0.25 * cylinder_probability((a,), (1.0,), w)
+                + 0.75 * cylinder_probability((b,), (1.0,), w))
+    assert atom_masses(mix)[w] == pytest.approx(expected, rel=1e-12)
+
+
+def test_truncation_proxy_reads_one_space():
+    # the proxy took a space of its own: a FULL3 Bernoulli on FULL2 gave
+    # [0.16, 0.24, 0.24, 0.36], and a mixture took components from
+    # different spaces
+    f3 = bern([0.2, 0.3, 0.5], FULL3)
+    proxy = truncation_proxy((f3,), (1.0,), 2)
+    assert (proxy.m, proxy.depth) == (3, 2)
+    assert atom_masses(proxy)[(3, 1)] == pytest.approx(0.1, rel=1e-12)
+    for other in (f3, MarkovMeasure.parry(GM)):
+        with pytest.raises(InputError, match="different spaces"):
+            truncation_proxy((bern([0.5, 0.5]), other), (0.5, 0.5), 2)
+    # an equal space need not be the same object
+    twin = bern([0.6, 0.4], ShiftSpace.full_shift(2))
+    assert truncation_proxy((bern([0.5, 0.5]), twin), (0.5, 0.5), 1) \
+        .mass.tolist() == pytest.approx([0.55, 0.45], rel=1e-12)
 
 
 def test_make_rng_is_deterministic():
