@@ -21,7 +21,9 @@ the same per-(state, symbol) steps and hold over all word lengths.  The
 exact pressure (pressure kind) and the Bowen root (appendix kind) read the
 transfer matrix of e^phi on the steady suffix states, the words of length
 span.  The restricted outer measure, whose membership test reads the whole
-word, sweeps the words below its cylinder one length at a time, O(m^cap).
+word, sweeps the words below its cylinder one length at a time, O(m^cap);
+each layer's empirical masses come from one period of each word's
+representative, and its distinct masses are decided in one batch.
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from .errors import DepthError, InputError, InvariantError, SizeError
-from .measures import empirical_measure, truncation_proxy, w1_below
-from .sofic import PointPrefix, ShiftSpace, admissible_words, connector, \
-    count_admissible, is_admissible, perron, topological_entropy
+from .measures import (MEASURE_CAP, count_masses, periodic_counts,
+                       truncation_proxy, w1_below)
+from .sofic import ShiftSpace, admissible_words, connector, count_admissible, \
+    is_admissible, perron, topological_entropy
 
 KINDS = ("entropy", "hausdorff", "pressure", "appendix")
 SURVIVOR_CAP = 200_000   # membership probes of one restricted outer measure
@@ -432,13 +435,33 @@ def check_conditions(s, depth, t_grid):
                            c3_pass=c3_pass, c4_pass=c4_pass)
 
 
-def _representatives(u, space, length):
-    """The orbit prefix standing in for the points of C(u): u repeated,
-    through a connector when u cannot follow itself."""
-    w = list(u)
-    if not space.allows(u[-1], u[0]):
-        w += list(connector(u, u, space))
-    return PointPrefix.periodic(w, length)
+def _layer_counts(words, n, depth, space):
+    """The (k, m^depth) node counts of the first n depth-windows of the
+    representative orbit of each row u of a (k, l) word array: u repeated,
+    through the connector when u cannot follow itself.  The connector
+    depends only on the pair (last, first) of u, so each pair's words form
+    one (rows, period) array, counted from one period each."""
+    m = space.m
+    counts = np.empty((len(words), m ** depth), dtype=np.int64)
+    pair = (words[:, -1].astype(np.int64) - 1) * m + words[:, 0] - 1
+    for key in np.unique(pair).tolist():
+        rows = np.flatnonzero(pair == key)
+        bridge = connector((key // m + 1,), (key % m + 1,), space)
+        periods = np.hstack([words[rows], np.tile(np.array(bridge, np.int16),
+                                                  (len(rows), 1))])
+        counts[rows] = periodic_counts(periods, n, depth, m)
+    return counts
+
+
+def _tracking(words, proxy, n, eps, depth, space):
+    """Whether W1(delta_y^n, proxy) < eps at metric depth `depth` for the
+    representative orbit y of each row of a word array (`_layer_counts`):
+    the distinct count rows become masses (`count_masses`), are decided in
+    one batch (`w1_below`), and the decisions are scattered back."""
+    distinct, inverse = np.unique(_layer_counts(words, n, depth, space),
+                                  axis=0, return_inverse=True)
+    below = w1_below(count_masses(distinct, n), proxy, eps, depth, space)
+    return below[inverse.ravel()]
 
 
 def restricted_outer_measure(s, z, mu, n, eps, t, m_blk, depth_cap,
@@ -452,13 +475,17 @@ def restricted_outer_measure(s, z, mu, n, eps, t, m_blk, depth_cap,
 
     The words below z are one array per length, each row with its parent's
     row.  The probes, the words at positive depths divisible by m_blk, are
-    counted against SURVIVOR_CAP before any W1 solve; then the infimum runs
-    up from depth_cap one layer at a time.
+    counted against SURVIVOR_CAP before any W1 work; then the infimum runs
+    up from depth_cap one layer at a time, each probe layer's memberships
+    decided by `_tracking` in chunks of at most MEASURE_CAP count entries.
     """
     if not eps >= 0:
         raise InputError(f"eps must be >= 0, got {eps}",
                          module="carath", operation="restricted_outer_measure")
     _check_t(t, "restricted_outer_measure")
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}",
+                         module="carath", operation="restricted_outer_measure")
     if m_blk < 1:
         raise InputError(f"m_blk must be >= 1, got {m_blk}",
                          module="carath", operation="restricted_outer_measure")
@@ -489,7 +516,7 @@ def restricted_outer_measure(s, z, mu, n, eps, t, m_blk, depth_cap,
             layers.append(np.column_stack([layers[-1][rows], nxt + 1])
                           .astype(np.int16))
             parents.append(rows)
-    rep_len = n + metric_depth - 1
+    step = max(1, MEASURE_CAP // space.m ** metric_depth)
     val = np.zeros(len(layers[-1]))
     for l in range(depth_cap, len(z) - 1, -1):
         words = layers[l - len(z)]
@@ -498,10 +525,10 @@ def restricted_outer_measure(s, z, mu, n, eps, t, m_blk, depth_cap,
             val = np.bincount(parents[l - len(z)], weights=val,
                               minlength=len(words))
         if eps > 0 and l and l % m_blk == 0:
-            for i, u in enumerate(map(tuple, words.tolist())):
-                y = _representatives(u, space, rep_len)
-                if w1_below(empirical_measure(y, n, metric_depth, space),
-                            proxy, eps, metric_depth, space):
-                    q = math.exp(_log_q(s, u, t))
-                    val[i] = q if l == depth_cap else min(q, val[i])
+            member = np.concatenate([
+                _tracking(words[i:i + step], proxy, n, eps, metric_depth,
+                          space) for i in range(0, len(words), step)])
+            for i in np.flatnonzero(member).tolist():
+                q = math.exp(_log_q(s, tuple(words[i].tolist()), t))
+                val[i] = q if l == depth_cap else min(q, val[i])
     return float(val[0])

@@ -31,9 +31,9 @@ import numpy as np
 
 from .errors import (AlignmentError, InputError, InvariantError, SamplingError,
                      ScheduleError, SizeError)
-from .measures import (MARGIN, empirical_measure, empirical_snapshots,
-                       make_rng, truncation_proxy, w1_below, w1_bounds,
-                       wasserstein1)
+from .measures import (MARGIN, FinSuppMeasure, count_masses, make_rng,
+                       periodic_counts, snapshot_masses, truncation_proxy,
+                       w1_below, w1_bounds, wasserstein1)
 from .sofic import PointPrefix, connector, is_admissible, symbol_array
 
 NODE_CAP = 50_000       # lattice points of one simplex net
@@ -195,8 +195,9 @@ def estimate_gamma_thresholds(family, l_max, eps_tilde, eps_hat, seed,
                 hits = 0
                 for _ in range(samples):
                     w = mu.sample(n + metric_depth - 1, rng)
-                    emp = empirical_measure(PointPrefix(w), n, metric_depth, space)
-                    if w1_below(emp, proxy, eps, metric_depth, space):
+                    emp = snapshot_masses(PointPrefix(w), [n], metric_depth,
+                                          space)
+                    if w1_below(emp, proxy, eps, metric_depth, space)[0]:
                         hits += 1
                 if hits / samples >= need:
                     found = n
@@ -382,9 +383,9 @@ def typical_word(mu, n, eps, seed, metric_depth):
         w = mu.sample(n, rng)
         if not space.allows(int(w[-1]), int(w[0])):
             continue
-        y = PointPrefix.periodic(w, n + metric_depth - 1)
-        emp = empirical_measure(y, n, metric_depth, space)
-        if w1_below(emp, proxy, eps, metric_depth, space):
+        counts = periodic_counts(w[None], n, metric_depth, space.m)
+        if w1_below(count_masses(counts, n), proxy, eps, metric_depth,
+                    space)[0]:
             return w
     raise SamplingError(
         f"typical_word budget {ATTEMPT_CAP} exhausted (n={n}, eps={eps})",
@@ -500,9 +501,10 @@ class SaturationReport:
 def verify_saturation(orbit, net, family, slack, metric_depth):
     """For each net node, the closest approach of the empirical measure (over
     block-boundary times) to the node's mixture; pass iff every node is
-    reached within eps_tilde[level] + slack.  Times are taken in order, and
-    one whose W1 lower bound exceeds the minimum so far by MARGIN is skipped
-    without an exact solve."""
+    reached within eps_tilde[level] + slack.  The W1 bounds of all times
+    come first, row-wise; times are then taken in order, and one whose lower
+    bound exceeds the minimum so far, or the smallest upper bound, by MARGIN
+    is skipped without an exact solve."""
     space = family.space
     L = net.level
     if not any(b[0] == L for b in orbit.block_map):
@@ -518,16 +520,21 @@ def verify_saturation(orbit, net, family, slack, metric_depth):
         ext = orbit.word
         max_time = sym.shape[0] - metric_depth + 1
     times = sorted({t for t in orbit.boundary_times() if 0 < t <= max_time})
-    emps = empirical_snapshots(ext, times, metric_depth, space) if times else []
+    masses = (snapshot_masses(ext, times, metric_depth, space) if times
+              else np.empty((0, space.m ** metric_depth)))
     minima = []
     worst = 0.0
     for node in net.nodes:
         proxy = truncation_proxy(family.measures[:L + 1], node, metric_depth)
+        lbs, ubs = w1_bounds(masses, proxy, metric_depth, space)
+        top = ubs.min(initial=np.inf)
         best, best_t = np.inf, -1
-        for t, emp in zip(times, emps):
-            # d >= lb > best: this time cannot improve the minimum
-            if w1_bounds(emp, proxy, metric_depth, space)[0] > best + MARGIN:
+        for t, row, lb in zip(times, masses, lbs.tolist()):
+            # d >= lb > min(best, top) >= the minimum: this time can neither
+            # attain nor tie it
+            if lb > min(best, top) + MARGIN:
                 continue
+            emp = FinSuppMeasure(row, metric_depth, space.m)
             d, _ = wasserstein1(emp, proxy, metric_depth, space)
             if d < best:
                 best, best_t = d, t

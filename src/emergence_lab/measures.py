@@ -5,10 +5,13 @@ symbol prefixes: the prefix (x_0, ..., x_{depth-1}) is the grid node
 sum_d (x_d - 1) m^d, the one code that window keys, measures and W1 share.
 Truncating to a shallower depth sums the nodes that agree in their low
 digits.  A symbol outside 1..m would alias another prefix's node, so window
-keys and `FinSuppMeasure.from_atoms` raise InputError on one, and a grid of
-more than `MEASURE_CAP` nodes raises SizeError before it is allocated.  A
-Markov measure's law on the grid is one product recursion from its
-stationary vector, and `truncation_proxy` mixes and normalises those laws.
+keys raise InputError on one, and a grid of more than `MEASURE_CAP` nodes
+raises SizeError before it is allocated.  A Markov measure's law on the
+grid is one product recursion from its stationary vector, and
+`truncation_proxy` mixes and normalises those laws.  Every empirical
+measure is node counts turned into masses by one rule (`count_masses`):
+the counts of an orbit's windows (`snapshot_masses`), or of a periodic
+point's from one period (`periodic_counts`).
 The W1 solver works on ground costs truncated at an explicit depth,
 sum_d beta^-(d+1) |x_d - y_d|, which is the path metric of the prefix grid;
 W1 is then one min-cost flow on that grid (EMD-L1) with supply mu - nu,
@@ -16,10 +19,13 @@ solved by HiGHS at primal and dual feasibility tolerances 1e-10.  Flow grids
 larger than `GRID_CAP` nodes raise SizeError.  Apart from the solver
 tolerance, the only error source is the metric truncation bound, which is
 returned alongside every value.  Tests of W1 < eps go through `w1_below`,
-and saturation minima prune by the lower bound: both consult sound
-O(m^depth * depth) bounds (`w1_bounds`, no flow) first and trust one only
-when it clears the threshold by MARGIN, so every decision equals the exact
-one.
+and saturation minima prune by their bounds: both work on a mass matrix,
+one row per pair against one target measure, and consult sound bounds
+(`w1_bounds`, no flow) first: the coordinate-marginal lower bound, and the
+smaller of the prefix-tree bound and the cost of a feasible top-down
+transport plan as the upper bound.  A bound is trusted only when it clears
+the threshold by MARGIN, so every decision equals the exact one, and only
+the rows the bounds leave open reach the flow LP.
 """
 
 from __future__ import annotations
@@ -186,21 +192,6 @@ class FinSuppMeasure:
         w.setflags(write=False)
         object.__setattr__(self, "mass", w)
 
-    @classmethod
-    def from_atoms(cls, atoms, weights, space):
-        """The measure with weight w_i on the prefix in row i of a (k, depth)
-        symbol array; rows with the same prefix add up."""
-        rows = symbol_array(atoms, space, "measures", "from_atoms")
-        w = np.asarray(weights, dtype=np.float64)
-        if not (rows.ndim == 2 and w.shape == rows.shape[:1] and (w >= 0).all()):
-            raise InvariantError("need a (k, depth) symbol array and k "
-                                 "nonnegative weights",
-                                 module="measures", operation="from_atoms")
-        size = _grid_size(space.m, rows.shape[1], "from_atoms")
-        mass = np.bincount(_pack_prefixes(rows, space.m), weights=w,
-                           minlength=size)
-        return cls(mass, rows.shape[1], space.m)
-
     def truncated(self, depth):
         """The image measure on the depth-`depth` prefixes: nodes that agree
         in their low `depth` radix-m digits sum."""
@@ -240,11 +231,18 @@ def empirical_measure(x, n, depth, space):
 
 
 def empirical_snapshots(x, times, depth, space):
-    """Empirical measures at several window counts, sharing one pass over
-    the window keys (the prefix codes of the sliding depth-windows of x):
-    the uniform measure on the first t shifts of x, at `depth`, for each t
-    in times.  Each is normalised by the sum of its nonzero masses in node
-    order."""
+    """Empirical measures at several window counts: the uniform measure on
+    the first t shifts of x, at `depth`, for each t in times; each one a
+    read-only view of a row of `snapshot_masses`."""
+    return [FinSuppMeasure(row, depth, space.m)
+            for row in snapshot_masses(x, times, depth, space)]
+
+
+def snapshot_masses(x, times, depth, space):
+    """The (len(times), m^depth) mass matrix of the uniform measures on the
+    first t shifts of x, at `depth`, one row per t in times, sharing one
+    pass over the window keys (the prefix codes of the sliding depth-windows
+    of x); each row is `count_masses` of its node counts."""
     times = [int(t) for t in times]
     if not times or any(t < 1 for t in times):
         raise InputError(f"times must be nonempty positive integers, got {times}",
@@ -257,11 +255,49 @@ def empirical_snapshots(x, times, depth, space):
                          module="measures", operation="empirical_snapshots")
     head = symbol_array(x.symbols[:n], space, "measures", "empirical_snapshots")
     keys = _pack_prefixes(sliding_window_view(head, depth), space.m)
-    out = []
-    for t in times:
-        w = np.bincount(keys[:t], weights=np.full(t, 1.0 / t), minlength=size)
-        out.append(FinSuppMeasure(w / w[w > 0].sum(), depth, space.m))
+    out = np.empty((len(times), size))
+    for row, t in zip(out, times):
+        row[:] = count_masses(np.bincount(keys[:t], minlength=size)[None], t)[0]
     return out
+
+
+def periodic_counts(periods, n, depth, m):
+    """The (k, m^depth) node counts of the first n depth-windows of the
+    periodic points of the rows of a (k, p) symbol array: window i repeats
+    window i mod p, so a node counts n // p times its windows in one period
+    plus its windows among the first n % p.  O(k (p + depth)) work besides
+    the count matrix."""
+    k, p = periods.shape
+    size = _grid_size(m, depth, "periodic_counts")
+    y = periods[:, np.arange(p + depth - 1) % p].astype(np.int64) - 1
+    keys = np.zeros((k, p), dtype=np.int64)
+    for d in reversed(range(depth)):
+        keys *= m
+        keys += y[:, d:d + p]
+    keys += size * np.arange(k)[:, None]
+    q, r = divmod(n, p)
+    counts = (q * np.bincount(keys.ravel(), minlength=k * size)
+              + np.bincount(keys[:, :r].ravel(), minlength=k * size))
+    return counts.reshape(k, size)
+
+
+def count_masses(counts, n):
+    """The mass vectors of the empirical measures of n windows with these
+    (k, m^depth) node counts, the one rule every empirical mass is built by:
+    a node counted c times holds the c-th sequential partial sum of 1/n, as
+    if 1/n were added once per window, and each row is divided by the sum
+    of its nonzero entries in node order."""
+    top = int(counts.max(initial=0))
+    partial = np.concatenate([[0.0], np.cumsum(np.full(top, 1.0 / n))])
+    mass = partial[counts]
+    nonzero = counts > 0
+    nnz = nonzero.sum(axis=1)
+    total = np.empty(mass.shape[0])
+    # rows with z nonzero entries: one (rows, z) array, summed row by row
+    for z in np.unique(nnz).tolist():
+        rows = nnz == z
+        total[rows] = mass[rows][nonzero[rows]].reshape(-1, z).sum(axis=1)
+    return mass / total[:, None]
 
 
 def _unpack_keys(codes, width, m):
@@ -307,7 +343,24 @@ def _net_supply(mu, nu, depth, space):
     if not mu.m == nu.m == space.m:
         raise InputError(f"measures on {mu.m} and {nu.m} symbols, space on "
                          f"{space.m}", module="measures", operation="wasserstein1")
-    net = mu.truncated(depth).mass - nu.truncated(depth).mass
+    return _net_rows(mu.truncated(depth).mass[None], nu, depth, space)[0]
+
+
+def _net_rows(masses, nu, depth, space):
+    """The supplies row - nu, one per row of a (rows, m^depth) mass matrix,
+    with entries of absolute value at most 1e-15 set to 0.  Each row must be
+    a probability vector, as `FinSuppMeasure` checks (InvariantError)."""
+    if not (nu.m == space.m and masses.shape[1:] == (space.m ** depth,)):
+        raise InputError(f"masses of shape {masses.shape} and a measure on "
+                         f"{nu.m} symbols, space on {space.m} at depth {depth}",
+                         module="measures", operation="w1_bounds")
+    # a NaN fails >= 0, an infinite mass the sum
+    if not ((masses >= 0).all()
+            and (np.abs(masses.sum(axis=1) - 1.0) <= 1e-12).all()):
+        raise InvariantError("mass rows must be nonnegative and sum to 1 "
+                             "within 1e-12", module="measures",
+                             operation="w1_bounds")
+    net = masses - nu.truncated(depth).mass
     net[np.abs(net) <= 1e-15] = 0.0
     return net
 
@@ -324,8 +377,7 @@ def wasserstein1(mu, nu, depth, space):
     other side, with no flow.  Otherwise HiGHS solves the flow at primal
     and dual feasibility tolerances 1e-10; a grid of more than `GRID_CAP`
     nodes raises SizeError before it is built.  `w1_below`, which needs the
-    exact value only when `w1_bounds` leave a test open, raises it only
-    then.
+    exact value only for a row its bounds leave open, raises it only then.
 
     Returns (value, error_bound).  Truncated costs underestimate the true
     metric, so the true W1 lies in [value, value + error_bound].
@@ -365,9 +417,20 @@ def wasserstein1(mu, nu, depth, space):
     return mass * float(res.fun), err
 
 
-def w1_bounds(mu, nu, depth, space):
-    """Bounds lb <= W1 <= ub at the truncated costs of `wasserstein1`, in
-    O(m^depth * depth) with no flow, so also beyond `GRID_CAP`.
+def w1_bounds(masses, nu, depth, space):
+    """Bounds lb <= W1(row, nu) <= ub at the truncated costs of
+    `wasserstein1`, as two arrays, one entry per row of a (rows, m^depth)
+    mass matrix; O(rows * m^depth * depth * m) work with no flow, so also
+    beyond `GRID_CAP`.  lb is the coordinate-marginal bound, ub the smaller
+    of the prefix-tree and the transport-plan bounds (`_tree_bounds`,
+    `_plan_bound`)."""
+    net = _net_rows(masses, nu, depth, space)
+    lb, ub = _tree_bounds(net, depth, space)
+    return lb, np.minimum(ub, _plan_bound(net, depth, space))
+
+
+def _tree_bounds(net, depth, space):
+    """Row-wise lb and prefix-tree ub of a (rows, m^depth) supply matrix.
 
     lb: the cost splits over coordinates, so W1 is at least the sum over d
     of beta^-(d+1) times the 1-D W1 of the coordinate-d marginals, the
@@ -378,35 +441,89 @@ def w1_bounds(mu, nu, depth, space):
     cylinder, at most its truncated diameter (m-1) sum_{d>=l} beta^-(d+1)
     apart.
     """
-    m = space.m
-    net = _net_supply(mu, nu, depth, space)
-    if not ((net > 0).any() and (net < 0).any()):
-        return 0.0, 0.0
+    m, rows = space.m, net.shape[0]
+    # the depth-l cylinder masses, deepest first: digit l is the top digit
+    # of a depth-(l+1) cylinder, axis 1 of the (m, m^l) view of their masses
+    marginals = np.empty((rows, depth, m))
+    e = np.empty((rows, depth + 1))
+    e[:, depth] = np.abs(net).sum(axis=1)
+    cylinders = net
+    for l in reversed(range(depth)):
+        v = cylinders.reshape(rows, m, m ** l)
+        marginals[:, l] = v.sum(axis=2)
+        cylinders = v.sum(axis=1)
+        e[:, l] = np.abs(cylinders).sum(axis=1)
     scale = space.beta ** -np.arange(1.0, depth + 1)
-    # coordinate d is digit d of the node: the middle axis of this view
-    marginals = np.array([net.reshape(-1, m, m ** d).sum(axis=(0, 2))
-                          for d in range(depth)])
-    lb = float(scale @ np.abs(np.cumsum(marginals, axis=1)[:, :-1]).sum(axis=1))
-    # the depth-l cylinder masses are the column sums of this view
-    e = 0.5 * np.array([np.abs(net.reshape(-1, m ** l).sum(axis=0)).sum()
-                        for l in range(depth + 1)])
+    lb = np.abs(np.cumsum(marginals, axis=2)[:, :, :-1]).sum(axis=2) @ scale
     diameter = (m - 1) * np.cumsum(scale[::-1])[::-1]
-    return lb, float(np.diff(e) @ diameter)
+    return lb, 0.5 * np.diff(e, axis=1) @ diameter
 
 
-def w1_below(mu, nu, eps, depth, space):
-    """Whether W1(mu, nu) < eps at the truncated costs of `wasserstein1`.
+def _plan_bound(net, depth, space):
+    """Row-wise cost of a feasible flow for each row of a (rows, m^depth)
+    supply matrix, in the true truncated metric: an upper bound on W1.
 
-    `w1_bounds` decide when they clear eps by MARGIN, which exceeds the flow
-    LP's tolerances and the bounds' rounding; otherwise the exact value is
-    compared with eps.
+    The flow balances the tree top down (Flowtree, Backurs et al. 2020).
+    For l = 0..depth-1, inside each depth-l cylinder, the net masses of the
+    m children (digit l) are balanced by 1-D transport along digit l: the
+    mass F crossing each child boundary, the running sum of the children's
+    net masses, moves one child over, first rightwards over the boundaries
+    in turn, then leftwards.  The moved mass keeps its deeper digits and is
+    taken from the source child's nodes in proportion to their positive
+    parts, which cover it; each unit pays beta^-(l+1) per boundary.  After
+    depth - 1 every node is balanced.
     """
-    lb, ub = w1_bounds(mu, nu, depth, space)
-    if ub < eps - MARGIN:
-        return True
-    if lb > eps + MARGIN:
-        return False
-    return wasserstein1(mu, nu, depth, space)[0] < eps
+    m, rows = space.m, net.shape[0]
+    x = net.copy()
+    cost = np.zeros(rows)
+    for l in range(depth):
+        # axes: deeper digits, digit l, the depth-l cylinder (lower digits)
+        v = x.reshape(rows, m ** (depth - l - 1), m, m ** l)
+        flow = np.cumsum(v.sum(axis=1), axis=1)[:, :-1]
+        cost += space.beta ** -(l + 1) * np.abs(flow).sum(axis=(1, 2))
+        if l == depth - 1:
+            break
+        for c in range(m - 1):
+            _shift(v, c, c + 1, np.maximum(flow[:, c], 0.0))
+        for c in reversed(range(m - 1)):
+            _shift(v, c + 1, c, np.maximum(-flow[:, c], 0.0))
+    return cost
+
+
+def _shift(v, src, dst, amount):
+    """Move amount[r, j] of row r from child src to child dst of cylinder j
+    in the (rows, deeper digits, m, cylinders) view v, taken from the nodes
+    of src in proportion to their positive parts; each unit keeps its
+    deeper digits."""
+    pos = np.maximum(v[:, :, src], 0.0)
+    total = pos.sum(axis=1)
+    frac = np.divide(amount, total, out=np.zeros_like(total), where=total > 0)
+    take = pos * frac[:, None]
+    v[:, :, src] -= take
+    v[:, :, dst] += take
+
+
+def w1_below(masses, nu, eps, depth, space):
+    """Whether W1(row, nu) < eps at the truncated costs of `wasserstein1`,
+    as a bool array, one entry per row of a (rows, m^depth) mass matrix.
+
+    A bound decides a row when it clears eps by MARGIN, which exceeds the
+    flow LP's tolerances and the bounds' rounding; otherwise the exact value
+    is compared with eps.  The marginal and prefix-tree bounds run on every
+    row, the plan bound on the rows they leave open, and the exact solve on
+    the rows still open, so every decision equals the exact one.
+    """
+    net = _net_rows(masses, nu, depth, space)
+    lb, ub = _tree_bounds(net, depth, space)
+    below = ub < eps - MARGIN
+    todo = np.flatnonzero(~below & ~(lb > eps + MARGIN))
+    if todo.size:
+        below[todo] = _plan_bound(net[todo], depth, space) < eps - MARGIN
+        todo = todo[~below[todo]]
+    for i in todo:
+        row = FinSuppMeasure(masses[i], depth, space.m)
+        below[i] = wasserstein1(row, nu, depth, space)[0] < eps
+    return below
 
 
 @lru_cache(maxsize=8)

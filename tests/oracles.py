@@ -13,8 +13,13 @@ min-cost flow; `dense_transport` solves the same problem as the dense
 bipartite transportation LP between the two sets of atoms.  Measures are
 mass vectors on the m^depth prefix grid; `sparse_snapshots` and
 `sparse_proxy` build the same measures as sorted distinct prefix codes and
-their weights, merged by `np.unique`, and `tree_bounds` finds the W1 bounds'
-cylinders by sorting the atoms in prefix order.  The library's Markov law
+their weights, merged by `np.unique`, and `from_atoms` builds one from
+symbol rows.  `tree_bounds` finds the W1 bounds' cylinders by sorting the
+atoms in prefix order, and `plan_bound` balances the library's transport
+plan one cylinder, boundary and node at a time.  The restricted outer
+measure builds the masses of a layer of words from one period of each;
+`representatives` materialises each word's periodic orbit for
+`empirical_measure`.  The library's Markov law
 is one product recursion over the whole grid; `cylinder_probability`
 multiplies out one word at a time, and `sparse_proxy` runs it on every
 admissible word.  The connector
@@ -33,9 +38,10 @@ from scipy.optimize import brentq, linprog
 
 from emergence_lab.carath import _log_q
 from emergence_lab.errors import InvariantError
-from emergence_lab.measures import _inverse_cdf, _pack_prefixes, _unpack_keys
-from emergence_lab.sofic import (admissible_words, perron, symbol_array,
-                                 topological_entropy)
+from emergence_lab.measures import (FinSuppMeasure, _grid_size, _inverse_cdf,
+                                    _pack_prefixes, _unpack_keys)
+from emergence_lab.sofic import (PointPrefix, admissible_words, connector,
+                                 perron, symbol_array, topological_entropy)
 
 
 def scan_sup_birkhoff(s, u):
@@ -282,3 +288,64 @@ def tree_bounds(mu, nu, depth, space):
                           weights=np.abs(mass), minlength=depth + 1)
     diameter = (m - 1) * np.cumsum(scale[::-1])[::-1]
     return lb, float(np.diff(e) @ diameter)
+
+
+def from_atoms(atoms, weights, space):
+    """The measure with weight w_i on the prefix in row i of a (k, depth)
+    symbol array; rows with the same prefix add up in one bincount."""
+    rows = symbol_array(atoms, space, "oracles", "from_atoms")
+    w = np.asarray(weights, dtype=np.float64)
+    if not (rows.ndim == 2 and w.shape == rows.shape[:1] and (w >= 0).all()):
+        raise InvariantError("need a (k, depth) symbol array and k "
+                             "nonnegative weights",
+                             module="oracles", operation="from_atoms")
+    size = _grid_size(space.m, rows.shape[1], "from_atoms")
+    mass = np.bincount(_pack_prefixes(rows, space.m), weights=w,
+                       minlength=size)
+    return FinSuppMeasure(mass, rows.shape[1], space.m)
+
+
+def representatives(u, space, length):
+    """The orbit prefix standing in for the points of C(u): u repeated,
+    through a connector when u cannot follow itself."""
+    w = list(u)
+    if not space.allows(u[-1], u[0]):
+        w += list(connector(u, u, space))
+    return PointPrefix.periodic(w, length)
+
+
+def plan_bound(mu, nu, depth, space):
+    """The cost of the library's top-down transport plan for mu - nu, one
+    cylinder, child boundary and node at a time: inside each depth-l
+    cylinder the mass F_c crossing boundary c (the children's running net
+    mass) moves one child over, rightwards for c = 0..m-2, then leftwards
+    for c = m-2..0, taken from the source child's nodes in proportion to
+    their positive parts and landing on the nodes with the same other
+    digits, at beta^-(l+1) per unit."""
+    m = space.m
+    net = mu.truncated(depth).mass - nu.truncated(depth).mass
+    supply = {tuple(_unpack_keys(np.array([c]), depth, m)[0] - 1):
+              (0.0 if abs(x) <= 1e-15 else float(x))
+              for c, x in enumerate(net)}
+    cost = 0.0
+    for l in range(depth):
+        step = space.beta ** -(l + 1)
+        children = {}
+        for x in supply:
+            children.setdefault(x[:l], [[] for _ in range(m)])[x[l]].append(x)
+        for child in children.values():
+            flow = list(itertools.accumulate(
+                sum(supply[x] for x in child[c]) for c in range(m - 1)))
+            cost += step * sum(abs(f) for f in flow)
+            moves = ([(c, c + 1, max(flow[c], 0.0)) for c in range(m - 1)]
+                     + [(c + 1, c, max(-flow[c], 0.0))
+                        for c in reversed(range(m - 1))])
+            for src, dst, amount in moves:
+                total = sum(max(supply[x], 0.0) for x in child[src])
+                if amount <= 0 or total <= 0:
+                    continue
+                for x in child[src]:
+                    take = max(supply[x], 0.0) * (amount / total)
+                    supply[x] -= take
+                    supply[x[:l] + (dst,) + x[l + 1:]] += take
+    return cost

@@ -25,12 +25,11 @@ from emergence_lab.emergence import (_greedy_cover, _greedy_packing,
                                      build_cloud, cloud_at_times,
                                      covering_number_bounds,
                                      emergence_report, pairwise_w1)
-from emergence_lab.measures import (FinSuppMeasure, MarkovMeasure,
-                                    empirical_measure, make_rng,
-                                    truncation_proxy, wasserstein1)
+from emergence_lab.measures import (MarkovMeasure, empirical_measure,
+                                    make_rng, truncation_proxy, wasserstein1)
 from emergence_lab.sofic import (PointPrefix, ShiftSpace, admissible_words,
                                  topological_entropy)
-from oracles import eta, q_weight
+from oracles import eta, from_atoms, q_weight
 
 FULL2 = ShiftSpace.full_shift(2)
 FULL3 = ShiftSpace.full_shift(3)
@@ -141,7 +140,7 @@ def _random_finsupp(rng, depth=4):
     atoms = rng.integers(1, 3, size=(n_atoms, depth)).astype(np.int16)
     atoms = np.unique(atoms, axis=0)
     w = rng.random(atoms.shape[0]) + 0.05
-    return FinSuppMeasure.from_atoms(atoms, w / w.sum(), FULL2)
+    return from_atoms(atoms, w / w.sum(), FULL2)
 
 
 def test_w1_axioms_thousand_triples():

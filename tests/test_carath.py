@@ -5,19 +5,21 @@ import numpy as np
 import pytest
 
 from emergence_lab import carath, measures
-from emergence_lab.carath import (CStructure, _log_q, _representatives,
-                                  bowen_dimension, check_conditions,
-                                  outer_measure_M, outer_measure_N,
-                                  pressure_exact, pressure_partition,
-                                  restricted_outer_measure)
+from emergence_lab.carath import (CStructure, _layer_counts, _log_q,
+                                  _tracking, bowen_dimension,
+                                  check_conditions, outer_measure_M,
+                                  outer_measure_N, pressure_exact,
+                                  pressure_partition, restricted_outer_measure)
 from emergence_lab.errors import (DepthError, InputError, InvariantError,
                                   SizeError)
-from emergence_lab.measures import (MarkovMeasure, empirical_measure,
-                                    truncation_proxy, wasserstein1)
+from emergence_lab.measures import (MarkovMeasure, count_masses,
+                                    empirical_measure, truncation_proxy,
+                                    w1_below, wasserstein1)
 from emergence_lab.sofic import (ShiftSpace, admissible_words,
                                  topological_entropy)
-from oracles import (_cover_recursion, eta, q_weight, scan_sup_birkhoff,
-                     window_shift_bowen_root, window_shift_pressure)
+from oracles import (_cover_recursion, eta, q_weight, representatives,
+                     scan_sup_birkhoff, window_shift_bowen_root,
+                     window_shift_pressure)
 
 FULL2 = ShiftSpace.full_shift(2)
 FULL3 = ShiftSpace.full_shift(3)
@@ -588,7 +590,7 @@ def test_restricted_measure_matches_tree():
 
         def w1(u):
             if u not in dist:
-                y = _representatives(u, space, n + depth - 1)
+                y = representatives(u, space, n + depth - 1)
                 dist[u], _ = wasserstein1(
                     empirical_measure(y, n, depth, space), proxy, depth, space)
             return dist[u]
@@ -606,6 +608,57 @@ def test_restricted_measure_matches_tree():
         assert min(dist.values()) < 0.15 < max(dist.values())
 
 
+def test_restricted_layer_masses_and_decisions_match_per_word():
+    # one period per word against the materialised representative: the
+    # golden mean's words ending in 2 and starting with 2 take a connector,
+    # n = 1 and 7 are shorter than some periods, most periods do not divide
+    # n, and at n = 4097 masses of c / n instead of the sequential sums of
+    # 1/n differ in the last digits
+    depth = 3
+    for space in (FULL2, GM, FULL3):
+        proxy = truncation_proxy((MarkovMeasure.parry(space),), (1.0,), depth)
+        for l in (1, 2, 3, 5):
+            words = np.array(admissible_words(space, l), dtype=np.int16)
+            for n in (1, 7, 64, 1000, 4097):
+                mass = count_masses(_layer_counts(words, n, depth, space), n)
+                emps = [empirical_measure(representatives(u, space,
+                                                          n + depth - 1),
+                                          n, depth, space)
+                        for u in map(tuple, words.tolist())]
+                for row, emp in zip(mass, emps):
+                    assert np.array_equal(row, emp.mass), (space.m, l, n)
+                for eps in (0.1, 0.3):
+                    got = _tracking(words, proxy, n, eps, depth, space)
+                    want = [w1_below(emp.mass[None], proxy, eps, depth,
+                                     space)[0] for emp in emps]
+                    assert got.tolist() == want, (space.m, l, n, eps)
+
+
+def test_restricted_measure_lp_solves_regression(monkeypatch):
+    # FULL2, Parry, z = (1,), n = 64, eps = 0.15, metric depth 4: the values
+    # are pinned bit for bit, and the plan bound and the distinct rows keep
+    # the exact solves at 20, 53 and 155 (73, 222 and 934 one word at a time
+    # with the prefix-tree bound alone)
+    solves = []
+    linprog = measures.linprog
+
+    def spy(*args, **kwargs):
+        solves.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "linprog", spy)
+    s = CStructure(kind="entropy", space=FULL2)
+    mu = MarkovMeasure.parry(FULL2)
+    for cap, want, most in ((8, 0.601047565423747, 25),
+                            (10, 0.6744872582380383, 60),
+                            (12, 0.7054893006329133, 175)):
+        solves.clear()
+        got = restricted_outer_measure(s, (1,), mu, n=64, eps=0.15, t=0.6,
+                                       m_blk=1, depth_cap=cap, metric_depth=4)
+        assert got == want, cap
+        assert len(solves) <= most, (cap, len(solves))
+
+
 def test_restricted_measure_caps_probes_before_any_solve(monkeypatch):
     # FULL2 below z = () to depth 3 has 2 + 4 + 8 = 14 probes
     s = CStructure(kind="entropy", space=FULL2)
@@ -614,10 +667,12 @@ def test_restricted_measure_caps_probes_before_any_solve(monkeypatch):
     def no_solve(*args):
         raise AssertionError("W1 solved before the probe count was checked")
 
-    # every W1 entry point carath imports, and the bounds and exact solve
-    # behind the decision in measures
+    # every W1 entry point carath imports, the layer masses and decisions,
+    # and the row-wise bounds and exact solve behind them in measures
     for mod in (carath, measures):
-        for name in ("w1_below", "w1_bounds", "wasserstein1"):
+        for name in ("w1_below", "w1_bounds", "wasserstein1", "_tracking",
+                     "_layer_counts", "periodic_counts", "count_masses",
+                     "_tree_bounds", "_plan_bound"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, no_solve)
     monkeypatch.setattr(carath, "SURVIVOR_CAP", 13)
@@ -637,6 +692,10 @@ def test_restricted_measure_guards():
                                  m_blk=1, depth_cap=2, metric_depth=3)
     with pytest.raises(DepthError):
         restricted_outer_measure(s, (1, 1, 1), mu, n=16, eps=0.5, t=0.5,
+                                 m_blk=1, depth_cap=2, metric_depth=3)
+    # no windows: at eps = 0, which probes nothing, this returned 0.0
+    with pytest.raises(InputError, match="n must be"):
+        restricted_outer_measure(s, (), mu, n=0, eps=0.0, t=0.5,
                                  m_blk=1, depth_cap=2, metric_depth=3)
 
 

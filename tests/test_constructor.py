@@ -352,8 +352,11 @@ def test_bound_decisions_match_exact_path(monkeypatch):
         monkeypatch.setattr(mod, "wasserstein1", exact)
     with_bounds = run()
     bounded_solves = len(solves)
-    for mod in (measures, constructor):
-        monkeypatch.setattr(mod, "w1_bounds", lambda *args: (0.0, math.inf))
+    # every decision and saturation bound, scalar or row-wise, reads these
+    monkeypatch.setattr(measures, "_tree_bounds", lambda net, *args: (
+        np.zeros(len(net)), np.full(len(net), math.inf)))
+    monkeypatch.setattr(measures, "_plan_bound",
+                        lambda net, *args: np.full(len(net), math.inf))
     solves.clear()
     assert run() == with_bounds
     assert bounded_solves < len(solves)

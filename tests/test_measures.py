@@ -18,8 +18,9 @@ from emergence_lab.measures import (GRID_CAP, MARGIN, MEASURE_CAP,
                                     wasserstein1)
 from emergence_lab.sofic import (PointPrefix, ShiftSpace, admissible_words,
                                  is_admissible)
-from oracles import (cylinder_probability, dense_transport, loop_chain_walk,
-                     sparse_proxy, sparse_snapshots, tree_bounds)
+from oracles import (cylinder_probability, dense_transport, from_atoms,
+                     loop_chain_walk, plan_bound, sparse_proxy,
+                     sparse_snapshots, tree_bounds)
 
 FULL2 = ShiftSpace.full_shift(2)
 FULL3 = ShiftSpace.full_shift(3)
@@ -285,11 +286,11 @@ def atom_masses(measure):
 
 def test_finsupp_weight_validation():
     with pytest.raises(InvariantError):
-        FinSuppMeasure.from_atoms(np.array([[1, 1]], dtype=np.int16),
-                                  np.array([0.9]), FULL2)
+        from_atoms(np.array([[1, 1]], dtype=np.int16),
+                   np.array([0.9]), FULL2)
     with pytest.raises(InvariantError):
-        FinSuppMeasure.from_atoms(np.array([[1], [1]], dtype=np.int16),
-                                  np.array([1.5, -0.5]), FULL2)
+        from_atoms(np.array([[1], [1]], dtype=np.int16),
+                   np.array([1.5, -0.5]), FULL2)
     with pytest.raises(InvariantError):
         FinSuppMeasure(np.array([0.5, 0.5, 0.0]), 1, 2)
 
@@ -297,8 +298,7 @@ def test_finsupp_weight_validation():
 def test_from_atoms_sums_duplicate_prefixes_and_truncates():
     atoms = np.array([[1, 1, 1], [1, 1, 2], [2, 1, 1], [1, 1, 2]],
                      dtype=np.int16)
-    mu = FinSuppMeasure.from_atoms(atoms, np.array([0.25, 0.125, 0.5, 0.125]),
-                                   FULL2)
+    mu = from_atoms(atoms, np.array([0.25, 0.125, 0.5, 0.125]), FULL2)
     # prefix (x_0, x_1, x_2) is the grid node (x_0 - 1) + 2 (x_1 - 1) + 4 (x_2 - 1)
     assert mu.mass.tolist() == [0.25, 0.5, 0, 0, 0.25, 0, 0, 0]
     assert mu.truncated(2).mass.tolist() == [0.5, 0.5, 0, 0]
@@ -426,22 +426,34 @@ def test_measure_grid_cap():
     with pytest.raises(SizeError, match="measure grid"):
         empirical_measure(x, 10, 40, FULL2)
     with pytest.raises(SizeError, match="measure grid"):
-        FinSuppMeasure.from_atoms(np.ones((1, 40), np.int16), [1.0], FULL2)
+        from_atoms(np.ones((1, 40), np.int16), [1.0], FULL2)
     with pytest.raises(SizeError, match="measure grid"):
         truncation_proxy((bern([0.5, 0.5]),), (1.0,), 40)
     # metric depth 6 fits up to m = 12 and raises from m = 13 on
-    assert FinSuppMeasure.from_atoms(np.ones((1, 6), np.int16), [1.0],
-                                     ShiftSpace.full_shift(12)).mass[0] == 1.0
+    assert from_atoms(np.ones((1, 6), np.int16), [1.0],
+                      ShiftSpace.full_shift(12)).mass[0] == 1.0
     with pytest.raises(SizeError, match="measure grid"):
-        FinSuppMeasure.from_atoms(np.ones((1, 6), np.int16), [1.0],
-                                  ShiftSpace.full_shift(13))
+        from_atoms(np.ones((1, 6), np.int16), [1.0],
+                   ShiftSpace.full_shift(13))
 
 
 # ------------------------------------------------------------- Wasserstein-1
 
 def point(word, width):
-    return FinSuppMeasure.from_atoms(
+    return from_atoms(
         np.asarray(word, dtype=np.int16)[None, :width], np.array([1.0]), FULL2)
+
+
+def bounds(mu, nu, depth, space):
+    """`w1_bounds` on the one row mu, as two floats."""
+    lb, ub = w1_bounds(mu.truncated(depth).mass[None], nu, depth, space)
+    return float(lb[0]), float(ub[0])
+
+
+def below(mu, nu, eps, depth, space):
+    """`w1_below` on the one row mu."""
+    return bool(w1_below(mu.truncated(depth).mass[None], nu, eps, depth,
+                         space)[0])
 
 
 def test_w1_point_masses_equals_truncated_metric():
@@ -454,9 +466,9 @@ def test_w1_point_masses_equals_truncated_metric():
 
 def test_w1_half_mass_move():
     # move half the mass from 111 to 211: cost 0.5 * beta^-1
-    a = FinSuppMeasure.from_atoms(np.array([[1, 1, 1]], dtype=np.int16),
-                                  np.array([1.0]), FULL2)
-    b = FinSuppMeasure.from_atoms(
+    a = from_atoms(np.array([[1, 1, 1]], dtype=np.int16),
+                   np.array([1.0]), FULL2)
+    b = from_atoms(
         np.array([[1, 1, 1], [2, 1, 1]], dtype=np.int16),
         np.array([0.5, 0.5]), FULL2)
     val, _ = wasserstein1(a, b, 3, FULL2)
@@ -508,12 +520,12 @@ def test_w1_rejects_atoms_outside_alphabet():
     for atoms, bad in (([[3, 1], [1, 1]], 3), ([[0, 1], [1, 1]], 0),
                        ([[5, 1]], 5)):
         with pytest.raises(InputError, match=f"symbol {bad} outside"):
-            FinSuppMeasure.from_atoms(np.array(atoms, dtype=np.int16),
-                                      np.full(len(atoms), 1 / len(atoms)),
-                                      FULL2)
+            from_atoms(np.array(atoms, dtype=np.int16),
+                       np.full(len(atoms), 1 / len(atoms)),
+                       FULL2)
     # nor compared on a space of another alphabet
-    mu = FinSuppMeasure.from_atoms([[1, 2], [2, 2]], [0.5, 0.5], FULL2)
-    nu = FinSuppMeasure.from_atoms([[1, 2], [3, 2]], [0.5, 0.5], FULL3)
+    mu = from_atoms([[1, 2], [2, 2]], [0.5, 0.5], FULL2)
+    nu = from_atoms([[1, 2], [3, 2]], [0.5, 0.5], FULL3)
     for a, b in ((mu, nu), (nu, mu)):
         with pytest.raises(InputError, match="symbols, space on 2"):
             wasserstein1(a, b, 2, FULL2)
@@ -525,18 +537,18 @@ def test_w1_grid_cap():
     assert GRID_CAP == 2 ** 12
     atoms = np.array([[1] * 13, [2] * 13, [1, 2] * 6 + [1], [2, 1] * 6 + [2]],
                      dtype=np.int16)
-    mu = FinSuppMeasure.from_atoms(atoms[:2], np.array([0.5, 0.5]), FULL2)
-    nu = FinSuppMeasure.from_atoms(atoms[2:], np.array([0.5, 0.5]), FULL2)
+    mu = from_atoms(atoms[:2], np.array([0.5, 0.5]), FULL2)
+    nu = from_atoms(atoms[2:], np.array([0.5, 0.5]), FULL2)
     with pytest.raises(SizeError, match="grid"):
         wasserstein1(mu, nu, 13, FULL2)
     assert wasserstein1(mu, nu, 12, FULL2)[0] == pytest.approx(
         (1 - 2.0 ** -12) / 3, rel=1e-12)
     # a test the bounds settle needs no grid (lb = 0, ub = 0.49988 at depth
     # 13); one they leave open needs the exact value and so the grid
-    assert w1_bounds(mu, nu, 13, FULL2)[1] < 0.5 - MARGIN
-    assert w1_below(mu, nu, 0.5, 13, FULL2)
+    assert bounds(mu, nu, 13, FULL2)[1] < 0.5 - MARGIN
+    assert below(mu, nu, 0.5, 13, FULL2)
     with pytest.raises(SizeError, match="grid"):
-        w1_below(mu, nu, 0.3, 13, FULL2)
+        below(mu, nu, 0.3, 13, FULL2)
 
 
 def dense_w1(mu, nu, depth, space):
@@ -585,11 +597,11 @@ def w1_oracle_cases():
     w[moved[2:]] += [5e-10, 5e-10]
     yield mu, FinSuppMeasure(w, 5, 2), 5, FULL2
     # one residual atom of relative mass about 1e-9 beside atoms of about 1/2
-    a = FinSuppMeasure.from_atoms(
+    a = from_atoms(
         np.array([[1, 1, 1], [1, 2, 1], [2, 2, 2]], np.int16),
         np.array([0.5, 0.5 - 1e-9, 1e-9]), FULL2)
-    b = FinSuppMeasure.from_atoms(np.array([[2, 1, 1], [2, 1, 2]], np.int16),
-                                  np.array([0.5, 0.5]), FULL2)
+    b = from_atoms(np.array([[2, 1, 1], [2, 1, 2]], np.int16),
+                   np.array([0.5, 0.5]), FULL2)
     yield a, b, 3, FULL2
 
 
@@ -602,10 +614,10 @@ def test_w1_flow_matches_dense_oracle():
 
 def test_w1_scale_invariance_under_common_mass():
     # adding identical extra mass to both sides must not change the distance
-    a = FinSuppMeasure.from_atoms(np.array([[1, 1], [2, 2]], dtype=np.int16),
-                                  np.array([0.5, 0.5]), FULL2)
-    b = FinSuppMeasure.from_atoms(np.array([[1, 2], [2, 2]], dtype=np.int16),
-                                  np.array([0.5, 0.5]), FULL2)
+    a = from_atoms(np.array([[1, 1], [2, 2]], dtype=np.int16),
+                   np.array([0.5, 0.5]), FULL2)
+    b = from_atoms(np.array([[1, 2], [2, 2]], dtype=np.int16),
+                   np.array([0.5, 0.5]), FULL2)
     val, _ = wasserstein1(a, b, 2, FULL2)
     # only 0.5 mass moves from 11 to 12: 0.5 * 2^-2
     assert val == pytest.approx(0.125, abs=1e-12)
@@ -630,7 +642,7 @@ def random_pair(rng, words, max_atoms, space):
         k = int(rng.integers(1, min(len(words), max_atoms) + 1))
         pick = rng.choice(len(words), size=k, replace=False)
         w = rng.random(k) + 0.05
-        pair.append(FinSuppMeasure.from_atoms(words[pick], w / w.sum(), space))
+        pair.append(from_atoms(words[pick], w / w.sum(), space))
     return pair
 
 
@@ -642,23 +654,23 @@ def test_w1_bounds_sound():
         words = np.asarray(admissible_words(space, depth), dtype=np.int16)
         for _ in range(40):
             mu, nu = random_pair(rng, words, 40, space)
-            lb, ub = w1_bounds(mu, nu, depth, space)
+            lb, ub = bounds(mu, nu, depth, space)
             d, _ = wasserstein1(mu, nu, depth, space)
             assert lb - 1e-12 <= d <= ub + 1e-12, (space.m, depth, lb, d, ub)
     # one atom against many, on both sides
     a = point((1, 2, 2, 1, 2), 5)
     b = truncation_proxy((bern([0.3, 0.7]),), (1.0,), 5)
     for x, y in ((a, b), (b, a)):
-        lb, ub = w1_bounds(x, y, 5, FULL2)
+        lb, ub = bounds(x, y, 5, FULL2)
         assert lb - 1e-12 <= wasserstein1(x, y, 5, FULL2)[0] <= ub + 1e-12
     # identical measures
-    assert w1_bounds(b, b, 5, FULL2) == (0.0, 0.0)
+    assert bounds(b, b, 5, FULL2) == (0.0, 0.0)
     # at depth 1 on FULL2 both bounds are the distance itself
     for p, q in ((0.2, 0.5), (0.9, 0.1)):
         mu = truncation_proxy((bern([p, 1 - p]),), (1.0,), 1)
         nu = truncation_proxy((bern([q, 1 - q]),), (1.0,), 1)
         d, _ = wasserstein1(mu, nu, 1, FULL2)
-        lb, ub = w1_bounds(mu, nu, 1, FULL2)
+        lb, ub = bounds(mu, nu, 1, FULL2)
         assert lb == pytest.approx(d, abs=1e-15)
         assert ub == pytest.approx(d, abs=1e-15)
 
@@ -676,9 +688,45 @@ def test_w1_bounds_match_prefix_tree_oracle():
     cases += [(mu, nu, depth - 2, space) for mu, nu, depth, space in cases[:80]]
     assert len(cases) == 320
     for mu, nu, depth, space in cases:
-        got = w1_bounds(mu, nu, depth, space)
-        want = tree_bounds(mu, nu, depth, space)
+        got = bounds(mu, nu, depth, space)
+        lb, tree_ub = tree_bounds(mu, nu, depth, space)
+        want = (lb, min(tree_ub, plan_bound(mu, nu, depth, space)))
         assert np.abs(np.subtract(got, want)).max() <= 1e-14, (depth, got, want)
+
+
+def test_w1_plan_bound_sound():
+    # lb <= W1 <= plan <= tree ub on the soundness test's random pairs; the
+    # plan is not proved to beat the tree bound, so w1_bounds takes the
+    # smaller of the two
+    rng = make_rng(31)
+    for space, depth in ((FULL2, 4), (FULL2, 5), (FULL2, 8), (GM, 5),
+                         (FULL3, 5)):
+        words = np.asarray(admissible_words(space, depth), dtype=np.int16)
+        for _ in range(40):
+            mu, nu = random_pair(rng, words, 40, space)
+            lb, tree_ub = tree_bounds(mu, nu, depth, space)
+            plan = plan_bound(mu, nu, depth, space)
+            d, _ = wasserstein1(mu, nu, depth, space)
+            assert lb - 1e-12 <= d <= plan + 1e-12, (space.m, depth, d, plan)
+            assert plan <= tree_ub + 1e-12, (space.m, depth, plan, tree_ub)
+
+
+def test_w1_rows_must_be_probability_vectors():
+    # every row is checked as FinSuppMeasure checks its mass, even one the
+    # bounds would settle without an exact solve
+    nu = truncation_proxy((bern([0.3, 0.7]),), (1.0,), 3)
+    point_mass = np.eye(8)[0]
+    for bad in ([1.1, -0.1, 0, 0, 0, 0, 0, 0], [0.5, 0, 0, 0, 0, 0, 0, 0],
+                [np.nan, 1, 0, 0, 0, 0, 0, 0], [np.inf, 0, 0, 0, 0, 0, 0, 0],
+                point_mass * (1 + 1e-11)):
+        masses = np.array([point_mass, bad])
+        with pytest.raises(InvariantError):
+            w1_bounds(masses, nu, 3, FULL2)
+        for eps in (1e-3, 10.0):
+            with pytest.raises(InvariantError):
+                w1_below(masses, nu, eps, 3, FULL2)
+    masses = np.array([point_mass, point_mass * (1 + 1e-13)])
+    assert w1_below(masses, nu, 10.0, 3, FULL2).tolist() == [True, True]
 
 
 def test_w1_below_margin_cases(monkeypatch):
@@ -699,16 +747,16 @@ def test_w1_below_margin_cases(monkeypatch):
                   truncation_proxy((bern([0.6, 0.4]),), (1.0,), 1), 1))
     for a, b, depth in cases:
         d, _ = wasserstein1(a, b, depth, FULL2)
-        lb, ub = w1_bounds(a, b, depth, FULL2)
+        lb, ub = bounds(a, b, depth, FULL2)
         assert lb > 2 * MARGIN
         for eps in (d, lb, ub, lb - MARGIN / 2, ub + MARGIN / 2,
                     np.nextafter(d, 0), np.nextafter(d, 1)):
             solves.clear()
-            assert w1_below(a, b, eps, depth, FULL2) == (d < eps), (depth, eps)
+            assert below(a, b, eps, depth, FULL2) == (d < eps), (depth, eps)
             assert solves == [1], (depth, eps)
         for eps, want in ((lb - 2 * MARGIN, False), (ub + 2 * MARGIN, True)):
             solves.clear()
-            assert w1_below(a, b, eps, depth, FULL2) is want
+            assert below(a, b, eps, depth, FULL2) is want
             assert solves == []
 
 
@@ -728,8 +776,8 @@ def test_nan_weights_rejected():
     # with these weights W1 gave 0.5 and P(C(1)) under the mixture nan
     weights = np.array([math.nan, 1.0])
     with pytest.raises(InvariantError):
-        FinSuppMeasure.from_atoms(np.array([[1], [2]], dtype=np.int16),
-                                  weights, FULL2)
+        from_atoms(np.array([[1], [2]], dtype=np.int16),
+                   weights, FULL2)
     with pytest.raises(InvariantError):
         truncation_proxy((bern([0.5, 0.5]), bern([0.2, 0.8])), weights, 1)
 
