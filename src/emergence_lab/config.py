@@ -428,7 +428,8 @@ def load_config(path):
         obj = json.loads(p.read_text(encoding="utf-8"),
                          parse_constant=_finite(float),
                          parse_float=_finite(float), parse_int=_finite(int))
-    except json.JSONDecodeError as exc:
+    # also a file that is not UTF-8, or nested past the parser's recursion
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError([("/", f"JSON parse error: {exc}")],
                           module="config", operation="load_config") from exc
     return validate_config(obj)

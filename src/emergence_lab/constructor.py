@@ -18,7 +18,8 @@ An independent checker re-evaluates every inequality from its definition
 after construction.  Empirical measures along the built orbit then sweep the
 whole simplex of the family, which is what the saturation report verifies.
 Typical words, entry thresholds and saturation minima all compare against
-`truncation_proxy`: one family measure, or a net node's mixture of them.
+`truncation_proxy`: one family measure, or a net node's mixture of them,
+through the bound-first W1 tests of `measures` (`w1_below`, `w1_min`).
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ import numpy as np
 
 from .errors import (AlignmentError, InputError, InvariantError, SamplingError,
                      ScheduleError, SizeError)
-from .measures import (MARGIN, FinSuppMeasure, count_masses, make_rng,
-                       periodic_counts, snapshot_masses, truncation_proxy,
-                       w1_below, w1_bounds, wasserstein1)
+from .measures import (count_masses, make_rng, periodic_counts,
+                       snapshot_masses, truncation_proxy, w1_below, w1_min)
 from .sofic import PointPrefix, connector, is_admissible, symbol_array
 
 NODE_CAP = 50_000       # lattice points of one simplex net
@@ -393,7 +393,8 @@ def typical_word(mu, n, eps, seed, metric_depth):
 
 
 def _log_cylinder_probability(mu, word):
-    w = symbol_array(word, mu.space, "constructor", "log_cylinder_probability") - 1
+    w = symbol_array(word, mu.space.m, "constructor",
+                     "log_cylinder_probability") - 1
     with np.errstate(divide="ignore"):
         logp = np.log(mu.stochastic)
     return float(np.log(mu.stationary[w[0]]) + logp[w[:-1], w[1:]].sum())
@@ -500,11 +501,9 @@ class SaturationReport:
 
 def verify_saturation(orbit, net, family, slack, metric_depth):
     """For each net node, the closest approach of the empirical measure (over
-    block-boundary times) to the node's mixture; pass iff every node is
-    reached within eps_tilde[level] + slack.  The W1 bounds of all times
-    come first, row-wise; times are then taken in order, and one whose lower
-    bound exceeds the minimum so far, or the smallest upper bound, by MARGIN
-    is skipped without an exact solve."""
+    block-boundary times) to the node's mixture, the first time attaining
+    it from `w1_min`; pass iff every node is reached within
+    eps_tilde[level] + slack."""
     space = family.space
     L = net.level
     if not any(b[0] == L for b in orbit.block_map):
@@ -526,19 +525,8 @@ def verify_saturation(orbit, net, family, slack, metric_depth):
     worst = 0.0
     for node in net.nodes:
         proxy = truncation_proxy(family.measures[:L + 1], node, metric_depth)
-        lbs, ubs = w1_bounds(masses, proxy, metric_depth, space)
-        top = ubs.min(initial=np.inf)
-        best, best_t = np.inf, -1
-        for t, row, lb in zip(times, masses, lbs.tolist()):
-            # d >= lb > min(best, top) >= the minimum: this time can neither
-            # attain nor tie it
-            if lb > min(best, top) + MARGIN:
-                continue
-            emp = FinSuppMeasure(row, metric_depth, space.m)
-            d, _ = wasserstein1(emp, proxy, metric_depth, space)
-            if d < best:
-                best, best_t = d, t
-        minima.append((tuple(node), float(best), best_t))
+        best, row = w1_min(masses, proxy, metric_depth, space)
+        minima.append((tuple(node), float(best), times[row] if times else -1))
         worst = max(worst, best)
     eps_level = orbit.itinerary.eps_tilde[L]
     return SaturationReport(level=L, slack=slack, eps_level=eps_level,

@@ -11,21 +11,23 @@ grid is one product recursion from its stationary vector, and
 `truncation_proxy` mixes and normalises those laws.  Every empirical
 measure is node counts turned into masses by one rule (`count_masses`):
 the counts of an orbit's windows (`snapshot_masses`), or of a periodic
-point's from one period (`periodic_counts`).
+point's from one period (`periodic_counts`), both keyed by one window-key
+builder (`_window_keys`).
 The W1 solver works on ground costs truncated at an explicit depth,
 sum_d beta^-(d+1) |x_d - y_d|, which is the path metric of the prefix grid;
 W1 is then one min-cost flow on that grid (EMD-L1) with supply mu - nu,
-solved by HiGHS at primal and dual feasibility tolerances 1e-10.  Flow grids
-larger than `GRID_CAP` nodes raise SizeError.  Apart from the solver
-tolerance, the only error source is the metric truncation bound, which is
-returned alongside every value.  Tests of W1 < eps go through `w1_below`,
-and saturation minima prune by their bounds: both work on a mass matrix,
-one row per pair against one target measure, and consult sound bounds
+solved by HiGHS at primal and dual feasibility tolerances 1e-10, unless a
+side of the supply is one node, where the top-down transport plan is
+exact.  Flow grids larger than `GRID_CAP` nodes raise SizeError.  Apart
+from the solver tolerance, the only error source is the metric truncation
+bound, which is returned alongside every value.  Tests of W1 < eps
+(`w1_below`) and saturation minima (`w1_min`) work on a mass matrix, one
+row per pair against one target measure, and consult sound bounds
 (`w1_bounds`, no flow) first: the coordinate-marginal lower bound, and the
-smaller of the prefix-tree bound and the cost of a feasible top-down
-transport plan as the upper bound.  A bound is trusted only when it clears
-the threshold by MARGIN, so every decision equals the exact one, and only
-the rows the bounds leave open reach the flow LP.
+smaller of the prefix-tree bound and the cost of that transport plan as
+the upper bound.  A bound is trusted only when it clears the threshold by
+MARGIN, so every result equals the exact one, and only the rows the bounds
+leave open reach an exact solve.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import linprog
 
 from .errors import DepthError, InputError, InvariantError, SizeError
@@ -176,7 +177,7 @@ class MarkovMeasure:
 @dataclass(frozen=True)
 class FinSuppMeasure:
     """A probability measure on the m^depth symbol prefixes: mass[c] is the
-    mass of the prefix whose grid node (see `_pack_prefixes`) is c."""
+    mass of the prefix whose grid node is c."""
 
     mass: np.ndarray      # (m ** depth,) float64
     depth: int
@@ -214,15 +215,19 @@ def _grid_size(m, depth, operation):
     return size
 
 
-def _pack_prefixes(rows, m):
-    """The grid nodes sum_d (x_d - 1) m^d of the rows of a (k, width) symbol
-    array, as int64 radix-m codes."""
-    codes = np.zeros(rows.shape[0], dtype=np.int64)
-    for d in reversed(range(rows.shape[1])):
-        codes *= m
-        codes += rows[:, d]
-        codes -= 1
-    return codes
+def _window_keys(symbols, depth, m, operation):
+    """The grid nodes sum_d (x_d - 1) m^d of the depth-windows along the
+    last axis of a symbol array, as int64: shifted adds of the symbols in
+    radix m, then sum_d m^d subtracted once.  A symbol outside 1..m raises
+    InputError naming it, tagged with `operation`."""
+    w = symbol_array(symbols, m, "measures", operation)
+    width = w.shape[-1] - depth + 1
+    keys = np.zeros(w.shape[:-1] + (width,), dtype=np.int64)
+    for d in reversed(range(depth)):
+        keys *= m
+        keys += w[..., d:d + width]
+    keys -= sum(m ** d for d in range(depth))
+    return keys
 
 
 def empirical_measure(x, n, depth, space):
@@ -241,8 +246,8 @@ def empirical_snapshots(x, times, depth, space):
 def snapshot_masses(x, times, depth, space):
     """The (len(times), m^depth) mass matrix of the uniform measures on the
     first t shifts of x, at `depth`, one row per t in times, sharing one
-    pass over the window keys (the prefix codes of the sliding depth-windows
-    of x); each row is `count_masses` of its node counts."""
+    pass over the window keys of x; each row is `count_masses` of its node
+    counts."""
     times = [int(t) for t in times]
     if not times or any(t < 1 for t in times):
         raise InputError(f"times must be nonempty positive integers, got {times}",
@@ -253,8 +258,7 @@ def snapshot_masses(x, times, depth, space):
         raise DepthError(f"need {n} symbols for {max(times)} windows of depth "
                          f"{depth}, have {x.symbols.shape[0]}",
                          module="measures", operation="empirical_snapshots")
-    head = symbol_array(x.symbols[:n], space, "measures", "empirical_snapshots")
-    keys = _pack_prefixes(sliding_window_view(head, depth), space.m)
+    keys = _window_keys(x.symbols[:n], depth, space.m, "empirical_snapshots")
     out = np.empty((len(times), size))
     for row, t in zip(out, times):
         row[:] = count_masses(np.bincount(keys[:t], minlength=size)[None], t)[0]
@@ -266,14 +270,11 @@ def periodic_counts(periods, n, depth, m):
     periodic points of the rows of a (k, p) symbol array: window i repeats
     window i mod p, so a node counts n // p times its windows in one period
     plus its windows among the first n % p.  O(k (p + depth)) work besides
-    the count matrix."""
+    the count matrix.  A symbol outside 1..m raises InputError."""
     k, p = periods.shape
     size = _grid_size(m, depth, "periodic_counts")
-    y = periods[:, np.arange(p + depth - 1) % p].astype(np.int64) - 1
-    keys = np.zeros((k, p), dtype=np.int64)
-    for d in reversed(range(depth)):
-        keys *= m
-        keys += y[:, d:d + p]
+    keys = _window_keys(periods[:, np.arange(p + depth - 1) % p], depth, m,
+                        "periodic_counts")
     keys += size * np.arange(k)[:, None]
     q, r = divmod(n, p)
     counts = (q * np.bincount(keys.ravel(), minlength=k * size)
@@ -298,16 +299,6 @@ def count_masses(counts, n):
         rows = nnz == z
         total[rows] = mass[rows][nonzero[rows]].reshape(-1, z).sum(axis=1)
     return mass / total[:, None]
-
-
-def _unpack_keys(codes, width, m):
-    """The (k, width) symbol rows of prefix codes; inverse of `_pack_prefixes`."""
-    out = np.empty((codes.shape[0], width), dtype=np.int16)
-    k = codes.copy()
-    for d in range(width):
-        out[:, d] = k % m + 1
-        k //= m
-    return out
 
 
 def truncation_proxy(measures, weights, depth):
@@ -337,15 +328,6 @@ def truncation_proxy(measures, weights, depth):
     return FinSuppMeasure(law / lex[lex > 0].sum(), depth, space.m)
 
 
-def _net_supply(mu, nu, depth, space):
-    """The supply mu - nu on the m^depth grid, with entries of absolute value
-    at most 1e-15 set to 0."""
-    if not mu.m == nu.m == space.m:
-        raise InputError(f"measures on {mu.m} and {nu.m} symbols, space on "
-                         f"{space.m}", module="measures", operation="wasserstein1")
-    return _net_rows(mu.truncated(depth).mass[None], nu, depth, space)[0]
-
-
 def _net_rows(masses, nu, depth, space):
     """The supplies row - nu, one per row of a (rows, m^depth) mass matrix,
     with entries of absolute value at most 1e-15 set to 0.  Each row must be
@@ -372,41 +354,34 @@ def wasserstein1(mu, nu, depth, space):
     the grid of all m^depth symbol prefixes, with an arc between prefixes
     that differ by one in one coordinate d, so W1 is a min-cost flow on that
     grid, whatever the atom counts.  The supply is mu - nu, both truncated
-    to `depth`; net masses of at most 1e-15 count as zero.  If either side
-    of the supply is one node, W1 is its mass times the mean distance to the
-    other side, with no flow.  Otherwise HiGHS solves the flow at primal
-    and dual feasibility tolerances 1e-10; a grid of more than `GRID_CAP`
-    nodes raises SizeError before it is built.  `w1_below`, which needs the
-    exact value only for a row its bounds leave open, raises it only then.
+    to `depth`; net masses of at most 1e-15 count as zero.  If a side of the
+    supply has at most one node, the top-down plan of `_plan_bound` is
+    optimal (every unit moves straight to or from that node), so W1 is its
+    cost, with no flow.  Otherwise HiGHS solves the flow at primal and dual
+    feasibility tolerances 1e-10; a grid of more than `GRID_CAP` nodes
+    raises SizeError before it is built.  `w1_below` and `w1_min`, which
+    need the exact value only for a row their bounds leave open, raise it
+    only then.
 
     Returns (value, error_bound).  Truncated costs underestimate the true
     metric, so the true W1 lies in [value, value + error_bound].
     """
     m = space.m
-    net = _net_supply(mu, nu, depth, space)
+    if not mu.m == nu.m == m:
+        raise InputError(f"measures on {mu.m} and {nu.m} symbols, space on "
+                         f"{m}", module="measures", operation="wasserstein1")
+    net = _net_rows(mu.truncated(depth).mass[None], nu, depth, space)
     err = space.metric_tail_bound(depth)
-    a_codes, b_codes = np.flatnonzero(net > 0), np.flatnonzero(net < 0)
-    if not (a_codes.shape[0] and b_codes.shape[0]):
-        return 0.0, err
+    a_codes, b_codes = np.flatnonzero(net[0] > 0), np.flatnonzero(net[0] < 0)
+    if min(a_codes.shape[0], b_codes.shape[0]) <= 1:
+        return float(_plan_bound(net, depth, space)[0]), err
     # normalize each side (cost is linear in mass; rescale afterwards)
-    a_w, b_w = net[a_codes], -net[b_codes]
+    a_w, b_w = net[0, a_codes], -net[0, b_codes]
     mass = float(a_w.sum())
-    a_w = a_w / mass
-    b_w = b_w / b_w.sum()
-    if min(a_codes.shape[0], b_codes.shape[0]) == 1:
-        one, many, w = ((a_codes, b_codes, b_w) if a_codes.shape[0] == 1
-                        else (b_codes, a_codes, a_w))
-        x = _unpack_keys(one, depth, m)[0]
-        y = _unpack_keys(many, depth, m)
-        cost = np.zeros(many.shape[0])
-        for d in range(depth):
-            cost += np.abs(y[:, d] - x[d]) * space.beta ** (-(d + 1))
-        return mass * float(cost @ w), err
-
     incidence, cost = _grid_flow(m, depth, float(space.beta))
     supply = np.zeros(m ** depth)
-    supply[a_codes] = a_w
-    supply[b_codes] = -b_w
+    supply[a_codes] = a_w / mass
+    supply[b_codes] = -b_w / b_w.sum()
     res = linprog(cost, A_eq=incidence, b_eq=supply[:-1], bounds=(0, None),
                   method="highs",
                   options={"primal_feasibility_tolerance": 1e-10,
@@ -524,6 +499,30 @@ def w1_below(masses, nu, eps, depth, space):
         row = FinSuppMeasure(masses[i], depth, space.m)
         below[i] = wasserstein1(row, nu, depth, space)[0] < eps
     return below
+
+
+def w1_min(masses, nu, depth, space):
+    """(min W1(row, nu), the first row attaining it) over the rows of a
+    (rows, m^depth) mass matrix at the truncated costs of `wasserstein1`;
+    (inf, -1) for no rows.
+
+    The bounds of every row come first; rows are then taken in order, and
+    one whose lower bound exceeds the minimum so far, or the smallest upper
+    bound, by MARGIN is skipped without an exact solve.
+    """
+    lbs, ubs = w1_bounds(masses, nu, depth, space)
+    top = ubs.min(initial=np.inf)
+    best, best_row = np.inf, -1
+    for i, lb in enumerate(lbs.tolist()):
+        # d >= lb > min(best, top) >= the minimum: this row can neither
+        # attain nor tie it
+        if lb > min(best, top) + MARGIN:
+            continue
+        row = FinSuppMeasure(masses[i], depth, space.m)
+        d, _ = wasserstein1(row, nu, depth, space)
+        if d < best:
+            best, best_row = d, i
+    return best, best_row
 
 
 @lru_cache(maxsize=8)

@@ -148,16 +148,16 @@ class PointPrefix:
         return cls(np.resize(w, depth))
 
 
-def symbol_array(word, space, module, operation):
+def symbol_array(word, m, module, operation):
     """A word or an array of words as an integer array; raises InputError,
     tagged with the caller's module and operation, naming the first symbol
     outside the alphabet 1..m."""
     w = np.asarray(word)
     if w.dtype.kind not in "iu":
         w = w.astype(np.int64)
-    if w.size and (w.min() < 1 or w.max() > space.m):
-        bad = w.flat[((w < 1) | (w > space.m)).argmax()]
-        raise InputError(f"symbol {bad} outside alphabet 1..{space.m}",
+    if w.size and (w.min() < 1 or w.max() > m):
+        bad = w.flat[((w < 1) | (w > m)).argmax()]
+        raise InputError(f"symbol {bad} outside alphabet 1..{m}",
                          module=module, operation=operation)
     return w
 
@@ -165,7 +165,7 @@ def symbol_array(word, space, module, operation):
 def is_admissible(word, space):
     """True iff every adjacent symbol pair of the word is allowed; raises
     InputError naming the first symbol outside the alphabet."""
-    w = symbol_array(word, space, "sofic", "is_admissible")
+    w = symbol_array(word, space.m, "sofic", "is_admissible")
     return bool(space.transition[w[:-1] - 1, w[1:] - 1].all())
 
 
@@ -198,7 +198,7 @@ def connector(u, v, space):
     if not (len(u) and len(v)):
         raise InputError("connector requires nonempty words",
                          module="sofic", operation="connector")
-    a, b = symbol_array((u[-1], v[0]), space, "sofic", "connector").tolist()
+    a, b = symbol_array((u[-1], v[0]), space.m, "sofic", "connector").tolist()
     t = space.transition.astype(bool)
     # dist[c]: fewest arcs from symbol c to b, 0 while unknown
     dist = np.zeros(space.m, dtype=np.int64)

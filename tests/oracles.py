@@ -9,14 +9,17 @@ read the transfer matrix on a structure's suffix states, the words of
 length window - 1; `window_shift_pressure` and `window_shift_bowen_root`
 build the window shift w -> w[1:] + (c,) on the admissible windows
 themselves, m times as many states.  W1 is solved on the symbol grid as a
-min-cost flow; `dense_transport` solves the same problem as the dense
-bipartite transportation LP between the two sets of atoms.  Measures are
-mass vectors on the m^depth prefix grid; `sparse_snapshots` and
-`sparse_proxy` build the same measures as sorted distinct prefix codes and
-their weights, merged by `np.unique`, and `from_atoms` builds one from
-symbol rows.  `tree_bounds` finds the W1 bounds' cylinders by sorting the
-atoms in prefix order, and `plan_bound` balances the library's transport
-plan one cylinder, boundary and node at a time.  The restricted outer
+min-cost flow, or by the transport plan when a side of the supply is one
+node; `grid_w1` solves the flow LP for every supply, and `dense_transport`
+the dense bipartite transportation LP between the two sets of atoms.
+Measures are mass vectors on the m^depth prefix grid; `sparse_snapshots`
+and `sparse_proxy` build the same measures as sorted distinct prefix codes
+(`_pack_prefixes` packs the rows of the sliding window view one digit at a
+time, `_unpack_keys` inverts it) and their weights, merged by `np.unique`,
+and `from_atoms` builds one from symbol rows.  `tree_bounds` finds the W1
+bounds' cylinders by sorting the atoms in prefix order, and `plan_bound`
+balances the library's transport plan one cylinder, boundary and node at a
+time.  The restricted outer
 measure builds the masses of a layer of words from one period of each;
 `representatives` materialises each word's periodic orbit for
 `empirical_measure`.  The library's Markov law
@@ -38,8 +41,8 @@ from scipy.optimize import brentq, linprog
 
 from emergence_lab.carath import _log_q
 from emergence_lab.errors import InvariantError
-from emergence_lab.measures import (FinSuppMeasure, _grid_size, _inverse_cdf,
-                                    _pack_prefixes, _unpack_keys)
+from emergence_lab.measures import (FinSuppMeasure, _grid_flow, _grid_size,
+                                    _inverse_cdf)
 from emergence_lab.sofic import (PointPrefix, admissible_words, connector,
                                  perron, symbol_array, topological_entropy)
 
@@ -140,6 +143,21 @@ def _cover_recursion(s, t, m_blk, depth_cap, member):
     return rec
 
 
+def grid_w1(mu, nu, depth, space):
+    """W1 as the min-cost flow LP on the m^depth prefix grid for every
+    supply mu - nu, a one-node side included: HiGHS at primal and dual
+    feasibility tolerances 1e-10 on the library's grid arcs."""
+    net = mu.truncated(depth).mass - nu.truncated(depth).mass
+    net[np.abs(net) <= 1e-15] = 0.0
+    incidence, cost = _grid_flow(space.m, depth, float(space.beta))
+    res = linprog(cost, A_eq=incidence, b_eq=net[:-1], bounds=(0, None),
+                  method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.success, res.message
+    return float(res.fun)
+
+
 def dense_transport(cost, supply, demand, tol):
     """Optimal cost of moving `supply` onto `demand` (equal totals) at the
     (n_a, n_b) ground costs `cost`: HiGHS on the n_a * n_b plan, with the
@@ -194,10 +212,31 @@ def loop_chain_walk(mu, u):
     return out
 
 
+def _pack_prefixes(rows, m):
+    """The grid nodes sum_d (x_d - 1) m^d of the rows of a (k, width) symbol
+    array, as int64 radix-m codes, one digit at a time."""
+    codes = np.zeros(rows.shape[0], dtype=np.int64)
+    for d in reversed(range(rows.shape[1])):
+        codes *= m
+        codes += rows[:, d]
+        codes -= 1
+    return codes
+
+
+def _unpack_keys(codes, width, m):
+    """The (k, width) symbol rows of prefix codes; inverse of `_pack_prefixes`."""
+    out = np.empty((codes.shape[0], width), dtype=np.int16)
+    k = codes.copy()
+    for d in range(width):
+        out[:, d] = k % m + 1
+        k //= m
+    return out
+
+
 def merged(atoms, weights, space):
     """Atoms with duplicate prefixes merged: the sorted distinct prefix codes
     and the summed weight of each."""
-    rows = symbol_array(atoms, space, "oracles", "merged")
+    rows = symbol_array(atoms, space.m, "oracles", "merged")
     codes, inverse = np.unique(_pack_prefixes(rows, space.m),
                                return_inverse=True)
     return codes, np.bincount(inverse, weights=weights,
@@ -210,7 +249,7 @@ def sparse_snapshots(x, times, depth, space):
     inverse per t, the empty codes dropped and the rest normalised."""
     n = max(times)
     rows = symbol_array(np.lib.stride_tricks.sliding_window_view(
-        x.symbols[:n + depth - 1], depth), space, "oracles", "snapshots")
+        x.symbols[:n + depth - 1], depth), space.m, "oracles", "snapshots")
     uniq, inverse = np.unique(_pack_prefixes(rows, space.m),
                               return_inverse=True)
     out = []
@@ -293,7 +332,7 @@ def tree_bounds(mu, nu, depth, space):
 def from_atoms(atoms, weights, space):
     """The measure with weight w_i on the prefix in row i of a (k, depth)
     symbol array; rows with the same prefix add up in one bincount."""
-    rows = symbol_array(atoms, space, "oracles", "from_atoms")
+    rows = symbol_array(atoms, space.m, "oracles", "from_atoms")
     w = np.asarray(weights, dtype=np.float64)
     if not (rows.ndim == 2 and w.shape == rows.shape[:1] and (w >= 0).all()):
         raise InvariantError("need a (k, depth) symbol array and k "

@@ -138,6 +138,28 @@ def test_cli_rejects_ragged_transition(tmp_path, transition):
     assert [v["pointer"] for v in err["violations"]] == ["/space/transition"]
 
 
+@pytest.mark.parametrize("raw", [b'\xff\xfe{"a":1}', b"[" * 100_000],
+                         ids=["not-utf8", "deep-nesting"])
+def test_cli_reports_unreadable_json_as_config_error(tmp_path, raw):
+    # bytes that are not UTF-8 raised UnicodeDecodeError, and nesting past
+    # the parser's recursion limit RecursionError: a bare traceback and no
+    # error.json
+    path = tmp_path / "config.json"
+    path.write_bytes(raw)
+    result = CliRunner().invoke(main, ["validate", "--config", str(path)])
+    assert result.exit_code == 1
+    err = json.loads(result.output)
+    assert err["kind"] == "config"
+    assert [v["pointer"] for v in err["violations"]] == ["/"]
+    out_dir = tmp_path / "err"
+    result = CliRunner().invoke(main, ["entropy", "--config", str(path),
+                                       "--out", str(out_dir)])
+    assert result.exit_code == 1
+    err = json.loads((out_dir / "error.json").read_text())
+    assert err["kind"] == "config"
+    assert [v["pointer"] for v in err["violations"]] == ["/"]
+
+
 # --------------------------------------------------------------------- runs
 
 def run_ok(tmp_path, cfg, subcommand):

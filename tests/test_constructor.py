@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from emergence_lab import constructor, measures
+from emergence_lab import measures
 from emergence_lab.carath import CStructure, restricted_outer_measure
 from emergence_lab.constructor import (ConstructedOrbit, Itinerary,
                                        _log_cylinder_probability,
@@ -348,15 +348,12 @@ def test_bound_decisions_match_exact_path(monkeypatch):
         solves.append(args)
         return wasserstein1(*args)
 
-    for mod in (measures, constructor):
-        monkeypatch.setattr(mod, "wasserstein1", exact)
+    monkeypatch.setattr(measures, "wasserstein1", exact)
     with_bounds = run()
     bounded_solves = len(solves)
-    # every decision and saturation bound, scalar or row-wise, reads these
-    monkeypatch.setattr(measures, "_tree_bounds", lambda net, *args: (
-        np.zeros(len(net)), np.full(len(net), math.inf)))
-    monkeypatch.setattr(measures, "_plan_bound",
-                        lambda net, *args: np.full(len(net), math.inf))
+    # every decision and saturation minimum trusts a bound only when it
+    # clears the threshold by MARGIN: at inf none does
+    monkeypatch.setattr(measures, "MARGIN", math.inf)
     solves.clear()
     assert run() == with_bounds
     assert bounded_solves < len(solves)

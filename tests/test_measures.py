@@ -11,16 +11,15 @@ from emergence_lab.errors import (DepthError, InputError, InvariantError,
                                   SizeError)
 from emergence_lab.measures import (GRID_CAP, MARGIN, MEASURE_CAP,
                                     FinSuppMeasure, MarkovMeasure,
-                                    _pack_prefixes, _unpack_keys,
-                                    empirical_measure,
-                                    empirical_snapshots, make_rng,
+                                    empirical_measure, empirical_snapshots,
+                                    make_rng, periodic_counts, snapshot_masses,
                                     truncation_proxy, w1_below, w1_bounds,
-                                    wasserstein1)
+                                    w1_min, wasserstein1)
 from emergence_lab.sofic import (PointPrefix, ShiftSpace, admissible_words,
                                  is_admissible)
-from oracles import (cylinder_probability, dense_transport, from_atoms,
-                     loop_chain_walk, plan_bound, sparse_proxy,
-                     sparse_snapshots, tree_bounds)
+from oracles import (_pack_prefixes, _unpack_keys, cylinder_probability,
+                     dense_transport, from_atoms, grid_w1, loop_chain_walk,
+                     plan_bound, sparse_proxy, sparse_snapshots, tree_bounds)
 
 FULL2 = ShiftSpace.full_shift(2)
 FULL3 = ShiftSpace.full_shift(3)
@@ -341,6 +340,19 @@ def test_empirical_measure_rejects_symbols_outside_alphabet():
     assert np.count_nonzero(empirical_measure(y, 4, 1, FULL2).mass) == 2
 
 
+def test_periodic_counts_rejects_symbols_outside_alphabet():
+    # [[1, 3], [1, 1]] used to count row 0's window (3, 1) as node 4, row 1's
+    # first node, and return [[0, 0, 2, 0], [6, 0, 0, 0]]; the other two
+    # raised bare numpy ValueErrors
+    for periods, bad in (([[1, 3], [1, 1]], 3), ([[1, 3]], 3), ([[0, 1]], 0)):
+        with pytest.raises(InputError,
+                           match=f"symbol {bad} outside alphabet 1..2") as exc:
+            periodic_counts(np.array(periods, dtype=np.int16), 4, 2, 2)
+        assert exc.value.operation == "periodic_counts"
+    assert periodic_counts(np.array([[1, 2], [1, 1]], dtype=np.int16),
+                           4, 2, 2).tolist() == [[0, 2, 2, 0], [4, 0, 0, 0]]
+
+
 def test_empirical_snapshots_match_single_calls():
     mu = bern([0.4, 0.6])
     x = PointPrefix(mu.sample(3000, make_rng(11)))
@@ -507,10 +519,30 @@ def test_w1_bernoulli_shift_one_step_oracle():
 
 
 def test_w1_one_atom_side_needs_no_grid():
-    # depth 20 is far beyond GRID_CAP; one atom a side has a closed form
+    # depth 20 is far beyond GRID_CAP; one atom a side is settled by the
+    # transport plan
     a = point((1,) * 20, 20)
     b = point((2,) * 20, 20)
     assert wasserstein1(a, b, 20, FULL2)[0] == 1.0 - 2.0 ** -20
+
+
+def test_w1_one_node_side_matches_grid_lp():
+    # a one-node side of the supply takes the transport plan instead of the
+    # flow LP: a point against 1 to all words of random positive weight, in
+    # both orientations
+    rng = make_rng(41)
+    for space, depth in ((FULL2, 4), (FULL2, 6), (FULL2, 8), (FULL3, 4),
+                         (ShiftSpace.full_shift(3, beta=3.0), 5),
+                         (ShiftSpace.full_shift(4), 4)):
+        words = np.asarray(admissible_words(space, depth), dtype=np.int16)
+        for _ in range(25):
+            one = from_atoms(words[rng.integers(len(words))][None], [1.0],
+                             space)
+            many = random_pair(rng, words, len(words), space)[0]
+            for mu, nu in ((one, many), (many, one)):
+                got, _ = wasserstein1(mu, nu, depth, space)
+                want = grid_w1(mu, nu, depth, space)
+                assert abs(got - want) <= 1e-12, (space.m, depth, got, want)
 
 
 def test_w1_rejects_atoms_outside_alphabet():
@@ -758,6 +790,37 @@ def test_w1_below_margin_cases(monkeypatch):
             solves.clear()
             assert below(a, b, eps, depth, FULL2) is want
             assert solves == []
+
+
+def test_w1_min_matches_brute_force(monkeypatch):
+    # the exact W1 of every row, and the first row attaining the minimum:
+    # the rows twice over, so that every minimum is tied, and no rows
+    solves = []
+
+    def spy(*args):
+        solves.append(1)
+        return wasserstein1(*args)
+
+    monkeypatch.setattr(measures, "wasserstein1", spy)
+    rng = make_rng(43)
+    for space, depth in ((FULL2, 4), (FULL3, 3)):
+        rows = []
+        for p in np.linspace(0.05, 0.95, 10):
+            probs = np.full(space.m, (1 - p) / (space.m - 1))
+            probs[0] = p
+            x = PointPrefix(bern(probs, space).sample(200, rng))
+            rows.append(snapshot_masses(x, [150], depth, space)[0])
+        nu = truncation_proxy((bern(np.full(space.m, 1 / space.m), space),),
+                              (1.0,), depth)
+        for masses in (np.array(rows), np.array(rows + rows[::-1])):
+            d = [wasserstein1(FinSuppMeasure(row, depth, space.m), nu, depth,
+                              space)[0] for row in masses]
+            solves.clear()
+            assert w1_min(masses, nu, depth, space) == (min(d),
+                                                        d.index(min(d)))
+            assert 0 < len(solves) < len(masses)
+        empty = np.empty((0, space.m ** depth))
+        assert w1_min(empty, nu, depth, space) == (math.inf, -1)
 
 
 # ----------------------------------------------------------------- mixtures
