@@ -13,21 +13,22 @@ from .errors import EmergenceLabError
 from .sofic import (PointPrefix, ShiftSpace, count_admissible,
                     topological_entropy, truncated_metric)
 from .measures import (FinSuppMeasure, MarkovMeasure, empirical_measure,
-                       truncation_proxy, wasserstein1)
+                       truncation_proxy, w1_bounds, wasserstein1)
 from .carath import (CStructure, bowen_dimension, outer_measure_M,
                      outer_measure_N, pressure_exact, pressure_partition)
 from .emergence import build_cloud, emergence_report
 from .constructor import (MeasureFamily, SimplexNet, block_schedule,
-                          build_orbit, lambda_measure, verify_saturation)
+                          build_orbit, log_lambda_measure,
+                          verify_saturation)
 
 __all__ = [
     "EmergenceLabError", "PointPrefix", "ShiftSpace", "count_admissible",
     "topological_entropy", "truncated_metric",
     "FinSuppMeasure", "MarkovMeasure", "empirical_measure", "truncation_proxy",
-    "wasserstein1",
+    "w1_bounds", "wasserstein1",
     "CStructure", "bowen_dimension", "outer_measure_M", "outer_measure_N",
     "pressure_exact", "pressure_partition",
     "build_cloud", "emergence_report",
     "MeasureFamily", "SimplexNet", "block_schedule", "build_orbit",
-    "lambda_measure", "verify_saturation",
+    "log_lambda_measure", "verify_saturation",
 ]

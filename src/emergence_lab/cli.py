@@ -4,6 +4,8 @@ emergence-lab <subcommand> --config <path> [--threads N] [--out DIR]
 
 Each subcommand loads a JSON config, runs one experiment, and writes its
 outputs atomically (temp file + rename) into the config's output directory.
+`--threads` sets the workers of the pairwise W1 pool, by default the CPU
+count; results are the same at any count.
 Config validation returns the parsed parameters, typed and with every
 default filled in; a runner reads `cfg.parameters` and nothing else.
 A run manifest listing every produced file is written last; on any error the
@@ -29,21 +31,12 @@ ARTIFACT_VERSION = "1.0"
 
 
 def _resolve_threads(flag):
-    """Worker threads: the --threads flag, else EMERGENCE_THREADS, else the
-    CPU count; a count below 1 raises InputError."""
-    source = "--threads"
+    """Worker threads: the --threads flag, else the CPU count; a flag below
+    1 raises InputError."""
     if flag is None:
-        env = os.environ.get("EMERGENCE_THREADS")
-        if env is None:
-            return max(1, os.cpu_count() or 1)
-        source = "EMERGENCE_THREADS"
-        try:
-            flag = int(env)
-        except ValueError:
-            raise InputError(f"EMERGENCE_THREADS is not an integer: {env!r}",
-                             module="cli", operation="threads")
+        return max(1, os.cpu_count() or 1)
     if flag < 1:
-        raise InputError(f"{source} must be >= 1, got {flag}",
+        raise InputError(f"--threads must be >= 1, got {flag}",
                          module="cli", operation="threads")
     return flag
 
@@ -280,7 +273,7 @@ def _register(name):
     @click.option("--config", "config_path", required=True,
                   type=click.Path(), help="Path to the experiment JSON config.")
     @click.option("--threads", type=int, default=None,
-                  help="Worker threads (overrides EMERGENCE_THREADS).")
+                  help="Worker threads (default: the CPU count).")
     @click.option("--out", "out_override", type=click.Path(), default=None,
                   help="Override the config's output directory.")
     def _cmd(config_path, threads, out_override, _name=name):

@@ -170,9 +170,14 @@ def _positive_ints(lst, col, pointer):
     return lst
 
 
-def _validate_matrix_list(params, col, key, pointer, m):
+def _validate_matrix_list(params, col, key, pointer, m, single=False):
+    """params[key]: a nonempty list of m x m matrices, exactly one if `single`."""
     fams = col.require(params, key, list, pointer)
     if fams is None:
+        return None
+    if single and len(fams) != 1:
+        col.add(f"{pointer}/{key}",
+                f"must hold exactly one matrix, got {len(fams)}")
         return None
     if not fams:
         col.add(f"{pointer}/{key}", "must hold at least one matrix")
@@ -264,7 +269,7 @@ def _validate_source(src, col, pointer, m):
     out = {"kind": kind}
     if kind == "markov":
         out["stochastic_list"] = _validate_matrix_list(
-            src, col, "stochastic_list", pointer, m)
+            src, col, "stochastic_list", pointer, m, single=True)
     elif kind in ("bernoulli", "oscillating"):
         for key in (("probs",) if kind == "bernoulli"
                     else ("probs_a", "probs_b")):
@@ -319,7 +324,15 @@ def _validate_parameters(experiment, params, space, col):
                                 or any(b >= a for a, b in zip(eps, eps[1:]))):
             col.add(f"{p}/epsilons", ">= 3 strictly decreasing scales required")
         for key in ("n_min", "n_max", "count", "depth"):
-            out[key] = col.integer(params, key, p, 1)
+            out[key] = col.integer(params, key, p, 2 if key == "count" else 1)
+        # the time grid of `emergence.geometric_times`
+        n_min, n_max, count = out["n_min"], out["n_max"], out["count"]
+        if None not in (n_min, n_max, count) and n_min >= 1 and count >= 2:
+            if n_max <= n_min:
+                col.add(f"{p}/n_max", f"must be > n_min = {n_min}, got {n_max}")
+            elif n_max - n_min + 1 < count:
+                col.add(f"{p}/count", f"[{n_min}, {n_max}] holds fewer than "
+                                      f"{count} integers")
         out["tail_fraction"] = tf = col.optional(params, "tail_fraction",
                                                  float, p, 0.5)
         if tf is not None and not 0.0 < tf <= 1.0:
@@ -339,6 +352,11 @@ def _validate_parameters(experiment, params, space, col):
                     and len(vals) < l_max + 2):
                 col.add(f"{p}/{key}", f"need at least {l_max + 2} entries")
             out[key] = tuple(vals) if vals else None
+        if out["eps_hat"] is not None and l_max is not None:
+            # (0, 1) at every level `block_schedule` reads
+            for i, e in enumerate(out["eps_hat"][:l_max + 2]):
+                if e >= 1:
+                    col.add(f"{p}/eps_hat/{i}", f"must lie in (0, 1), got {e}")
         out["length_cap"] = col.integer(params, "length_cap", p, 1, LENGTH_CAP)
         out["metric_depth"] = _metric_depth(params, col, p)
         out["gamma"] = _validate_gamma(params, col, p)
@@ -367,7 +385,7 @@ def _validate_parameters(experiment, params, space, col):
             col.add(f"{p}/word", "must be a nonempty list of symbols")
         out["word"] = tuple(word or ())
         out["stochastic_list"] = _validate_matrix_list(
-            params, col, "stochastic_list", p, m)
+            params, col, "stochastic_list", p, m, single=True)
         for key in ("n", "m_blk", "depth_cap"):
             out[key] = col.integer(params, key, p, 1)
         for key in ("eps", "t"):

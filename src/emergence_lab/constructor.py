@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -97,14 +98,16 @@ def simplex_net(level, mesh):
     if level < 0:
         raise InputError(f"level must be >= 0, got {level}",
                          module="constructor", operation="simplex_net")
-    if not mesh > 0:
-        raise InputError(f"mesh must be > 0, got {mesh}",
+    if not 0 < mesh < math.inf:
+        raise InputError(f"mesh must be finite and > 0, got {mesh}",
                          module="constructor", operation="simplex_net")
     if level == 0:
         return SimplexNet(level=0, mesh=mesh, nodes=((1.0,),))
-    q = int(np.ceil((level + 1) / mesh))
-    from math import comb
-    count = comb(q + level, level)
+    if (level + 1) / mesh == math.inf:
+        raise SizeError(f"mesh {mesh} overflows the lattice denominator",
+                        module="constructor", operation="simplex_net")
+    q = math.ceil((level + 1) / mesh)
+    count = math.comb(q + level, level)
     if count > NODE_CAP:
         raise SizeError(f"net would have {count} nodes (cap {NODE_CAP})",
                         module="constructor", operation="simplex_net")
@@ -165,10 +168,11 @@ def default_eps_tilde(l_max):
 
 
 def default_eps_hat(l_max, nets):
+    """2^-(L+1) / max(1, L |net L|) at levels 0..l_max+1, inside (0, 1)."""
     out = []
     for L in range(l_max + 2):
         j = nets[L].cardinality if L < len(nets) else 1
-        out.append(2.0 ** (-L) / max(1, L * j))
+        out.append(2.0 ** (-L - 1) / max(1, L * j))
     return tuple(out)
 
 
@@ -460,25 +464,24 @@ def build_orbit(it, family, space, seed, metric_depth):
                             itinerary=it2, seed=seed)
 
 
-def lambda_measure(orbit, family, prefix_len, as_log=False):
-    """Product over completed blocks of the block-word cylinder probability.
-
-    Connector gaps contribute factor 1.  prefix_len must be 0 or a recorded
-    block end.
+def log_lambda_measure(orbit, family, prefix_len):
+    """log Lambda of the first prefix_len symbols: the summed log cylinder
+    probabilities of the completed block words; connector gaps add 0.
+    prefix_len must be 0 or a recorded block end.
     """
     if prefix_len == 0:
-        return 0.0 if as_log else 1.0
+        return 0.0
     ends = {b[4] for b in orbit.block_map}
     if prefix_len not in ends:
         raise AlignmentError(f"prefix_len {prefix_len} is not a block boundary",
-                             module="constructor", operation="lambda_measure")
+                             module="constructor", operation="log_lambda_measure")
     total = 0.0
     for L, j, l, start, end in orbit.block_map:
         if end > prefix_len:
             break
         total += _log_cylinder_probability(family.measures[l],
                                            orbit.word.symbols[start:end])
-    return total if as_log else float(np.exp(total))
+    return total
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .measures import empirical_snapshots, wasserstein1
 class TrajectoryCloud:
     """Empirical-measure snapshots of one orbit at an increasing time schedule."""
 
-    source: object            # PointPrefix
     times: tuple
     snapshots: tuple
     depth: int
@@ -54,7 +53,12 @@ class TrajectoryCloud:
 
 
 def geometric_times(n_min, n_max, count):
-    """count strictly increasing integers, geometrically spaced in [n_min, n_max]."""
+    """count strictly increasing integers, geometrically spaced in [n_min, n_max].
+
+    A point that rounding sent to or below its predecessor moves to one
+    above it.  That never moves n_max: geometric points lie on or below the
+    chord, so raw[j] + count - 1 - j <= n_max when n_max - n_min >= count - 1.
+    """
     if count < 2:
         raise InputError(f"count must be >= 2, got {count}",
                          module="emergence", operation="build_cloud")
@@ -66,13 +70,9 @@ def geometric_times(n_min, n_max, count):
                          module="emergence", operation="build_cloud")
     raw = np.rint(np.geomspace(n_min, n_max, count)).astype(np.int64)
     raw[0], raw[-1] = n_min, n_max
-    for i in range(1, count):      # repair rounding collisions, keep monotone
-        if raw[i] <= raw[i - 1]:
-            raw[i] = raw[i - 1] + 1
-    for i in range(count - 2, -1, -1):
-        if raw[i] >= raw[i + 1]:
-            raw[i] = raw[i + 1] - 1
-    return tuple(int(n) for n in raw)
+    # a running maximum of raw[i] - i lifts each entry above its predecessor
+    step = np.arange(count)
+    return tuple((np.maximum.accumulate(raw - step) + step).tolist())
 
 
 def build_cloud(x, n_min, n_max, count, depth, space):
@@ -84,8 +84,8 @@ def cloud_at_times(x, times, depth, space):
     """A trajectory cloud at an explicit strictly increasing time schedule."""
     times = tuple(int(t) for t in times)
     snaps = tuple(empirical_snapshots(x, times, depth, space))
-    return TrajectoryCloud(source=x, times=times, snapshots=snaps,
-                           depth=depth, space=space)
+    return TrajectoryCloud(times=times, snapshots=snaps, depth=depth,
+                           space=space)
 
 
 def pairwise_w1(snapshots, depth, space, threads=1):

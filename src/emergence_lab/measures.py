@@ -328,20 +328,21 @@ def truncation_proxy(measures, weights, depth):
     return FinSuppMeasure(law / lex[lex > 0].sum(), depth, space.m)
 
 
-def _net_rows(masses, nu, depth, space):
+def _net_rows(masses, nu, depth, space, operation):
     """The supplies row - nu, one per row of a (rows, m^depth) mass matrix,
     with entries of absolute value at most 1e-15 set to 0.  Each row must be
-    a probability vector, as `FinSuppMeasure` checks (InvariantError)."""
+    a probability vector, as `FinSuppMeasure` checks (InvariantError); an
+    error is tagged with the caller's `operation`."""
     if not (nu.m == space.m and masses.shape[1:] == (space.m ** depth,)):
         raise InputError(f"masses of shape {masses.shape} and a measure on "
                          f"{nu.m} symbols, space on {space.m} at depth {depth}",
-                         module="measures", operation="w1_bounds")
+                         module="measures", operation=operation)
     # a NaN fails >= 0, an infinite mass the sum
     if not ((masses >= 0).all()
             and (np.abs(masses.sum(axis=1) - 1.0) <= 1e-12).all()):
         raise InvariantError("mass rows must be nonnegative and sum to 1 "
                              "within 1e-12", module="measures",
-                             operation="w1_bounds")
+                             operation=operation)
     net = masses - nu.truncated(depth).mass
     net[np.abs(net) <= 1e-15] = 0.0
     return net
@@ -370,7 +371,8 @@ def wasserstein1(mu, nu, depth, space):
     if not mu.m == nu.m == m:
         raise InputError(f"measures on {mu.m} and {nu.m} symbols, space on "
                          f"{m}", module="measures", operation="wasserstein1")
-    net = _net_rows(mu.truncated(depth).mass[None], nu, depth, space)
+    net = _net_rows(mu.truncated(depth).mass[None], nu, depth, space,
+                   "wasserstein1")
     err = space.metric_tail_bound(depth)
     a_codes, b_codes = np.flatnonzero(net[0] > 0), np.flatnonzero(net[0] < 0)
     if min(a_codes.shape[0], b_codes.shape[0]) <= 1:
@@ -399,7 +401,7 @@ def w1_bounds(masses, nu, depth, space):
     beyond `GRID_CAP`.  lb is the coordinate-marginal bound, ub the smaller
     of the prefix-tree and the transport-plan bounds (`_tree_bounds`,
     `_plan_bound`)."""
-    net = _net_rows(masses, nu, depth, space)
+    net = _net_rows(masses, nu, depth, space, "w1_bounds")
     lb, ub = _tree_bounds(net, depth, space)
     return lb, np.minimum(ub, _plan_bound(net, depth, space))
 
@@ -488,7 +490,7 @@ def w1_below(masses, nu, eps, depth, space):
     row, the plan bound on the rows they leave open, and the exact solve on
     the rows still open, so every decision equals the exact one.
     """
-    net = _net_rows(masses, nu, depth, space)
+    net = _net_rows(masses, nu, depth, space, "w1_below")
     lb, ub = _tree_bounds(net, depth, space)
     below = ub < eps - MARGIN
     todo = np.flatnonzero(~below & ~(lb > eps + MARGIN))
@@ -510,8 +512,9 @@ def w1_min(masses, nu, depth, space):
     one whose lower bound exceeds the minimum so far, or the smallest upper
     bound, by MARGIN is skipped without an exact solve.
     """
-    lbs, ubs = w1_bounds(masses, nu, depth, space)
-    top = ubs.min(initial=np.inf)
+    net = _net_rows(masses, nu, depth, space, "w1_min")
+    lbs, ubs = _tree_bounds(net, depth, space)
+    top = np.minimum(ubs, _plan_bound(net, depth, space)).min(initial=np.inf)
     best, best_row = np.inf, -1
     for i, lb in enumerate(lbs.tolist()):
         # d >= lb > min(best, top) >= the minimum: this row can neither

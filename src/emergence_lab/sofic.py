@@ -131,20 +131,20 @@ class PointPrefix:
         return tuple(self.symbols[:depth].tolist())
 
     @classmethod
-    def periodic(cls, word, depth, space=None):
-        """The point obtained by repeating `word`, materialized to `depth` symbols."""
+    def periodic(cls, word, depth, space):
+        """The point repeating `word`, materialized to `depth` symbols; the
+        word and its wrap pair must be admissible in `space` (InputError)."""
         w = np.asarray(word, dtype=np.int16)
         if not w.size:
             raise InputError("periodic point needs a nonempty word",
                              module="sofic", operation="PointPrefix.periodic")
-        if space is not None:
-            if not is_admissible(w, space):
-                raise InputError(f"word {w.tolist()} is not admissible",
-                                 module="sofic", operation="PointPrefix.periodic")
-            if not space.allows(int(w[-1]), int(w[0])):
-                raise InputError(f"word {w.tolist()} cannot be repeated "
-                                 "(wrap pair forbidden)",
-                                 module="sofic", operation="PointPrefix.periodic")
+        if not is_admissible(w, space):
+            raise InputError(f"word {w.tolist()} is not admissible",
+                             module="sofic", operation="PointPrefix.periodic")
+        if not space.allows(int(w[-1]), int(w[0])):
+            raise InputError(f"word {w.tolist()} cannot be repeated "
+                             "(wrap pair forbidden)",
+                             module="sofic", operation="PointPrefix.periodic")
         return cls(np.resize(w, depth))
 
 

@@ -29,7 +29,9 @@ admissible word.  The connector
 is found by breadth-first search; `product_connector` tries every word in
 length and then lexicographic order, O(m^length).  A Markov sample is one
 prefix scan over the per-step state tables; `loop_chain_walk` walks the
-chain one symbol at a time.
+chain one symbol at a time.  The emergence time grid repairs rounding
+collisions with a running maximum; `loop_geometric_times` moves one point at
+a time.
 """
 
 import itertools
@@ -350,7 +352,7 @@ def representatives(u, space, length):
     w = list(u)
     if not space.allows(u[-1], u[0]):
         w += list(connector(u, u, space))
-    return PointPrefix.periodic(w, length)
+    return PointPrefix.periodic(w, length, space)
 
 
 def plan_bound(mu, nu, depth, space):
@@ -388,3 +390,14 @@ def plan_bound(mu, nu, depth, space):
                     supply[x] -= take
                     supply[x[:l] + (dst,) + x[l + 1:]] += take
     return cost
+
+
+def loop_geometric_times(n_min, n_max, count):
+    """The rounded geometric grid of `emergence.geometric_times`, each point
+    that rounding sent to or below its predecessor moved to one above it."""
+    raw = np.rint(np.geomspace(n_min, n_max, count)).astype(np.int64)
+    raw[0], raw[-1] = n_min, n_max
+    for i in range(1, count):
+        if raw[i] <= raw[i - 1]:
+            raw[i] = raw[i - 1] + 1
+    return tuple(int(n) for n in raw)

@@ -19,7 +19,7 @@ from emergence_lab.carath import (CStructure, bowen_dimension,
                                   restricted_outer_measure)
 from emergence_lab.constructor import (MeasureFamily, SimplexNet,
                                        block_schedule, build_orbit,
-                                       lambda_measure, oscillating_orbit,
+                                       log_lambda_measure, oscillating_orbit,
                                        verify_saturation)
 from emergence_lab.emergence import (_greedy_cover, _greedy_packing,
                                      build_cloud, cloud_at_times,
@@ -336,7 +336,7 @@ def test_level2_lambda_measure_dimension_probe():
     h_min = min(mu.entropy() for mu in fam.measures)
     bound = h_min - it.eps_tilde[2] - 0.05
     for t in orbit.boundary_times():
-        log_lam = lambda_measure(orbit, fam, t, as_log=True)
+        log_lam = log_lambda_measure(orbit, fam, t)
         assert -log_lam / t >= bound
 
 

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from emergence_lab.cli import _resolve_threads, main
-from emergence_lab.config import load_config, validate_config
+from emergence_lab.config import EXPERIMENTS, load_config, validate_config
 from emergence_lab.constructor import LENGTH_CAP, SimplexNet, default_eps_tilde
 from emergence_lab.errors import ConfigError, InputError
 
@@ -82,22 +82,15 @@ def test_config_sha256_is_stable(tmp_path):
 
 # ------------------------------------------------------------------ threads
 
-def test_threads_flag_beats_env(monkeypatch):
+def test_threads_flag_else_cpu_count(monkeypatch):
+    # the environment plays no part: only the flag or the CPU count
     monkeypatch.setenv("EMERGENCE_THREADS", "7")
     assert _resolve_threads(3) == 3
-    assert _resolve_threads(None) == 7
-    monkeypatch.setenv("EMERGENCE_THREADS", "junk")
-    with pytest.raises(InputError):
-        _resolve_threads(None)
-    monkeypatch.setenv("EMERGENCE_THREADS", "0")
-    with pytest.raises(InputError, match="EMERGENCE_THREADS must be >= 1, got 0"):
-        _resolve_threads(None)
+    assert _resolve_threads(1) == 1
+    assert _resolve_threads(None) == max(1, os.cpu_count() or 1)
     for flag in (0, -2):
         with pytest.raises(InputError, match=f"--threads must be >= 1, got {flag}"):
             _resolve_threads(flag)
-    assert _resolve_threads(1) == 1
-    monkeypatch.delenv("EMERGENCE_THREADS")
-    assert _resolve_threads(None) >= 1
 
 
 # ---------------------------------------------------------------- validate
@@ -336,20 +329,20 @@ def test_cli_subcommand_config_mismatch(tmp_path):
 
 
 def test_cli_error_leaves_no_partial_outputs(tmp_path):
-    cfg = {"space": FULL2_SPACE, "experiment": "emergence",
-           "parameters": {"source": {"kind": "bernoulli", "probs": [0.5, 0.5]},
-                          "epsilons": [0.3, 0.15, 0.075],
-                          # n_min > n_max: passes schema, fails at run time
-                          "n_min": 2048, "n_max": 1024, "count": 8, "depth": 4},
+    # a length cap below the first group's length: valid, but the schedule
+    # fails at run time
+    cfg = {"space": FULL2_SPACE, "experiment": "construct",
+           "parameters": {**CONSTRUCT, "length_cap": 10},
            "seed": 3, "output_dir": str(tmp_path / "out")}
     path = write_config(tmp_path, cfg)
-    result = CliRunner().invoke(main, ["emergence", "--config", path])
+    result = CliRunner().invoke(main, ["construct", "--config", path])
     assert result.exit_code == 1
     out_dir = tmp_path / "out"
     names = sorted(p.name for p in out_dir.iterdir())
     assert names == ["error.json"]
     err = json.loads((out_dir / "error.json").read_text())
     assert set(err) >= {"module", "operation", "kind", "detail"}
+    assert (err["kind"], err["operation"]) == ("schedule", "block_schedule")
 
 
 def test_cli_emergence_past_measure_grid_cap(tmp_path):
@@ -540,6 +533,70 @@ def test_cli_null_optional_key_means_default(tmp_path, experiment, parameters,
 def test_cli_rejects_bad_source_and_schedule_keys(tmp_path, experiment,
                                                   parameters, pointer):
     assert_config_error(tmp_path, experiment, parameters, pointer)
+
+
+MARKOV = {"kind": "markov", "stochastic_list": PROBE["stochastic_list"]}
+
+
+@pytest.mark.parametrize("experiment, parameters, pointer", [
+    ("emergence", {**SMALL_EMERGENCE, "source": MARKOV, "count": 1},
+     "/parameters/count"),
+    ("emergence", {**SMALL_EMERGENCE, "source": MARKOV, "n_min": 512,
+                   "n_max": 64}, "/parameters/n_max"),
+    ("emergence", {**SMALL_EMERGENCE, "source": MARKOV, "n_min": 64,
+                   "n_max": 66, "count": 10}, "/parameters/count"),
+    ("construct", {**CONSTRUCT, "eps_hat": [0.5, 1.5, 0.5]},
+     "/parameters/eps_hat/1"),
+    ("restricted-probe",
+     {**PROBE, "stochastic_list": PROBE["stochastic_list"] * 2},
+     "/parameters/stochastic_list"),
+    ("emergence", {**SMALL_EMERGENCE, "source": {
+        **MARKOV, "stochastic_list": MARKOV["stochastic_list"] * 2}},
+     "/parameters/source/stochastic_list"),
+])
+def test_validate_rejects_what_the_run_would(tmp_path, experiment, parameters,
+                                             pointer):
+    # each config passed validate, then its run failed: a time grid that
+    # cannot exist, an eps_hat entry outside (0, 1), or a second matrix the
+    # run never read
+    cfg = {"space": FULL2_SPACE, "experiment": experiment,
+           "parameters": parameters, "seed": 0,
+           "output_dir": str(tmp_path / "out")}
+    result = CliRunner().invoke(main, ["validate", "--config",
+                                       write_config(tmp_path, cfg)])
+    assert result.exit_code == 1
+    err = json.loads(result.output)
+    assert err["kind"] == "config"
+    assert [v["pointer"] for v in err["violations"]] == [pointer]
+
+
+SMOKE = {
+    "entropy": ({}, ["entropy.csv"]),
+    "pressure": ({"table": {"1": 0.0, "2": 0.5}, "lengths": [4]},
+                 ["pressure.csv"]),
+    "bowen": ({"table": {"1": 1.0, "2": 0.5}}, ["bowen.csv"]),
+    "outer-sweep": ({"kind": "entropy", "t_grid": [0.5], "depth_caps": [2]},
+                    ["outer_sweep.csv"]),
+    "emergence": ({**SMALL_EMERGENCE, "source": MARKOV},
+                  ["emergence.csv", "fit.json"]),
+    "construct": (CONSTRUCT, ["blocks.csv", "itinerary.json", "orbit.json"]),
+    # no eps_hat: the default schedule
+    "saturate": ({**{k: v for k, v in CONSTRUCT.items() if k != "eps_hat"},
+                  "slack": 0.5}, ["orbit.json", "saturation.json"]),
+    "conditions": ({"kind": "entropy", "depth": 2, "t_grid": [0.5]},
+                   ["conditions.json"]),
+    "restricted-probe": (PROBE, ["restricted_probe.json"]),
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_cli_runs_every_experiment(tmp_path, experiment):
+    parameters, files = SMOKE[experiment]
+    cfg = {"space": FULL2_SPACE, "experiment": experiment,
+           "parameters": parameters, "seed": 0,
+           "output_dir": str(tmp_path / "out")}
+    _, manifest = run_ok(tmp_path, cfg, experiment)
+    assert manifest["files"] == files
 
 
 def parsed(experiment, parameters):

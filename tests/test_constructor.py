@@ -13,8 +13,9 @@ from emergence_lab.constructor import (ConstructedOrbit, Itinerary,
                                        build_orbit, check_itinerary,
                                        default_eps_tilde,
                                        estimate_gamma_thresholds,
-                                       lambda_measure, oscillating_orbit, simplex_net,
-                                       typical_word, verify_saturation)
+                                       log_lambda_measure, oscillating_orbit,
+                                       simplex_net, typical_word,
+                                       verify_saturation)
 from emergence_lab.errors import (AlignmentError, InputError, InvariantError,
                                   ScheduleError, SizeError)
 from emergence_lab.measures import (MarkovMeasure, empirical_measure,
@@ -81,6 +82,13 @@ def test_simplex_net_guards():
         simplex_net(1, 0.0)
     with pytest.raises(SizeError):
         simplex_net(6, 0.01)
+    # an infinite mesh divided by a zero denominator, and (level + 1) / 1e-320
+    # overflowed on conversion to an integer; level 0 needs no denominator
+    with pytest.raises(InputError):
+        simplex_net(1, math.inf)
+    with pytest.raises(SizeError):
+        simplex_net(1, 1e-320)
+    assert simplex_net(0, 1e-320).nodes == ((1.0,),)
 
 
 # ------------------------------------------------------------- typical_word
@@ -90,7 +98,8 @@ def test_typical_word_tracks_measure():
     n, eps, depth = 2048, 0.05, 4
     w = typical_word(mu, n, eps, seed=7, metric_depth=depth)
     assert len(w) == n
-    y = PointPrefix.periodic(tuple(int(c) for c in w), n + depth - 1)
+    y = PointPrefix.periodic(tuple(int(c) for c in w), n + depth - 1,
+                            FULL2)
     emp = empirical_measure(y, n, depth, FULL2)
     d, _ = wasserstein1(emp, truncation_proxy((mu,), (1.0,), depth), depth,
                         FULL2)
@@ -245,7 +254,8 @@ def test_build_orbit_blocks_track_their_measures():
         if n < depth:
             continue
         block = orbit.word.symbols[start:end]
-        y = PointPrefix.periodic(tuple(int(c) for c in block), n + depth - 1)
+        y = PointPrefix.periodic(tuple(int(c) for c in block),
+                                n + depth - 1, FULL2)
         emp = empirical_measure(y, n, depth, FULL2)
         proxy = truncation_proxy((fam.measures[l],), (1.0,), depth)
         d, _ = wasserstein1(emp, proxy, depth, FULL2)
@@ -256,14 +266,14 @@ def test_lambda_measure_products():
     fam, it = tiny_schedule()
     orbit = tiny_orbit()
     first_end = orbit.block_map[0][4]
-    lp = lambda_measure(orbit, fam, first_end, as_log=True)
+    lp = log_lambda_measure(orbit, fam, first_end)
     mu = fam.measures[orbit.block_map[0][2]]
     word = orbit.word.symbols[orbit.block_map[0][3]:first_end]
     expected = math.log(cylinder_probability((mu,), (1.0,), word))
     assert lp == pytest.approx(expected, rel=1e-9)
-    assert lambda_measure(orbit, fam, 0) == 1.0
+    assert log_lambda_measure(orbit, fam, 0) == 0.0
     with pytest.raises(AlignmentError):
-        lambda_measure(orbit, fam, first_end + 1)
+        log_lambda_measure(orbit, fam, first_end + 1)
 
 
 def test_log_cylinder_probability_rejects_symbols_outside_alphabet():
@@ -279,7 +289,7 @@ def test_lambda_measure_is_product_of_blocks():
     fam, it = tiny_schedule()
     orbit = tiny_orbit()
     second_end = orbit.block_map[1][4]
-    lp2 = lambda_measure(orbit, fam, second_end, as_log=True)
+    lp2 = log_lambda_measure(orbit, fam, second_end)
     parts = 0.0
     for L, j, l, start, end in orbit.block_map[:2]:
         w = tuple(int(c) for c in orbit.word.symbols[start:end])
@@ -310,6 +320,36 @@ def test_verify_saturation_unreachable_level():
     missing = SimplexNet(level=2, mesh=0.5, nodes=((1 / 3, 1 / 3, 1 / 3),))
     rep = verify_saturation(orbit, missing, fam, slack=0.1, metric_depth=4)
     assert rep.unreachable and not rep.passed
+
+
+def test_golden_mean_orbit_with_connector_and_no_wrap():
+    # on the golden mean shift 2 cannot follow 2: block 5 starts with the 2
+    # that ends block 4, so a connector bridges them; the orbit also ends
+    # and starts with 2, so saturation cannot wrap the tail and reads only
+    # the boundary times with depth - 1 symbols of lookahead
+    fam = MeasureFamily((MarkovMeasure(np.array([[0.3, 0.7], [1.0, 0.0]]), GM),
+                         MarkovMeasure(np.array([[0.8, 0.2], [1.0, 0.0]]), GM)))
+    nets = (simplex_net(0, 0.9),
+            SimplexNet(level=1, mesh=0.6,
+                       nodes=((1.0, 0.0), (0.5, 0.5), (0.0, 1.0))))
+    gamma = {(L, l): 32 for L in range(3) for l in range(L + 1)}
+    it = block_schedule(fam, 1, (0.95, 0.9, 0.9), (0.1,) * 3, gamma, nets)
+    orbit = build_orbit(it, fam, GM, seed=3, metric_depth=4)
+    slots = orbit.itinerary.connector_slots
+    assert slots == (0, 0, 0, 0, 0, 1, 0)
+    blocks = orbit.block_map
+    assert [b[3] - a[4] for a, b in zip(blocks, blocks[1:])] == list(slots[1:])
+    sym = orbit.word.symbols
+    assert is_admissible(sym, GM)
+    assert not GM.allows(int(sym[-1]), int(sym[0]))
+    rep = verify_saturation(orbit, it.nets[1], fam, slack=0.1, metric_depth=4)
+    times = [b[4] for b in blocks if b[4] <= sym.shape[0] - 3]
+    assert times == [b[4] for b in blocks[:-1]]
+    for node, d, t in rep.node_minima:
+        proxy = truncation_proxy(fam.measures, node, 4)
+        assert (d, t) == min(
+            (wasserstein1(empirical_measure(orbit.word, n, 4, GM), proxy, 4,
+                          GM)[0], n) for n in times)
 
 
 def test_bound_decisions_match_exact_path(monkeypatch):

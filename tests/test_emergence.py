@@ -14,6 +14,7 @@ from emergence_lab.emergence import (EXACT_CAP, EmergenceReport,
 from emergence_lab.errors import InputError
 from emergence_lab.measures import MarkovMeasure, make_rng
 from emergence_lab.sofic import PointPrefix, ShiftSpace
+from oracles import loop_geometric_times
 
 FULL2 = ShiftSpace.full_shift(2)
 
@@ -28,6 +29,27 @@ def test_geometric_times_collision_repair():
     times = geometric_times(3, 12, 8)
     assert len(set(times)) == 8
     assert times[0] == 3 and times[-1] == 12
+
+
+def test_geometric_times_exhaustive_small_grids():
+    # every grid with n_min < 60, a span up to 79 and every count it holds
+    for n_min in range(1, 60):
+        for n_max in range(n_min + 1, n_min + 80):
+            for count in range(2, n_max - n_min + 2):
+                times = geometric_times(n_min, n_max, count)
+                assert len(times) == count
+                assert times[0] == n_min and times[-1] == n_max
+                assert all(b > a for a, b in zip(times, times[1:]))
+
+
+def test_geometric_times_match_loop_repair():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n_min = int(rng.integers(1, 10 ** 6))
+        span = int(rng.integers(1, 10 ** 5))
+        count = int(rng.integers(2, min(span + 1, 2000) + 1))
+        assert geometric_times(n_min, n_min + span, count) == \
+            loop_geometric_times(n_min, n_min + span, count)
 
 
 def test_geometric_times_guards():
@@ -118,11 +140,9 @@ def test_emergence_exponent_needs_three_scales():
 
 
 def test_cloud_validation():
-    mu = MarkovMeasure.bernoulli([0.5, 0.5], FULL2)
-    x = PointPrefix(mu.sample(200, make_rng(0)))
     with pytest.raises(InputError):
-        TrajectoryCloud(source=x, times=(10, 10), snapshots=(None, None),
-                        depth=3, space=FULL2)
+        TrajectoryCloud(times=(10, 10), snapshots=(None, None), depth=3,
+                        space=FULL2)
 
 
 def test_cloud_tail_selects_late_times():

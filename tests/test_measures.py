@@ -761,6 +761,19 @@ def test_w1_rows_must_be_probability_vectors():
     assert w1_below(masses, nu, 10.0, 3, FULL2).tolist() == [True, True]
 
 
+def test_w1_row_errors_name_their_entry_point():
+    # every entry point shares the row check, but reports its own name
+    nu = truncation_proxy((bern([0.3, 0.7]),), (1.0,), 3)
+    half = np.eye(8)[:1] * 0.5
+    calls = {"w1_bounds": lambda: w1_bounds(half, nu, 3, FULL2),
+             "w1_below": lambda: w1_below(half, nu, 0.1, 3, FULL2),
+             "w1_min": lambda: w1_min(half, nu, 3, FULL2)}
+    for name, call in calls.items():
+        with pytest.raises(InvariantError) as ei:
+            call()
+        assert (ei.value.module, ei.value.operation) == ("measures", name)
+
+
 def test_w1_below_margin_cases(monkeypatch):
     # eps at the exact value or at a bound leaves the test to the exact
     # solve; eps clear of both bounds by more than MARGIN does not
