@@ -236,14 +236,18 @@ def _candidate_lengths(s, node, floors):
     return n
 
 
-def _group_feasible(n, node, L, prefix, eps_t, gamma_n, l_max):
-    """All three inequalities for the group (L, j) with lengths n."""
+def _group_feasible(n, node, L, prefix, gaps, eps_t, gamma_n, l_max):
+    """All three inequalities for the group (L, j) with lengths n, after
+    `prefix` block symbols and up to `gaps` connector symbols.  (I2)'s left
+    side grows with the connectors and (I1)'s ratios shrink, so (I2) is
+    tested with all of them and (I1) with none."""
     s = int(n.sum())
     # (I3) proportion tracking
     if np.abs(n / s - np.asarray(node)).max() > eps_t / (L + 1) + 1e-15:
         return False
     # (I2) dominate the past
-    if 2.0 * prefix / (prefix + s) + 2.0 * (L + 1) / s >= eps_t:
+    past = prefix + gaps
+    if 2.0 * past / (past + s) + 2.0 * (L + 1) / s >= eps_t:
         return False
     # (I1) next threshold vs cumulative, checked at each block of the group
     cum = prefix
@@ -255,11 +259,23 @@ def _group_feasible(n, node, L, prefix, eps_t, gamma_n, l_max):
     return True
 
 
+def _longest_bridge(space):
+    """The longest `connector` bridge between two symbols of `space`, the
+    most symbols `build_orbit` inserts at a block boundary: 0 on a full
+    shift."""
+    pairs = np.argwhere(space.transition == 0) + 1
+    return max((len(connector((a,), (b,), space)) for a, b in pairs.tolist()),
+               default=0)
+
+
 def block_schedule(family, l_max, eps_tilde, eps_hat, gamma_n, nets,
                    length_cap=LENGTH_CAP):
     """Lay out block lengths group by group, one group per node of nets[L]
     at level L; minimal scale via doubling then binary search, with the
-    floors gamma_n[(L, l)] enforced throughout."""
+    floors gamma_n[(L, l)] enforced throughout.  Connector slots are planned
+    as 0, but a group must meet (I2) with a longest bridge at every block
+    boundary of its past, so that any connectors `build_orbit` inserts keep
+    the layout valid."""
     if l_max + 1 > len(family):
         raise InputError(f"need {l_max + 1} measures for levels 0..{l_max}",
                          module="constructor", operation="block_schedule")
@@ -278,6 +294,7 @@ def block_schedule(family, l_max, eps_tilde, eps_hat, gamma_n, nets,
         raise InputError("gamma_n must include the (l_max+1, 0) sentinel entry",
                          module="constructor", operation="block_schedule")
 
+    bridge = _longest_bridge(family.space)
     blocks = []
     prefix = 0
     for L in range(l_max + 1):
@@ -285,9 +302,13 @@ def block_schedule(family, l_max, eps_tilde, eps_hat, gamma_n, nets,
         floors = np.array([gamma_n.get((L, l), 1) for l in range(L + 1)],
                           dtype=np.int64)
         for j, node in enumerate(nets[L].nodes):
+            # the boundaries between the blocks before the group
+            gaps = bridge * max(len(blocks) - 1, 0)
+
             def feasible(s):
                 n = _candidate_lengths(s, node, floors)
-                return _group_feasible(n, node, L, prefix, eps_t, gamma_n, l_max)
+                return _group_feasible(n, node, L, prefix, gaps, eps_t,
+                                       gamma_n, l_max)
 
             s = max(int(floors.sum()), L + 2)
             while not feasible(s):

@@ -3,21 +3,25 @@
 The accumulation set of the empirical-measure sequence of an orbit is proxied
 by a finite cloud of late-time snapshots; its epsilon-covering number under W1
 is bracketed by a greedy cover / packing sandwich, with an exact set-cover
-solve for small clouds.  Slopes of log(count) against -log(eps) estimate the
-emergence exponent.
+solve for small clouds.  The exact cover reads only d <= eps at the report's
+scales, so a small cloud's pairs get W1 decisions: sound bounds settle most
+of them, and only a pair whose bracket comes within MARGIN of a scale is
+solved exactly; the counts equal the all-exact ones.  Slopes of log(count)
+against -log(eps) estimate the emergence exponent.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .measures import empirical_snapshots, wasserstein1
+from .measures import empirical_snapshots, w1_settled, wasserstein1
 
 
 @dataclass(frozen=True)
@@ -88,17 +92,31 @@ def cloud_at_times(x, times, depth, space):
                            space=space)
 
 
-def pairwise_w1(snapshots, depth, space, threads=1):
-    """Symmetric matrix of exact W1 distances between snapshots, one pair
-    per task of a pool of `threads` workers."""
+def pairwise_w1(snapshots, depth, space, threads=1, scales=None):
+    """Symmetric matrix of W1 distances between snapshots.
+
+    Every entry is exact unless `scales` is given: then a pair that the W1
+    bounds settle at every scale (`w1_settled`) holds its upper bound, which
+    lies on the same side of each scale as the exact W1, so any count that
+    reads only d <= eps at those scales is unchanged.  The pairs left open
+    are solved exactly, one per task of a pool of `threads` workers; the
+    bounds run before the pool, so the matrix is the same at any thread
+    count.
+    """
     k = len(snapshots)
     rows, cols = np.triu_indices(k, 1)
+    vals = np.full(rows.shape[0], np.nan)
+    if scales is not None and k > 1:
+        masses = np.stack([mu.truncated(depth).mass for mu in snapshots])
+        vals = w1_settled(masses, scales, depth, space)
+    todo = np.flatnonzero(np.isnan(vals))
 
-    def solve(i, j):
-        return wasserstein1(snapshots[i], snapshots[j], depth, space)[0]
+    def solve(p):
+        return wasserstein1(snapshots[rows[p]], snapshots[cols[p]], depth,
+                            space)[0]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        vals = list(pool.map(solve, rows, cols))
+        vals[todo] = list(pool.map(solve, todo))
     dist = np.zeros((k, k))
     dist[rows, cols] = dist[cols, rows] = vals
     return dist
@@ -245,10 +263,38 @@ def emergence_exponent(epsilons, counts):
     return float(slope), float(intercept), residual, False
 
 
+def _check_scales(epsilons):
+    """The checks that the covering counts, the fits and the report make on
+    the scales after the W1 work, made before it, and finiteness on top:
+    each scale finite and > 0, at least three, strictly decreasing."""
+    for eps in epsilons:
+        if not 0 < eps < math.inf:
+            raise InputError(f"eps must be positive and finite, got {eps}",
+                             module="emergence", operation="emergence_report")
+    if len(epsilons) < 3:
+        raise InputError(f"need >= 3 scales, got {len(epsilons)}",
+                         module="emergence", operation="emergence_report")
+    if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
+        raise InputError("epsilons must be strictly decreasing",
+                         module="emergence", operation="emergence_report")
+
+
 def emergence_report(cloud, epsilons, tail_fraction, threads=1):
-    """Per-scale covering brackets plus two-sided exponent fits for one orbit."""
+    """Per-scale covering brackets plus two-sided exponent fits for one orbit.
+
+    The tail fraction and the scales are checked before any W1 work.  A
+    tail of at most `EXACT_CAP` snapshots is counted exactly, which reads
+    only d <= eps at the scales, so its pairs get W1 decisions: a pair the
+    bounds settle at every scale skips the exact solve (`pairwise_w1` with
+    `scales`).  The greedy cover of a larger tail compares distances with
+    one another, so every pair of it is solved exactly; that branch goes
+    when an exact covering solve replaces the greedy cover.
+    """
     times, snaps = cloud.tail(tail_fraction)
-    dist = pairwise_w1(snaps, cloud.depth, cloud.space, threads=threads)
+    _check_scales(epsilons)
+    scales = epsilons if len(snaps) <= EXACT_CAP else None
+    dist = pairwise_w1(snaps, cloud.depth, cloud.space, threads=threads,
+                       scales=scales)
     lowers, uppers = [], []
     for eps in epsilons:
         lo, up = covering_number_bounds(dist, eps)

@@ -22,12 +22,14 @@ exact.  Flow grids larger than `GRID_CAP` nodes raise SizeError.  Apart
 from the solver tolerance, the only error source is the metric truncation
 bound, which is returned alongside every value.  Tests of W1 < eps
 (`w1_below`) and saturation minima (`w1_min`) work on a mass matrix, one
-row per pair against one target measure, and consult sound bounds
-(`w1_bounds`, no flow) first: the coordinate-marginal lower bound, and the
-smaller of the prefix-tree bound and the cost of that transport plan as
-the upper bound.  A bound is trusted only when it clears the threshold by
-MARGIN, so every result equals the exact one, and only the rows the bounds
-leave open reach an exact solve.
+row per pair against one target measure, and the covering decisions
+d <= eps of `w1_settled` on the pairs of rows of one mass matrix at a few
+scales; all of them consult sound bounds (`w1_bounds`, no flow) first:
+the coordinate-marginal lower bound, and the smaller of the prefix-tree
+bound and the cost of that transport plan as the upper bound.  A bound is
+trusted only when it clears the threshold by MARGIN, so every result
+equals the exact one, and only the rows or pairs the bounds leave open
+reach an exact solve.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ GRID_CAP = 2 ** 12
 # stored on, 32 MB of float64: FULL2 to depth 22, metric depth 6 to m = 12.
 MEASURE_CAP = 2 ** 22
 
-# How far a W1 bound must clear eps before `w1_below` trusts it without an
-# exact solve: above the flow LP's 1e-10 tolerances and the bounds' rounding
-# (under 1e-15 on 1,500 random pairs).
+# How far a W1 bound must clear eps before `w1_below`, `w1_min` or
+# `w1_settled` trusts it without an exact solve: above the flow LP's 1e-10
+# tolerances and the bounds' rounding (under 1e-15 on 1,500 random pairs).
 MARGIN = 1e-9
 
 
@@ -141,13 +143,17 @@ class MarkovMeasure:
         on n uniforms.  Column i of the table f maps the state before step i
         to the one after (column 0 draws from the stationary law); a doubling
         (Hillis-Steele) scan composes the columns until none depends on its
-        argument, which iid rows satisfy from the start."""
+        argument.  A Bernoulli chain's table is its one distinct row, which
+        depends on no argument; its column 0 still draws from the stationary
+        law, which for a chain built from a matrix is computed and may differ
+        from the row in its last bits."""
         if n < 1:
             raise InputError(f"n must be >= 1, got {n}",
                              module="measures", operation="sample")
         u = rng.random(n)
-        f = np.empty((self.space.m, n), dtype=np.int16)
-        for s, cum in enumerate(_inverse_cdf(self.stochastic)):
+        rows = self.stochastic[:1] if self.is_bernoulli else self.stochastic
+        f = np.empty((rows.shape[0], n), dtype=np.int16)
+        for s, cum in enumerate(_inverse_cdf(rows)):
             f[s] = np.searchsorted(cum, u, side="right")
         f[:, 0] = np.searchsorted(_inverse_cdf(self.stationary), u[0], side="right")
         d = 1
@@ -328,14 +334,14 @@ def truncation_proxy(measures, weights, depth):
     return FinSuppMeasure(law / lex[lex > 0].sum(), depth, space.m)
 
 
-def _net_rows(masses, nu, depth, space, operation):
-    """The supplies row - nu, one per row of a (rows, m^depth) mass matrix,
-    with entries of absolute value at most 1e-15 set to 0.  Each row must be
-    a probability vector, as `FinSuppMeasure` checks (InvariantError); an
-    error is tagged with the caller's `operation`."""
-    if not (nu.m == space.m and masses.shape[1:] == (space.m ** depth,)):
+def _check_rows(masses, m, depth, space, operation):
+    """Raise unless a (rows, m^depth) mass matrix of measures on m symbols
+    fits `space` at `depth` (InputError) and each row is a probability
+    vector, as `FinSuppMeasure` checks (InvariantError); an error is tagged
+    with the caller's `operation`."""
+    if not (m == space.m and masses.shape[1:] == (space.m ** depth,)):
         raise InputError(f"masses of shape {masses.shape} and a measure on "
-                         f"{nu.m} symbols, space on {space.m} at depth {depth}",
+                         f"{m} symbols, space on {space.m} at depth {depth}",
                          module="measures", operation=operation)
     # a NaN fails >= 0, an infinite mass the sum
     if not ((masses >= 0).all()
@@ -343,9 +349,21 @@ def _net_rows(masses, nu, depth, space, operation):
         raise InvariantError("mass rows must be nonnegative and sum to 1 "
                              "within 1e-12", module="measures",
                              operation=operation)
-    net = masses - nu.truncated(depth).mass
+
+
+def _net(masses, targets):
+    """The supplies masses - targets, with entries of absolute value at
+    most 1e-15 set to 0."""
+    net = masses - targets
     net[np.abs(net) <= 1e-15] = 0.0
     return net
+
+
+def _net_rows(masses, nu, depth, space, operation):
+    """The supplies row - nu, one per row of a (rows, m^depth) mass matrix
+    checked by `_check_rows`."""
+    _check_rows(masses, nu.m, depth, space, operation)
+    return _net(masses, nu.truncated(depth).mass)
 
 
 def wasserstein1(mu, nu, depth, space):
@@ -528,13 +546,46 @@ def w1_min(masses, nu, depth, space):
     return best, best_row
 
 
+def w1_settled(masses, scales, depth, space):
+    """The pairs i < j of rows of a (k, m^depth) mass matrix, in
+    `np.triu_indices` order, that sound bounds settle at every eps in
+    `scales`: one value per pair, its upper bound where it is settled and
+    NaN where it is not.
+
+    Each pair gets the bracket of `w1_bounds` on the supply row i - row j:
+    the coordinate-marginal lb, and the smaller of the prefix-tree and
+    transport-plan bounds as ub.  A pair is settled at eps below it when
+    ub < eps - MARGIN and above it when lb > eps + MARGIN, the rule of
+    `w1_below`, so a settled pair's ub lies on the same side of every scale
+    as the exact W1 (d <= eps exactly when ub <= eps); a NaN pair needs the
+    exact value, as does every pair at a NaN scale.  The bounds run on
+    chunks of at most max(1, MEASURE_CAP // m^depth) pairs, so no supply
+    batch holds more than MEASURE_CAP entries, at any depth.
+    """
+    _check_rows(masses, space.m, depth, space, "w1_settled")
+    rows, cols = np.triu_indices(masses.shape[0], 1)
+    eps = np.asarray(scales, dtype=np.float64)
+    out = np.full(rows.shape[0], np.nan)
+    chunk = max(1, MEASURE_CAP // masses.shape[1])
+    for start in range(0, rows.shape[0], chunk):
+        pairs = slice(start, start + chunk)
+        net = _net(masses[rows[pairs]], masses[cols[pairs]])
+        lb, ub = _tree_bounds(net, depth, space)
+        ub = np.minimum(ub, _plan_bound(net, depth, space))
+        settled = ((ub[:, None] < eps - MARGIN)
+                   | (lb[:, None] > eps + MARGIN)).all(axis=1)
+        out[pairs][settled] = ub[settled]
+    return out
+
+
 @lru_cache(maxsize=8)
 def _grid_flow(m, depth, beta):
     """Node-arc incidence (last node row dropped) and arc costs of the
     m^depth symbol grid; node sum_d (x_d - 1) m^d, arcs both ways between
     nodes one apart in coordinate d, at cost beta^-(d+1).  Dropping a row
     leaves the flow LP feasible for any supply.  Shared read-only by every
-    caller, the `pairwise_w1` pool threads included."""
+    caller, the threads of `pairwise_w1`'s pool included, which solve the
+    pairs `w1_settled` leaves open."""
     n = m ** depth
     if n > GRID_CAP:
         raise SizeError(f"W1 grid of {m}^{depth} = {n} nodes exceeds cap {GRID_CAP}",

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from emergence_lab import emergence, measures
 from emergence_lab.carath import (CStructure, bowen_dimension,
                                   check_conditions, outer_measure_M,
                                   outer_measure_N, pressure_exact,
@@ -21,12 +22,14 @@ from emergence_lab.constructor import (MeasureFamily, SimplexNet,
                                        block_schedule, build_orbit,
                                        log_lambda_measure, oscillating_orbit,
                                        verify_saturation)
-from emergence_lab.emergence import (_greedy_cover, _greedy_packing,
-                                     build_cloud, cloud_at_times,
+from emergence_lab.emergence import (TrajectoryCloud, _greedy_cover,
+                                     _greedy_packing, build_cloud,
+                                     cloud_at_times,
                                      covering_number_bounds,
                                      emergence_report, pairwise_w1)
-from emergence_lab.measures import (MarkovMeasure, empirical_measure,
-                                    make_rng, truncation_proxy, wasserstein1)
+from emergence_lab.measures import (MARGIN, MarkovMeasure,
+                                    empirical_measure, make_rng,
+                                    truncation_proxy, wasserstein1)
 from emergence_lab.sofic import (PointPrefix, ShiftSpace, admissible_words,
                                  topological_entropy)
 from oracles import eta, from_atoms, q_weight
@@ -363,6 +366,57 @@ def test_exact_covering_inside_greedy_sandwich_200_clouds():
         lo_e, up_e = covering_number_bounds(dist, eps)
         assert lo_e == up_e == _exact_cover_count(dist, eps)
         assert lo_g <= lo_e <= up_g
+
+
+def test_emergence_counts_from_w1_decisions_equal_exact_200_clouds(
+        monkeypatch):
+    # the clouds above, each reported at its random scale, a distance of
+    # one of its pairs and that distance +- MARGIN / 2: the bounds cannot
+    # settle the pairs at such scales, so some pairs go to the exact solve
+    rng = np.random.default_rng(10)
+    pick = np.random.default_rng(11)
+    depth = 3
+    clouds = []
+    for _ in range(200):
+        k = int(rng.integers(2, 13))
+        snaps = [_random_finsupp(rng, depth) for _ in range(k)]
+        eps = float(rng.uniform(0.02, 0.4))
+        exact = pairwise_w1(snaps, depth, FULL2)
+        i, j = sorted(pick.choice(k, 2, replace=False))
+        d = exact[i, j] if exact[i, j] > MARGIN else exact.max()
+        scales = tuple(sorted({eps, d + MARGIN / 2, d, d - MARGIN / 2},
+                              reverse=True))
+        cloud = TrajectoryCloud(times=range(1, k + 1), snapshots=snaps,
+                                depth=depth, space=FULL2)
+        counts = [covering_number_bounds(exact, e) for e in scales]
+        clouds.append((cloud, scales, exact, counts))
+
+    solves = []
+
+    def spy(*args):
+        solves.append(args)
+        return wasserstein1(*args)
+
+    monkeypatch.setattr(emergence, "wasserstein1", spy)
+    reports, pairs = [], 0
+    for cloud, scales, exact, counts in clouds:
+        rep = emergence_report(cloud, scales, tail_fraction=1.0)
+        assert list(zip(rep.lower, rep.upper)) == counts
+        # a settled entry lies on the exact value's side of every scale
+        dist = pairwise_w1(cloud.snapshots, depth, FULL2, scales=scales)
+        for e in scales:
+            assert np.array_equal(dist <= e, exact <= e)
+        reports.append(rep)
+        pairs += cloud.count * (cloud.count - 1) // 2
+    assert 0 < len(solves) < pairs
+    # bounds trusted at no margin settle nothing: every pair of the first
+    # 50 clouds is solved, to the same reports
+    monkeypatch.setattr(measures, "MARGIN", math.inf)
+    solves.clear()
+    for (cloud, scales, _, _), rep in zip(clouds[:50], reports):
+        assert emergence_report(cloud, scales, tail_fraction=1.0) == rep
+    assert len(solves) == sum(c.count * (c.count - 1) // 2
+                              for c, *_ in clouds[:50])
 
 
 def _enumerate_cut_costs(s, t, depth_cap, u=()):

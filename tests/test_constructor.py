@@ -8,6 +8,7 @@ from emergence_lab import measures
 from emergence_lab.carath import CStructure, restricted_outer_measure
 from emergence_lab.constructor import (ConstructedOrbit, Itinerary,
                                        _log_cylinder_probability,
+                                       _longest_bridge,
                                        MeasureFamily, SimplexNet,
                                        block_schedule,
                                        build_orbit, check_itinerary,
@@ -24,6 +25,7 @@ from emergence_lab.sofic import PointPrefix, ShiftSpace, is_admissible
 from oracles import cylinder_probability
 
 FULL2 = ShiftSpace.full_shift(2)
+FULL3 = ShiftSpace.full_shift(3)
 GM = ShiftSpace.golden_mean()
 
 
@@ -322,19 +324,24 @@ def test_verify_saturation_unreachable_level():
     assert rep.unreachable and not rep.passed
 
 
-def test_golden_mean_orbit_with_connector_and_no_wrap():
-    # on the golden mean shift 2 cannot follow 2: block 5 starts with the 2
-    # that ends block 4, so a connector bridges them; the orbit also ends
-    # and starts with 2, so saturation cannot wrap the tail and reads only
-    # the boundary times with depth - 1 symbols of lookahead
+def golden_mean_schedule():
     fam = MeasureFamily((MarkovMeasure(np.array([[0.3, 0.7], [1.0, 0.0]]), GM),
                          MarkovMeasure(np.array([[0.8, 0.2], [1.0, 0.0]]), GM)))
     nets = (simplex_net(0, 0.9),
             SimplexNet(level=1, mesh=0.6,
                        nodes=((1.0, 0.0), (0.5, 0.5), (0.0, 1.0))))
     gamma = {(L, l): 32 for L in range(3) for l in range(L + 1)}
-    it = block_schedule(fam, 1, (0.95, 0.9, 0.9), (0.1,) * 3, gamma, nets)
-    orbit = build_orbit(it, fam, GM, seed=3, metric_depth=4)
+    return fam, block_schedule(fam, 1, (0.95, 0.9, 0.9), (0.1,) * 3, gamma,
+                               nets)
+
+
+def test_golden_mean_orbit_with_connector_and_no_wrap():
+    # on the golden mean shift 2 cannot follow 2: block 5 starts with the 2
+    # that ends block 4, so a connector bridges them; the orbit also ends
+    # and starts with 2, so saturation cannot wrap the tail and reads only
+    # the boundary times with depth - 1 symbols of lookahead
+    fam, it = golden_mean_schedule()
+    orbit = build_orbit(it, fam, GM, seed=148, metric_depth=4)
     slots = orbit.itinerary.connector_slots
     assert slots == (0, 0, 0, 0, 0, 1, 0)
     blocks = orbit.block_map
@@ -350,6 +357,25 @@ def test_golden_mean_orbit_with_connector_and_no_wrap():
         assert (d, t) == min(
             (wasserstein1(empirical_measure(orbit.word, n, 4, GM), proxy, 4,
                           GM)[0], n) for n in times)
+
+
+def test_golden_mean_connectors_keep_the_layout():
+    # the schedule leaves room for a one-symbol bridge at every boundary
+    # before a group: seeds 0, 6 and 7 used to insert connectors that broke
+    # (I2) at groups (1, 1) and (1, 2)
+    assert _longest_bridge(GM) == 1
+    assert _longest_bridge(FULL2) == _longest_bridge(FULL3) == 0
+    fam, it = golden_mean_schedule()
+    # a bridge at every boundary at once still meets every inequality
+    assert check_itinerary(replace(
+        it, connector_slots=(0,) + (1,) * (len(it.blocks) - 1))) == []
+    bridged = 0
+    for seed in range(8):
+        orbit = build_orbit(it, fam, GM, seed=seed, metric_depth=4)
+        assert check_itinerary(orbit.itinerary) == []
+        assert is_admissible(orbit.word.symbols, GM)
+        bridged += any(orbit.itinerary.connector_slots)
+    assert bridged >= 3
 
 
 def test_bound_decisions_match_exact_path(monkeypatch):

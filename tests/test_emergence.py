@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from emergence_lab import emergence, measures
+from emergence_lab.constructor import oscillating_orbit
 from emergence_lab.emergence import (EXACT_CAP, EmergenceReport,
                                      TrajectoryCloud, _exact_cover,
                                      _greedy_cover, _greedy_packing,
@@ -11,10 +13,10 @@ from emergence_lab.emergence import (EXACT_CAP, EmergenceReport,
                                      covering_number_bounds,
                                      emergence_exponent, emergence_report,
                                      geometric_times, pairwise_w1)
-from emergence_lab.errors import InputError
-from emergence_lab.measures import MarkovMeasure, make_rng
+from emergence_lab.errors import InputError, SizeError
+from emergence_lab.measures import MARGIN, MarkovMeasure, make_rng, w1_settled
 from emergence_lab.sofic import PointPrefix, ShiftSpace
-from oracles import loop_geometric_times
+from oracles import from_atoms, loop_geometric_times
 
 FULL2 = ShiftSpace.full_shift(2)
 
@@ -200,3 +202,129 @@ def test_report_validation():
         EmergenceReport(epsilons=(0.2, 0.1), lower=(5, 5), upper=(1, 1),
                         exponent_fit={}, tail_fraction=0.5,
                         n_window_start=1, n_window_end=2)
+
+
+# ------------------------------------------------- W1 decisions in the report
+
+def random_cloud(seed, k, depth=3):
+    rng = np.random.default_rng(seed)
+    snaps = []
+    for _ in range(k):
+        atoms = np.unique(rng.integers(1, 3, size=(int(rng.integers(1, 9)),
+                                                   depth)), axis=0)
+        w = rng.random(atoms.shape[0]) + 0.05
+        snaps.append(from_atoms(atoms.astype(np.int16), w / w.sum(), FULL2))
+    return TrajectoryCloud(times=range(1, k + 1), snapshots=snaps,
+                           depth=depth, space=FULL2)
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_benchmark_clouds_need_no_lp(monkeypatch):
+    # the generic and oscillating FULL2 depth-8 clouds of the benchmark's
+    # reference input: the bounds settle every pair at every scale, and
+    # the reports equal those of the all-exact path
+    depth, scales = 8, (0.2, 0.1, 0.05, 0.025)
+    n = 2 ** 14 + depth - 1
+    generic = PointPrefix(MarkovMeasure.bernoulli([0.5, 0.5], FULL2).sample(
+        n, make_rng(40)))
+    oscillating = oscillating_orbit(
+        MarkovMeasure.bernoulli([0.1, 0.9], FULL2),
+        MarkovMeasure.bernoulli([0.9, 0.1], FULL2), n, 41, 64, 2.0)
+    clouds = [build_cloud(x, 2 ** 9, 2 ** 14, 10, depth, FULL2)
+              for x in (generic, oscillating)]
+    solves = counting(monkeypatch, measures, "linprog")
+    reports = [emergence_report(c, scales, tail_fraction=0.5) for c in clouds]
+    assert solves == []
+    monkeypatch.setattr(measures, "MARGIN", math.inf)
+    assert [emergence_report(c, scales, tail_fraction=0.5)
+            for c in clouds] == reports
+    assert len(solves) > 0
+
+
+def test_report_with_open_pairs_is_thread_invariant(monkeypatch):
+    cloud = random_cloud(7, 9)
+    exact = pairwise_w1(cloud.snapshots, 3, FULL2)
+    d = exact[0, 1]
+    scales = (d + MARGIN / 2, d, d - MARGIN / 2)
+    solves = counting(monkeypatch, emergence, "wasserstein1")
+    one = emergence_report(cloud, scales, tail_fraction=1.0, threads=1)
+    assert 0 < len(solves) < 36
+    assert emergence_report(cloud, scales, tail_fraction=1.0,
+                            threads=3) == one
+    assert np.array_equal(
+        pairwise_w1(cloud.snapshots, 3, FULL2, threads=1, scales=scales),
+        pairwise_w1(cloud.snapshots, 3, FULL2, threads=3, scales=scales))
+    assert list(zip(one.lower, one.upper)) == \
+        [covering_number_bounds(exact, e) for e in scales]
+
+
+def test_large_cloud_solves_every_pair(monkeypatch):
+    # the greedy cover compares distances with one another, so a tail above
+    # EXACT_CAP gets every pair exact
+    cloud = random_cloud(8, EXACT_CAP + 2)
+    solves = counting(monkeypatch, emergence, "wasserstein1")
+    emergence_report(cloud, (0.4, 0.2, 0.1), tail_fraction=1.0)
+    assert len(solves) == cloud.count * (cloud.count - 1) // 2
+
+
+@pytest.mark.parametrize("scales", [
+    (0.2, math.nan, 0.05), (0.2, 0.1, math.inf), (math.inf, 0.1, 0.05),
+    (0.2, 0.1, 0.0), (0.2, -0.1, -0.2), (0.2, 0.1), (0.1, 0.2, 0.05),
+    (0.2, 0.1, 0.1)])
+def test_report_checks_scales_before_w1_work(monkeypatch, scales):
+    cloud = random_cloud(9, 5)
+    solves = counting(monkeypatch, emergence, "wasserstein1")
+    bounds = counting(monkeypatch, emergence, "w1_settled")
+    with pytest.raises(InputError) as ei:
+        emergence_report(cloud, scales, tail_fraction=1.0)
+    assert ei.value.operation == "emergence_report"
+    assert solves == bounds == []
+    with pytest.raises(InputError, match="tail_fraction"):
+        emergence_report(cloud, scales, tail_fraction=0.0)
+
+
+def test_w1_settled_chunks_and_rule(monkeypatch):
+    cloud = random_cloud(10, 12)
+    masses = np.stack([mu.mass for mu in cloud.snapshots])
+    exact = pairwise_w1(cloud.snapshots, 3, FULL2)[np.triu_indices(12, 1)]
+    d = float(exact[3])
+    scales = (0.3, d, 0.05)
+    whole = w1_settled(masses, scales, 3, FULL2)
+    assert np.isnan(whole[3])
+    for e in scales:
+        done = ~np.isnan(whole)
+        assert np.array_equal(whole[done] <= e, exact[done] <= e)
+    # chunks of one pair (the cap below one grid) and of five pairs
+    for cap in (4, 40):
+        monkeypatch.setattr(measures, "MEASURE_CAP", cap)
+        assert np.array_equal(w1_settled(masses, scales, 3, FULL2), whole,
+                              equal_nan=True)
+    # a NaN scale settles nothing
+    assert np.isnan(w1_settled(masses, (0.3, math.nan), 3, FULL2)).all()
+
+
+def test_settled_pairs_need_no_grid():
+    # lb = 0 and ub = 0.49988 at depth 13, a grid above GRID_CAP: scales
+    # above ub settle the pair, one below leaves it to the exact solve
+    atoms = np.array([[1] * 13, [2] * 13, [1, 2] * 6 + [1], [2, 1] * 6 + [2]],
+                     dtype=np.int16)
+    snaps = (from_atoms(atoms[:2], np.array([0.5, 0.5]), FULL2),
+             from_atoms(atoms[2:], np.array([0.5, 0.5]), FULL2))
+    dist = pairwise_w1(snaps, 13, FULL2, scales=(0.9, 0.7, 0.5))
+    assert dist[0, 1] == dist[1, 0] < 0.5
+    with pytest.raises(SizeError, match="grid"):
+        pairwise_w1(snaps, 13, FULL2, scales=(0.9, 0.3))
+    # masses of another depth are an input error
+    with pytest.raises(InputError):
+        w1_settled(np.stack([mu.mass for mu in snaps]), (0.5,), 12, FULL2)

@@ -168,11 +168,16 @@ def test_markov_sample_skips_forbidden_symbol():
 
 E = 0.005
 # an iid chain given as a matrix (its stationary law comes from `perron`),
-# the level-3 alt13 chain, a chain with a forbidden transition, and a
-# period-2 chain whose step tables never coalesce, so every scan round runs
+# an iid chain whose stationary law differs from its row in the last bits
+# (a first uniform of 0.5 draws symbol 1 from it, 2 from the row), the
+# level-3 alt13 chain, a chain with a forbidden transition, and a period-2
+# chain whose step tables never coalesce, so every scan round runs
 WALK_CHAINS = {
     "tiled-bernoulli": MarkovMeasure(np.array([[0.2, 0.8], [0.2, 0.8]]),
                                      FULL2),
+    "nudged-bernoulli": MarkovMeasure(
+        np.full((2, 2), 0.5), FULL2,
+        stationary=np.array([0.5 + 2.0 ** -40, 0.5 - 2.0 ** -40])),
     "alt13": MarkovMeasure(np.array([[E, E, 1 - 2 * E], [0.4, 0.2, 0.4],
                                      [1 - 2 * E, E, E]]), FULL3),
     "parry-gm": MarkovMeasure.parry(GM),
@@ -196,7 +201,7 @@ def test_sample_matches_loop_walk(name):
 def test_sample_matches_loop_walk_at_edge_uniforms(name):
     mu = WALK_CHAINS[name]
     top = 1.0 - 2.0 ** -53
-    for u in ((0.0,), (top,), (0.0, top), (top, 0.0, 0.5)):
+    for u in ((0.0,), (top,), (0.0, top), (top, 0.0, 0.5), (0.5, top)):
         for n in (1, 2, 5):
             want = loop_chain_walk(mu, _FixedUniform(*u).random(n))
             assert np.array_equal(mu.sample(n, _FixedUniform(*u)), want)
