@@ -22,8 +22,9 @@ exact pressure (pressure kind) and the Bowen root (appendix kind) read the
 transfer matrix of e^phi on the steady suffix states, the words of length
 span.  The restricted outer measure, whose membership test reads the whole
 word, sweeps the words below its cylinder one length at a time, O(m^cap);
-each layer's empirical masses come from one period of each word's
-representative, and its distinct masses are decided in one batch.
+each word's empirical masses come from one period of its representative,
+and the distinct masses of all probe layers are decided in batches of at
+most MEASURE_CAP entries before the sweep.
 """
 
 from __future__ import annotations
@@ -453,15 +454,34 @@ def _layer_counts(words, n, depth, space):
     return counts
 
 
-def _tracking(words, proxy, n, eps, depth, space):
-    """Whether W1(delta_y^n, proxy) < eps at metric depth `depth` for the
-    representative orbit y of each row of a word array (`_layer_counts`):
-    the distinct count rows become masses (`count_masses`), are decided in
-    one batch (`w1_below`), and the decisions are scattered back."""
-    distinct, inverse = np.unique(_layer_counts(words, n, depth, space),
-                                  axis=0, return_inverse=True)
+def _tracking(counts, proxy, n, eps, depth, space):
+    """Whether W1(delta_y^n, proxy) < eps at metric depth `depth` for each
+    row of a (k, m^depth) count matrix, the window counts of a
+    representative orbit y (`_layer_counts`): the distinct count rows
+    become masses (`count_masses`), are decided in one batch (`w1_below`),
+    and the decisions are scattered back."""
+    distinct, inverse = np.unique(counts, axis=0, return_inverse=True)
     below = w1_below(count_masses(distinct, n), proxy, eps, depth, space)
     return below[inverse.ravel()]
+
+
+def _memberships(layers, proxy, n, eps, depth, space):
+    """`_tracking` of every word of a list of word arrays, one bool array
+    per array.  The words are taken in order in chunks of at most
+    max(1, MEASURE_CAP // m^depth), which may span arrays, so no chunk's
+    counts hold more than MEASURE_CAP entries; each chunk's counts are
+    stacked and decided by one `_tracking` call."""
+    step = max(1, MEASURE_CAP // space.m ** depth)
+    begins = np.cumsum([0] + [len(words) for words in layers]).tolist()
+    member = np.empty(begins[-1], dtype=bool)
+    for start in range(0, member.size, step):
+        stop = min(start + step, member.size)
+        counts = np.vstack([
+            _layer_counts(words[max(start - b, 0):stop - b], n, depth, space)
+            for words, b in zip(layers, begins)
+            if b < stop and b + len(words) > start])
+        member[start:stop] = _tracking(counts, proxy, n, eps, depth, space)
+    return np.split(member, begins[1:-1])
 
 
 def restricted_outer_measure(s, z, mu, n, eps, t, m_blk, depth_cap,
@@ -475,9 +495,11 @@ def restricted_outer_measure(s, z, mu, n, eps, t, m_blk, depth_cap,
 
     The words below z are one array per length, each row with its parent's
     row.  The probes, the words at positive depths divisible by m_blk, are
-    counted against SURVIVOR_CAP before any W1 work; then the infimum runs
-    up from depth_cap one layer at a time, each probe layer's memberships
-    decided by `_tracking` in chunks of at most MEASURE_CAP count entries.
+    counted against SURVIVOR_CAP before any W1 work.  Membership depends
+    neither on t nor on the infimum, so every probe is decided first
+    (`_memberships`: chunks of at most MEASURE_CAP count entries that may
+    span layers, one deduplicated `w1_below` batch each); then the infimum
+    runs up from depth_cap one layer at a time.
     """
     if not eps >= 0:
         raise InputError(f"eps must be >= 0, got {eps}",
@@ -501,9 +523,11 @@ def restricted_outer_measure(s, z, mu, n, eps, t, m_blk, depth_cap,
         raise InputError("mu lives on another space than the structure",
                          module="carath", operation="restricted_outer_measure")
     proxy = truncation_proxy((mu,), (1.0,), metric_depth)
-    layers, parents, probes = [np.array([z], dtype=np.int16)], [], 0
+    layers, parents, probed = [np.array([z], dtype=np.int16)], [], []
+    probes = 0
     for l in range(len(z), depth_cap + 1):
         if l and l % m_blk == 0:
+            probed.append(l)
             probes += len(layers[-1])
             if probes > SURVIVOR_CAP:
                 raise SizeError(f"membership probes exceed cap {SURVIVOR_CAP}",
@@ -516,7 +540,11 @@ def restricted_outer_measure(s, z, mu, n, eps, t, m_blk, depth_cap,
             layers.append(np.column_stack([layers[-1][rows], nxt + 1])
                           .astype(np.int16))
             parents.append(rows)
-    step = max(1, MEASURE_CAP // space.m ** metric_depth)
+    member = {}
+    if eps > 0:
+        member = dict(zip(probed, _memberships(
+            [layers[l - len(z)] for l in probed], proxy, n, eps,
+            metric_depth, space)))
     val = np.zeros(len(layers[-1]))
     for l in range(depth_cap, len(z) - 1, -1):
         words = layers[l - len(z)]
@@ -524,11 +552,8 @@ def restricted_outer_measure(s, z, mu, n, eps, t, m_blk, depth_cap,
             # each word's children added left to right
             val = np.bincount(parents[l - len(z)], weights=val,
                               minlength=len(words))
-        if eps > 0 and l and l % m_blk == 0:
-            member = np.concatenate([
-                _tracking(words[i:i + step], proxy, n, eps, metric_depth,
-                          space) for i in range(0, len(words), step)])
-            for i in np.flatnonzero(member).tolist():
+        if l in member:
+            for i in np.flatnonzero(member[l]).tolist():
                 q = math.exp(_log_q(s, tuple(words[i].tolist()), t))
                 val[i] = q if l == depth_cap else min(q, val[i])
     return float(val[0])

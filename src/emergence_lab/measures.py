@@ -29,7 +29,10 @@ the coordinate-marginal lower bound, and the smaller of the prefix-tree
 bound and the cost of that transport plan as the upper bound.  A bound is
 trusted only when it clears the threshold by MARGIN, so every result
 equals the exact one, and only the rows or pairs the bounds leave open
-reach an exact solve.
+reach an LP.  `w1_below` solves its open rows, up to `BLOCK_NODES` grid
+nodes at a time, as one block-diagonal flow LP, whose values decide a row
+only when they clear eps by MARGIN; the values that are reported
+(`wasserstein1`, `w1_min`, `pairwise_w1`) come from single solves.
 """
 
 from __future__ import annotations
@@ -50,12 +53,22 @@ from .sofic import ShiftSpace, perron, symbol_array
 # 2-core Xeon VM.
 GRID_CAP = 2 ** 12
 
+# Node budget of one block-diagonal flow LP in `w1_below`: the rows its
+# bounds leave open are solved max(1, BLOCK_NODES // m^depth) to a call, so
+# grids of more than 72 nodes are solved one row a call.  On FULL2 at depth
+# 4 a row took 2.4 ms alone and 0.4-0.7 ms in blocks of 8 to 64, flat from
+# 8 on, while HiGHS's peak memory grew with the block count: by 0.4 MB at
+# 16 blocks, 1.5 MB at 32 and 4.3 MB at 64 in one process, and by 0.2-0.3
+# MB at 12 over the restricted-probe CLI runs, not at 9 (2-core Xeon VM).
+BLOCK_NODES = 144
+
 # Largest prefix grid (m^depth entries) a finitely supported measure is
 # stored on, 32 MB of float64: FULL2 to depth 22, metric depth 6 to m = 12.
 MEASURE_CAP = 2 ** 22
 
 # How far a W1 bound must clear eps before `w1_below`, `w1_min` or
-# `w1_settled` trusts it without an exact solve: above the flow LP's 1e-10
+# `w1_settled` trusts it without an exact solve, and a block LP value before
+# `w1_below` trusts it without a single solve: above the flow LP's 1e-10
 # tolerances and the bounds' rounding (under 1e-15 on 1,500 random pairs).
 MARGIN = 1e-9
 
@@ -378,9 +391,11 @@ def wasserstein1(mu, nu, depth, space):
     optimal (every unit moves straight to or from that node), so W1 is its
     cost, with no flow.  Otherwise HiGHS solves the flow at primal and dual
     feasibility tolerances 1e-10; a grid of more than `GRID_CAP` nodes
-    raises SizeError before it is built.  `w1_below` and `w1_min`, which
-    need the exact value only for a row their bounds leave open, raise it
-    only then.
+    raises SizeError before it is built.  `w1_below` and `w1_min` build a
+    grid only for a row their bounds leave open, so they raise it only
+    then; `w1_below` solves such rows in block LPs (`_block_values`) and
+    calls this function only for a row with a one-node side or a block
+    value within MARGIN of eps.
 
     Returns (value, error_bound).  Truncated costs underestimate the true
     metric, so the true W1 lies in [value, value + error_bound].
@@ -402,14 +417,48 @@ def wasserstein1(mu, nu, depth, space):
     supply = np.zeros(m ** depth)
     supply[a_codes] = a_w / mass
     supply[b_codes] = -b_w / b_w.sum()
-    res = linprog(cost, A_eq=incidence, b_eq=supply[:-1], bounds=(0, None),
+    res = _solve_flow(cost, incidence, supply[:-1], "wasserstein1")
+    return mass * float(res.fun), err
+
+
+def _solve_flow(cost, incidence, supply, operation):
+    """HiGHS's optimum of the flow LP min cost.x, incidence x = supply,
+    x >= 0, at primal and dual feasibility tolerances 1e-10; InvariantError,
+    tagged with `operation`, if it fails."""
+    res = linprog(cost, A_eq=incidence, b_eq=supply, bounds=(0, None),
                   method="highs",
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
     if not res.success:
         raise InvariantError(f"transport flow LP failed: {res.message}",
-                             module="measures", operation="wasserstein1")
-    return mass * float(res.fun), err
+                             module="measures", operation=operation)
+    return res
+
+
+def _block_values(net, depth, space):
+    """The W1 values of the rows of a (k, m^depth) supply matrix, each with
+    at least two nodes on either side, from one block-diagonal flow LP: k
+    copies of the grid flow of `wasserstein1`, one per row, sharing no
+    variable, so each block is solved optimally.  Each block's supply is
+    normalised as `wasserstein1` normalises it, and its value is its mass
+    times its flow's cost.  The values match single solves to within the
+    LP's tolerances, not bit for bit."""
+    k, n = net.shape
+    incidence, cost = _grid_flow(space.m, depth, float(space.beta))
+    pos, neg = np.maximum(net, 0.0), np.maximum(-net, 0.0)
+    mass = pos.sum(axis=1)
+    supply = pos / mass[:, None] - neg / neg.sum(axis=1)[:, None]
+    # k copies of the grid's CSR arrays, copy j's column indices shifted by
+    # j times the arcs and its row pointers by j times the nonzeros
+    arcs, nnz, copy = incidence.shape[1], incidence.nnz, np.arange(k)[:, None]
+    blocks = sp.csr_matrix(
+        (np.tile(incidence.data, k),
+         (incidence.indices + arcs * copy).ravel(),
+         np.append((incidence.indptr[:-1] + nnz * copy).ravel(), nnz * k)),
+        shape=(k * (n - 1), k * arcs))
+    res = _solve_flow(np.tile(cost, k), blocks, supply[:, :-1].ravel(),
+                      "w1_below")
+    return mass * (res.x.reshape(k, arcs) @ cost)
 
 
 def w1_bounds(masses, nu, depth, space):
@@ -503,10 +552,15 @@ def w1_below(masses, nu, eps, depth, space):
     as a bool array, one entry per row of a (rows, m^depth) mass matrix.
 
     A bound decides a row when it clears eps by MARGIN, which exceeds the
-    flow LP's tolerances and the bounds' rounding; otherwise the exact value
-    is compared with eps.  The marginal and prefix-tree bounds run on every
-    row, the plan bound on the rows they leave open, and the exact solve on
-    the rows still open, so every decision equals the exact one.
+    flow LP's tolerances and the bounds' rounding.  The marginal and
+    prefix-tree bounds run on every row, the plan bound on the rows they
+    leave open.  A row still open whose supply has at most one node on a
+    side gets `wasserstein1`'s exact plan cost; the others are solved
+    max(1, BLOCK_NODES // m^depth) to one block-diagonal flow LP
+    (`_block_values`), whose value decides a row when it clears eps by
+    MARGIN.  A row whose block value lies within MARGIN of eps is compared
+    by its single `wasserstein1` value, so every decision equals the exact
+    one.
     """
     net = _net_rows(masses, nu, depth, space, "w1_below")
     lb, ub = _tree_bounds(net, depth, space)
@@ -515,7 +569,20 @@ def w1_below(masses, nu, eps, depth, space):
     if todo.size:
         below[todo] = _plan_bound(net[todo], depth, space) < eps - MARGIN
         todo = todo[~below[todo]]
-    for i in todo:
+    if not todo.size:
+        return below
+    # nodes on the smaller side of each open row's supply
+    sides = np.minimum((net[todo] > 0).sum(axis=1),
+                       (net[todo] < 0).sum(axis=1))
+    single = [todo[sides <= 1]]
+    todo = todo[sides > 1]
+    chunk = max(1, BLOCK_NODES // net.shape[1])
+    for start in range(0, todo.size, chunk):
+        rows = todo[start:start + chunk]
+        value = _block_values(net[rows], depth, space)
+        below[rows] = value < eps
+        single.append(rows[np.abs(value - eps) <= MARGIN])
+    for i in np.concatenate(single).tolist():
         row = FinSuppMeasure(masses[i], depth, space.m)
         below[i] = wasserstein1(row, nu, depth, space)[0] < eps
     return below

@@ -620,7 +620,8 @@ def test_restricted_layer_masses_and_decisions_match_per_word():
         for l in (1, 2, 3, 5):
             words = np.array(admissible_words(space, l), dtype=np.int16)
             for n in (1, 7, 64, 1000, 4097):
-                mass = count_masses(_layer_counts(words, n, depth, space), n)
+                counts = _layer_counts(words, n, depth, space)
+                mass = count_masses(counts, n)
                 emps = [empirical_measure(representatives(u, space,
                                                           n + depth - 1),
                                           n, depth, space)
@@ -628,7 +629,7 @@ def test_restricted_layer_masses_and_decisions_match_per_word():
                 for row, emp in zip(mass, emps):
                     assert np.array_equal(row, emp.mass), (space.m, l, n)
                 for eps in (0.1, 0.3):
-                    got = _tracking(words, proxy, n, eps, depth, space)
+                    got = _tracking(counts, proxy, n, eps, depth, space)
                     want = [w1_below(emp.mass[None], proxy, eps, depth,
                                      space)[0] for emp in emps]
                     assert got.tolist() == want, (space.m, l, n, eps)
@@ -636,9 +637,11 @@ def test_restricted_layer_masses_and_decisions_match_per_word():
 
 def test_restricted_measure_lp_solves_regression(monkeypatch):
     # FULL2, Parry, z = (1,), n = 64, eps = 0.15, metric depth 4: the values
-    # are pinned bit for bit, and the plan bound and the distinct rows keep
-    # the exact solves at 20, 53 and 155 (73, 222 and 934 one word at a time
-    # with the prefix-tree bound alone)
+    # are pinned bit for bit.  The plan bound and the rows distinct across
+    # every probe layer leave 17, 44 and 142 rows open, which block LPs of
+    # 9 rows solve in 2, 5 and 16 `linprog` calls (20, 53 and 155 one row
+    # a call, 73, 222 and 934 one word at a time with the prefix-tree bound
+    # alone)
     solves = []
     linprog = measures.linprog
 
@@ -649,9 +652,9 @@ def test_restricted_measure_lp_solves_regression(monkeypatch):
     monkeypatch.setattr(measures, "linprog", spy)
     s = CStructure(kind="entropy", space=FULL2)
     mu = MarkovMeasure.parry(FULL2)
-    for cap, want, most in ((8, 0.601047565423747, 25),
-                            (10, 0.6744872582380383, 60),
-                            (12, 0.7054893006329133, 175)):
+    for cap, want, most in ((8, 0.601047565423747, 3),
+                            (10, 0.6744872582380383, 6),
+                            (12, 0.7054893006329133, 18)):
         solves.clear()
         got = restricted_outer_measure(s, (1,), mu, n=64, eps=0.15, t=0.6,
                                        m_blk=1, depth_cap=cap, metric_depth=4)
@@ -682,6 +685,38 @@ def test_restricted_measure_caps_probes_before_any_solve(monkeypatch):
     monkeypatch.setattr(carath, "SURVIVOR_CAP", 14)
     assert restricted_outer_measure(s, (), mu, n=16, eps=0.0, t=0.5, m_blk=1,
                                     depth_cap=3, metric_depth=3) == 0.0
+
+
+def test_restricted_measure_chunks_span_layers(monkeypatch):
+    # every probe layer is decided before the infimum, in chunks of at most
+    # MEASURE_CAP // m^depth probes; a cap of 5 rows splits the chunks
+    # inside layers and across them, and the value stays bit for bit
+    depth = 3
+    for space, z, m_blk in ((FULL2, (), 1), (FULL2, (2,), 2), (GM, (1,), 1)):
+        s = CStructure(kind="entropy", space=space)
+        mu = MarkovMeasure.parry(space)
+        probe = dict(n=24, eps=0.2, t=0.6, m_blk=m_blk, depth_cap=6,
+                     metric_depth=depth)
+        want = restricted_outer_measure(s, z, mu, **probe)
+        # some probes track mu and some do not
+        assert want != restricted_outer_measure(s, z, mu,
+                                                **{**probe, "eps": 10.0})
+        sizes = []
+
+        def spy(counts, *args):
+            sizes.append(counts.shape)
+            return _tracking(counts, *args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(carath, "MEASURE_CAP", 5 * space.m ** depth)
+            mp.setattr(carath, "_tracking", spy)
+            got = restricted_outer_measure(s, z, mu, **probe)
+        assert got == want, (space.m, z, m_blk)
+        probes = sum(u[:len(z)] == z for l in range(max(len(z), 1), 7)
+                     if l % m_blk == 0 for u in admissible_words(space, l))
+        assert [rows for rows, _ in sizes] == \
+            [5] * (probes // 5) + [probes % 5] * (probes % 5 > 0)
+        assert all(cols == space.m ** depth for _, cols in sizes)
 
 
 def test_restricted_measure_guards():

@@ -779,35 +779,140 @@ def test_w1_row_errors_name_their_entry_point():
         assert (ei.value.module, ei.value.operation) == ("measures", name)
 
 
+def spying(monkeypatch, name):
+    """Replace measures.<name> by a wrapper that records each call's
+    arguments and result in the returned list."""
+    calls = []
+    fn = getattr(measures, name)
+
+    def spy(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(measures, name, spy)
+    return calls
+
+
 def test_w1_below_margin_cases(monkeypatch):
-    # eps at the exact value or at a bound leaves the test to the exact
-    # solve; eps clear of both bounds by more than MARGIN does not
-    solves = []
-
-    def spy(*args):
-        solves.append(1)
-        return wasserstein1(*args)
-
-    monkeypatch.setattr(measures, "wasserstein1", spy)
+    # eps within MARGIN of the exact value leaves the test to the single
+    # exact solve; eps clear of both bounds by more than MARGIN needs no LP,
+    # and eps inside a loose bracket is decided by the block LP alone
+    solves = spying(monkeypatch, "wasserstein1")
+    lps = spying(monkeypatch, "linprog")
     mu = truncation_proxy((bern([0.3, 0.7]),), (1.0,), 5)
     nu = truncation_proxy((bern([0.6, 0.4]),), (1.0,), 5)
     cases = [(mu, nu, 5)]
-    # depth 1 on FULL2: lb = ub = d
+    # depth 1 on FULL2: lb = ub = d, and one node a side
     cases.append((truncation_proxy((bern([0.3, 0.7]),), (1.0,), 1),
                   truncation_proxy((bern([0.6, 0.4]),), (1.0,), 1), 1))
+    # a Markov chain against Bernoulli(1/2): lb = d - 0.058, ub = d + 0.0063
+    chain = MarkovMeasure(np.array([[0.1, 0.9], [0.7, 0.3]]), FULL2)
+    cases.append((truncation_proxy((chain,), (1.0,), 4),
+                  truncation_proxy((bern([0.5, 0.5]),), (1.0,), 4), 4))
     for a, b, depth in cases:
         d, _ = wasserstein1(a, b, depth, FULL2)
         lb, ub = bounds(a, b, depth, FULL2)
         assert lb > 2 * MARGIN
         for eps in (d, lb, ub, lb - MARGIN / 2, ub + MARGIN / 2,
-                    np.nextafter(d, 0), np.nextafter(d, 1)):
+                    np.nextafter(d, 0), np.nextafter(d, 1), (lb + ub) / 2):
             solves.clear()
+            lps.clear()
             assert below(a, b, eps, depth, FULL2) == (d < eps), (depth, eps)
-            assert solves == [1], (depth, eps)
+            # one node a side: the plan cost, no LP; else one block LP, and
+            # a single solve when the block value is within MARGIN of eps
+            single = depth == 1 or abs(d - eps) <= MARGIN
+            assert len(solves) == single, (depth, eps)
+            assert len(lps) == (depth > 1) * (1 + single), (depth, eps)
         for eps, want in ((lb - 2 * MARGIN, False), (ub + 2 * MARGIN, True)):
             solves.clear()
+            lps.clear()
             assert below(a, b, eps, depth, FULL2) is want
-            assert solves == []
+            assert solves == lps == []
+    # the loose pair reaches the block LP alone
+    assert ub - d > 1e-3 and d - lb > 1e-3
+
+
+def test_w1_below_rows_with_one_node_a_side(monkeypatch):
+    # the proxy's own row has no supply: no bound clears eps = MARGIN / 2,
+    # and a block LP would normalise 0 / 0 into a NaN supply.  It and point
+    # masses (one node on the positive side, or, against a point-mass nu, on
+    # the negative side) take `wasserstein1`'s exact plan cost, with no LP,
+    # next to rows of the block path
+    lps = spying(monkeypatch, "linprog")
+    depth = 4
+    nu = truncation_proxy((bern([0.3, 0.7]),), (1.0,), depth)
+    rng = make_rng(7)
+    mixed = rng.random((3, 16))
+    mixed /= mixed.sum(axis=1, keepdims=True)
+    assert w1_below(nu.mass[None], nu, MARGIN / 2, depth, FULL2).tolist() \
+        == [True]
+    assert w1_below(nu.mass[None], nu, 0.0, depth, FULL2).tolist() == [False]
+    assert lps == []
+    point_nu = FinSuppMeasure(np.eye(16)[5], depth, 2)
+    for target in (nu, point_nu):
+        masses = np.vstack([np.eye(16)[[0, 5, 9]], target.mass, mixed])
+        d = [wasserstein1(FinSuppMeasure(row, depth, 2), target, depth,
+                          FULL2)[0] for row in masses]
+        for eps in d[:4] + [d[0] + MARGIN / 2, d[1] - MARGIN / 2, MARGIN / 2]:
+            lps.clear()
+            got = w1_below(masses, target, eps, depth, FULL2)
+            assert got.tolist() == [x < eps for x in d], eps
+            # the mixed rows that no bound settles share one block LP
+            assert len(lps) <= 1 + sum(abs(x - eps) <= MARGIN for x in d[4:])
+
+
+@pytest.mark.parametrize("space,depth", [(FULL2, 4), (FULL2, 5), (FULL3, 3),
+                                         (GM, 4)])
+def test_w1_below_block_decisions_equal_single_solves(monkeypatch, space,
+                                                      depth):
+    # random mass matrices of more rows than one block LP holds; eps at
+    # rows' exact values, MARGIN / 2 and 1.5 MARGIN either side, and inside
+    # open brackets.  Every decision is the single solve's, the block path
+    # makes one LP a full chunk of open rows, and a single solve follows
+    # only for a row whose block value lies within MARGIN of eps
+    rng = make_rng(59 + space.m + depth)
+    n = space.m ** depth
+    chunk = max(1, measures.BLOCK_NODES // n)
+    rows = 4 * chunk + 2
+    nu = truncation_proxy((MarkovMeasure.parry(space),), (1.0,), depth)
+
+    def exact(masses):
+        return np.array([wasserstein1(FinSuppMeasure(row, depth, space.m), nu,
+                                      depth, space)[0] for row in masses])
+
+    noise = rng.random((rows, n)) * (rng.random((rows, n)) < 0.6)
+    noise[:, 0] += 1e-3
+    noise /= noise.sum(axis=1, keepdims=True)
+    # W1 is homogeneous along the segment from nu: mixing each row with nu
+    # puts every W1 within 1% of one value, so one eps meets most brackets
+    d_noise = exact(noise)
+    mix = 0.5 * d_noise.min() * (1 + 0.01 * rng.uniform(-1, 1, rows)) / d_noise
+    masses = (1 - mix)[:, None] * nu.mass + mix[:, None] * noise
+    masses /= masses.sum(axis=1, keepdims=True)
+    masses[-1] = noise[-1]
+    d = exact(masses)
+    lb, ub = w1_bounds(masses, nu, depth, space)
+    eps_list = [d[i] + k * MARGIN for i in (0, 1, rows - 1)
+                for k in (0, -0.5, 0.5, -1.5, 1.5)]
+    eps_list += [np.median(d), 0.5 * (lb[0] + ub[0]), 0.5 * (lb[1] + ub[1])]
+    blocks = spying(monkeypatch, "_block_values")
+    solves = spying(monkeypatch, "wasserstein1")
+    lps = spying(monkeypatch, "linprog")
+    most = fallbacks = 0
+    for eps in eps_list:
+        for calls in (blocks, solves, lps):
+            calls.clear()
+        got = w1_below(masses, nu, eps, depth, space)
+        assert got.tolist() == (d < eps).tolist(), eps
+        values = np.concatenate([v for _, v in blocks] or [[]])
+        assert len(blocks) == -(-values.size // chunk)
+        assert all(args[0].shape[0] <= chunk for args, _ in blocks)
+        assert len(solves) == np.sum(np.abs(values - eps) <= MARGIN)
+        assert len(lps) == len(blocks) + len(solves)
+        most, fallbacks = max(most, len(blocks)), fallbacks + len(solves)
+    # some eps leaves more rows open than one block LP holds
+    assert most > 1 and fallbacks > 0
 
 
 def test_w1_min_matches_brute_force(monkeypatch):
