@@ -24,7 +24,9 @@ span.  The restricted outer measure, whose membership test reads the whole
 word, sweeps the words below its cylinder one length at a time, O(m^cap);
 each word's empirical masses come from one period of its representative,
 and the distinct masses of all probe layers are decided in batches of at
-most MEASURE_CAP entries before the sweep.
+most MEASURE_CAP entries before the sweep.  scipy loads only where it runs:
+`bowen_dimension` imports `brentq` and `pressure_partition` imports
+`logsumexp` in their bodies, and every W1 LP goes through `measures.linprog`.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 from .errors import DepthError, InputError, InvariantError, SizeError
 from .measures import (MEASURE_CAP, count_masses, periodic_counts,
@@ -284,6 +284,7 @@ def pressure_partition(s, n):
     With m_blk = depth_cap = n the only cover is the depth-n partition, so at
     t = 0 the sum over the cylinders inside C(c) is q(c) G(1, c).
     """
+    from scipy.special import logsumexp
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}",
                          module="carath", operation="pressure_partition")
@@ -320,6 +321,7 @@ def pressure_exact(s):
 def bowen_dimension(s, tol=1e-9):
     """The unique root r of P(-r u) = 0 for the positive window potential u
     of an appendix-kind structure, located by Brent's method to within tol."""
+    from scipy.optimize import brentq
     _require_kind(s, "appendix", "bowen_dimension")
     hi = topological_entropy(s.space) / min(s.table.values()) + tol
 

@@ -9,7 +9,9 @@ count; results are the same at any count.
 Config validation returns the parsed parameters, typed and with every
 default filled in; a runner reads `cfg.parameters` and nothing else.
 A run manifest listing every produced file is written last; on any error the
-output directory receives only a machine-readable error JSON.
+output directory receives only a machine-readable error JSON.  A run removes
+the other status file an earlier run left, so the directory's manifest or
+error JSON always belongs to its last run.
 """
 
 from __future__ import annotations
@@ -236,6 +238,7 @@ def _execute(subcommand, config_path, threads_flag, out_override):
         }
         _atomic_write(out_dir, "manifest.json",
                       json.dumps(manifest, indent=2, sort_keys=True))
+        (out_dir / "error.json").unlink(missing_ok=True)
         return 0
     except EmergenceLabError as exc:
         payload = json.dumps(exc.to_json(), indent=2, sort_keys=True)
@@ -243,6 +246,7 @@ def _execute(subcommand, config_path, threads_flag, out_override):
             Path(out_override) if out_override else None)
         if target is not None:
             try:
+                (target / "manifest.json").unlink(missing_ok=True)
                 _atomic_write(target, "error.json", payload)
             except OSError:
                 pass

@@ -33,6 +33,10 @@ reach an LP.  `w1_below` solves its open rows, up to `BLOCK_NODES` grid
 nodes at a time, as one block-diagonal flow LP, whose values decide a row
 only when they clear eps by MARGIN; the values that are reported
 (`wasserstein1`, `w1_min`, `pairwise_w1`) come from single solves.
+Every LP goes through one entry point, `linprog`, which imports
+`scipy.optimize.linprog` on its first call; `_grid_flow` and `_block_values`
+import `scipy.sparse` in their bodies, so a process that solves no LP loads
+neither.
 """
 
 from __future__ import annotations
@@ -41,8 +45,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .errors import DepthError, InputError, InvariantError, SizeError
 from .sofic import ShiftSpace, perron, symbol_array
@@ -435,6 +437,13 @@ def _solve_flow(cost, incidence, supply, operation):
     return res
 
 
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, imported on the first call, so that a
+    process that solves no LP never loads scipy.optimize."""
+    from scipy.optimize import linprog as highs
+    return highs(*args, **kwargs)
+
+
 def _block_values(net, depth, space):
     """The W1 values of the rows of a (k, m^depth) supply matrix, each with
     at least two nodes on either side, from one block-diagonal flow LP: k
@@ -443,6 +452,7 @@ def _block_values(net, depth, space):
     normalised as `wasserstein1` normalises it, and its value is its mass
     times its flow's cost.  The values match single solves to within the
     LP's tolerances, not bit for bit."""
+    import scipy.sparse as sp
     k, n = net.shape
     incidence, cost = _grid_flow(space.m, depth, float(space.beta))
     pos, neg = np.maximum(net, 0.0), np.maximum(-net, 0.0)
@@ -653,6 +663,7 @@ def _grid_flow(m, depth, beta):
     leaves the flow LP feasible for any supply.  Shared read-only by every
     caller, the threads of `pairwise_w1`'s pool included, which solve the
     pairs `w1_settled` leaves open."""
+    import scipy.sparse as sp
     n = m ** depth
     if n > GRID_CAP:
         raise SizeError(f"W1 grid of {m}^{depth} = {n} nodes exceeds cap {GRID_CAP}",

@@ -4,6 +4,8 @@ One-sided subshifts of finite type over the alphabet {1, ..., m}, with the
 beta-adic metric d(x, y) = sum_j |x_j - y_j| / beta^j.  All symbol data is
 1-based to match the usual alphabet convention; transition matrices are 0/1
 numpy arrays indexed from 0 (symbol s occupies row/column s-1).
+`perron` imports `scipy.linalg` in its body, so it loads only when a Perron
+solve runs.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DepthError, InputError, InvariantError
 
@@ -228,6 +229,7 @@ def perron(a):
     eigenvalue is not real or a chosen vector is not finite and of one sign,
     which a reducible or negative input can cause.
     """
+    import scipy.linalg
     vals, left, right = scipy.linalg.eig(np.asarray(a, dtype=np.float64),
                                          left=True, right=True)
     k = int(np.argmax(vals.real))

@@ -362,12 +362,13 @@ def plan_bound(mu, nu, depth, space):
     mass) moves one child over, rightwards for c = 0..m-2, then leftwards
     for c = m-2..0, taken from the source child's nodes in proportion to
     their positive parts and landing on the nodes with the same other
-    digits, at beta^-(l+1) per unit."""
+    digits, at beta^-(l+1) per unit.  Only nodes that hold or have received
+    mass are kept: a node with none moves nothing and adds no flow."""
     m = space.m
     net = mu.truncated(depth).mass - nu.truncated(depth).mass
-    supply = {tuple(_unpack_keys(np.array([c]), depth, m)[0] - 1):
-              (0.0 if abs(x) <= 1e-15 else float(x))
-              for c, x in enumerate(net)}
+    codes = np.flatnonzero(np.abs(net) > 1e-15)
+    supply = {tuple(digits - 1): float(net[c])
+              for c, digits in zip(codes, _unpack_keys(codes, depth, m))}
     cost = 0.0
     for l in range(depth):
         step = space.beta ** -(l + 1)
@@ -387,8 +388,14 @@ def plan_bound(mu, nu, depth, space):
                     continue
                 for x in child[src]:
                     take = max(supply[x], 0.0) * (amount / total)
+                    if take == 0:
+                        continue
                     supply[x] -= take
-                    supply[x[:l] + (dst,) + x[l + 1:]] += take
+                    y = x[:l] + (dst,) + x[l + 1:]
+                    if y not in supply:
+                        supply[y] = 0.0
+                        child[dst].append(y)
+                    supply[y] += take
     return cost
 
 

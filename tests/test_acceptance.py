@@ -354,14 +354,22 @@ def _exact_cover_count(dist, eps):
     return k
 
 
-def test_exact_covering_inside_greedy_sandwich_200_clouds():
+@pytest.fixture(scope="module")
+def clouds_200():
+    """200 random FULL2 clouds at depth 3 from default_rng(10): each cloud's
+    snapshots, its random scale and its all-exact distance matrix."""
     rng = np.random.default_rng(10)
-    depth = 3
+    clouds = []
     for _ in range(200):
         k = int(rng.integers(2, 13))
-        snaps = [_random_finsupp(rng, depth) for _ in range(k)]
-        dist = pairwise_w1(snaps, depth, FULL2)
+        snaps = [_random_finsupp(rng, 3) for _ in range(k)]
         eps = float(rng.uniform(0.02, 0.4))
+        clouds.append((snaps, eps, pairwise_w1(snaps, 3, FULL2)))
+    return clouds
+
+
+def test_exact_covering_inside_greedy_sandwich_200_clouds(clouds_200):
+    for _, eps, dist in clouds_200:
         lo_g, up_g = _greedy_packing(dist, eps), _greedy_cover(dist, eps)
         lo_e, up_e = covering_number_bounds(dist, eps)
         assert lo_e == up_e == _exact_cover_count(dist, eps)
@@ -369,19 +377,15 @@ def test_exact_covering_inside_greedy_sandwich_200_clouds():
 
 
 def test_emergence_counts_from_w1_decisions_equal_exact_200_clouds(
-        monkeypatch):
+        monkeypatch, clouds_200):
     # the clouds above, each reported at its random scale, a distance of
     # one of its pairs and that distance +- MARGIN / 2: the bounds cannot
     # settle the pairs at such scales, so some pairs go to the exact solve
-    rng = np.random.default_rng(10)
     pick = np.random.default_rng(11)
     depth = 3
     clouds = []
-    for _ in range(200):
-        k = int(rng.integers(2, 13))
-        snaps = [_random_finsupp(rng, depth) for _ in range(k)]
-        eps = float(rng.uniform(0.02, 0.4))
-        exact = pairwise_w1(snaps, depth, FULL2)
+    for snaps, eps, exact in clouds_200:
+        k = len(snaps)
         i, j = sorted(pick.choice(k, 2, replace=False))
         d = exact[i, j] if exact[i, j] > MARGIN else exact.max()
         scales = tuple(sorted({eps, d + MARGIN / 2, d, d - MARGIN / 2},

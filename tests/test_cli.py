@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -597,6 +600,88 @@ def test_cli_runs_every_experiment(tmp_path, experiment):
            "output_dir": str(tmp_path / "out")}
     _, manifest = run_ok(tmp_path, cfg, experiment)
     assert manifest["files"] == files
+
+
+def test_status_file_belongs_to_the_last_run(tmp_path):
+    # one output directory, three calls: fail, succeed, fail
+    out = tmp_path / "out"
+    sweep = write_config(tmp_path, {
+        "space": FULL2_SPACE, "experiment": "outer-sweep",
+        "parameters": SMOKE["outer-sweep"][0], "seed": 0,
+        "output_dir": str(out)})
+
+    def call(subcommand):
+        return CliRunner().invoke(main, [subcommand, "--config", sweep])
+
+    assert call("entropy").exit_code == 1
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    assert call("outer-sweep").exit_code == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json",
+                                                     "outer_sweep.csv"]
+    assert call("pressure").exit_code == 1
+    assert sorted(p.name for p in out.iterdir()) == ["error.json",
+                                                     "outer_sweep.csv"]
+    err = json.loads((out / "error.json").read_text())
+    assert err["operation"] == "pressure"
+
+
+# A fresh interpreter: the CLI, a config load of every experiment and the
+# outer-sweep and Bernoulli emergence runs load no scipy subpackage; then
+# the process's first LPs run on two pool threads at once.
+FRESH_PROCESS = """
+import json, sys
+import numpy as np
+from emergence_lab import cli, config
+from emergence_lab.emergence import build_cloud, pairwise_w1
+from emergence_lab.measures import MarkovMeasure, make_rng
+from emergence_lab.sofic import PointPrefix, ShiftSpace
+
+configs, runs = json.loads(sys.argv[1])
+for path in configs:
+    config.load_config(path)
+for subcommand, path in runs:
+    try:
+        code = cli.main([subcommand, "--config", path, "--threads", "2"],
+                        standalone_mode=False)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, None), (subcommand, code)
+scipy = ["scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.special"]
+before = [name for name in scipy if name in sys.modules]
+full2 = ShiftSpace.full_shift(2)
+x = PointPrefix(MarkovMeasure.bernoulli([0.3, 0.7], full2).sample(
+    140, make_rng(5)))
+snaps = build_cloud(x, 16, 128, 6, 3, full2).snapshots
+two = pairwise_w1(snaps, 3, full2, threads=2)
+one = pairwise_w1(snaps, 3, full2, threads=1)
+print(json.dumps({"before": before, "lp": "scipy.optimize" in sys.modules,
+                  "equal": bool(np.array_equal(one, two)),
+                  "pairs": int(np.count_nonzero(np.triu(one, 1)))}))
+"""
+
+
+def test_fresh_process_loads_scipy_only_where_it_runs(tmp_path):
+    def config_path(experiment, parameters, name):
+        return write_config(tmp_path, {
+            "space": FULL2_SPACE, "experiment": experiment,
+            "parameters": parameters, "seed": 0,
+            "output_dir": str(tmp_path / name)}, f"{name}.json")
+
+    configs = [config_path(e, SMOKE[e][0], e) for e in EXPERIMENTS]
+    runs = [("outer-sweep", configs[EXPERIMENTS.index("outer-sweep")]),
+            ("emergence", config_path("emergence", {
+                **SMALL_EMERGENCE,
+                "source": {"kind": "bernoulli", "probs": [0.5, 0.5]}},
+                "bernoulli"))]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", FRESH_PROCESS,
+                           json.dumps([configs, runs])],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert (tmp_path / "bernoulli" / "manifest.json").is_file()
+    assert result == {"before": [], "lp": True, "equal": True, "pairs": 15}
 
 
 def parsed(experiment, parameters):
