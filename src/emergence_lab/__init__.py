@@ -11,9 +11,9 @@ __version__ = "0.1.0"
 
 from .errors import EmergenceLabError
 from .sofic import (PointPrefix, ShiftSpace, count_admissible,
-                    topological_entropy, truncated_metric)
-from .measures import (FinSuppMeasure, MarkovMeasure, empirical_measure,
-                       truncation_proxy, w1_bounds, wasserstein1)
+                    topological_entropy)
+from .measures import (FinSuppMeasure, MarkovMeasure, truncation_proxy,
+                       w1_bounds, wasserstein1)
 from .carath import (CStructure, bowen_dimension, outer_measure_M,
                      outer_measure_N, pressure_exact, pressure_partition)
 from .emergence import build_cloud, emergence_report
@@ -23,9 +23,9 @@ from .constructor import (MeasureFamily, SimplexNet, block_schedule,
 
 __all__ = [
     "EmergenceLabError", "PointPrefix", "ShiftSpace", "count_admissible",
-    "topological_entropy", "truncated_metric",
-    "FinSuppMeasure", "MarkovMeasure", "empirical_measure", "truncation_proxy",
-    "w1_bounds", "wasserstein1",
+    "topological_entropy",
+    "FinSuppMeasure", "MarkovMeasure", "truncation_proxy", "w1_bounds",
+    "wasserstein1",
     "CStructure", "bowen_dimension", "outer_measure_M", "outer_measure_N",
     "pressure_exact", "pressure_partition",
     "build_cloud", "emergence_report",

@@ -175,7 +175,7 @@ def _log_weight(s, l, sup, t):
 def _normalize_target(target, space):
     """A target is 'X', the union of the first-symbol cylinders, or a list of
     nonempty admissible words (union of cylinders)."""
-    if target == "X" or target is None:
+    if target == "X":
         return [(c,) for c in range(1, space.m + 1)]
     words = [tuple(int(s) for s in w) for w in target]
     for w in words:

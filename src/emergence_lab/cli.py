@@ -10,8 +10,9 @@ Config validation returns the parsed parameters, typed and with every
 default filled in; a runner reads `cfg.parameters` and nothing else.
 A run manifest listing every produced file is written last; on any error the
 output directory receives only a machine-readable error JSON.  A run removes
-the other status file an earlier run left, so the directory's manifest or
-error JSON always belongs to its last run.
+the other status file an earlier run left, and the data files that the
+earlier run's manifest names and this run does not write, so the
+directory's status file and data files always belong to its last run.
 """
 
 from __future__ import annotations
@@ -57,6 +58,21 @@ def _atomic_write(directory, name, data):
             pass
         raise
     return name
+
+
+def _remove_stale(directory, keep):
+    """Remove the files that the directory's manifest names and `keep` does
+    not: bare file names only, never a status file, and none at all if the
+    manifest is missing or does not parse."""
+    try:
+        names = json.loads((directory / "manifest.json").read_bytes())["files"]
+    except (OSError, ValueError, TypeError, KeyError):
+        return
+    for name in names if isinstance(names, list) else ():
+        if (isinstance(name, str) and name == Path(name).name
+                and name not in ("manifest.json", "error.json", *keep)
+                and (directory / name).is_file()):
+            (directory / name).unlink()
 
 
 def _fmt(value):
@@ -173,8 +189,9 @@ def _run_construct(cfg, threads):
 def _run_saturate(cfg, threads):
     p = cfg.parameters
     family, itinerary, orbit = _build_from_config(cfg)
-    report = constructor.verify_saturation(orbit, itinerary.nets[-1], family,
-                                           p["slack"], p["metric_depth"])
+    top = itinerary.nets[itinerary.l_max]   # a config may list nets past it
+    report = constructor.verify_saturation(orbit, top, family, p["slack"],
+                                           p["metric_depth"])
     return {"saturation.json": report.to_json(),
             "orbit.json": orbit.to_json()}
 
@@ -211,11 +228,11 @@ _RUNNERS = {
 
 
 def _execute(subcommand, config_path, threads_flag, out_override):
-    out_dir = None
+    out_dir = Path(out_override) if out_override else None
     try:
         threads = _resolve_threads(threads_flag)
         cfg = config_mod.load_config(config_path)
-        out_dir = Path(out_override) if out_override else cfg.output_dir
+        out_dir = out_dir or cfg.output_dir
         if cfg.experiment != subcommand:
             raise InputError(
                 f"config experiment {cfg.experiment!r} does not match "
@@ -227,6 +244,7 @@ def _execute(subcommand, config_path, threads_flag, out_override):
         files = sorted(outputs)
         for name in files:
             _atomic_write(out_dir, name, outputs[name])
+        _remove_stale(out_dir, files)
         manifest = {
             "artifact_version": ARTIFACT_VERSION,
             "config_sha256": cfg.sha256(),
@@ -242,12 +260,11 @@ def _execute(subcommand, config_path, threads_flag, out_override):
         return 0
     except EmergenceLabError as exc:
         payload = json.dumps(exc.to_json(), indent=2, sort_keys=True)
-        target = out_dir if out_dir is not None else (
-            Path(out_override) if out_override else None)
-        if target is not None:
+        if out_dir is not None:
             try:
-                (target / "manifest.json").unlink(missing_ok=True)
-                _atomic_write(target, "error.json", payload)
+                _remove_stale(out_dir, ())
+                (out_dir / "manifest.json").unlink(missing_ok=True)
+                _atomic_write(out_dir, "error.json", payload)
             except OSError:
                 pass
         click.echo(payload, err=True)

@@ -128,7 +128,7 @@ def _compositions(total, parts):
 
 @dataclass(frozen=True)
 class Itinerary:
-    """The full block layout: schedules, per-block lengths, and totals."""
+    """The full block layout: schedules and per-block lengths."""
 
     eps_tilde: tuple          # indexed by level, length >= L_max + 2
     eps_hat: tuple
@@ -140,16 +140,6 @@ class Itinerary:
     @property
     def l_max(self):
         return max(b[0] for b in self.blocks)
-
-    def group_totals(self):
-        """s_{L,j} keyed by (L, j)."""
-        out = {}
-        for L, j, l, n in self.blocks:
-            out[(L, j)] = out.get((L, j), 0) + n
-        return out
-
-    def total_length(self):
-        return sum(b[3] for b in self.blocks) + sum(self.connector_slots)
 
     def to_json(self):
         return json.dumps({

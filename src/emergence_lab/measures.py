@@ -251,11 +251,6 @@ def _window_keys(symbols, depth, m, operation):
     return keys
 
 
-def empirical_measure(x, n, depth, space):
-    """The uniform measure on the first n shifts of x, at `depth`."""
-    return empirical_snapshots(x, [n], depth, space)[0]
-
-
 def empirical_snapshots(x, times, depth, space):
     """Empirical measures at several window counts: the uniform measure on
     the first t shifts of x, at `depth`, for each t in times; each one a
@@ -395,9 +390,9 @@ def wasserstein1(mu, nu, depth, space):
     feasibility tolerances 1e-10; a grid of more than `GRID_CAP` nodes
     raises SizeError before it is built.  `w1_below` and `w1_min` build a
     grid only for a row their bounds leave open, so they raise it only
-    then; `w1_below` solves such rows in block LPs (`_block_values`) and
-    calls this function only for a row with a one-node side or a block
-    value within MARGIN of eps.
+    then; `w1_below` decides a row with a one-node side by this plan cost
+    itself, solves the other rows in block LPs (`_block_values`) and calls
+    this function only for a block value within MARGIN of eps.
 
     Returns (value, error_bound).  Truncated costs underestimate the true
     metric, so the true W1 lies in [value, value + error_bound].
@@ -479,6 +474,11 @@ def w1_bounds(masses, nu, depth, space):
     of the prefix-tree and the transport-plan bounds (`_tree_bounds`,
     `_plan_bound`)."""
     net = _net_rows(masses, nu, depth, space, "w1_bounds")
+    return _bounds(net, depth, space)
+
+
+def _bounds(net, depth, space):
+    """Row-wise lb and ub of `w1_bounds` for a (rows, m^depth) supply matrix."""
     lb, ub = _tree_bounds(net, depth, space)
     return lb, np.minimum(ub, _plan_bound(net, depth, space))
 
@@ -564,11 +564,11 @@ def w1_below(masses, nu, eps, depth, space):
     A bound decides a row when it clears eps by MARGIN, which exceeds the
     flow LP's tolerances and the bounds' rounding.  The marginal and
     prefix-tree bounds run on every row, the plan bound on the rows they
-    leave open.  A row still open whose supply has at most one node on a
-    side gets `wasserstein1`'s exact plan cost; the others are solved
-    max(1, BLOCK_NODES // m^depth) to one block-diagonal flow LP
-    (`_block_values`), whose value decides a row when it clears eps by
-    MARGIN.  A row whose block value lies within MARGIN of eps is compared
+    leave open.  An open row with at most one node on a side is decided by
+    its plan cost alone: that plan is optimal, its cost `wasserstein1`'s
+    value bit for bit.  The others are solved max(1, BLOCK_NODES // m^depth)
+    to one block-diagonal flow LP (`_block_values`), whose value decides a
+    row when it clears eps by MARGIN; a row within MARGIN of eps is compared
     by its single `wasserstein1` value, so every decision equals the exact
     one.
     """
@@ -576,25 +576,22 @@ def w1_below(masses, nu, eps, depth, space):
     lb, ub = _tree_bounds(net, depth, space)
     below = ub < eps - MARGIN
     todo = np.flatnonzero(~below & ~(lb > eps + MARGIN))
-    if todo.size:
-        below[todo] = _plan_bound(net[todo], depth, space) < eps - MARGIN
-        todo = todo[~below[todo]]
     if not todo.size:
         return below
-    # nodes on the smaller side of each open row's supply
-    sides = np.minimum((net[todo] > 0).sum(axis=1),
-                       (net[todo] < 0).sum(axis=1))
-    single = [todo[sides <= 1]]
-    todo = todo[sides > 1]
+    plan = _plan_bound(net[todo], depth, space)
+    # at most one node on a side: the plan is optimal, its cost the exact W1
+    exact = np.minimum((net[todo] > 0).sum(axis=1),
+                       (net[todo] < 0).sum(axis=1)) <= 1
+    below[todo] = np.where(exact, plan < eps, plan < eps - MARGIN)
+    todo = todo[~exact & ~below[todo]]
     chunk = max(1, BLOCK_NODES // net.shape[1])
     for start in range(0, todo.size, chunk):
         rows = todo[start:start + chunk]
         value = _block_values(net[rows], depth, space)
         below[rows] = value < eps
-        single.append(rows[np.abs(value - eps) <= MARGIN])
-    for i in np.concatenate(single).tolist():
-        row = FinSuppMeasure(masses[i], depth, space.m)
-        below[i] = wasserstein1(row, nu, depth, space)[0] < eps
+        for i in rows[np.abs(value - eps) <= MARGIN].tolist():
+            row = FinSuppMeasure(masses[i], depth, space.m)
+            below[i] = wasserstein1(row, nu, depth, space)[0] < eps
     return below
 
 
@@ -608,8 +605,8 @@ def w1_min(masses, nu, depth, space):
     bound, by MARGIN is skipped without an exact solve.
     """
     net = _net_rows(masses, nu, depth, space, "w1_min")
-    lbs, ubs = _tree_bounds(net, depth, space)
-    top = np.minimum(ubs, _plan_bound(net, depth, space)).min(initial=np.inf)
+    lbs, ubs = _bounds(net, depth, space)
+    top = ubs.min(initial=np.inf)
     best, best_row = np.inf, -1
     for i, lb in enumerate(lbs.tolist()):
         # d >= lb > min(best, top) >= the minimum: this row can neither
@@ -629,15 +626,14 @@ def w1_settled(masses, scales, depth, space):
     `scales`: one value per pair, its upper bound where it is settled and
     NaN where it is not.
 
-    Each pair gets the bracket of `w1_bounds` on the supply row i - row j:
-    the coordinate-marginal lb, and the smaller of the prefix-tree and
-    transport-plan bounds as ub.  A pair is settled at eps below it when
-    ub < eps - MARGIN and above it when lb > eps + MARGIN, the rule of
-    `w1_below`, so a settled pair's ub lies on the same side of every scale
-    as the exact W1 (d <= eps exactly when ub <= eps); a NaN pair needs the
-    exact value, as does every pair at a NaN scale.  The bounds run on
-    chunks of at most max(1, MEASURE_CAP // m^depth) pairs, so no supply
-    batch holds more than MEASURE_CAP entries, at any depth.
+    Each pair gets the bracket of `w1_bounds` on the supply row i - row j.
+    A pair is settled at eps below it when ub < eps - MARGIN and above it
+    when lb > eps + MARGIN, the rule of `w1_below`, so a settled pair's ub
+    lies on the same side of every scale as the exact W1 (d <= eps exactly
+    when ub <= eps); a NaN pair needs the exact value, as does every pair
+    at a NaN scale.  The bounds run on chunks of at most
+    max(1, MEASURE_CAP // m^depth) pairs, so no supply batch holds more
+    than MEASURE_CAP entries, at any depth.
     """
     _check_rows(masses, space.m, depth, space, "w1_settled")
     rows, cols = np.triu_indices(masses.shape[0], 1)
@@ -647,8 +643,7 @@ def w1_settled(masses, scales, depth, space):
     for start in range(0, rows.shape[0], chunk):
         pairs = slice(start, start + chunk)
         net = _net(masses[rows[pairs]], masses[cols[pairs]])
-        lb, ub = _tree_bounds(net, depth, space)
-        ub = np.minimum(ub, _plan_bound(net, depth, space))
+        lb, ub = _bounds(net, depth, space)
         settled = ((ub[:, None] < eps - MARGIN)
                    | (lb[:, None] > eps + MARGIN)).all(axis=1)
         out[pairs][settled] = ub[settled]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthError, InputError, InvariantError
+from .errors import InputError, InvariantError
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,6 @@ class ShiftSpace:
         """Whether symbol b may follow symbol a."""
         return bool(self.transition[a - 1, b - 1])
 
-    def successors(self, a):
-        """Symbols that may follow a, in increasing order."""
-        return tuple(int(j) + 1 for j in np.flatnonzero(self.transition[a - 1]))
-
     def metric_tail_bound(self, depth):
         """Upper bound on the metric mass beyond the given depth."""
         return (self.m - 1) * self.beta ** (-depth) / (self.beta - 1.0)
@@ -101,10 +97,9 @@ class ShiftSpace:
 class PointPrefix:
     """A finite, trusted prefix of a point of the shift space.
 
-    The tail rule used at construction time (periodic continuation or seeded
-    generation) is realized by materializing symbols up to usable_depth; all
-    downstream metric and measure operations take an explicit depth budget
-    and fail loudly past it.
+    Its builder (a seeded chain sample, a scheduled block orbit) materializes
+    the symbols up to usable_depth; all downstream measure operations take
+    an explicit depth budget and fail loudly past it.
     """
 
     symbols: np.ndarray
@@ -117,36 +112,6 @@ class PointPrefix:
     @property
     def usable_depth(self):
         return int(self.symbols.shape[0])
-
-    def shift(self, j):
-        """Drop the first j symbols (apply the shift map j times)."""
-        if j < 0 or j > self.usable_depth:
-            raise DepthError(f"shift by {j} outside usable depth {self.usable_depth}",
-                             module="sofic", operation="shift")
-        return PointPrefix(self.symbols[j:])
-
-    def head(self, depth):
-        if depth > self.usable_depth:
-            raise DepthError(f"requested depth {depth} > usable depth {self.usable_depth}",
-                             module="sofic", operation="head")
-        return tuple(self.symbols[:depth].tolist())
-
-    @classmethod
-    def periodic(cls, word, depth, space):
-        """The point repeating `word`, materialized to `depth` symbols; the
-        word and its wrap pair must be admissible in `space` (InputError)."""
-        w = np.asarray(word, dtype=np.int16)
-        if not w.size:
-            raise InputError("periodic point needs a nonempty word",
-                             module="sofic", operation="PointPrefix.periodic")
-        if not is_admissible(w, space):
-            raise InputError(f"word {w.tolist()} is not admissible",
-                             module="sofic", operation="PointPrefix.periodic")
-        if not space.allows(int(w[-1]), int(w[0])):
-            raise InputError(f"word {w.tolist()} cannot be repeated "
-                             "(wrap pair forbidden)",
-                             module="sofic", operation="PointPrefix.periodic")
-        return cls(np.resize(w, depth))
 
 
 def symbol_array(word, m, module, operation):
@@ -168,23 +133,6 @@ def is_admissible(word, space):
     InputError naming the first symbol outside the alphabet."""
     w = symbol_array(word, space.m, "sofic", "is_admissible")
     return bool(space.transition[w[:-1] - 1, w[1:] - 1].all())
-
-
-def truncated_metric(x, y, depth, space):
-    """Partial sum of the beta-adic metric to `depth`, with a rigorous tail bound.
-
-    Returns (value, error_bound); the true distance lies in
-    [value, value + error_bound].
-    """
-    if depth > min(x.usable_depth, y.usable_depth):
-        raise DepthError(
-            f"depth {depth} exceeds usable depths ({x.usable_depth}, {y.usable_depth})",
-            module="sofic", operation="truncated_metric")
-    a = x.symbols[:depth].astype(np.float64)
-    b = y.symbols[:depth].astype(np.float64)
-    weights = space.beta ** (-np.arange(1, depth + 1, dtype=np.float64))
-    value = float(np.abs(a - b) @ weights)
-    return value, space.metric_tail_bound(depth)
 
 
 def connector(u, v, space):

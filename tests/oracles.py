@@ -21,8 +21,8 @@ bounds' cylinders by sorting the atoms in prefix order, and `plan_bound`
 balances the library's transport plan one cylinder, boundary and node at a
 time.  The restricted outer
 measure builds the masses of a layer of words from one period of each;
-`representatives` materialises each word's periodic orbit for
-`empirical_measure`.  The library's Markov law
+`representatives` materialises each word's periodic orbit (`periodic`)
+for `empirical_snapshots`.  The library's Markov law
 is one product recursion over the whole grid; `cylinder_probability`
 multiplies out one word at a time, and `sparse_proxy` runs it on every
 admissible word.  The connector
@@ -42,11 +42,12 @@ import scipy.sparse as sp
 from scipy.optimize import brentq, linprog
 
 from emergence_lab.carath import _log_q
-from emergence_lab.errors import InvariantError
+from emergence_lab.errors import InputError, InvariantError
 from emergence_lab.measures import (FinSuppMeasure, _grid_flow, _grid_size,
                                     _inverse_cdf)
 from emergence_lab.sofic import (PointPrefix, admissible_words, connector,
-                                 perron, symbol_array, topological_entropy)
+                                 is_admissible, perron, symbol_array,
+                                 topological_entropy)
 
 
 def scan_sup_birkhoff(s, u):
@@ -102,7 +103,7 @@ def window_shift_pressure(space, table, window):
     idx = {w: i for i, w in enumerate(states)}
     a = np.zeros((len(states), len(states)))
     for w in states:
-        for c in space.successors(w[-1]):
+        for c in successors(space, w[-1]):
             a[idx[w], idx[w[1:] + (c,)]] = math.exp(table[w])
     return float(np.log(perron(a)[0]))
 
@@ -136,7 +137,7 @@ def _cover_recursion(s, t, m_blk, depth_cap, member):
             val = q
         else:
             children = sum(rec(u + (c,)) for c in
-                           (space.successors(u[-1]) if u
+                           (successors(space, u[-1]) if u
                             else range(1, space.m + 1)))
             val = min(q, children) if eligible else children
         memo[u] = val
@@ -346,13 +347,36 @@ def from_atoms(atoms, weights, space):
     return FinSuppMeasure(mass, rows.shape[1], space.m)
 
 
+def successors(space, a):
+    """The symbols that may follow a, in increasing order, read from the
+    transition matrix."""
+    return [c for c in range(1, space.m + 1) if space.allows(a, c)]
+
+
+def periodic(word, depth, space):
+    """The point repeating `word`, materialized to `depth` symbols; the
+    word and its wrap pair must be admissible in `space` (InputError)."""
+    w = np.asarray(word, dtype=np.int16)
+    if not w.size:
+        raise InputError("periodic point needs a nonempty word",
+                         module="oracles", operation="periodic")
+    if not is_admissible(w, space):
+        raise InputError(f"word {w.tolist()} is not admissible",
+                         module="oracles", operation="periodic")
+    if not space.allows(int(w[-1]), int(w[0])):
+        raise InputError(f"word {w.tolist()} cannot be repeated "
+                         "(wrap pair forbidden)",
+                         module="oracles", operation="periodic")
+    return PointPrefix(np.resize(w, depth))
+
+
 def representatives(u, space, length):
     """The orbit prefix standing in for the points of C(u): u repeated,
     through a connector when u cannot follow itself."""
     w = list(u)
     if not space.allows(u[-1], u[0]):
         w += list(connector(u, u, space))
-    return PointPrefix.periodic(w, length, space)
+    return periodic(w, length, space)
 
 
 def plan_bound(mu, nu, depth, space):

@@ -28,11 +28,11 @@ from emergence_lab.emergence import (TrajectoryCloud, _greedy_cover,
                                      covering_number_bounds,
                                      emergence_report, pairwise_w1)
 from emergence_lab.measures import (MARGIN, MarkovMeasure,
-                                    empirical_measure, make_rng,
+                                    empirical_snapshots, make_rng,
                                     truncation_proxy, wasserstein1)
 from emergence_lab.sofic import (PointPrefix, ShiftSpace, admissible_words,
                                  topological_entropy)
-from oracles import eta, from_atoms, q_weight
+from oracles import eta, from_atoms, q_weight, successors
 
 FULL2 = ShiftSpace.full_shift(2)
 FULL3 = ShiftSpace.full_shift(3)
@@ -131,7 +131,7 @@ def test_eta_monotone_depth_10_all_kinds():
         for l in range(1, 10):
             for u in admissible_words(FULL2, l):
                 eu = eta(s, u)
-                for c in FULL2.successors(u[-1]):
+                for c in successors(FULL2, u[-1]):
                     assert eta(s, u + (c,)) <= eu * (1 + 1e-12)
         assert check_conditions(s, depth=2, t_grid=(1.0,)).c4_pass
 
@@ -175,8 +175,8 @@ def test_w1_prefix_shift_inequality():
         word = mu.sample(n + n1 + depth - 1, make_rng(int(rng.integers(2**32))))
         zx = PointPrefix(word)
         x = PointPrefix(word[n1:])
-        d, _ = wasserstein1(empirical_measure(x, n, depth, FULL2),
-                            empirical_measure(zx, n + n1, depth, FULL2),
+        d, _ = wasserstein1(empirical_snapshots(x, [n], depth, FULL2)[0],
+                            empirical_snapshots(zx, [n + n1], depth, FULL2)[0],
                             depth, FULL2)
         assert d <= 2.0 * n1 / n + 2.0 * tail + 1e-12
 
@@ -277,8 +277,10 @@ def test_constructed_orbit_superlinear_slope():
     ends = sorted({end for (L, j, l, start, end) in orbit.block_map
                    if L == 3 and l == L})
     times = set(min(t, usable) for t in ends[1:])
-    totals = it.group_totals()
-    l3_sizes = sorted(totals[k] for k in totals if k[0] == 3)
+    totals = {}
+    for L, j, l, n in it.blocks:
+        totals[(L, j)] = totals.get((L, j), 0) + n
+    l3_sizes = sorted(s for (L, _), s in totals.items() if L == 3)
     for end, s in zip(ends[-8:], l3_sizes[-8:]):
         times.add(min(max(end - int(0.02 * s), 1), usable))
     cloud = cloud_at_times(orbit.word, sorted(times), L3_METRIC_DEPTH, FULL3)
@@ -434,7 +436,7 @@ def _enumerate_cut_costs(s, t, depth_cap, u=()):
         options.append(q_weight(s, u, t))
     if len(u) < depth_cap:
         children = [_enumerate_cut_costs(s, t, depth_cap, u + (c,))
-                    for c in (s.space.successors(u[-1]) if u
+                    for c in (successors(s.space, u[-1]) if u
                               else range(1, s.space.m + 1))]
         for combo in itertools.product(*children):
             options.append(sum(combo))

@@ -13,12 +13,12 @@ from emergence_lab.carath import (CStructure, _layer_counts, _log_q,
 from emergence_lab.errors import (DepthError, InputError, InvariantError,
                                   SizeError)
 from emergence_lab.measures import (MarkovMeasure, count_masses,
-                                    empirical_measure, truncation_proxy,
+                                    empirical_snapshots, truncation_proxy,
                                     w1_below, wasserstein1)
 from emergence_lab.sofic import (ShiftSpace, admissible_words,
                                  topological_entropy)
 from oracles import (_cover_recursion, eta, q_weight, representatives,
-                     scan_sup_birkhoff, window_shift_bowen_root,
+                     scan_sup_birkhoff, successors, window_shift_bowen_root,
                      window_shift_pressure)
 
 FULL2 = ShiftSpace.full_shift(2)
@@ -248,7 +248,7 @@ def test_deep_cap_pressure_window2_does_not_underflow():
 def oracle_tree(s, t, cap, u=()):
     """The cover infimum of C(u) by cylinders of depth <= cap, down the
     cylinder tree with the per-word oracle weight."""
-    kids = s.space.successors(u[-1]) if u else range(1, s.space.m + 1)
+    kids = successors(s.space, u[-1]) if u else range(1, s.space.m + 1)
     if len(u) == cap:
         return q_weight(s, u, t)
     children = sum(oracle_tree(s, t, cap, u + (c,)) for c in kids)
@@ -514,7 +514,7 @@ def edge_scan_c4(s):
     return all(eta(s, u + (c,)) <= eta(s, u) * (1 + 1e-12)
                for l in range(1, max(s.window - 1, 1) + 1)
                for u in admissible_words(s.space, l)
-               for c in s.space.successors(u[-1]))
+               for c in successors(s.space, u[-1]))
 
 
 @pytest.mark.parametrize("space", [FULL2, GM, FULL3])
@@ -592,7 +592,8 @@ def test_restricted_measure_matches_tree():
             if u not in dist:
                 y = representatives(u, space, n + depth - 1)
                 dist[u], _ = wasserstein1(
-                    empirical_measure(y, n, depth, space), proxy, depth, space)
+                    empirical_snapshots(y, [n], depth, space)[0], proxy,
+                    depth, space)
             return dist[u]
 
         for z in ((), (1,), (1, 2)):
@@ -622,9 +623,9 @@ def test_restricted_layer_masses_and_decisions_match_per_word():
             for n in (1, 7, 64, 1000, 4097):
                 counts = _layer_counts(words, n, depth, space)
                 mass = count_masses(counts, n)
-                emps = [empirical_measure(representatives(u, space,
-                                                          n + depth - 1),
-                                          n, depth, space)
+                emps = [empirical_snapshots(
+                            representatives(u, space, n + depth - 1), [n],
+                            depth, space)[0]
                         for u in map(tuple, words.tolist())]
                 for row, emp in zip(mass, emps):
                     assert np.array_equal(row, emp.mass), (space.m, l, n)

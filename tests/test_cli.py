@@ -603,7 +603,8 @@ def test_cli_runs_every_experiment(tmp_path, experiment):
 
 
 def test_status_file_belongs_to_the_last_run(tmp_path):
-    # one output directory, three calls: fail, succeed, fail
+    # one output directory, three calls: fail, succeed, fail; a failed run
+    # leaves no data file of the run before it
     out = tmp_path / "out"
     sweep = write_config(tmp_path, {
         "space": FULL2_SPACE, "experiment": "outer-sweep",
@@ -619,10 +620,74 @@ def test_status_file_belongs_to_the_last_run(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json",
                                                      "outer_sweep.csv"]
     assert call("pressure").exit_code == 1
-    assert sorted(p.name for p in out.iterdir()) == ["error.json",
-                                                     "outer_sweep.csv"]
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
     err = json.loads((out / "error.json").read_text())
     assert err["operation"] == "pressure"
+
+
+def test_a_run_removes_the_data_files_of_the_run_before(tmp_path):
+    # two experiments succeed in turn in one directory: the second removes
+    # what the first's manifest names, and keeps every other file
+    out = tmp_path / "out"
+    sweep = write_config(tmp_path, {
+        "space": FULL2_SPACE, "experiment": "outer-sweep",
+        "parameters": SMOKE["outer-sweep"][0], "seed": 0,
+        "output_dir": str(out)}, "sweep.json")
+    entropy = write_config(tmp_path, entropy_config(tmp_path), "entropy.json")
+    assert CliRunner().invoke(main, ["outer-sweep", "--config",
+                                     sweep]).exit_code == 0
+    (out / "notes.txt").write_text("kept")
+    assert CliRunner().invoke(main, ["entropy", "--config",
+                                     entropy]).exit_code == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "entropy.csv", "manifest.json", "notes.txt"]
+
+
+@pytest.mark.parametrize("manifest", [
+    "{not json", json.dumps([]), json.dumps({"files": "kept.csv"}),
+    json.dumps({"files": ["../outside.csv", "sub/kept.csv", "sub", "",
+                          ".", "..", "error.json", 7, None]}),
+])
+def test_stale_data_files_are_bare_names_of_a_parsed_manifest(tmp_path,
+                                                               manifest):
+    # a manifest that does not parse, or names a path, a directory or a
+    # status file, removes none of them
+    out = tmp_path / "out"
+    (out / "sub").mkdir(parents=True)
+    for path in (tmp_path / "outside.csv", out / "sub" / "kept.csv",
+                 out / "kept.csv", out / "error.json"):
+        path.write_text("kept")
+    (out / "manifest.json").write_text(manifest)
+    path = write_config(tmp_path, entropy_config(tmp_path))
+    assert CliRunner().invoke(main, ["entropy", "--config",
+                                     path]).exit_code == 0
+    assert sorted(str(p.relative_to(tmp_path))
+                  for p in tmp_path.rglob("*.csv")) == [
+        "out/entropy.csv", "out/kept.csv", "out/sub/kept.csv", "outside.csv"]
+
+
+def test_saturate_checks_the_top_level_built(tmp_path):
+    # a config may list a net past l_max; the run checks level l_max, the
+    # one it built, and writes what the config without that net writes
+    extra = {"level": 2, "mesh": 1.0,
+             "nodes": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}
+    params = {**CONSTRUCT, "slack": 0.5}
+
+    def data_files(nets, name):
+        cfg = {"space": FULL2_SPACE, "experiment": "saturate",
+               "parameters": {**params, "nets": nets}, "seed": 0,
+               "output_dir": str(tmp_path / name)}
+        result = CliRunner().invoke(main, [
+            "saturate", "--config",
+            write_config(tmp_path, cfg, f"{name}.json")])
+        assert result.exit_code == 0, result.output
+        return {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()
+                if p.name != "manifest.json"}
+
+    top = data_files(CONSTRUCT["nets"], "top")
+    assert data_files(CONSTRUCT["nets"] + [extra], "extra") == top
+    report = json.loads(top["saturation.json"])
+    assert report["level"] == 1 and report["unreachable"] is False
 
 
 # A fresh interpreter: the CLI, a config load of every experiment and the

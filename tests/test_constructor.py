@@ -19,10 +19,10 @@ from emergence_lab.constructor import (ConstructedOrbit, Itinerary,
                                        verify_saturation)
 from emergence_lab.errors import (AlignmentError, InputError, InvariantError,
                                   ScheduleError, SizeError)
-from emergence_lab.measures import (MarkovMeasure, empirical_measure,
+from emergence_lab.measures import (MarkovMeasure, empirical_snapshots,
                                     make_rng, truncation_proxy, wasserstein1)
-from emergence_lab.sofic import PointPrefix, ShiftSpace, is_admissible
-from oracles import cylinder_probability
+from emergence_lab.sofic import ShiftSpace, is_admissible
+from oracles import cylinder_probability, periodic
 
 FULL2 = ShiftSpace.full_shift(2)
 FULL3 = ShiftSpace.full_shift(3)
@@ -100,9 +100,8 @@ def test_typical_word_tracks_measure():
     n, eps, depth = 2048, 0.05, 4
     w = typical_word(mu, n, eps, seed=7, metric_depth=depth)
     assert len(w) == n
-    y = PointPrefix.periodic(tuple(int(c) for c in w), n + depth - 1,
-                            FULL2)
-    emp = empirical_measure(y, n, depth, FULL2)
+    y = periodic(tuple(int(c) for c in w), n + depth - 1, FULL2)
+    emp = empirical_snapshots(y, [n], depth, FULL2)[0]
     d, _ = wasserstein1(emp, truncation_proxy((mu,), (1.0,), depth), depth,
                         FULL2)
     assert d < eps
@@ -170,14 +169,14 @@ def test_block_schedule_checker_clean():
     _, it = tiny_schedule()
     assert check_itinerary(it) == []
     assert it.l_max == 1
-    assert it.total_length() > 0
+    assert sum(b[3] for b in it.blocks) > 0
 
 
 def test_block_schedule_group_proportions():
     _, it = tiny_schedule()
-    totals = it.group_totals()
-    per_group = {}
+    totals, per_group = {}, {}
     for L, j, l, n in it.blocks:
+        totals[(L, j)] = totals.get((L, j), 0) + n
         per_group.setdefault((L, j), {})[l] = n
     for (L, j), parts in per_group.items():
         s = totals[(L, j)]
@@ -241,7 +240,8 @@ def test_build_orbit_deterministic_and_admissible():
     b = build_orbit(it, fam, FULL2, seed=11, metric_depth=4)
     assert a.symbols_bytes() == b.symbols_bytes()
     assert is_admissible(a.word.symbols, FULL2)
-    assert a.word.usable_depth == a.itinerary.total_length()
+    assert a.word.usable_depth == (sum(b[3] for b in a.itinerary.blocks)
+                                   + sum(a.itinerary.connector_slots))
     # block map covers the word without overlap
     ends = a.boundary_times()
     assert all(t2 > t1 for t1, t2 in zip(ends, ends[1:]))
@@ -256,9 +256,8 @@ def test_build_orbit_blocks_track_their_measures():
         if n < depth:
             continue
         block = orbit.word.symbols[start:end]
-        y = PointPrefix.periodic(tuple(int(c) for c in block),
-                                n + depth - 1, FULL2)
-        emp = empirical_measure(y, n, depth, FULL2)
+        y = periodic(tuple(int(c) for c in block), n + depth - 1, FULL2)
+        emp = empirical_snapshots(y, [n], depth, FULL2)[0]
         proxy = truncation_proxy((fam.measures[l],), (1.0,), depth)
         d, _ = wasserstein1(emp, proxy, depth, FULL2)
         assert d < it.eps_tilde[L]
@@ -355,8 +354,8 @@ def test_golden_mean_orbit_with_connector_and_no_wrap():
     for node, d, t in rep.node_minima:
         proxy = truncation_proxy(fam.measures, node, 4)
         assert (d, t) == min(
-            (wasserstein1(empirical_measure(orbit.word, n, 4, GM), proxy, 4,
-                          GM)[0], n) for n in times)
+            (wasserstein1(empirical_snapshots(orbit.word, [n], 4, GM)[0],
+                          proxy, 4, GM)[0], n) for n in times)
 
 
 def test_golden_mean_connectors_keep_the_layout():

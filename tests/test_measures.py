@@ -11,8 +11,8 @@ from emergence_lab.errors import (DepthError, InputError, InvariantError,
                                   SizeError)
 from emergence_lab.measures import (GRID_CAP, MARGIN, MEASURE_CAP,
                                     FinSuppMeasure, MarkovMeasure,
-                                    empirical_measure, empirical_snapshots,
-                                    make_rng, periodic_counts, snapshot_masses,
+                                    empirical_snapshots, make_rng,
+                                    periodic_counts, snapshot_masses,
                                     truncation_proxy, w1_below, w1_bounds,
                                     w1_min, wasserstein1)
 from emergence_lab.sofic import (PointPrefix, ShiftSpace, admissible_words,
@@ -324,7 +324,7 @@ def test_prefix_codes_are_grid_nodes_and_round_trip(space):
 
 def test_empirical_measure_counts_windows():
     x = PointPrefix((1, 1, 2, 1, 1))
-    mu = empirical_measure(x, 4, 2, FULL2)
+    mu = empirical_snapshots(x, [4], 2, FULL2)[0]
     got = atom_masses(mu)
     assert got[(1, 1)] == pytest.approx(0.5)
     assert got[(1, 2)] == pytest.approx(0.25)
@@ -335,14 +335,14 @@ def test_empirical_measure_rejects_symbols_outside_alphabet():
     # symbol 3 used to be packed as a second atom (1,) on the full 2-shift
     x = PointPrefix((1, 3, 1, 2, 1))
     with pytest.raises(InputError, match="symbol 3 outside") as exc:
-        empirical_measure(x, 4, 1, FULL2)
+        empirical_snapshots(x, [4], 1, FULL2)
     assert exc.value.operation == "empirical_snapshots"
     with pytest.raises(DepthError) as exc:
-        empirical_measure(x, 5, 2, FULL2)
+        empirical_snapshots(x, [5], 2, FULL2)
     assert exc.value.operation == "empirical_snapshots"
     # only the symbols the windows read are checked
     y = PointPrefix((1, 2, 1, 2, 0))
-    assert np.count_nonzero(empirical_measure(y, 4, 1, FULL2).mass) == 2
+    assert np.count_nonzero(empirical_snapshots(y, [4], 1, FULL2)[0].mass) == 2
 
 
 def test_periodic_counts_rejects_symbols_outside_alphabet():
@@ -364,7 +364,7 @@ def test_empirical_snapshots_match_single_calls():
     times = [100, 700, 2995]
     snaps = empirical_snapshots(x, times, 6, FULL2)
     for t, snap in zip(times, snaps):
-        single = empirical_measure(x, t, 6, FULL2)
+        single = empirical_snapshots(x, [t], 6, FULL2)[0]
         d, _ = wasserstein1(snap, single, 6, FULL2)
         assert d == pytest.approx(0.0, abs=1e-12)
 
@@ -441,7 +441,7 @@ def test_measure_grid_cap():
     assert MEASURE_CAP == 2 ** 22
     x = PointPrefix(np.ones(100, dtype=np.int16))
     with pytest.raises(SizeError, match="measure grid"):
-        empirical_measure(x, 10, 40, FULL2)
+        empirical_snapshots(x, [10], 40, FULL2)
     with pytest.raises(SizeError, match="measure grid"):
         from_atoms(np.ones((1, 40), np.int16), [1.0], FULL2)
     with pytest.raises(SizeError, match="measure grid"):
@@ -819,9 +819,10 @@ def test_w1_below_margin_cases(monkeypatch):
             solves.clear()
             lps.clear()
             assert below(a, b, eps, depth, FULL2) == (d < eps), (depth, eps)
-            # one node a side: the plan cost, no LP; else one block LP, and
-            # a single solve when the block value is within MARGIN of eps
-            single = depth == 1 or abs(d - eps) <= MARGIN
+            # one node a side: the plan cost, with no LP and no single
+            # solve; else one block LP, and a single solve when the block
+            # value is within MARGIN of eps
+            single = depth > 1 and abs(d - eps) <= MARGIN
             assert len(solves) == single, (depth, eps)
             assert len(lps) == (depth > 1) * (1 + single), (depth, eps)
         for eps, want in ((lb - 2 * MARGIN, False), (ub + 2 * MARGIN, True)):
@@ -837,7 +838,7 @@ def test_w1_below_rows_with_one_node_a_side(monkeypatch):
     # the proxy's own row has no supply: no bound clears eps = MARGIN / 2,
     # and a block LP would normalise 0 / 0 into a NaN supply.  It and point
     # masses (one node on the positive side, or, against a point-mass nu, on
-    # the negative side) take `wasserstein1`'s exact plan cost, with no LP,
+    # the negative side) are decided by their exact plan cost, with no LP,
     # next to rows of the block path
     lps = spying(monkeypatch, "linprog")
     depth = 4
@@ -860,6 +861,35 @@ def test_w1_below_rows_with_one_node_a_side(monkeypatch):
             assert got.tolist() == [x < eps for x in d], eps
             # the mixed rows that no bound settles share one block LP
             assert len(lps) <= 1 + sum(abs(x - eps) <= MARGIN for x in d[4:])
+
+
+@pytest.mark.parametrize("space,depth", [(FULL2, 3), (FULL2, 6), (FULL3, 3),
+                                         (FULL3, 5), (GM, 5)])
+def test_plan_bound_batched_equals_single_rows(space, depth):
+    # `w1_below` decides a one-node-side row by its entry of the batched
+    # plan cost, which must be `wasserstein1`'s single-row value bit for bit
+    rng = make_rng(depth)
+    size = space.m ** depth
+    dense = rng.random((12, size))
+    sparse = dense * (rng.random((12, size)) < 3 / size)
+    sparse[np.arange(12), rng.integers(0, size, 12)] += 1.0
+    rows = np.vstack([dense, sparse, np.eye(size)[rng.integers(0, size, 6)]])
+    rows /= rows.sum(axis=1, keepdims=True)
+    for nu in (FinSuppMeasure(rows[0], depth, space.m),
+               FinSuppMeasure(np.eye(size)[size // 3], depth, space.m)):
+        net = measures._net(rows, nu.mass)
+        batched = measures._plan_bound(net, depth, space)
+        single = [measures._plan_bound(net[i:i + 1], depth, space)[0]
+                  for i in range(net.shape[0])]
+        assert batched.tobytes() == np.array(single).tobytes()
+        some = rng.permutation(net.shape[0])[:9]
+        assert (measures._plan_bound(net[some], depth, space).tobytes()
+                == batched[some].tobytes())
+        sides = np.minimum((net > 0).sum(axis=1), (net < 0).sum(axis=1))
+        assert (sides <= 1).sum() >= 6
+        for i in np.flatnonzero(sides <= 1).tolist():
+            row = FinSuppMeasure(rows[i], depth, space.m)
+            assert wasserstein1(row, nu, depth, space)[0] == batched[i]
 
 
 @pytest.mark.parametrize("space,depth", [(FULL2, 4), (FULL2, 5), (FULL3, 3),

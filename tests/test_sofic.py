@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emergence_lab.errors import DepthError, InputError, InvariantError
-from emergence_lab.sofic import (PointPrefix, ShiftSpace, admissible_words,
-                                 connector, count_admissible, is_admissible,
-                                 perron, topological_entropy,
-                                 truncated_metric)
-from oracles import product_connector
+from emergence_lab.errors import InputError, InvariantError
+from emergence_lab.sofic import (ShiftSpace, admissible_words, connector,
+                                 count_admissible, is_admissible, perron,
+                                 topological_entropy)
+from oracles import periodic, product_connector
 
 
 def test_full_shift_entropy_is_log_m():
@@ -105,48 +104,22 @@ def test_metric_tail_bound_formula():
     assert space3.metric_tail_bound(2) == pytest.approx(2 * 3.0 ** -2 / 2.0)
 
 
-def test_truncated_metric_periodic_points():
-    space = ShiftSpace.full_shift(2)
-    x = PointPrefix.periodic((1,), 10, space)
-    y = PointPrefix.periodic((2,), 10, space)
-    val, err = truncated_metric(x, y, 10, space)
-    # sum of beta^-j, j = 1..10
-    assert val == pytest.approx(1.0 - 2.0 ** -10, abs=1e-15)
-    assert err == pytest.approx(2.0 ** -10)
-    same, _ = truncated_metric(x, x, 10, space)
-    assert same == 0.0
-
-
-def test_truncated_metric_depth_guard():
-    space = ShiftSpace.full_shift(2)
-    x = PointPrefix((1, 2, 1))
-    with pytest.raises(DepthError):
-        truncated_metric(x, x, 5, space)
-
-
 def test_periodic_point_wrap_validation():
     gm = ShiftSpace.golden_mean()
     # (1,2) repeats to 121212: wrap pair (2,1) is allowed
-    x = PointPrefix.periodic((1, 2), 6, gm)
-    assert x.head(6) == (1, 2, 1, 2, 1, 2)
+    x = periodic((1, 2), 6, gm)
+    assert x.symbols.tolist() == [1, 2, 1, 2, 1, 2]
     with pytest.raises(InputError):
-        PointPrefix.periodic((2, 2), 4, gm)
+        periodic((2, 2), 4, gm)
     for word in ((1,), (1, 2), (1, 1, 2), (2, 1, 1, 1, 2, 1)):
         for depth in (1, 5, 12):
-            a = PointPrefix.periodic(np.array(word, dtype=np.int16), depth, gm)
-            b = PointPrefix.periodic(word, depth, gm)
+            a = periodic(np.array(word, dtype=np.int16), depth, gm)
+            b = periodic(word, depth, gm)
             assert a.symbols.tobytes() == b.symbols.tobytes()
-            assert a.head(depth) == tuple(word[i % len(word)]
-                                          for i in range(depth))
+            assert a.symbols.tolist() == [word[i % len(word)]
+                                          for i in range(depth)]
     with pytest.raises(InputError):   # wrap pair (2, 2) forbidden
-        PointPrefix.periodic(np.array([2, 1, 2], dtype=np.int16), 6, gm)
-
-
-def test_shift_drops_prefix():
-    x = PointPrefix((1, 2, 1, 1))
-    assert x.shift(2).head(2) == (1, 1)
-    with pytest.raises(DepthError):
-        x.shift(5)
+        periodic(np.array([2, 1, 2], dtype=np.int16), 6, gm)
 
 
 def test_connector_full_shift_is_empty():
