@@ -189,7 +189,7 @@ def _run_construct(cfg, threads):
 def _run_saturate(cfg, threads):
     p = cfg.parameters
     family, itinerary, orbit = _build_from_config(cfg)
-    top = itinerary.nets[itinerary.l_max]   # a config may list nets past it
+    top = itinerary.nets[itinerary.l_max]
     report = constructor.verify_saturation(orbit, top, family, p["slack"],
                                            p["metric_depth"])
     return {"saturation.json": report.to_json(),

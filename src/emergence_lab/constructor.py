@@ -325,7 +325,7 @@ def block_schedule(family, l_max, eps_tilde, eps_hat, gamma_n, nets,
 
     it = Itinerary(eps_tilde=eps_tilde, eps_hat=eps_hat, blocks=tuple(blocks),
                    connector_slots=tuple(0 for _ in blocks), gamma_n=dict(gamma_n),
-                   nets=tuple(nets))
+                   nets=tuple(nets[:l_max + 1]))
     violations = check_itinerary(it)
     if violations:
         raise ScheduleError("; ".join(violations),

@@ -33,6 +33,12 @@ reach an LP.  `w1_below` solves its open rows, up to `BLOCK_NODES` grid
 nodes at a time, as one block-diagonal flow LP, whose values decide a row
 only when they clear eps by MARGIN; the values that are reported
 (`wasserstein1`, `w1_min`, `pairwise_w1`) come from single solves.
+Every flow LP also hands back its dual potential, scaled to be
+1-Lipschitz (`_potentials`), which by Kantorovich-Rubinstein duality
+bounds W1 from below for every supply, not only its own: `w1_min` raises
+the lower bounds of the rows after each solve by it, and `w1_below`
+decides a queued row False, with no LP, when a block's potential puts it
+above eps by MARGIN.
 Every LP goes through one entry point, `linprog`, which imports
 `scipy.optimize.linprog` on its first call; `_grid_flow` and `_block_values`
 import `scipy.sparse` in their bodies, so a process that solves no LP loads
@@ -167,9 +173,12 @@ class MarkovMeasure:
                              module="measures", operation="sample")
         u = rng.random(n)
         rows = self.stochastic[:1] if self.is_bernoulli else self.stochastic
-        f = np.empty((rows.shape[0], n), dtype=np.int16)
+        f = np.zeros((rows.shape[0], n), dtype=np.int16)
         for s, cum in enumerate(_inverse_cdf(rows)):
-            f[s] = np.searchsorted(cum, u, side="right")
+            # the right-sided search of u in the nondecreasing cum: the
+            # number of its entries <= u, one pass over u per entry
+            for c in cum:
+                f[s] += u >= c
         f[:, 0] = np.searchsorted(_inverse_cdf(self.stationary), u[0], side="right")
         d = 1
         while not (f == f[0]).all():
@@ -261,9 +270,11 @@ def empirical_snapshots(x, times, depth, space):
 
 def snapshot_masses(x, times, depth, space):
     """The (len(times), m^depth) mass matrix of the uniform measures on the
-    first t shifts of x, at `depth`, one row per t in times, sharing one
-    pass over the window keys of x; each row is `count_masses` of its node
-    counts."""
+    first t shifts of x, at `depth`, one row per t in times, in any order
+    and with repeats.  The times share one pass over the window keys of x:
+    each segment between consecutive distinct times is counted once and
+    added to the running node counts, O(n + len(times) m^depth) work, and
+    each row is `count_masses` of its time's counts."""
     times = [int(t) for t in times]
     if not times or any(t < 1 for t in times):
         raise InputError(f"times must be nonempty positive integers, got {times}",
@@ -276,8 +287,12 @@ def snapshot_masses(x, times, depth, space):
                          module="measures", operation="empirical_snapshots")
     keys = _window_keys(x.symbols[:n], depth, space.m, "empirical_snapshots")
     out = np.empty((len(times), size))
-    for row, t in zip(out, times):
-        row[:] = count_masses(np.bincount(keys[:t], minlength=size)[None], t)[0]
+    counts = np.zeros(size, dtype=np.int64)
+    start = 0
+    for t in sorted(set(times)):
+        counts += np.bincount(keys[start:t], minlength=size)
+        start = t
+        out[np.equal(times, t)] = count_masses(counts[None], t)
     return out
 
 
@@ -289,8 +304,9 @@ def periodic_counts(periods, n, depth, m):
     the count matrix.  A symbol outside 1..m raises InputError."""
     k, p = periods.shape
     size = _grid_size(m, depth, "periodic_counts")
-    keys = _window_keys(periods[:, np.arange(p + depth - 1) % p], depth, m,
-                        "periodic_counts")
+    # the period repeated until it holds p + depth - 1 symbols
+    wrapped = np.concatenate([periods] * -(-(p + depth - 1) // p), axis=1)
+    keys = _window_keys(wrapped[:, :p + depth - 1], depth, m, "periodic_counts")
     keys += size * np.arange(k)[:, None]
     q, r = divmod(n, p)
     counts = (q * np.bincount(keys.ravel(), minlength=k * size)
@@ -394,8 +410,11 @@ def wasserstein1(mu, nu, depth, space):
     itself, solves the other rows in block LPs (`_block_values`) and calls
     this function only for a block value within MARGIN of eps.
 
-    Returns (value, error_bound).  Truncated costs underestimate the true
-    metric, so the true W1 lies in [value, value + error_bound].
+    Returns (value, error_bound), a `W1Result`.  Truncated costs
+    underestimate the true metric, so the true W1 lies in
+    [value, value + error_bound].  Its `potential` is the LP's scaled dual
+    potential on the grid (`_potentials`), None where the plan gave the
+    value.
     """
     m = space.m
     if not mu.m == nu.m == m:
@@ -406,16 +425,66 @@ def wasserstein1(mu, nu, depth, space):
     err = space.metric_tail_bound(depth)
     a_codes, b_codes = np.flatnonzero(net[0] > 0), np.flatnonzero(net[0] < 0)
     if min(a_codes.shape[0], b_codes.shape[0]) <= 1:
-        return float(_plan_bound(net, depth, space)[0]), err
+        return W1Result(float(_plan_bound(net, depth, space)[0]), err)
     # normalize each side (cost is linear in mass; rescale afterwards)
     a_w, b_w = net[0, a_codes], -net[0, b_codes]
     mass = float(a_w.sum())
-    incidence, cost = _grid_flow(m, depth, float(space.beta))
+    incidence, cost, tail, head = _grid_flow(m, depth, float(space.beta))
     supply = np.zeros(m ** depth)
     supply[a_codes] = a_w / mass
     supply[b_codes] = -b_w / b_w.sum()
     res = _solve_flow(cost, incidence, supply[:-1], "wasserstein1")
-    return mass * float(res.fun), err
+    return W1Result(mass * float(res.fun), err,
+                    _potentials(res.eqlin.marginals[None], tail, head, cost)[0])
+
+
+class W1Result(tuple):
+    """`wasserstein1`'s (value, error_bound), unpacked as a pair like
+    `os.stat_result`; `potential` is the flow LP's dual potential scaled by
+    `_potentials`, None where the one-node plan gave the value."""
+
+    def __new__(cls, value, error_bound, potential=None):
+        out = super().__new__(cls, (value, error_bound))
+        out.potential = potential
+        return out
+
+
+def _potentials(duals, tail, head, cost):
+    """The (k, m^depth) grid potentials of k flow LPs' duals (k rows of
+    `res.eqlin.marginals`, one per node but the dropped one, which gets 0),
+    each divided by max(1, its largest (y_tail - y_head) / c over the arcs).
+    HiGHS keeps y_tail - y_head <= c to its dual tolerance, and the division
+    makes it hold on every arc, up to the division's rounding, a few ulps
+    of y far below MARGIN.  Each row is then 1-Lipschitz in the truncated
+    metric, and so is its negation, so by Kantorovich-Rubinstein duality
+    mass * |y . s| <= W1 for every supply s normalised as `_unit_supply`
+    normalises it, not only the one the LP solved."""
+    y = np.append(duals, np.zeros((duals.shape[0], 1)), axis=1)
+    slope = ((y[:, tail] - y[:, head]) / cost).max(axis=1)
+    return y / np.maximum(slope, 1.0)[:, None]
+
+
+def _unit_supply(net):
+    """(mass, unit) for the rows of a (rows, m^depth) supply matrix: each
+    row's positive total, and the row with each side divided by its own
+    total, so that W1 of the row is mass times W1 of its unit row; a row
+    without two sides gets a zero unit row."""
+    pos, neg = np.maximum(net, 0.0), np.maximum(-net, 0.0)
+    mass, demand = pos.sum(axis=1), neg.sum(axis=1)
+    both = (mass > 0) & (demand > 0)
+    unit = np.zeros_like(net)
+    unit[both] = pos[both] / mass[both, None] - neg[both] / demand[both, None]
+    return mass, unit
+
+
+def _dual_bounds(mass, unit, potentials):
+    """max over the rows y of a (k, m^depth) potential matrix of
+    mass * |y . unit|, for each row of `_unit_supply`'s (mass, unit): a
+    sound lower bound on each row's W1.  One matrix-vector product per
+    potential: a single matrix product raised the peak memory of the
+    restricted-probe CLI runs by about 0.3 MB (BLAS buffers), the
+    matrix-vector products by under 0.1 MB (2-core Xeon VM)."""
+    return mass * np.max([np.abs(unit @ y) for y in potentials], axis=0)
 
 
 def _solve_flow(cost, incidence, supply, operation):
@@ -441,18 +510,17 @@ def linprog(*args, **kwargs):
 
 def _block_values(net, depth, space):
     """The W1 values of the rows of a (k, m^depth) supply matrix, each with
-    at least two nodes on either side, from one block-diagonal flow LP: k
-    copies of the grid flow of `wasserstein1`, one per row, sharing no
-    variable, so each block is solved optimally.  Each block's supply is
-    normalised as `wasserstein1` normalises it, and its value is its mass
-    times its flow's cost.  The values match single solves to within the
-    LP's tolerances, not bit for bit."""
+    at least two nodes on either side, and the k block potentials
+    (`_potentials`), from one block-diagonal flow LP: k copies of the grid
+    flow of `wasserstein1`, one per row, sharing no variable, so each block
+    is solved optimally.  Each block's supply is normalised as
+    `wasserstein1` normalises it, and its value is its mass times its
+    flow's cost.  The values match single solves to within the LP's
+    tolerances, not bit for bit."""
     import scipy.sparse as sp
     k, n = net.shape
-    incidence, cost = _grid_flow(space.m, depth, float(space.beta))
-    pos, neg = np.maximum(net, 0.0), np.maximum(-net, 0.0)
-    mass = pos.sum(axis=1)
-    supply = pos / mass[:, None] - neg / neg.sum(axis=1)[:, None]
+    incidence, cost, tail, head = _grid_flow(space.m, depth, float(space.beta))
+    mass, supply = _unit_supply(net)
     # k copies of the grid's CSR arrays, copy j's column indices shifted by
     # j times the arcs and its row pointers by j times the nonzeros
     arcs, nnz, copy = incidence.shape[1], incidence.nnz, np.arange(k)[:, None]
@@ -463,7 +531,9 @@ def _block_values(net, depth, space):
         shape=(k * (n - 1), k * arcs))
     res = _solve_flow(np.tile(cost, k), blocks, supply[:, :-1].ravel(),
                       "w1_below")
-    return mass * (res.x.reshape(k, arcs) @ cost)
+    return (mass * (res.x.reshape(k, arcs) @ cost),
+            _potentials(res.eqlin.marginals.reshape(k, n - 1), tail, head,
+                        cost))
 
 
 def w1_bounds(masses, nu, depth, space):
@@ -570,7 +640,8 @@ def w1_below(masses, nu, eps, depth, space):
     to one block-diagonal flow LP (`_block_values`), whose value decides a
     row when it clears eps by MARGIN; a row within MARGIN of eps is compared
     by its single `wasserstein1` value, so every decision equals the exact
-    one.
+    one.  After each block LP, a row still queued is decided False without
+    an LP when one of the block's potentials bounds it above eps + MARGIN.
     """
     net = _net_rows(masses, nu, depth, space, "w1_below")
     lb, ub = _tree_bounds(net, depth, space)
@@ -585,13 +656,17 @@ def w1_below(masses, nu, eps, depth, space):
     below[todo] = np.where(exact, plan < eps, plan < eps - MARGIN)
     todo = todo[~exact & ~below[todo]]
     chunk = max(1, BLOCK_NODES // net.shape[1])
-    for start in range(0, todo.size, chunk):
-        rows = todo[start:start + chunk]
-        value = _block_values(net[rows], depth, space)
+    while todo.size:
+        rows, todo = todo[:chunk], todo[chunk:]
+        value, potentials = _block_values(net[rows], depth, space)
         below[rows] = value < eps
         for i in rows[np.abs(value - eps) <= MARGIN].tolist():
             row = FinSuppMeasure(masses[i], depth, space.m)
             below[i] = wasserstein1(row, nu, depth, space)[0] < eps
+        if todo.size:
+            # a queued row that a block potential puts above eps stays False
+            lb = _dual_bounds(*_unit_supply(net[todo]), potentials)
+            todo = todo[~(lb > eps + MARGIN)]
     return below
 
 
@@ -602,19 +677,27 @@ def w1_min(masses, nu, depth, space):
 
     The bounds of every row come first; rows are then taken in order, and
     one whose lower bound exceeds the minimum so far, or the smallest upper
-    bound, by MARGIN is skipped without an exact solve.
+    bound, by MARGIN is skipped without an exact solve.  Each LP solve
+    raises the lower bound of every later row r to mass_r * |y . s_r|, its
+    potential y against the row's unit supply (`_dual_bounds`).
     """
     net = _net_rows(masses, nu, depth, space, "w1_min")
     lbs, ubs = _bounds(net, depth, space)
+    mass, unit = _unit_supply(net)
     top = ubs.min(initial=np.inf)
     best, best_row = np.inf, -1
-    for i, lb in enumerate(lbs.tolist()):
+    for i in range(lbs.shape[0]):
         # d >= lb > min(best, top) >= the minimum: this row can neither
         # attain nor tie it
-        if lb > min(best, top) + MARGIN:
+        if lbs[i] > min(best, top) + MARGIN:
             continue
         row = FinSuppMeasure(masses[i], depth, space.m)
-        d, _ = wasserstein1(row, nu, depth, space)
+        w1 = wasserstein1(row, nu, depth, space)
+        if w1.potential is not None:
+            later = slice(i + 1, None)
+            lbs[later] = np.maximum(lbs[later], _dual_bounds(
+                mass[later], unit[later], w1.potential[None]))
+        d = w1[0]
         if d < best:
             best, best_row = d, i
     return best, best_row
@@ -652,9 +735,10 @@ def w1_settled(masses, scales, depth, space):
 
 @lru_cache(maxsize=8)
 def _grid_flow(m, depth, beta):
-    """Node-arc incidence (last node row dropped) and arc costs of the
-    m^depth symbol grid; node sum_d (x_d - 1) m^d, arcs both ways between
-    nodes one apart in coordinate d, at cost beta^-(d+1).  Dropping a row
+    """Node-arc incidence (last node row dropped), arc costs, and the arcs'
+    tail and head nodes of the m^depth symbol grid; node
+    sum_d (x_d - 1) m^d, arcs both ways between nodes one apart in
+    coordinate d, at cost beta^-(d+1).  Dropping a row
     leaves the flow LP feasible for any supply.  Shared read-only by every
     caller, the threads of `pairwise_w1`'s pool included, which solve the
     pairs `w1_settled` leaves open."""
@@ -678,6 +762,7 @@ def _grid_flow(m, depth, beta):
          (np.concatenate([tail, head]), np.concatenate([arc, arc]))),
         shape=(n, arc.shape[0]))[:-1]
     cost = np.concatenate(costs)
-    for a in (incidence.data, incidence.indices, incidence.indptr, cost):
+    for a in (incidence.data, incidence.indices, incidence.indptr, cost, tail,
+              head):
         a.setflags(write=False)
-    return incidence, cost
+    return incidence, cost, tail, head

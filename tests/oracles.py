@@ -28,8 +28,14 @@ multiplies out one word at a time, and `sparse_proxy` runs it on every
 admissible word.  The connector
 is found by breadth-first search; `product_connector` tries every word in
 length and then lexicographic order, O(m^length).  A Markov sample is one
-prefix scan over the per-step state tables; `loop_chain_walk` walks the
-chain one symbol at a time.  The emergence time grid repairs rounding
+prefix scan over the per-step state tables, each read by counting the
+inverse-CDF entries at or below each uniform; `loop_chain_walk` walks the
+chain one symbol at a time, and `searchsorted_sample` reads the tables by
+`np.searchsorted`.  `periodic_counts` extends each period by concatenating
+copies, `indexed_periodic_counts` by a column index, and `snapshot_masses`
+adds the counts of the segments between consecutive times, where
+`per_time_snapshot_masses` counts every prefix of the keys afresh.  The
+emergence time grid repairs rounding
 collisions with a running maximum; `loop_geometric_times` moves one point at
 a time.
 """
@@ -44,7 +50,7 @@ from scipy.optimize import brentq, linprog
 from emergence_lab.carath import _log_q
 from emergence_lab.errors import InputError, InvariantError
 from emergence_lab.measures import (FinSuppMeasure, _grid_flow, _grid_size,
-                                    _inverse_cdf)
+                                    _inverse_cdf, _window_keys, count_masses)
 from emergence_lab.sofic import (PointPrefix, admissible_words, connector,
                                  is_admissible, perron, symbol_array,
                                  topological_entropy)
@@ -152,7 +158,7 @@ def grid_w1(mu, nu, depth, space):
     feasibility tolerances 1e-10 on the library's grid arcs."""
     net = mu.truncated(depth).mass - nu.truncated(depth).mass
     net[np.abs(net) <= 1e-15] = 0.0
-    incidence, cost = _grid_flow(space.m, depth, float(space.beta))
+    incidence, cost = _grid_flow(space.m, depth, float(space.beta))[:2]
     res = linprog(cost, A_eq=incidence, b_eq=net[:-1], bounds=(0, None),
                   method="highs",
                   options={"primal_feasibility_tolerance": 1e-10,
@@ -213,6 +219,47 @@ def loop_chain_walk(mu, u):
         s = int(np.searchsorted(cums[s], u[i], side="right"))
         out[i] = s + 1
     return out
+
+
+def searchsorted_sample(mu, n, rng):
+    """`MarkovMeasure.sample` with each step table read by a right-sided
+    `np.searchsorted` of the uniforms in the row's inverse CDF, the same
+    doubling scan after it."""
+    u = rng.random(n)
+    rows = mu.stochastic[:1] if mu.is_bernoulli else mu.stochastic
+    f = np.empty((rows.shape[0], n), dtype=np.int16)
+    for s, cum in enumerate(_inverse_cdf(rows)):
+        f[s] = np.searchsorted(cum, u, side="right")
+    f[:, 0] = np.searchsorted(_inverse_cdf(mu.stationary), u[0], side="right")
+    d = 1
+    while not (f == f[0]).all():
+        f[:, d:] = np.take_along_axis(f[:, d:], f[:, :-d], axis=0)
+        d *= 2
+    return f[0] + 1
+
+
+def indexed_periodic_counts(periods, n, depth, m):
+    """`periodic_counts` with each period extended to p + depth - 1 symbols
+    by the column index np.arange(p + depth - 1) % p."""
+    k, p = periods.shape
+    size = _grid_size(m, depth, "periodic_counts")
+    keys = _window_keys(periods[:, np.arange(p + depth - 1) % p], depth, m,
+                        "periodic_counts")
+    keys += size * np.arange(k)[:, None]
+    q, r = divmod(n, p)
+    counts = (q * np.bincount(keys.ravel(), minlength=k * size)
+              + np.bincount(keys[:, :r].ravel(), minlength=k * size))
+    return counts.reshape(k, size)
+
+
+def per_time_snapshot_masses(x, times, depth, space):
+    """`snapshot_masses` with the first t window keys counted afresh for
+    every t in times."""
+    size = space.m ** depth
+    keys = _window_keys(x.symbols[:max(times) + depth - 1], depth, space.m,
+                        "empirical_snapshots")
+    return np.array([count_masses(np.bincount(keys[:t], minlength=size)[None],
+                                  t)[0] for t in times])
 
 
 def _pack_prefixes(rows, m):

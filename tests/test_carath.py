@@ -640,9 +640,10 @@ def test_restricted_measure_lp_solves_regression(monkeypatch):
     # FULL2, Parry, z = (1,), n = 64, eps = 0.15, metric depth 4: the values
     # are pinned bit for bit.  The plan bound and the rows distinct across
     # every probe layer leave 17, 44 and 142 rows open, which block LPs of
-    # 9 rows solve in 2, 5 and 16 `linprog` calls (20, 53 and 155 one row
-    # a call, 73, 222 and 934 one word at a time with the prefix-tree bound
-    # alone)
+    # 9 rows solve in 2, 5 and 11 `linprog` calls, each block's potentials
+    # settling queued rows (2, 5 and 16 calls without them, 20, 53 and 155
+    # one row a call, 73, 222 and 934 one word at a time with the
+    # prefix-tree bound alone)
     solves = []
     linprog = measures.linprog
 
@@ -655,7 +656,7 @@ def test_restricted_measure_lp_solves_regression(monkeypatch):
     mu = MarkovMeasure.parry(FULL2)
     for cap, want, most in ((8, 0.601047565423747, 3),
                             (10, 0.6744872582380383, 6),
-                            (12, 0.7054893006329133, 18)):
+                            (12, 0.7054893006329133, 12)):
         solves.clear()
         got = restricted_outer_measure(s, (1,), mu, n=64, eps=0.15, t=0.6,
                                        m_blk=1, depth_cap=cap, metric_depth=4)

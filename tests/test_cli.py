@@ -462,6 +462,24 @@ def test_cli_construct_run(tmp_path):
     assert orbit["seed"] == 5 and orbit["length"] > 0
 
 
+def test_cli_construct_writes_only_the_nets_its_blocks_use(tmp_path):
+    # a net past l_max leaves itinerary.json as it is without it
+    files = []
+    for i, nets in enumerate((CONSTRUCT["nets"], [
+            *CONSTRUCT["nets"],
+            {"level": 2, "mesh": 0.5,
+             "nodes": [[1.0, 0.0, 0.0], [1 / 3, 1 / 3, 1 / 3]]}])):
+        cfg = {"space": FULL2_SPACE, "experiment": "construct",
+               "parameters": {**CONSTRUCT, "nets": nets},
+               "seed": 5, "output_dir": str(tmp_path / f"out{i}")}
+        path = write_config(tmp_path, cfg)
+        result = CliRunner().invoke(main, ["construct", "--config", path])
+        assert result.exit_code == 0, result.output
+        files.append((tmp_path / f"out{i}" / "itinerary.json").read_text())
+    assert len(json.loads(files[0])["nets"]) == 2
+    assert files[1] == files[0]
+
+
 SMALL_EMERGENCE = {"epsilons": [0.3, 0.15, 0.075], "n_min": 16, "n_max": 128,
                    "count": 4, "depth": 3}
 OSCILLATING = {"kind": "oscillating", "probs_a": [0.2, 0.8],

@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emergence_lab import measures
+from emergence_lab.constructor import (MeasureFamily, SimplexNet,
+                                       block_schedule, build_orbit,
+                                       verify_saturation)
 from emergence_lab.errors import (DepthError, InputError, InvariantError,
                                   SizeError)
 from emergence_lab.measures import (GRID_CAP, MARGIN, MEASURE_CAP,
@@ -18,8 +21,11 @@ from emergence_lab.measures import (GRID_CAP, MARGIN, MEASURE_CAP,
 from emergence_lab.sofic import (PointPrefix, ShiftSpace, admissible_words,
                                  is_admissible)
 from oracles import (_pack_prefixes, _unpack_keys, cylinder_probability,
-                     dense_transport, from_atoms, grid_w1, loop_chain_walk,
-                     plan_bound, sparse_proxy, sparse_snapshots, tree_bounds)
+                     dense_transport, from_atoms, grid_w1,
+                     indexed_periodic_counts, loop_chain_walk,
+                     per_time_snapshot_masses, plan_bound,
+                     searchsorted_sample, sparse_proxy, sparse_snapshots,
+                     tree_bounds)
 
 FULL2 = ShiftSpace.full_shift(2)
 FULL3 = ShiftSpace.full_shift(3)
@@ -235,6 +241,27 @@ def test_sample_bytes_are_pinned():
         assert hashlib.sha256(w.tobytes()).hexdigest() == digest, (name, n)
 
 
+@pytest.mark.parametrize("name", [*WALK_CHAINS, "tenths", "zero-tail"])
+def test_sample_equals_searchsorted_oracle_at_cdf_entries(name):
+    # every finite inverse-CDF entry below 1, of the step rows and of the
+    # stationary law, as a uniform (a right-sided search passes an equal
+    # entry), 0, and the largest uniform, which lands in a +inf tail:
+    # past ten 0.1s summing to 0.9999999999999999, and past a zero last
+    # probability; each of them also as the first uniform
+    mu = {**WALK_CHAINS,
+          "tenths": bern(np.full(10, 0.1), ShiftSpace.full_shift(10)),
+          "zero-tail": bern([0.25, 0.75, 0.0], FULL3)}[name]
+    cdf = np.concatenate([measures._inverse_cdf(mu.stochastic).ravel(),
+                          measures._inverse_cdf(mu.stationary)])
+    special = [*cdf[cdf < 1].tolist(), 0.0, 1.0 - 2.0 ** -53]
+    rest = make_rng(3).random(40).tolist()
+    n = len(special) + len(rest) + 1
+    for first in special:
+        rng = _FixedUniform(first, *special, *rest)
+        assert np.array_equal(mu.sample(n, rng),
+                              searchsorted_sample(mu, n, rng)), first
+
+
 def test_stationary_of_period_two_chain():
     # irreducible but not aperiodic: eigenvalues 1, -1 and 0
     p = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
@@ -356,6 +383,31 @@ def test_periodic_counts_rejects_symbols_outside_alphabet():
         assert exc.value.operation == "periodic_counts"
     assert periodic_counts(np.array([[1, 2], [1, 1]], dtype=np.int16),
                            4, 2, 2).tolist() == [[0, 2, 2, 0], [4, 0, 0, 0]]
+
+
+@pytest.mark.parametrize("space,depth", [(FULL2, 4), (FULL3, 3), (GM, 6)])
+def test_periodic_counts_equal_indexed_oracle(space, depth):
+    # periods shorter than, as long as and longer than the depth - 1
+    # symbols a window reads past them, at window counts below, at and
+    # past one period
+    rng = make_rng(71 + depth)
+    for p in sorted({1, 2, depth - 2, depth - 1, depth, 10 ** 4} - {0}):
+        periods = rng.integers(1, space.m + 1, size=(3, p)).astype(np.int16)
+        for n in (1, p, 3 * p + 1, 5 * p + depth):
+            assert np.array_equal(
+                periodic_counts(periods, n, depth, space.m),
+                indexed_periodic_counts(periods, n, depth, space.m)), (p, n)
+
+
+@pytest.mark.parametrize("space", [FULL2, GM, FULL3])
+def test_snapshot_masses_equal_per_time_oracle(space):
+    # bit for bit, at unsorted and repeated times
+    x = PointPrefix(MarkovMeasure.parry(space).sample(5000, make_rng(17)))
+    for times in ([4990, 1, 300, 300, 17], [5, 5, 5], [1], [2, 4990, 2, 999]):
+        for depth in (1, 3, 6):
+            assert np.array_equal(
+                snapshot_masses(x, times, depth, space),
+                per_time_snapshot_masses(x, times, depth, space)), times
 
 
 def test_empirical_snapshots_match_single_calls():
@@ -712,6 +764,88 @@ def test_w1_bounds_sound():
         assert ub == pytest.approx(d, abs=1e-15)
 
 
+def grid_arcs(space, depth):
+    """(tail, head, cost) of the arcs of the m^depth prefix grid, built
+    from the metric: both ways between nodes one apart in coordinate d, at
+    cost beta^-(d+1)."""
+    node = np.arange(space.m ** depth)
+    tails, heads, costs = [], [], []
+    for d in range(depth):
+        step = space.m ** d
+        low = node[(node // step) % space.m < space.m - 1]
+        tails += [low, low + step]
+        heads += [low + step, low]
+        costs += [np.full(2 * low.size, space.beta ** -(d + 1))]
+    return np.concatenate(tails), np.concatenate(heads), np.concatenate(costs)
+
+
+def unit_rows(net):
+    """(mass, unit supply) of each supply row: the positive total, and each
+    side divided by its own total."""
+    pos, neg = np.maximum(net, 0.0), np.maximum(-net, 0.0)
+    mass = pos.sum(axis=1)
+    return mass, pos / mass[:, None] - neg / neg.sum(axis=1)[:, None]
+
+
+def test_w1_potentials_are_feasible_and_attain_the_value():
+    # on the pairs of the soundness test: every scaled potential, of a
+    # single solve and of each block of a block LP, keeps
+    # (y_tail - y_head) / c <= 1 on every arc with no tolerance, and
+    # mass * |y . s| lies within 1e-12 of the value its LP gave
+    rng = make_rng(31)
+    for space, depth in ((FULL2, 4), (FULL2, 5), (FULL2, 8), (GM, 5),
+                         (FULL3, 5)):
+        words = np.asarray(admissible_words(space, depth), dtype=np.int16)
+        tail, head, cost = grid_arcs(space, depth)
+        nets, solved = [], 0
+        for _ in range(40):
+            mu, nu = random_pair(rng, words, 40, space)
+            net = mu.mass - nu.mass
+            net[np.abs(net) <= 1e-15] = 0.0
+            d, _ = res = wasserstein1(mu, nu, depth, space)
+            if min((net > 0).sum(), (net < 0).sum()) <= 1:
+                assert res.potential is None
+                continue
+            y = res.potential
+            assert ((y[tail] - y[head]) / cost).max() <= 1.0
+            mass, unit = unit_rows(net[None])
+            assert abs(mass[0] * abs(unit[0] @ y) - d) <= 1e-12
+            nets.append(net)
+            solved += 1
+        assert solved >= 20
+        values, ys = measures._block_values(np.array(nets[:4]), depth, space)
+        mass, unit = unit_rows(np.array(nets[:4]))
+        for y, value, m_r, u_r in zip(ys, values, mass, unit):
+            assert ((y[tail] - y[head]) / cost).max() <= 1.0
+            assert abs(m_r * abs(u_r @ y) - value) <= 1e-12
+
+
+def test_w1_min_potentials_save_solves(monkeypatch):
+    # the level-2 saturation check of the construct-saturate benchmark's
+    # reference input (FULL2, metric depth 5, four net nodes against the
+    # orbit's snapshots): the potentials of earlier solves settle 4 of the
+    # 11 rows that the bounds alone leave to an LP, and the minima and the
+    # times attaining them stay bit for bit those of no potentials
+    fam = MeasureFamily(tuple(MarkovMeasure(np.array([p, p]), FULL2)
+                              for p in ([0.2, 0.8], [0.8, 0.2], [0.5, 0.5])))
+    nets = (SimplexNet(0, 1.0, ((1.0,),)),
+            SimplexNet(1, 1.0, ((1.0, 0.0), (0.0, 1.0), (0.5, 0.5))),
+            SimplexNet(2, 1.0, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                (0.0, 0.0, 1.0), (0.5, 0.5, 0.0))))
+    gamma = {(L, l): 32 for L in range(4) for l in range(L + 1)}
+    it = block_schedule(fam, 2, (0.9, 0.8, 0.5, 0.4), (0.1,) * 4, gamma, nets)
+    orbit = build_orbit(it, fam, FULL2, seed=101, metric_depth=5)
+    lps = spying(monkeypatch, "linprog")
+    with_potentials = verify_saturation(orbit, nets[2], fam, 0.08125, 5)
+    assert len(lps) == 7
+    lps.clear()
+    monkeypatch.setattr(measures, "_potentials", lambda duals, *_: np.zeros(
+        (duals.shape[0], duals.shape[1] + 1)))
+    without = verify_saturation(orbit, nets[2], fam, 0.08125, 5)
+    assert len(lps) == 11
+    assert with_potentials.node_minima == without.node_minima
+
+
 def test_w1_bounds_match_prefix_tree_oracle():
     # the random pairs of the soundness test, then FULL2 at depth 13, beyond
     # GRID_CAP, and bounds at a depth below the stored one
@@ -935,7 +1069,7 @@ def test_w1_below_block_decisions_equal_single_solves(monkeypatch, space,
             calls.clear()
         got = w1_below(masses, nu, eps, depth, space)
         assert got.tolist() == (d < eps).tolist(), eps
-        values = np.concatenate([v for _, v in blocks] or [[]])
+        values = np.concatenate([v for _, (v, _) in blocks] or [[]])
         assert len(blocks) == -(-values.size // chunk)
         assert all(args[0].shape[0] <= chunk for args, _ in blocks)
         assert len(solves) == np.sum(np.abs(values - eps) <= MARGIN)
