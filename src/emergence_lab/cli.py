@@ -157,14 +157,17 @@ def _run_emergence(cfg, threads):
 def _build_from_config(cfg):
     """The family, itinerary and orbit of a construct or saturate config.
     Without nets, level L uses the simplex net of mesh eps_tilde[L]; the
-    default eps_hat and the estimated gamma follow from those nets."""
+    default eps_hat and the estimated gamma follow from the nets of levels
+    0..l_max, the ones the itinerary lists, so a net past l_max changes
+    nothing."""
     p = cfg.parameters
     family = constructor.MeasureFamily(measures=tuple(
         measures.MarkovMeasure(mat, cfg.space) for mat in p["family"]))
     l_max, eps_tilde = p["l_max"], p["eps_tilde"]
     nets = p["nets"] or tuple(constructor.simplex_net(L, eps_tilde[L])
                               for L in range(l_max + 1))
-    eps_hat = p["eps_hat"] or constructor.default_eps_hat(l_max, nets)
+    eps_hat = p["eps_hat"] or constructor.default_eps_hat(l_max,
+                                                           nets[:l_max + 1])
     gamma = p["gamma"]
     if gamma is None:   # an empty table is an error, not the default
         gamma = constructor.estimate_gamma_thresholds(

@@ -39,16 +39,18 @@ bounds W1 from below for every supply, not only its own: `w1_min` raises
 the lower bounds of the rows after each solve by it, and `w1_below`
 decides a queued row False, with no LP, when a block's potential puts it
 above eps by MARGIN.
-Every LP goes through one entry point, `linprog`, which imports
-`scipy.optimize.linprog` on its first call; `_grid_flow` and `_block_values`
-import `scipy.sparse` in their bodies, so a process that solves no LP loads
-neither.
+Every LP goes through one entry point, `linprog`: one direct HiGHS solve
+through scipy's bundled bindings, imported on its first call, so a process
+that solves no LP never loads scipy.optimize.  It passes HiGHS the model
+and options that `scipy.optimize.linprog(method="highs")` would, and its
+CSC arrays come from numpy, built once per grid (`_grid_flow`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -435,7 +437,7 @@ def wasserstein1(mu, nu, depth, space):
     supply[b_codes] = -b_w / b_w.sum()
     res = _solve_flow(cost, incidence, supply[:-1], "wasserstein1")
     return W1Result(mass * float(res.fun), err,
-                    _potentials(res.eqlin.marginals[None], tail, head, cost)[0])
+                    _potentials(res.duals[None], tail, head, cost)[0])
 
 
 class W1Result(tuple):
@@ -451,7 +453,7 @@ class W1Result(tuple):
 
 def _potentials(duals, tail, head, cost):
     """The (k, m^depth) grid potentials of k flow LPs' duals (k rows of
-    `res.eqlin.marginals`, one per node but the dropped one, which gets 0),
+    `linprog`'s row duals, one per node but the dropped one, which gets 0),
     each divided by max(1, its largest (y_tail - y_head) / c over the arcs).
     HiGHS keeps y_tail - y_head <= c to its dual tolerance, and the division
     makes it hold on every arc, up to the division's rounding, a few ulps
@@ -488,24 +490,81 @@ def _dual_bounds(mass, unit, potentials):
 
 
 def _solve_flow(cost, incidence, supply, operation):
-    """HiGHS's optimum of the flow LP min cost.x, incidence x = supply,
-    x >= 0, at primal and dual feasibility tolerances 1e-10; InvariantError,
-    tagged with `operation`, if it fails."""
-    res = linprog(cost, A_eq=incidence, b_eq=supply, bounds=(0, None),
-                  method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
+    """HiGHS's optimum of the flow LP min cost.x, A x = supply, x >= 0, for
+    the CSC arrays `incidence` of A (`linprog`); InvariantError, tagged with
+    `operation`, if it fails."""
+    res = linprog(cost, incidence, supply)
     if not res.success:
         raise InvariantError(f"transport flow LP failed: {res.message}",
                              module="measures", operation=operation)
     return res
 
 
-def linprog(*args, **kwargs):
-    """`scipy.optimize.linprog`, imported on the first call, so that a
-    process that solves no LP never loads scipy.optimize."""
-    from scipy.optimize import linprog as highs
-    return highs(*args, **kwargs)
+class LPResult(NamedTuple):
+    """`linprog`'s outcome: the optimum's objective `fun`, its primal `x`
+    and its row duals `duals`, None unless `success`; `nit` counts the
+    simplex iterations."""
+
+    success: bool
+    message: str
+    fun: float
+    x: np.ndarray
+    duals: np.ndarray
+    nit: int
+
+
+def linprog(cost, incidence, supply):
+    """min cost.x subject to A x = supply and x >= 0, for the CSC arrays
+    (start, index, value) of A: one HiGHS solve (dual revised simplex,
+    Huangfu & Hall 2018) in a fresh solver, through scipy's bundled
+    bindings, imported on the first call.  HiGHS gets the model and options
+    that `scipy.optimize.linprog(method="highs")` passes at primal and dual
+    feasibility tolerances 1e-10, so `fun`, `x`, the duals (`eqlin.marginals`
+    there) and `nit` are that call's bits, and `success` is its post-check:
+    an optimal status, then x >= -tol and |supply - A x| <= tol, no NaN,
+    with tol = 10 sqrt(1e-9)."""
+    from scipy.optimize._highspy import _core as hs
+    cols, rows = cost.shape[0], supply.shape[0]
+    lp = hs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = cols
+    lp.num_row_ = lp.a_matrix_.num_row_ = rows
+    lp.a_matrix_.format_ = hs.MatrixFormat.kColwise
+    start, index, value = incidence
+    # the bindings copy a float array at once but an integer one entry by
+    # entry, slower than from a list
+    lp.a_matrix_.start_, lp.a_matrix_.index_ = start.tolist(), index.tolist()
+    lp.a_matrix_.value_ = value
+    lp.col_cost_ = cost
+    lp.col_lower_, lp.col_upper_ = np.zeros(cols), np.full(cols, np.inf)
+    lp.row_lower_ = lp.row_upper_ = supply
+    highs = hs._Highs()
+    for name, setting in (
+            ("presolve", "on"),
+            ("highs_debug_level", int(hs.kHighsDebugLevelNone)),
+            ("primal_feasibility_tolerance", 1e-10),
+            ("dual_feasibility_tolerance", 1e-10),
+            ("log_to_console", False), ("output_flag", False),
+            ("simplex_strategy",
+             int(hs.simplex_constants.SimplexStrategy.kSimplexStrategyDual))):
+        highs.setOptionValue(name, setting)
+    if highs.passModel(lp) == hs.HighsStatus.kError:
+        return LPResult(False, "HiGHS rejected the model", None, None, None, 0)
+    highs.run()
+    status, info = highs.getModelStatus(), highs.getInfo()
+    nit = info.simplex_iteration_count or info.ipm_iteration_count
+    if status != hs.HighsModelStatus.kOptimal:
+        return LPResult(False, f"HiGHS model status "
+                        f"{highs.modelStatusToString(status)}", None, None,
+                        None, nit)
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    fun, tol = info.objective_function_value, 10 * np.sqrt(1e-9)
+    # NaN fails every comparison
+    feasible = bool((x >= -tol).all() and not np.isnan(fun) and (np.abs(
+        supply - np.array(solution.row_value)) <= tol).all())
+    return LPResult(feasible, "optimal" if feasible else
+                    f"the optimum misses x >= 0 or A x = supply by more than "
+                    f"{tol:.2e}", fun, x, np.array(solution.row_dual), nit)
 
 
 def _block_values(net, depth, space):
@@ -517,23 +576,19 @@ def _block_values(net, depth, space):
     `wasserstein1` normalises it, and its value is its mass times its
     flow's cost.  The values match single solves to within the LP's
     tolerances, not bit for bit."""
-    import scipy.sparse as sp
     k, n = net.shape
-    incidence, cost, tail, head = _grid_flow(space.m, depth, float(space.beta))
+    (start, index, value), cost, tail, head = _grid_flow(
+        space.m, depth, float(space.beta))
     mass, supply = _unit_supply(net)
-    # k copies of the grid's CSR arrays, copy j's column indices shifted by
-    # j times the arcs and its row pointers by j times the nonzeros
-    arcs, nnz, copy = incidence.shape[1], incidence.nnz, np.arange(k)[:, None]
-    blocks = sp.csr_matrix(
-        (np.tile(incidence.data, k),
-         (incidence.indices + arcs * copy).ravel(),
-         np.append((incidence.indptr[:-1] + nnz * copy).ravel(), nnz * k)),
-        shape=(k * (n - 1), k * arcs))
+    # k copies of the grid's CSC arrays, copy j's row indices shifted by j
+    # times the n - 1 rows and its column starts by j times the nonzeros
+    nnz, copy = value.shape[0], np.arange(k)[:, None]
+    blocks = (np.append((start[:-1] + nnz * copy).ravel(), nnz * k),
+              (index + (n - 1) * copy).ravel(), np.tile(value, k))
     res = _solve_flow(np.tile(cost, k), blocks, supply[:, :-1].ravel(),
                       "w1_below")
-    return (mass * (res.x.reshape(k, arcs) @ cost),
-            _potentials(res.eqlin.marginals.reshape(k, n - 1), tail, head,
-                        cost))
+    return (mass * (res.x.reshape(k, -1) @ cost),
+            _potentials(res.duals.reshape(k, n - 1), tail, head, cost))
 
 
 def w1_bounds(masses, nu, depth, space):
@@ -735,14 +790,13 @@ def w1_settled(masses, scales, depth, space):
 
 @lru_cache(maxsize=8)
 def _grid_flow(m, depth, beta):
-    """Node-arc incidence (last node row dropped), arc costs, and the arcs'
-    tail and head nodes of the m^depth symbol grid; node
-    sum_d (x_d - 1) m^d, arcs both ways between nodes one apart in
-    coordinate d, at cost beta^-(d+1).  Dropping a row
-    leaves the flow LP feasible for any supply.  Shared read-only by every
-    caller, the threads of `pairwise_w1`'s pool included, which solve the
-    pairs `w1_settled` leaves open."""
-    import scipy.sparse as sp
+    """Node-arc incidence (last node row dropped) as CSC arrays
+    (start, index, value), arc costs, and the arcs' tail and head nodes of
+    the m^depth symbol grid; node sum_d (x_d - 1) m^d, arcs both ways
+    between nodes one apart in coordinate d, at cost beta^-(d+1).  Dropping
+    a row leaves the flow LP feasible for any supply.  Shared read-only by
+    every caller, the threads of `pairwise_w1`'s pool included, which solve
+    the pairs `w1_settled` leaves open."""
     n = m ** depth
     if n > GRID_CAP:
         raise SizeError(f"W1 grid of {m}^{depth} = {n} nodes exceeds cap {GRID_CAP}",
@@ -756,13 +810,13 @@ def _grid_flow(m, depth, beta):
         heads += [low + step, low]
         costs.append(np.full(2 * low.shape[0], beta ** (-(d + 1))))
     tail, head = np.concatenate(tails), np.concatenate(heads)
-    arc = np.arange(tail.shape[0])
-    incidence = sp.csr_matrix(
-        (np.concatenate([np.ones(arc.shape[0]), -np.ones(arc.shape[0])]),
-         (np.concatenate([tail, head]), np.concatenate([arc, arc]))),
-        shape=(n, arc.shape[0]))[:-1]
+    # column j: arc j's two rows in increasing order, +1 at its tail and -1
+    # at its head, without the dropped row n - 1
+    rows = np.sort(np.stack([tail, head], axis=1), axis=1)
+    keep = rows < n - 1
+    incidence = (np.append(0, np.cumsum(keep.sum(axis=1))), rows[keep],
+                 np.where(rows == tail[:, None], 1.0, -1.0)[keep])
     cost = np.concatenate(costs)
-    for a in (incidence.data, incidence.indices, incidence.indptr, cost, tail,
-              head):
+    for a in (*incidence, cost, tail, head):
         a.setflags(write=False)
     return incidence, cost, tail, head

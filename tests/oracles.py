@@ -10,8 +10,11 @@ length window - 1; `window_shift_pressure` and `window_shift_bowen_root`
 build the window shift w -> w[1:] + (c,) on the admissible windows
 themselves, m times as many states.  W1 is solved on the symbol grid as a
 min-cost flow, or by the transport plan when a side of the supply is one
-node; `grid_w1` solves the flow LP for every supply, and `dense_transport`
-the dense bipartite transportation LP between the two sets of atoms.
+node; `grid_w1` solves the flow LP for every supply with
+`scipy.optimize.linprog`, and `dense_transport` the dense bipartite
+transportation LP between the two sets of atoms.  The library builds the
+grid's CSC incidence arrays with numpy; `grid_incidence` builds the
+incidence as a `scipy.sparse` matrix from its arcs.
 Measures are mass vectors on the m^depth prefix grid; `sparse_snapshots`
 and `sparse_proxy` build the same measures as sorted distinct prefix codes
 (`_pack_prefixes` packs the rows of the sliding window view one digit at a
@@ -154,17 +157,44 @@ def _cover_recursion(s, t, m_blk, depth_cap, member):
 
 def grid_w1(mu, nu, depth, space):
     """W1 as the min-cost flow LP on the m^depth prefix grid for every
-    supply mu - nu, a one-node side included: HiGHS at primal and dual
-    feasibility tolerances 1e-10 on the library's grid arcs."""
+    supply mu - nu, a one-node side included: `scipy.optimize.linprog`
+    (HiGHS) at primal and dual feasibility tolerances 1e-10 on the
+    library's grid arcs and CSC incidence arrays."""
     net = mu.truncated(depth).mass - nu.truncated(depth).mass
     net[np.abs(net) <= 1e-15] = 0.0
     incidence, cost = _grid_flow(space.m, depth, float(space.beta))[:2]
-    res = linprog(cost, A_eq=incidence, b_eq=net[:-1], bounds=(0, None),
-                  method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
+    res = scipy_flow(cost, csc(incidence, net.shape[0] - 1), net[:-1])
     assert res.success, res.message
     return float(res.fun)
+
+
+def csc(incidence, rows):
+    """The `scipy.sparse` matrix of the library's CSC arrays
+    (start, index, value) with `rows` rows."""
+    start, index, value = incidence
+    return sp.csc_array((value, index, start),
+                        shape=(rows, start.shape[0] - 1))
+
+
+def scipy_flow(cost, incidence, supply):
+    """`scipy.optimize.linprog`'s solve of min cost.x, incidence x = supply,
+    x >= 0 by HiGHS at primal and dual feasibility tolerances 1e-10."""
+    return linprog(cost, A_eq=incidence, b_eq=supply, bounds=(0, None),
+                   method="highs",
+                   options={"primal_feasibility_tolerance": 1e-10,
+                            "dual_feasibility_tolerance": 1e-10})
+
+
+def grid_incidence(m, depth, beta):
+    """The node-arc incidence of the library's grid arcs (+1 at an arc's
+    tail, -1 at its head), the last node's row dropped, as a
+    `scipy.sparse` CSR matrix built from (row, column) pairs."""
+    tail, head = _grid_flow(m, depth, beta)[2:]
+    arc = np.arange(tail.shape[0])
+    return sp.csr_matrix(
+        (np.concatenate([np.ones(arc.shape[0]), -np.ones(arc.shape[0])]),
+         (np.concatenate([tail, head]), np.concatenate([arc, arc]))),
+        shape=(m ** depth, arc.shape[0]))[:-1]
 
 
 def dense_transport(cost, supply, demand, tol):

@@ -708,6 +708,33 @@ def test_saturate_checks_the_top_level_built(tmp_path):
     assert report["level"] == 1 and report["unreachable"] is False
 
 
+def test_default_eps_hat_reads_only_the_nets_built(tmp_path):
+    # without eps_hat, a net past l_max does not set the last default
+    # eps_hat: level l_max + 1 takes one node, as with no such net, and the
+    # run writes what the config without that net writes
+    extra = {"level": 2, "mesh": 0.5,
+             "nodes": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                       [0.5, 0.5, 0.0]]}
+    params = {k: v for k, v in CONSTRUCT.items() if k != "eps_hat"}
+
+    def data_files(nets, name):
+        cfg = {"space": FULL2_SPACE, "experiment": "construct",
+               "parameters": {**params, "nets": nets}, "seed": 5,
+               "output_dir": str(tmp_path / name)}
+        result = CliRunner().invoke(main, [
+            "construct", "--config",
+            write_config(tmp_path, cfg, f"{name}.json")])
+        assert result.exit_code == 0, result.output
+        return {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()
+                if p.name != "manifest.json"}
+
+    top = data_files(CONSTRUCT["nets"], "top")
+    assert data_files(CONSTRUCT["nets"] + [extra], "extra") == top
+    itinerary = json.loads(top["itinerary.json"])
+    assert itinerary["eps_hat"] == [0.5, 0.25 / 3, 0.125 / 2]
+    assert len(itinerary["nets"]) == 2
+
+
 # A fresh interpreter: the CLI, a config load of every experiment and the
 # outer-sweep and Bernoulli emergence runs load no scipy subpackage; then
 # the process's first LPs run on two pool threads at once.

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,10 +21,10 @@ from emergence_lab.measures import (GRID_CAP, MARGIN, MEASURE_CAP,
                                     w1_min, wasserstein1)
 from emergence_lab.sofic import (PointPrefix, ShiftSpace, admissible_words,
                                  is_admissible)
-from oracles import (_pack_prefixes, _unpack_keys, cylinder_probability,
-                     dense_transport, from_atoms, grid_w1,
+from oracles import (_pack_prefixes, _unpack_keys, csc, cylinder_probability,
+                     dense_transport, from_atoms, grid_incidence, grid_w1,
                      indexed_periodic_counts, loop_chain_walk,
-                     per_time_snapshot_masses, plan_bound,
+                     per_time_snapshot_masses, plan_bound, scipy_flow,
                      searchsorted_sample, sparse_proxy, sparse_snapshots,
                      tree_bounds)
 
@@ -699,6 +700,79 @@ def test_w1_flow_matches_dense_oracle():
         got, _ = wasserstein1(mu, nu, depth, space)
         want = dense_w1(mu, nu, depth, space)
         assert abs(got - want) <= 1e-12 * want, (depth, got, want)
+
+
+def unit_supplies(rng, k, n):
+    """k random unit supplies on n nodes, as `_unit_supply` normalises
+    them: the difference of two random masses, each on a random share of
+    the nodes."""
+    a, b = (rng.random((2, k, n)) * (rng.random((2, k, n))
+                                     < rng.uniform(0.2, 1.0, (2, k, 1))))
+    a[np.arange(k), rng.integers(0, n, k)] += 0.1
+    b[np.arange(k), rng.integers(0, n, k)] += 0.1
+    return unit_rows(a / a.sum(axis=1)[:, None]
+                     - b / b.sum(axis=1)[:, None])[1]
+
+
+@pytest.mark.parametrize("m,depth", [(2, 1), (2, 4), (2, 5), (3, 3), (3, 5),
+                                     (2, 8), (4, 3)])
+def test_grid_flow_csc_equals_sparse_oracle(monkeypatch, m, depth):
+    # the numpy CSC arrays of one grid and of a 5-block LP equal those that
+    # scipy.sparse makes of the incidence built from (row, column) pairs
+    n = m ** depth
+    oracle = grid_incidence(m, depth, float(m))
+    incidence = measures._grid_flow(m, depth, float(m))[0]
+    lps = spying(monkeypatch, "linprog")
+    measures._block_values(unit_supplies(make_rng(m * depth), 5, n), depth,
+                           ShiftSpace.full_shift(m))
+    blocks = lps[0][0][1]
+    for got, want in ((incidence, sp.csc_array(oracle)),
+                      (blocks, sp.csc_array(sp.block_diag([oracle] * 5)))):
+        for a, b in zip(got, (want.indptr, want.indices, want.data)):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_direct_lp_equals_scipy_linprog(monkeypatch):
+    # `measures.linprog` against `scipy.optimize.linprog(method="highs")`
+    # on the same model at the same tolerances: the same bits in the
+    # objective, the flow, the row duals and the iteration count, on single
+    # grids and on block LPs of 2 to 9 copies
+    rng = make_rng(53)
+    models = []
+    for space, depth in ([(FULL2, d) for d in range(1, 9)]
+                         + [(FULL3, d) for d in (3, 4, 5)] + [(GM, 5)]):
+        incidence, cost = measures._grid_flow(space.m, depth,
+                                              float(space.beta))[:2]
+        models += [(cost, incidence, s[:-1])
+                   for s in unit_supplies(rng, 4, space.m ** depth)]
+    lps = spying(monkeypatch, "linprog")
+    for space, depth in ((FULL2, 4), (GM, 4), (FULL3, 2)):
+        for k in range(2, 10):
+            measures._block_values(unit_supplies(rng, k, space.m ** depth),
+                                   depth, space)
+    models += [args for args, _ in lps]
+    assert len(models) == 48 + 24
+    for cost, incidence, supply in models:
+        got = measures.linprog(cost, incidence, supply)
+        want = scipy_flow(cost, csc(incidence, supply.shape[0]), supply)
+        assert got.success and want.success
+        assert got.fun == want.fun and got.nit == want.nit
+        assert np.array_equal(got.x, want.x)
+        assert np.array_equal(got.duals, want.eqlin.marginals)
+
+
+@pytest.mark.parametrize("operation", ["wasserstein1", "w1_below"])
+def test_failed_flow_lp_raises_invariant_error(operation):
+    # one row -x = 1 with x >= 0 has no solution, and a row index past the
+    # last row makes no model
+    for index, value, reason in (([0], [-1.0], "Infeasible"),
+                                 ([1], [1.0], "rejected")):
+        incidence = (np.array([0, 1]), np.array(index), np.array(value))
+        res = measures.linprog(np.ones(1), incidence, np.ones(1))
+        assert not res.success and reason in res.message
+        with pytest.raises(InvariantError, match=reason) as err:
+            measures._solve_flow(np.ones(1), incidence, np.ones(1), operation)
+        assert err.value.operation == operation
 
 
 def test_w1_scale_invariance_under_common_mass():
