@@ -18,7 +18,7 @@ from .carath import (CStructure, bowen_dimension, outer_measure_M,
                      outer_measure_N, pressure_exact, pressure_partition)
 from .emergence import build_cloud, emergence_report
 from .constructor import (MeasureFamily, SimplexNet, block_schedule,
-                          build_orbit, log_lambda_measure,
+                          build_orbit, log_lambda_measure, typical_word,
                           verify_saturation)
 
 __all__ = [
@@ -30,5 +30,5 @@ __all__ = [
     "pressure_exact", "pressure_partition",
     "build_cloud", "emergence_report",
     "MeasureFamily", "SimplexNet", "block_schedule", "build_orbit",
-    "log_lambda_measure", "verify_saturation",
+    "log_lambda_measure", "typical_word", "verify_saturation",
 ]

@@ -14,12 +14,18 @@ lengths:
   (I3)  realized proportions track the node:
         |n / s - t_{L,j}|_inf <= eps_tilde[L] / (L+1)
 
-An independent checker re-evaluates every inequality from its definition
-after construction.  Empirical measures along the built orbit then sweep the
-whole simplex of the family, which is what the saturation report verifies.
-Typical words, entry thresholds and saturation minima all compare against
-`truncation_proxy`: one family measure, or a net node's mixture of them,
-through the bound-first W1 tests of `measures` (`w1_below`, `w1_min`).
+The scheduler searches each group's scale by doubling and bisection, each
+probe on Python ints and floats.  An independent checker re-evaluates every
+inequality from its definition after construction.  Each block is a typical
+word drawn by rejection from its own stream make_rng(seed ^ (idx + 1));
+`build_orbit` decides the attempts of all blocks in rounds
+(`_typical_words`), attempt r of every open block in round r, so each block
+gets the word it would get alone.  Empirical measures along the built orbit
+then sweep the whole simplex of the family, which is what the saturation
+report verifies.  Typical words, entry thresholds and saturation minima all
+compare against `truncation_proxy`: one family measure, or a net node's
+mixture of them, through the bound-first W1 tests of `measures`
+(`w1_below`, `w1_min`).
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -212,17 +219,16 @@ def _next_index(L, l, l_max):
 
 def _candidate_lengths(s, node, floors):
     """Block lengths ~ s * t with entry-threshold floors, largest coordinate
-    repaired toward the target proportion."""
-    t = np.asarray(node)
-    n = np.maximum(np.ceil(s * t), floors).astype(np.int64)
-    n = np.maximum(n, 1)
-    jstar = int(np.argmax(t))
-    others = int(n.sum() - n[jstar])
-    if t[jstar] < 1.0 - 1e-12:
-        n[jstar] = max(int(round(others * t[jstar] / (1.0 - t[jstar]))),
-                       int(floors[jstar]), 1)
+    (the first of equal ones) repaired toward the target proportion; a list
+    of ints, from float64 operations on Python scalars."""
+    n = [max(math.ceil(s * t), f, 1) for t, f in zip(node, floors)]
+    jstar = max(range(len(node)), key=node.__getitem__)
+    t = node[jstar]
+    others = sum(n) - n[jstar]
+    if t < 1.0 - 1e-12:
+        n[jstar] = max(round(others * t / (1.0 - t)), floors[jstar], 1)
     else:
-        n[jstar] = max(int(round(s)), int(floors[jstar]), 1)
+        n[jstar] = max(s, floors[jstar], 1)
     return n
 
 
@@ -231,9 +237,9 @@ def _group_feasible(n, node, L, prefix, gaps, eps_t, gamma_n, l_max):
     `prefix` block symbols and up to `gaps` connector symbols.  (I2)'s left
     side grows with the connectors and (I1)'s ratios shrink, so (I2) is
     tested with all of them and (I1) with none."""
-    s = int(n.sum())
+    s = sum(n)
     # (I3) proportion tracking
-    if np.abs(n / s - np.asarray(node)).max() > eps_t / (L + 1) + 1e-15:
+    if max(abs(k / s - t) for k, t in zip(n, node)) > eps_t / (L + 1) + 1e-15:
         return False
     # (I2) dominate the past
     past = prefix + gaps
@@ -242,7 +248,7 @@ def _group_feasible(n, node, L, prefix, gaps, eps_t, gamma_n, l_max):
     # (I1) next threshold vs cumulative, checked at each block of the group
     cum = prefix
     for l in range(L + 1):
-        cum += int(n[l])
+        cum += n[l]
         nxt = gamma_n.get(_next_index(L, l, l_max))
         if nxt is not None and nxt / cum > eps_t:
             return False
@@ -289,8 +295,7 @@ def block_schedule(family, l_max, eps_tilde, eps_hat, gamma_n, nets,
     prefix = 0
     for L in range(l_max + 1):
         eps_t = eps_tilde[L]
-        floors = np.array([gamma_n.get((L, l), 1) for l in range(L + 1)],
-                          dtype=np.int64)
+        floors = [int(gamma_n.get((L, l), 1)) for l in range(L + 1)]
         for j, node in enumerate(nets[L].nodes):
             # the boundaries between the blocks before the group
             gaps = bridge * max(len(blocks) - 1, 0)
@@ -300,7 +305,7 @@ def block_schedule(family, l_max, eps_tilde, eps_hat, gamma_n, nets,
                 return _group_feasible(n, node, L, prefix, gaps, eps_t,
                                        gamma_n, l_max)
 
-            s = max(int(floors.sum()), L + 2)
+            s = max(sum(floors), L + 2)
             while not feasible(s):
                 s *= 2
                 if prefix + s > length_cap:
@@ -317,8 +322,8 @@ def block_schedule(family, l_max, eps_tilde, eps_hat, gamma_n, nets,
                     lo = mid
             n = _candidate_lengths(hi, node, floors)
             for l in range(L + 1):
-                blocks.append((L, j, l, int(n[l])))
-            prefix += int(n.sum())
+                blocks.append((L, j, l, n[l]))
+            prefix += sum(n)
             if prefix > length_cap:
                 raise ScheduleError(f"total length {prefix} exceeds cap {length_cap}",
                                     module="constructor", operation="block_schedule")
@@ -345,9 +350,15 @@ def check_itinerary(it):
     if len(it.eps_tilde) < l_max + 2:
         out.append("eps_tilde schedule too short")
         return out
-    for L in range(l_max + 2):
-        if not 0 < it.eps_hat[L] < 1:
+    if len(it.eps_hat) < l_max + 2:
+        out.append("eps_hat schedule too short")
+    for L, e in enumerate(it.eps_hat[:l_max + 2]):
+        if not 0 < e < 1:
             out.append(f"eps_hat[{L}] outside (0,1)")
+    if len(it.connector_slots) != len(it.blocks):
+        out.append(f"connector_slots hold {len(it.connector_slots)} entries "
+                   f"for {len(it.blocks)} blocks")
+        return out
     order = [(b[0], b[1], b[2]) for b in it.blocks]
     if order != sorted(order):
         out.append("blocks not in lexicographic (L, j, l) order")
@@ -385,26 +396,88 @@ def check_itinerary(it):
 def typical_word(mu, n, eps, seed, metric_depth):
     """A length-n word whose periodic continuation empirically tracks mu.
 
-    Rejection-samples from the chain until W1(delta_y^n, proxy of mu) < eps,
-    where y is the word continued periodically.
+    Rejection-samples from the chain on make_rng(seed) until
+    W1(delta_y^n, proxy of mu) < eps, where y is the word continued
+    periodically: the one-block case of `_typical_words`.
     """
-    if n < 1 or not eps > 0:
-        raise InputError(f"need n >= 1 and eps > 0, got n={n}, eps={eps}",
-                         module="constructor", operation="typical_word")
-    space = mu.space
-    proxy = truncation_proxy((mu,), (1.0,), metric_depth)
-    rng = make_rng(seed)
+    return _typical_words((mu,), [(0, n, eps, seed)], metric_depth)[0]
+
+
+def _typical_words(measures, blocks, metric_depth):
+    """One typical word per block (l, n, eps, seed), for measures[l] on one
+    space, each the word `typical_word(measures[l], n, eps, seed)` returns
+    alone: attempt r of a block is the r-th length-n word of its own chain
+    on make_rng(seed), rejected if its last symbol cannot precede its first
+    or its periodic continuation is not within eps of the measure's proxy.
+
+    The attempts are decided in rounds.  Round r draws attempt r of every
+    block still open, one `sample_words` walk per batch of a measure's
+    blocks that holds at most the longest block's symbols (so a walk
+    allocates about what the longest word alone did), counts each word
+    with `periodic_counts`, turns the counts into masses by one
+    `count_masses` call per length, and decides them by one `w1_below` per
+    (measure, eps) against a proxy built once per measure; each decision is
+    exact, whatever rows share the call.  A block still open after
+    ATTEMPT_CAP rounds raises SamplingError, the first such block's.
+    """
+    for _, n, eps, _ in blocks:
+        if n < 1 or not eps > 0:
+            raise InputError(f"need n >= 1 and eps > 0, got n={n}, eps={eps}",
+                             module="constructor", operation="typical_word")
+    space = measures[0].space
+    used = sorted({l for l, _, _, _ in blocks})
+    proxies = {l: truncation_proxy((measures[l],), (1.0,), metric_depth)
+               for l in used}
+    rngs = [make_rng(seed) for _, _, _, seed in blocks]
+    cap = max(n for _, n, _, _ in blocks)
+    words = [None] * len(blocks)
+    todo = list(range(len(blocks)))
     for _ in range(ATTEMPT_CAP):
-        w = mu.sample(n, rng)
-        if not space.allows(int(w[-1]), int(w[0])):
-            continue
-        counts = periodic_counts(w[None], n, metric_depth, space.m)
-        if w1_below(count_masses(counts, n), proxy, eps, metric_depth,
-                    space)[0]:
-            return w
+        drawn = {}
+        for l in used:
+            open_ = [i for i in todo if blocks[i][0] == l]
+            for batch in _batches(open_, [blocks[i][1] for i in open_], cap):
+                attempts = measures[l].sample_words(
+                    [blocks[i][1] for i in batch], [rngs[i] for i in batch])
+                drawn.update((i, w) for i, w in zip(batch, attempts)
+                             if space.allows(int(w[-1]), int(w[0])))
+        by_length, by_test = defaultdict(list), defaultdict(list)
+        for i in drawn:
+            l, n, eps, _ = blocks[i]
+            by_length[n].append(i)
+            by_test[l, eps].append(i)
+        masses = {}
+        for n, rows in by_length.items():
+            counts = np.concatenate([periodic_counts(
+                drawn[i][None], n, metric_depth, space.m) for i in rows])
+            masses.update(zip(rows, count_masses(counts, n)))
+        for (l, eps), rows in by_test.items():
+            below = w1_below(np.array([masses[i] for i in rows]), proxies[l],
+                             eps, metric_depth, space)
+            for i, accepted in zip(rows, below.tolist()):
+                if accepted:
+                    words[i] = drawn[i]
+        todo = [i for i in todo if words[i] is None]
+        if not todo:
+            return words
+    _, n, eps, _ = blocks[todo[0]]
     raise SamplingError(
         f"typical_word budget {ATTEMPT_CAP} exhausted (n={n}, eps={eps})",
         module="constructor", operation="typical_word")
+
+
+def _batches(items, sizes, cap):
+    """The items in order, in runs whose sizes sum to at most cap; an item
+    larger than cap runs alone."""
+    batch, total = [], 0
+    for item, size in zip(items, sizes):
+        if batch and total + size > cap:
+            yield batch
+            batch, total = [], 0
+        batch.append(item)
+        total += size
+    if batch:
+        yield batch
 
 
 def _log_cylinder_probability(mu, word):
@@ -446,9 +519,10 @@ def build_orbit(it, family, space, seed, metric_depth):
     slots = []
     pos = 0
     prev_last = None
-    for idx, (L, j, l, n) in enumerate(it.blocks):
-        w = typical_word(family.measures[l], n, it.eps_tilde[L],
-                         seed ^ (idx + 1), metric_depth=metric_depth)
+    words = _typical_words(family.measures, [
+        (l, n, it.eps_tilde[L], seed ^ (idx + 1))
+        for idx, (L, j, l, n) in enumerate(it.blocks)], metric_depth)
+    for (L, j, l, n), w in zip(it.blocks, words):
         gap = 0
         if prev_last is not None and not space.allows(prev_last, int(w[0])):
             bridge = connector((prev_last,), (int(w[0]),), space)

@@ -8,7 +8,12 @@ digits.  A symbol outside 1..m would alias another prefix's node, so window
 keys raise InputError on one, and a grid of more than `MEASURE_CAP` nodes
 raises SizeError before it is allocated.  A Markov measure's law on the
 grid is one product recursion from its stationary vector, and
-`truncation_proxy` mixes and normalises those laws.  Every empirical
+`truncation_proxy` mixes and normalises those laws.  Its words come from
+one inverse-CDF walk, a doubling scan over per-step state tables
+(`MarkovMeasure._walk`), which serves several words at once
+(`sample_words`): each word's first step draws from the stationary law
+whatever the state before it, so no word reads another's draws, and each
+equals `sample` on its own uniforms.  Every empirical
 measure is node counts turned into masses by one rule (`count_masses`):
 the counts of an orbit's windows (`snapshot_masses`), or of a periodic
 point's from one period (`periodic_counts`), both keyed by one window-key
@@ -162,26 +167,53 @@ class MarkovMeasure:
         return float(-(self.stationary @ plogp.sum(axis=1)))
 
     def sample(self, n, rng):
-        """A length-n word from the stationary chain, by an inverse-CDF walk
-        on n uniforms.  Column i of the table f maps the state before step i
-        to the one after (column 0 draws from the stationary law); a doubling
-        (Hillis-Steele) scan composes the columns until none depends on its
-        argument.  A Bernoulli chain's table is its one distinct row, which
-        depends on no argument; its column 0 still draws from the stationary
-        law, which for a chain built from a matrix is computed and may differ
-        from the row in its last bits."""
+        """A length-n word from the stationary chain: the one-word case of
+        the inverse-CDF walk `_walk`, on the n uniforms rng.random(n)."""
         if n < 1:
             raise InputError(f"n must be >= 1, got {n}",
                              module="measures", operation="sample")
-        u = rng.random(n)
+        return self._walk(rng.random(n), [0])
+
+    def sample_words(self, lengths, rngs):
+        """Words of the given lengths from the stationary chain, word i on
+        lengths[i] uniforms from rngs[i]: each word equals
+        sample(lengths[i], rngs[i]) bit for bit.  The uniforms of all the
+        words share one buffer, each word's written in place by
+        `Generator.random(out=...)`, and one walk serves them all."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if not lengths.min() >= 1:
+            raise InputError(f"lengths must be >= 1, got {lengths.min()}",
+                             module="measures", operation="sample")
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        u = np.empty(ends[-1])
+        for rng, a, b in zip(rngs, starts.tolist(), ends.tolist(),
+                             strict=True):
+            rng.random(out=u[a:b])
+        return np.split(self._walk(u, starts), ends[:-1])
+
+    def _walk(self, u, starts):
+        """The symbols of one inverse-CDF walk on the uniforms u, a new word
+        starting at each index in starts (0 among them).  Column i of the
+        table f maps the state before step i to the one after; a word's
+        first column draws from the stationary law, a constant column.  A
+        doubling (Hillis-Steele) scan composes the columns until none
+        depends on its argument.  A composite that reaches back to a word's
+        first column is constant, and composing it further leaves it as it
+        is, so no word reads another's draws and each equals its own walk.
+        A Bernoulli chain's table is its one distinct row, which depends on
+        no argument; a word's first column still draws from the stationary
+        law, which for a chain built from a matrix is computed and may
+        differ from the row in its last bits."""
         rows = self.stochastic[:1] if self.is_bernoulli else self.stochastic
-        f = np.zeros((rows.shape[0], n), dtype=np.int16)
+        f = np.zeros((rows.shape[0], u.shape[0]), dtype=np.int16)
         for s, cum in enumerate(_inverse_cdf(rows)):
             # the right-sided search of u in the nondecreasing cum: the
             # number of its entries <= u, one pass over u per entry
             for c in cum:
                 f[s] += u >= c
-        f[:, 0] = np.searchsorted(_inverse_cdf(self.stationary), u[0], side="right")
+        f[:, starts] = np.searchsorted(_inverse_cdf(self.stationary), u[starts],
+                                       side="right")
         d = 1
         while not (f == f[0]).all():
             f[:, d:] = np.take_along_axis(f[:, d:], f[:, :-d], axis=0)

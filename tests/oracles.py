@@ -40,7 +40,11 @@ adds the counts of the segments between consecutive times, where
 `per_time_snapshot_masses` counts every prefix of the keys afresh.  The
 emergence time grid repairs rounding
 collisions with a running maximum; `loop_geometric_times` moves one point at
-a time.
+a time.  The constructor decides every open block's typical-word attempt of
+a round together; `sequential_typical_word` runs one block's attempts in a
+loop, deciding each alone.  Its schedule search probes block lengths on
+Python scalars; `numpy_candidate_lengths` and `numpy_group_feasible` probe
+them on numpy arrays.
 """
 
 import itertools
@@ -50,10 +54,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import brentq, linprog
 
+from emergence_lab import constructor
 from emergence_lab.carath import _log_q
-from emergence_lab.errors import InputError, InvariantError
+from emergence_lab.errors import InputError, InvariantError, SamplingError
 from emergence_lab.measures import (FinSuppMeasure, _grid_flow, _grid_size,
-                                    _inverse_cdf, _window_keys, count_masses)
+                                    _inverse_cdf, _window_keys, count_masses,
+                                    make_rng, periodic_counts,
+                                    truncation_proxy, w1_below)
 from emergence_lab.sofic import (PointPrefix, admissible_words, connector,
                                  is_admissible, perron, symbol_array,
                                  topological_entropy)
@@ -509,3 +516,62 @@ def loop_geometric_times(n_min, n_max, count):
         if raw[i] <= raw[i - 1]:
             raw[i] = raw[i - 1] + 1
     return tuple(int(n) for n in raw)
+
+
+def sequential_typical_word(mu, n, eps, seed, metric_depth):
+    """(word, rejected) of `constructor.typical_word`, its attempts drawn
+    and decided one at a time: each a `sample` of the chain on
+    make_rng(seed), rejected ("wrap") if its last symbol cannot precede its
+    first, or ("far") unless `w1_below` puts its periodic continuation
+    within eps of the proxy of mu.  rejected lists the rejected attempts'
+    reasons in order; SamplingError after `constructor.ATTEMPT_CAP`."""
+    space = mu.space
+    proxy = truncation_proxy((mu,), (1.0,), metric_depth)
+    rng = make_rng(seed)
+    rejected = []
+    for _ in range(constructor.ATTEMPT_CAP):
+        w = mu.sample(n, rng)
+        if not space.allows(int(w[-1]), int(w[0])):
+            rejected.append("wrap")
+            continue
+        counts = periodic_counts(w[None], n, metric_depth, space.m)
+        if w1_below(count_masses(counts, n), proxy, eps, metric_depth,
+                    space)[0]:
+            return w, rejected
+        rejected.append("far")
+    raise SamplingError(
+        f"typical_word budget {constructor.ATTEMPT_CAP} exhausted "
+        f"(n={n}, eps={eps})", module="constructor",
+        operation="typical_word")
+
+
+def numpy_candidate_lengths(s, node, floors):
+    """`constructor._candidate_lengths` on numpy arrays: an int64 array."""
+    t = np.asarray(node)
+    n = np.maximum(np.ceil(s * t), floors).astype(np.int64)
+    n = np.maximum(n, 1)
+    jstar = int(np.argmax(t))
+    others = int(n.sum() - n[jstar])
+    if t[jstar] < 1.0 - 1e-12:
+        n[jstar] = max(int(round(others * t[jstar] / (1.0 - t[jstar]))),
+                       int(floors[jstar]), 1)
+    else:
+        n[jstar] = max(int(round(s)), int(floors[jstar]), 1)
+    return n
+
+
+def numpy_group_feasible(n, node, L, prefix, gaps, eps_t, gamma_n, l_max):
+    """`constructor._group_feasible` on an int64 array of lengths."""
+    s = int(n.sum())
+    if np.abs(n / s - np.asarray(node)).max() > eps_t / (L + 1) + 1e-15:
+        return False
+    past = prefix + gaps
+    if 2.0 * past / (past + s) + 2.0 * (L + 1) / s >= eps_t:
+        return False
+    cum = prefix
+    for l in range(L + 1):
+        cum += int(n[l])
+        nxt = gamma_n.get((L, l + 1) if l < L else (L + 1, 0))
+        if nxt is not None and nxt / cum > eps_t:
+            return False
+    return True

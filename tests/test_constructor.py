@@ -4,9 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from emergence_lab import measures
+from emergence_lab import constructor, measures
 from emergence_lab.carath import CStructure, restricted_outer_measure
 from emergence_lab.constructor import (ConstructedOrbit, Itinerary,
+                                       _candidate_lengths, _group_feasible,
                                        _log_cylinder_probability,
                                        _longest_bridge,
                                        MeasureFamily, SimplexNet,
@@ -18,11 +19,12 @@ from emergence_lab.constructor import (ConstructedOrbit, Itinerary,
                                        simplex_net, typical_word,
                                        verify_saturation)
 from emergence_lab.errors import (AlignmentError, InputError, InvariantError,
-                                  ScheduleError, SizeError)
+                                  SamplingError, ScheduleError, SizeError)
 from emergence_lab.measures import (MarkovMeasure, empirical_snapshots,
                                     make_rng, truncation_proxy, wasserstein1)
 from emergence_lab.sofic import ShiftSpace, is_admissible
-from oracles import cylinder_probability, periodic
+from oracles import (cylinder_probability, numpy_candidate_lengths,
+                     numpy_group_feasible, periodic, sequential_typical_word)
 
 FULL2 = ShiftSpace.full_shift(2)
 FULL3 = ShiftSpace.full_shift(3)
@@ -213,6 +215,54 @@ def test_block_schedule_length_cap():
                        (simplex_net(0, 1e-4),), length_cap=10000)
 
 
+def test_schedule_probes_equal_numpy_oracle():
+    # random nodes, nodes whose largest coordinate is tied (the first one
+    # is repaired, as np.argmax picks it) and nodes with a coordinate 1
+    rng = make_rng(25)
+    nodes = [(1.0,), (0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0),
+             (0.5, 0.5), (1 / 3, 1 / 3, 1 / 3), (0.4, 0.2, 0.4),
+             (0.1, 0.45, 0.45), (0.25, 0.25, 0.25, 0.25),
+             *simplex_net(2, 0.6).nodes]
+    nodes += [tuple(rng.dirichlet(np.ones(k)).tolist())
+              for k in (1, 2, 3, 4) for _ in range(10)]
+    outcomes = set()
+    for node in nodes:
+        L = len(node) - 1
+        for _ in range(30):
+            floors = rng.integers(1, 65, L + 1)
+            s = int(rng.choice([rng.integers(1, 100),
+                                rng.integers(1, 2 ** 24)]))
+            want = numpy_candidate_lengths(s, node, floors)
+            n = _candidate_lengths(s, node, floors.tolist())
+            assert n == want.tolist(), (s, node, floors)
+            assert all(type(k) is int for k in n)
+            gamma = {(L, l): int(g) for l, g in
+                     enumerate(rng.integers(1, 4096, L + 1))}
+            gamma[L + 1, 0] = int(rng.integers(1, 4096))
+            args = (node, L, int(rng.integers(0, 2 ** 20)),
+                    int(rng.integers(0, 64)), float(rng.uniform(0.01, 1.0)),
+                    gamma, L)
+            feasible = _group_feasible(n, *args)
+            assert feasible == numpy_group_feasible(want, *args)
+            outcomes.add(feasible)
+    assert outcomes == {True, False}
+
+
+def test_check_itinerary_reports_short_inputs():
+    # both used to raise IndexError: tuple index out of range
+    _, it = tiny_schedule()
+    fields = dict(eps_tilde=it.eps_tilde, eps_hat=it.eps_hat, blocks=it.blocks,
+                  connector_slots=it.connector_slots, gamma_n=it.gamma_n,
+                  nets=it.nets)
+    short_hat = Itinerary(**{**fields, "eps_hat": it.eps_hat[:2]})
+    assert check_itinerary(short_hat) == ["eps_hat schedule too short"]
+    k = len(it.blocks)
+    few_slots = Itinerary(**{**fields,
+                             "connector_slots": it.connector_slots[:-2]})
+    assert check_itinerary(few_slots) == [
+        f"connector_slots hold {k - 2} entries for {k} blocks"]
+
+
 def test_check_itinerary_flags_broken_order():
     _, it = tiny_schedule()
     blocks = (it.blocks[1], it.blocks[0]) + it.blocks[2:]
@@ -375,6 +425,74 @@ def test_golden_mean_connectors_keep_the_layout():
         assert is_admissible(orbit.word.symbols, GM)
         bridged += any(orbit.itinerary.connector_slots)
     assert bridged >= 3
+
+
+def tight_full2_schedule():
+    """A FULL2 layout with entry thresholds of 2, so that blocks of 2
+    symbols must come within 0.3 of their measure: at seeds 1, 5, 6 and 7
+    some block needs two or three attempts."""
+    fam = small_family()
+    nets = (simplex_net(0, 0.9),
+            SimplexNet(level=1, mesh=0.6,
+                       nodes=((1.0, 0.0), (0.5, 0.5), (0.0, 1.0))))
+    gamma = {(L, l): 2 for L in range(3) for l in range(L + 1)}
+    return fam, block_schedule(fam, 1, (0.35, 0.3, 0.25), (0.1,) * 3, gamma,
+                               nets)
+
+
+def sequential_blocks(it, family, seed, metric_depth):
+    """(word, rejected attempts) of each block, each drawn by the
+    sequential attempt loop on the block's own seed."""
+    return [sequential_typical_word(family.measures[l], n, it.eps_tilde[L],
+                                    seed ^ (idx + 1), metric_depth)
+            for idx, (L, j, l, n) in enumerate(it.blocks)]
+
+
+@pytest.mark.parametrize("schedule, space", [(golden_mean_schedule, GM),
+                                             (tight_full2_schedule, FULL2)],
+                         ids=["golden-mean", "full2-tight"])
+def test_build_orbit_equals_sequential_attempts(schedule, space):
+    fam, it = schedule()
+    rejected = []
+    for seed in range(8):
+        orbit = build_orbit(it, fam, space, seed=seed, metric_depth=4)
+        want = sequential_blocks(it, fam, seed, 4)
+        assert len(orbit.block_map) == len(want)
+        for (L, j, l, start, end), (word, reasons) in zip(orbit.block_map,
+                                                          want):
+            assert np.array_equal(orbit.word.symbols[start:end], word)
+            rejected.append(reasons)
+    if space is GM:
+        # attempts that start and end with a 2, which cannot follow a 2
+        assert any("wrap" in r for r in rejected)
+    else:
+        assert max(len(r) for r in rejected) >= 2
+
+
+def test_exhausted_attempts_raise_the_sequential_error(monkeypatch):
+    # at seed 6 block 2 meets eps on its second attempt and block 5 on its
+    # third, so two attempts leave block 5 open
+    fam, it = tight_full2_schedule()
+    monkeypatch.setattr(constructor, "ATTEMPT_CAP", 2)
+    with pytest.raises(SamplingError) as want:
+        sequential_blocks(it, fam, 6, 4)
+    with pytest.raises(SamplingError) as got:
+        build_orbit(it, fam, FULL2, seed=6, metric_depth=4)
+    assert got.value.to_json() == want.value.to_json()
+    assert "(n=2, eps=0.3)" in str(got.value)
+    # every block open at the end: the first one's error, as in sequence
+    hopeless = replace(it, eps_tilde=(1e-6,) * 3)
+    with pytest.raises(SamplingError) as want:
+        sequential_blocks(hopeless, fam, 6, 4)
+    with pytest.raises(SamplingError) as got:
+        build_orbit(hopeless, fam, FULL2, seed=6, metric_depth=4)
+    assert got.value.to_json() == want.value.to_json()
+    mu = bern([0.5, 0.5])
+    with pytest.raises(SamplingError) as want:
+        sequential_typical_word(mu, 64, 1e-6, 3, 4)
+    with pytest.raises(SamplingError) as got:
+        typical_word(mu, 64, 1e-6, seed=3, metric_depth=4)
+    assert got.value.to_json() == want.value.to_json()
 
 
 def test_bound_decisions_match_exact_path(monkeypatch):

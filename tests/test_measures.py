@@ -214,6 +214,26 @@ def test_sample_matches_loop_walk_at_edge_uniforms(name):
             assert np.array_equal(mu.sample(n, _FixedUniform(*u)), want)
 
 
+@pytest.mark.parametrize("name", WALK_CHAINS)
+def test_sample_words_equal_loop_walks(name):
+    # one walk over words of 1, 2 and several thousand symbols, each on its
+    # own rng: no word reads another's uniforms
+    mu = WALK_CHAINS[name]
+    lengths = [1, 2, 4097, 1, 3000, 2, 2, 1]
+    words = mu.sample_words(lengths, [make_rng(s) for s in range(8)])
+    assert [w.shape[0] for w in words] == lengths
+    for seed, (n, w) in enumerate(zip(lengths, words)):
+        assert w.dtype == np.int16
+        want = loop_chain_walk(mu, make_rng(seed).random(n))
+        assert np.array_equal(w, want), (n, seed)
+        assert np.array_equal(w, mu.sample(n, make_rng(seed)))
+    for n in (1, 2, 5000):
+        [w] = mu.sample_words([n], [make_rng(9)])
+        assert np.array_equal(w, loop_chain_walk(mu, make_rng(9).random(n)))
+    with pytest.raises(InputError):
+        mu.sample_words([3, 0], [make_rng(0), make_rng(1)])
+
+
 # sha256 of the int16 bytes of mu.sample(n, make_rng(seed)), as the
 # per-symbol walk wrote them; a sampling change that moves a symbol shows here
 SAMPLE_SHA256 = {
