@@ -15,7 +15,8 @@ from .sofic import (PointPrefix, ShiftSpace, count_admissible,
 from .measures import (FinSuppMeasure, MarkovMeasure, truncation_proxy,
                        w1_bounds, wasserstein1)
 from .carath import (CStructure, bowen_dimension, outer_measure_M,
-                     outer_measure_N, pressure_exact, pressure_partition)
+                     outer_measure_N, outer_measures, pressure_exact,
+                     pressure_partition)
 from .emergence import build_cloud, emergence_report
 from .constructor import (MeasureFamily, SimplexNet, block_schedule,
                           build_orbit, log_lambda_measure, typical_word,
@@ -27,7 +28,7 @@ __all__ = [
     "FinSuppMeasure", "MarkovMeasure", "truncation_proxy", "w1_bounds",
     "wasserstein1",
     "CStructure", "bowen_dimension", "outer_measure_M", "outer_measure_N",
-    "pressure_exact", "pressure_partition",
+    "outer_measures", "pressure_exact", "pressure_partition",
     "build_cloud", "emergence_report",
     "MeasureFamily", "SimplexNet", "block_schedule", "build_orbit",
     "log_lambda_measure", "typical_word", "verify_saturation",

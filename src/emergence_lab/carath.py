@@ -16,7 +16,10 @@ kind the ratio q(uc)/q(u) depends only on c and the last span = max(k-1, 1)
 symbols of u, and the cover infimum of C(u) is q(u) G(|u|, suffix of u).  M,
 N, the partition-sum pressure (any window) and the Q1 and m_of_t condition
 probes all come from one recursion over (depth, suffix state) in log space,
-O(cap m^k) work with no underflow at deep caps.  The Q3 and C4 probes read
+with no underflow at deep caps.  A sweep is one recursion over its grid of
+(t, m_blk, cap) entries (`outer_measures`): one vectorised pass down from the
+deepest cap, O(max cap * entries * m^k) work, in which a repeated entry is
+computed once.  The Q3 and C4 probes read
 the same per-(state, symbol) steps and hold over all word lengths.  The
 exact pressure (pressure kind) and the Bowen root (appendix kind) read the
 transfer matrix of e^phi on the steady suffix states, the words of length
@@ -196,31 +199,49 @@ def _check_t(t, operation):
 
 def outer_measure_M(s, target, t, depth_cap):
     """Infimum of sum q(C_i, t) over covers by cylinders of depth <= depth_cap."""
-    return outer_measure_N(s, target, t, 1, depth_cap)
+    return outer_measures(s, target, [(t, 1, depth_cap)])[0]
 
 
 def outer_measure_N(s, target, t, m_blk, depth_cap):
     """Same infimum with cover cylinders restricted to depths divisible by m_blk."""
-    _check_t(t, "outer_measure_N")
-    if m_blk < 1:
-        raise InputError(f"m_blk must be >= 1, got {m_blk}",
-                         module="carath", operation="outer_measure_N")
-    if depth_cap < 1 or depth_cap % m_blk:
-        raise DepthError(f"depth_cap must be a positive multiple of m_blk, "
-                         f"got {depth_cap} (m_blk={m_blk})",
-                         module="carath", operation="outer_measure_N")
+    return outer_measures(s, target, [(t, m_blk, depth_cap)])[0]
+
+
+def outer_measures(s, target, grid):
+    """`outer_measure_N(s, target, t, m_blk, depth_cap)` of each entry
+    (t, m_blk, depth_cap) of an iterable grid, as a list.  Every entry is
+    checked before any work; the whole grid is one `_log_cover_factors`
+    call, in which a repeated entry is computed once."""
+    grid = [tuple(e) for e in grid]
+    for t, m_blk, depth_cap in grid:
+        _check_t(t, "outer_measures")
+        if m_blk < 1:
+            raise InputError(f"m_blk must be >= 1, got {m_blk}",
+                             module="carath", operation="outer_measures")
+        if depth_cap < 1 or depth_cap % m_blk:
+            raise DepthError(f"depth_cap must be a positive multiple of "
+                             f"m_blk, got {depth_cap} (m_blk={m_blk})",
+                             module="carath", operation="outer_measures")
     words = _normalize_target(target, s.space)
-    if max(len(w) for w in words) > depth_cap:
+    deepest = max(len(w) for w in words)
+    if any(deepest > depth_cap for _, _, depth_cap in grid):
         raise DepthError("target is deeper than depth_cap",
-                         module="carath", operation="outer_measure_N")
+                         module="carath", operation="outer_measures")
+    sm = s._suffix
     span = max(s.window - 1, 1)
-    log_g = _log_cover_factors(s, t, m_blk, depth_cap, {len(w) for w in words})
-    return float(sum(math.exp(_log_q(s, w, t) + log_g[len(w)][w[-span:]])
-                     for w in words))
+    # each word's row in the layer of its depth
+    at = [sm.index[w[-span:]] - sm.layers[min(len(w), span)][0].start
+          for w in words]
+    factors = _log_cover_factors(s, grid, {len(w) for w in words})
+    return [float(sum(math.exp(_log_q(s, w, t) + log_g[len(w)][i])
+                      for w, i in zip(words, at)))
+            for (t, _, _), log_g in zip(grid, factors)]
 
 
-def _log_cover_factors(s, t, m_blk, depth_cap, depths):
-    """log G(l, w) for each l in depths, as {state w: value}.
+def _log_cover_factors(s, grid, depths):
+    """log G(l, .) of each entry (t, m_blk, depth_cap) of grid for each l in
+    depths, as one {l: array over the states of layer min(l, span)} per
+    entry; a repeated entry's dict is computed once and shared.
 
     The infimum over covers of C(u) by cylinders whose depths are multiples
     of m_blk up to depth_cap is q(u) G(|u|, w), with w the last
@@ -228,32 +249,62 @@ def _log_cover_factors(s, t, m_blk, depth_cap, depths):
     from depth_cap, where G = 1 (the cap is a multiple of m_blk), through
     log G(l, w) = logsumexp_c(log q(uc) - log q(u) + log G(l + 1, wc)),
     clipped at 0 where the cylinder itself may cover (l divisible by m_blk).
+    The distinct entries, deepest cap first, share one pass down the layers
+    (in chunks whose temporaries hold at most MEASURE_CAP values), each at
+    G = 1 above its own cap and with its own shifts and clip, so its values
+    are the same floats as a pass of that entry alone.
     """
+    entries = sorted(dict.fromkeys(grid), key=lambda e: -e[2])
+    step = max(1, MEASURE_CAP // s._suffix.nxt.size)
+    found = {}
+    for i in range(0, len(entries), step):
+        found.update(zip(entries[i:i + step],
+                         _cover_pass(s, entries[i:i + step], depths)))
+    return [found[e] for e in grid]
+
+
+def _cover_pass(s, entries, depths):
+    """`_log_cover_factors` of distinct entries sorted by falling cap."""
     sm = s._suffix
-    inc = _log_steps(s, t)
     span = max(s.window - 1, 1)
+    ts = list(dict.fromkeys(t for t, _, _ in entries))
+    inc = np.stack([_log_steps(s, t) for t in ts])
+    which = np.array([ts.index(t) for t, _, _ in entries], dtype=np.intp)
+    caps = [depth_cap for _, _, depth_cap in entries]
     # log G = fsum(shifts) + rel with max(rel) = 0: summing the per-layer
     # shifts exactly keeps deep caps as accurate as shallow ones; their plain
-    # running total only decides whether the clip at G = 1 applies
-    rel = np.zeros(len(sm.layers[min(depth_cap, span)][1]))
-    shifts, total = [], 0.0
-    out = {}
-    for l in range(depth_cap, min(depths) - 1, -1):
+    # running total only decides whether the clip at G = 1 applies.  Row e
+    # of rel holds entry e on the first len(layer) columns; rows below the
+    # active ones stay 0, G = 1 at and above their caps
+    rel = np.zeros((len(entries), len(sm.layers[span][1])))
+    shifts = [[] for _ in entries]
+    total = [0.0] * len(entries)
+    out = [{} for _ in entries]
+    for l in range(caps[0], min(depths) - 1, -1):
         rows, to = sm.layers[min(l, span)]
-        if l < depth_cap:
-            x = inc[rows] + rel[to]
-            top = x.max(axis=1)
-            rel = top + np.log(np.exp(x - top[:, None]).sum(axis=1))
-            shifts.append(rel.max())
-            rel -= shifts[-1]
-            total += shifts[-1]
-            if l % m_blk == 0 and total > 0:
-                rel = np.minimum(rel + math.fsum(shifts), 0.0)
-                shifts, total = [], 0.0
+        n = len(to)
+        k = sum(depth_cap > l for depth_cap in caps)
+        if k:
+            x = inc[which[:k], rows] + rel[:k, to]
+            top = x.max(axis=2)
+            new = top + np.log(np.exp(x - top[..., None]).sum(axis=2))
+            shift = new.max(axis=1)
+            new -= shift[:, None]
+            rel[:k, :n] = new
+            for e, v in enumerate(shift.tolist()):
+                shifts[e].append(v)
+                total[e] += v
+            clip = [e for e in range(k)
+                    if l % entries[e][1] == 0 and total[e] > 0]
+            if clip:
+                base = np.array([math.fsum(shifts[e]) for e in clip])
+                rel[clip, :n] = np.minimum(rel[clip, :n] + base[:, None], 0.0)
+                for e in clip:
+                    shifts[e], total[e] = [], 0.0
         if l in depths:
-            base = math.fsum(shifts)
-            out[l] = {w: base + r
-                      for w, r in zip(sm.states[rows], rel.tolist())}
+            base = np.array([math.fsum(sh) for sh in shifts])
+            for e, g in enumerate(base[:, None] + rel[:, :n]):
+                out[e][l] = g
     return out
 
 
@@ -289,8 +340,11 @@ def pressure_partition(s, n):
         raise InputError(f"n must be >= 1, got {n}",
                          module="carath", operation="pressure_partition")
     _require_kind(s, "pressure", "pressure_partition")
-    log_g = _log_cover_factors(s, 0.0, n, n, {1})[1]
-    return float(logsumexp([_log_q(s, w, 0.0) + g for w, g in log_g.items()]) / n)
+    sm = s._suffix
+    log_g = _log_cover_factors(s, [(0.0, n, n)], {1})[0][1]
+    return float(logsumexp([_log_q(s, w, 0.0) + g for w, g in
+                            zip(sm.states[sm.layers[1][0]], log_g.tolist())])
+                 / n)
 
 
 def _log_radius(s, scale):
@@ -408,26 +462,24 @@ def check_conditions(s, depth, t_grid):
     d_eta = _log_steps(s, 1.0)[rows, cols] - _log_steps(s, 0.0)[rows, cols]
     c4_pass = bool((d_eta <= 1e-12).all())
 
-    def log_g(t, m_blk, depth_cap, l):
-        return np.array(list(
-            _log_cover_factors(s, t, m_blk, depth_cap, {l})[l].values()))
-
     probe_depth = min(depth, 4)
-    q1 = min(math.exp(log_g(t, 1, probe_depth + 2, probe_depth).min())
-             for t in t_grid)
+    q1 = min(math.exp(log_g[probe_depth].min()) for log_g in
+             _log_cover_factors(s, [(t, 1, probe_depth + 2) for t in t_grid],
+                                {probe_depth}))
     c1_pass = q1 > 0
 
     def attained(m_blk):
         # within a uniform factor: one extra level of depth past the first
-        # admissible one may not cut the cover cost below half
-        for l in range(1, probe_depth + 1):
-            first = -(-l // m_blk) * m_blk
-            for t in t_grid:
-                gain = (log_g(t, m_blk, first + m_blk, l)
-                        - log_g(t, m_blk, first, l))
-                if not (gain >= math.log(0.5)).all():
-                    return False
-        return True
+        # admissible one may not cut the cover cost below half; one grid
+        # holds every (t, cap) that the probes of this m_blk read
+        depths = range(1, probe_depth + 1)
+        firsts = [-(-l // m_blk) * m_blk for l in depths]
+        grid = [(t, m_blk, cap) for first in firsts
+                for cap in (first, first + m_blk) for t in t_grid]
+        log_g = dict(zip(grid, _log_cover_factors(s, grid, depths)))
+        return all((log_g[t, m_blk, first + m_blk][l]
+                    - log_g[t, m_blk, first][l] >= math.log(0.5)).all()
+                   for l, first in zip(depths, firsts) for t in t_grid)
 
     m_of_t = next((m_blk for m_blk in range(1, 9) if attained(m_blk)), -1)
     c2_pass = m_of_t > 0

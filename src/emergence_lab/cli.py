@@ -119,13 +119,15 @@ def _run_bowen(cfg, threads):
 def _run_outer_sweep(cfg, threads):
     s = _structure(cfg)
     m_blk = cfg.parameters["m_blk"]
-    rows = []
-    for t in sorted(cfg.parameters["t_grid"]):
-        for cap in sorted(cfg.parameters["depth_caps"]):
-            cap_n = m_blk * ((cap + m_blk - 1) // m_blk)
-            m_val = carath.outer_measure_M(s, "X", t, cap)
-            n_val = carath.outer_measure_N(s, "X", t, m_blk, cap_n)
-            rows.append([_fmt(t), str(cap), _fmt(m_val), _fmt(n_val)])
+    cells = [(t, cap) for t in sorted(cfg.parameters["t_grid"])
+             for cap in sorted(cfg.parameters["depth_caps"])]
+    grid = []   # M at each cap, then N at the cap rounded up to m_blk
+    for t, cap in cells:
+        cap_n = m_blk * ((cap + m_blk - 1) // m_blk)
+        grid += [(t, 1, cap), (t, m_blk, cap_n)]
+    vals = carath.outer_measures(s, "X", grid)
+    rows = [[_fmt(t), str(cap), _fmt(m_val), _fmt(n_val)]
+            for (t, cap), m_val, n_val in zip(cells, vals[::2], vals[1::2])]
     return {"outer_sweep.csv": _csv(["t", "depth_cap", "M", "N"], rows)}
 
 

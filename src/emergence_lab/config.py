@@ -162,8 +162,10 @@ def _number_list(params, col, key, pointer, required=True, positive=False):
 
 
 def _positive_ints(lst, col, pointer):
-    """lst, recording a violation at each entry that is not a positive
-    integer."""
+    """lst, recording a violation if it is empty and at each entry that is
+    not a positive integer."""
+    if lst is not None and not lst:
+        col.add(pointer, "must be nonempty")
     for i, n in enumerate(lst or ()):
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             col.add(f"{pointer}/{i}", "must be a positive integer")

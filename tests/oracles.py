@@ -4,7 +4,11 @@ The library works with log q on suffix states; these compute the same
 quantities one word at a time from the definitions: the Birkhoff sup over a
 cylinder by a scan of every admissible continuation, the cover weight
 q(C(u), t) = xi(u) * eta(u)^t, and the cover infimum by a memoised walk down
-the cylinder tree, O(m^cap).  The library's exact pressure and Bowen root
+the cylinder tree, O(m^cap).  The library runs every (t, m_blk, cap) entry
+of a grid in one pass down its suffix-state layers; `layer_cover_factors`
+runs one entry alone, and `one_entry_outer_measure`, `layer_conditions` and
+`layer_pressure_partition` build the outer measure, the Q1 and m_of_t
+probes and the partition pressure on it.  The library's exact pressure and Bowen root
 read the transfer matrix on a structure's suffix states, the words of
 length window - 1; `window_shift_pressure` and `window_shift_bowen_root`
 build the window shift w -> w[1:] + (c,) on the admissible windows
@@ -53,9 +57,10 @@ import math
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import brentq, linprog
+from scipy.special import logsumexp
 
 from emergence_lab import constructor
-from emergence_lab.carath import _log_q
+from emergence_lab.carath import _log_q, _log_steps
 from emergence_lab.errors import InputError, InvariantError, SamplingError
 from emergence_lab.measures import (FinSuppMeasure, _grid_flow, _grid_size,
                                     _inverse_cdf, _window_keys, count_masses,
@@ -160,6 +165,72 @@ def _cover_recursion(s, t, m_blk, depth_cap, member):
         return val
 
     return rec
+
+
+def layer_cover_factors(s, t, m_blk, depth_cap, depths):
+    """log G(l, w) of one (t, m_blk, depth_cap) for each l in depths, as
+    {state w: value}: the library's cover recursion run for that entry
+    alone, from depth_cap up to min(depths)."""
+    sm = s._suffix
+    inc = _log_steps(s, t)
+    span = max(s.window - 1, 1)
+    rel = np.zeros(len(sm.layers[min(depth_cap, span)][1]))
+    shifts, total = [], 0.0
+    out = {}
+    for l in range(depth_cap, min(depths) - 1, -1):
+        rows, to = sm.layers[min(l, span)]
+        if l < depth_cap:
+            x = inc[rows] + rel[to]
+            top = x.max(axis=1)
+            rel = top + np.log(np.exp(x - top[:, None]).sum(axis=1))
+            shifts.append(rel.max())
+            rel -= shifts[-1]
+            total += shifts[-1]
+            if l % m_blk == 0 and total > 0:
+                rel = np.minimum(rel + math.fsum(shifts), 0.0)
+                shifts, total = [], 0.0
+        if l in depths:
+            base = math.fsum(shifts)
+            out[l] = {w: base + r
+                      for w, r in zip(sm.states[rows], rel.tolist())}
+    return out
+
+
+def one_entry_outer_measure(s, target, t, m_blk, depth_cap):
+    """`carath.outer_measure_N` of valid inputs from `layer_cover_factors`:
+    the sum over the target words u of q(u) G(|u|, state of u)."""
+    words = ([(c,) for c in range(1, s.space.m + 1)] if target == "X"
+             else [tuple(w) for w in target])
+    span = max(s.window - 1, 1)
+    log_g = layer_cover_factors(s, t, m_blk, depth_cap,
+                                {len(w) for w in words})
+    return float(sum(math.exp(_log_q(s, w, t) + log_g[len(w)][w[-span:]])
+                     for w in words))
+
+
+def layer_conditions(s, depth, t_grid):
+    """Q1 and m_of_t of `carath.check_conditions`, one `layer_cover_factors`
+    run per (t, m_blk, cap, depth) probe."""
+    def log_g(t, m_blk, depth_cap, l):
+        return np.array(list(
+            layer_cover_factors(s, t, m_blk, depth_cap, {l})[l].values()))
+
+    probe = min(depth, 4)
+    q1 = min(math.exp(log_g(t, 1, probe + 2, probe).min()) for t in t_grid)
+    for m_blk in range(1, 9):
+        if all((log_g(t, m_blk, first + m_blk, l) - log_g(t, m_blk, first, l)
+                >= math.log(0.5)).all()
+               for l in range(1, probe + 1)
+               for first in [-(-l // m_blk) * m_blk] for t in t_grid):
+            return q1, m_blk
+    return q1, -1
+
+
+def layer_pressure_partition(s, n):
+    """`carath.pressure_partition` from `layer_cover_factors`."""
+    log_g = layer_cover_factors(s, 0.0, n, n, {1})[1]
+    return float(logsumexp([_log_q(s, w, 0.0) + g for w, g in log_g.items()])
+                 / n)
 
 
 def grid_w1(mu, nu, depth, space):

@@ -8,8 +8,9 @@ from emergence_lab import carath, measures
 from emergence_lab.carath import (CStructure, _layer_counts, _log_q,
                                   _tracking, bowen_dimension,
                                   check_conditions, outer_measure_M,
-                                  outer_measure_N, pressure_exact,
-                                  pressure_partition, restricted_outer_measure)
+                                  outer_measure_N, outer_measures,
+                                  pressure_exact, pressure_partition,
+                                  restricted_outer_measure)
 from emergence_lab.errors import (DepthError, InputError, InvariantError,
                                   SizeError)
 from emergence_lab.measures import (MarkovMeasure, count_masses,
@@ -17,8 +18,10 @@ from emergence_lab.measures import (MarkovMeasure, count_masses,
                                     w1_below, wasserstein1)
 from emergence_lab.sofic import (ShiftSpace, admissible_words,
                                  topological_entropy)
-from oracles import (_cover_recursion, eta, q_weight, representatives,
-                     scan_sup_birkhoff, successors, window_shift_bowen_root,
+from oracles import (_cover_recursion, eta, layer_conditions,
+                     layer_pressure_partition, one_entry_outer_measure,
+                     q_weight, representatives, scan_sup_birkhoff,
+                     successors, window_shift_bowen_root,
                      window_shift_pressure)
 
 FULL2 = ShiftSpace.full_shift(2)
@@ -265,6 +268,72 @@ def test_window8_outer_measure_matches_oracle_tree():
             want = oracle_tree(s, t, 5)
             got = outer_measure_M(s, "X", t, 5)
             assert abs(got - want) <= 1e-12 * want, (kind, t)
+
+
+# ------------------------------------------------ one pass over a whole grid
+
+@pytest.mark.parametrize("space", [FULL2, GM, FULL3])
+def test_outer_measure_grid_equals_one_entry_oracle(space, monkeypatch):
+    passes = []
+    cover_pass = carath._cover_pass
+    monkeypatch.setattr(carath, "_cover_pass", lambda s, entries, depths:
+                        passes.append(entries) or cover_pass(s, entries,
+                                                             depths))
+    rng = np.random.default_rng(13)
+    words = [admissible_words(space, l) for l in (1, 2, 3)]
+    targets = ["X", [words[0][-1]], [words[1][0], words[2][-1], (1,)]]
+    # at a cap of 40 values the passes hold 1 to 10 entries
+    for s, measure_cap in itertools.product(all_structures(space, rng),
+                                           (carath.MEASURE_CAP, 40)):
+        monkeypatch.setattr(carath, "MEASURE_CAP", measure_cap)
+        for target in targets:
+            deepest = 1 if target == "X" else max(map(len, target))
+            # caps from the target's depth up to 12 (cap 1 lies below the
+            # window-3 span of 2), mixed m_blk, and three repeated entries
+            grid = [(0.7, 1, deepest)]
+            for _ in range(10):
+                m_blk = int(rng.integers(1, 4))
+                cap = m_blk * int(rng.integers(-(-deepest // m_blk),
+                                               12 // m_blk + 1))
+                grid.append((float(rng.choice([-0.4, 0.0, 0.7, 1.3])),
+                             m_blk, cap))
+            grid += grid[:3]
+            passes.clear()
+            got = outer_measures(s, target, grid)
+            assert got == [one_entry_outer_measure(s, target, *e)
+                           for e in grid], (s.kind, s.window, target)
+            assert sorted(e for entries in passes for e in entries) == \
+                sorted(set(grid))
+    monkeypatch.undo()
+    for s in all_structures(space, rng):
+        t_grid = tuple(float(t) for t in rng.uniform(-0.5, 2.0, size=2))
+        for depth in (2, 5):
+            rep = check_conditions(s, depth, t_grid)
+            assert (rep.q1_estimate, rep.m_of_t) == layer_conditions(
+                s, depth, t_grid), (s.kind, s.window, depth)
+        if s.kind == "pressure":
+            for n in (1, 2, 7):
+                assert pressure_partition(s, n) == layer_pressure_partition(
+                    s, n)
+
+
+def test_outer_measure_grid_checks_every_entry_first(monkeypatch):
+    s = CStructure(kind="entropy", space=FULL2)
+    assert outer_measures(s, "X", []) == []
+    # any iterable of triples, read once
+    assert outer_measures(s, "X", ([0.5, 1, c] for c in (2, 4))) == [
+        outer_measure_M(s, "X", 0.5, c) for c in (2, 4)]
+    monkeypatch.setattr(carath, "_log_cover_factors", None)   # no work
+    good = [(0.5, 1, 4), (0.8, 2, 6)]
+    for target, bad, error, match in (
+            ("X", (math.nan, 1, 4), InputError, "t must be finite"),
+            ("X", (0.5, 0, 4), InputError, "m_blk must be >= 1"),
+            ("X", (0.5, 2, 5), DepthError, "positive multiple of m_blk"),
+            ([(1, 2, 1)], (0.5, 1, 2), DepthError, "deeper than depth_cap"),
+            ([(1, 0)], (0.5, 1, 2), InputError, "outside alphabet")):
+        for grid in (good + [bad], [bad] + good):
+            with pytest.raises(error, match=match):
+                outer_measures(s, target, grid)
 
 
 # ---------------------------------------------------------------- pressure

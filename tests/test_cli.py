@@ -396,6 +396,10 @@ PROBE = {"word": [1], "stochastic_list": [[[0.5, 0.5], [0.5, 0.5]]],
      "/parameters/t_grid"),
     ("outer-sweep", {"kind": "entropy", "t_grid": [], "depth_caps": [2]},
      "/parameters/t_grid"),
+    ("outer-sweep", {"kind": "entropy", "t_grid": [0.5], "depth_caps": []},
+     "/parameters/depth_caps"),
+    ("pressure", {"table": {"1": 0.0, "2": 0.0}, "lengths": []},
+     "/parameters/lengths"),
 ])
 def test_cli_rejects_bad_structure_parameters(tmp_path, experiment,
                                               parameters, pointer):
