@@ -176,19 +176,24 @@ def _log_weight(s, l, sup, t):
 
 
 def _normalize_target(target, space):
-    """A target is 'X', the union of the first-symbol cylinders, or a list of
-    nonempty admissible words (union of cylinders)."""
+    """A target is 'X' (the first-symbol cylinders) or a nonempty list of
+    nonempty admissible words of integers; anything else raises InputError."""
     if target == "X":
         return [(c,) for c in range(1, space.m + 1)]
-    words = [tuple(int(s) for s in w) for w in target]
+    try:
+        words = [np.asarray(w) for w in target]
+    except (TypeError, ValueError):     # not a list, or a ragged word
+        words = []
+    if not (words and all(w.ndim == 1 and w.size and w.dtype.kind in "iu"
+                          for w in words)):
+        raise InputError(f"target must be 'X' or a nonempty list of nonempty "
+                         f"words of integer symbols, got {target!r:.60}",
+                         module="carath", operation="outer_measure")
     for w in words:
-        if not w:
-            raise InputError("target words must be nonempty (use 'X' for the whole space)",
-                             module="carath", operation="outer_measure")
         if not is_admissible(w, space):
-            raise InputError(f"target word {w} is not admissible",
+            raise InputError(f"target word {tuple(w.tolist())} is not admissible",
                              module="carath", operation="outer_measure")
-    return words
+    return [tuple(w.tolist()) for w in words]
 
 
 def _check_t(t, operation):

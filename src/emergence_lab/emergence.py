@@ -63,6 +63,11 @@ def geometric_times(n_min, n_max, count):
     above it.  That never moves n_max: geometric points lie on or below the
     chord, so raw[j] + count - 1 - j <= n_max when n_max - n_min >= count - 1.
     """
+    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer))
+           for v in (n_min, n_max, count)):
+        raise InputError(f"n_min, n_max and count must be integers, got "
+                         f"{n_min!r}, {n_max!r}, {count!r}",
+                         module="emergence", operation="build_cloud")
     if count < 2:
         raise InputError(f"count must be >= 2, got {count}",
                          module="emergence", operation="build_cloud")

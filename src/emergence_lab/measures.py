@@ -13,11 +13,11 @@ one inverse-CDF walk, a doubling scan over per-step state tables
 (`MarkovMeasure._walk`), which serves several words at once
 (`sample_words`): each word's first step draws from the stationary law
 whatever the state before it, so no word reads another's draws, and each
-equals `sample` on its own uniforms.  Every empirical
-measure is node counts turned into masses by one rule (`count_masses`):
-the counts of an orbit's windows (`snapshot_masses`), or of a periodic
-point's from one period (`periodic_counts`), both keyed by one window-key
-builder (`_window_keys`).
+equals `sample` on its own uniforms.  Every empirical measure is node
+counts c among n windows turned into masses c / n, correctly rounded, by
+one rule (`count_masses`): the counts of an orbit's windows
+(`snapshot_masses`), or of a periodic point's from one period
+(`periodic_counts`), both keyed by one window-key builder (`_window_keys`).
 The W1 solver works on ground costs truncated at an explicit depth,
 sum_d beta^-(d+1) |x_d - y_d|, which is the path metric of the prefix grid;
 W1 is then one min-cost flow on that grid (EMD-L1) with supply mu - nu,
@@ -351,20 +351,9 @@ def periodic_counts(periods, n, depth, m):
 def count_masses(counts, n):
     """The mass vectors of the empirical measures of n windows with these
     (k, m^depth) node counts, the one rule every empirical mass is built by:
-    a node counted c times holds the c-th sequential partial sum of 1/n, as
-    if 1/n were added once per window, and each row is divided by the sum
-    of its nonzero entries in node order."""
-    top = int(counts.max(initial=0))
-    partial = np.concatenate([[0.0], np.cumsum(np.full(top, 1.0 / n))])
-    mass = partial[counts]
-    nonzero = counts > 0
-    nnz = nonzero.sum(axis=1)
-    total = np.empty(mass.shape[0])
-    # rows with z nonzero entries: one (rows, z) array, summed row by row
-    for z in np.unique(nnz).tolist():
-        rows = nnz == z
-        total[rows] = mass[rows][nonzero[rows]].reshape(-1, z).sum(axis=1)
-    return mass / total[:, None]
+    c / n, correctly rounded.  A row's counts sum to n, so its masses sum to
+    1 within a few roundings, inside the 1e-12 `FinSuppMeasure` allows."""
+    return counts / n
 
 
 def truncation_proxy(measures, weights, depth):

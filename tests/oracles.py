@@ -403,8 +403,8 @@ def merged(atoms, weights, space):
 
 def sparse_snapshots(x, times, depth, space):
     """[(codes, weights)] of the empirical measures of x at the window counts
-    `times`: np.unique of the window keys, one weighted bincount of the
-    inverse per t, the empty codes dropped and the rest normalised."""
+    `times`: np.unique of the window keys, one bincount of the inverse per
+    t, the empty codes dropped and the rest divided by t."""
     n = max(times)
     rows = symbol_array(np.lib.stride_tricks.sliding_window_view(
         x.symbols[:n + depth - 1], depth), space.m, "oracles", "snapshots")
@@ -412,11 +412,9 @@ def sparse_snapshots(x, times, depth, space):
                               return_inverse=True)
     out = []
     for t in times:
-        w = np.bincount(inverse[:t], weights=np.full(t, 1.0 / t),
-                        minlength=uniq.shape[0])
-        keep = w > 0
-        w = w[keep]
-        out.append((uniq[keep], w / w.sum()))
+        c = np.bincount(inverse[:t], minlength=uniq.shape[0])
+        keep = c > 0
+        out.append((uniq[keep], c[keep] / t))
     return out
 
 

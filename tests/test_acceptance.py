@@ -331,7 +331,7 @@ def test_level2_saturation_three_seeds():
             # the report's bytes pin every node's min_w1 and at_time, so a
             # proxy or W1 change that moves one last digit shows here
             assert hashlib.sha256(rep.to_json().encode()).hexdigest() == (
-                "4efd5aef549560cc9799e12cc1da6065256f1071b23f0f55348f99bbe97f3a7e")
+                "467087f2b663c7c5054fa671b9d81700b69bc163d447652f982a45a4033068a1")
 
 
 # ---------------------------------------------------------------- criterion 9

@@ -336,6 +336,21 @@ def test_outer_measure_grid_checks_every_entry_first(monkeypatch):
                 outer_measures(s, target, grid)
 
 
+def test_outer_measure_rejects_malformed_targets():
+    # each a typed error before any work, never a bare ValueError from
+    # max() or int(), nor a fractional symbol read as its integer part
+    s = CStructure(kind="entropy", space=FULL2)
+    for target in ([], "Y", [(1, 2.5)], [(1,), ()], [(True,)], ["12"],
+                   [1, 2], [[(1,), (2, 1)]], 5, None):
+        with pytest.raises(InputError, match="target must be 'X' or a "
+                                             "nonempty list of nonempty"):
+            outer_measures(s, target, [(0.5, 1, 4)])
+    # integer symbols of any integer type are read as ints
+    assert outer_measures(s, [np.array([1, 2], dtype=np.int16)],
+                          [(0.5, 1, 4)]) == outer_measures(
+        s, [(1, 2)], [(0.5, 1, 4)])
+
+
 # ---------------------------------------------------------------- pressure
 
 def test_pressure_partition_zero_potential_is_entropy_rate():
@@ -682,8 +697,7 @@ def test_restricted_layer_masses_and_decisions_match_per_word():
     # one period per word against the materialised representative: the
     # golden mean's words ending in 2 and starting with 2 take a connector,
     # n = 1 and 7 are shorter than some periods, most periods do not divide
-    # n, and at n = 4097 masses of c / n instead of the sequential sums of
-    # 1/n differ in the last digits
+    # n, and n = 4097 counts each node many times over
     depth = 3
     for space in (FULL2, GM, FULL3):
         proxy = truncation_proxy((MarkovMeasure.parry(space),), (1.0,), depth)

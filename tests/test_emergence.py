@@ -59,6 +59,14 @@ def test_geometric_times_guards():
         geometric_times(10, 5, 3)
     with pytest.raises(InputError):
         geometric_times(1, 3, 5)
+    # non-integers: 1.5 would start the grid below n_min and 10.7 end it
+    # below n_max; integers of any integer type are accepted
+    for args in ((1.5, 10, 3), (1, 10.7, 3), (1, 10, 3.0), (True, 10, 3),
+                 (1, 10, True), ("1", 10, 3)):
+        with pytest.raises(InputError, match="must be integers"):
+            geometric_times(*args)
+    assert geometric_times(np.int64(1), np.int32(10), np.uint8(3)) == \
+        geometric_times(1, 10, 3)
 
 
 def brute_force_cover(dist, eps):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from emergence_lab.errors import (DepthError, InputError, InvariantError,
                                   SizeError)
 from emergence_lab.measures import (GRID_CAP, MARGIN, MEASURE_CAP,
                                     FinSuppMeasure, MarkovMeasure,
-                                    empirical_snapshots, make_rng,
+                                    count_masses, empirical_snapshots,
+                                    make_rng,
                                     periodic_counts, snapshot_masses,
                                     truncation_proxy, w1_below, w1_bounds,
                                     w1_min, wasserstein1)
@@ -440,6 +442,38 @@ def test_empirical_snapshots_match_single_calls():
         single = empirical_snapshots(x, [t], 6, FULL2)[0]
         d, _ = wasserstein1(snap, single, 6, FULL2)
         assert d == pytest.approx(0.0, abs=1e-12)
+
+
+def test_count_masses_are_exact_rationals_rounded_once():
+    # every mass, bit for bit, is the correctly rounded c / n: random
+    # compositions of n up to 2^40 into up to 64 counts, and the edges
+    # n = 1, a count of 0 and a count of n
+    rng = make_rng(23)
+    rows = [(np.array([[1, 0]]), 1), (np.array([[0, 2 ** 40]]), 2 ** 40)]
+    for _ in range(300):
+        n = int(rng.integers(1, 2 ** int(rng.integers(1, 41)), endpoint=True))
+        cuts = np.sort(rng.integers(0, n, size=int(rng.integers(0, 64)),
+                                    endpoint=True))
+        rows.append((np.diff(cuts, prepend=0, append=n)[None], n))
+    for counts, n in rows:
+        mass = count_masses(counts, n)
+        assert mass.shape == counts.shape
+        for c, got in zip(counts[0].tolist(), mass[0].tolist()):
+            assert got == float(Fraction(c, n)), (c, n)
+
+
+def test_count_masses_rows_pass_the_sum_check_on_the_largest_grid():
+    # rows of MEASURE_CAP nodes counted up to about 2^20 times each sum to
+    # 1 within the 1e-12 of FinSuppMeasure with no second division: uniform
+    # counts, counts of a few sizes, and one dominant node among ones
+    rng = make_rng(29)
+    uniform = rng.integers(0, 2 ** 20, size=MEASURE_CAP, endpoint=True)
+    sizes = rng.choice(np.array([1, 3, 2 ** 20 - 1]), size=MEASURE_CAP)
+    dominant = np.ones(MEASURE_CAP, dtype=np.int64)
+    dominant[7] = 2 ** 20
+    for counts in (uniform, sizes, dominant):
+        mass = count_masses(counts[None], int(counts.sum()))[0]
+        FinSuppMeasure(mass, 22, 2)     # InvariantError if the sum is off
 
 
 def test_truncation_proxy_masses_are_cylinder_probabilities():
