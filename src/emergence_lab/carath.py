@@ -28,8 +28,10 @@ word, sweeps the words below its cylinder one length at a time, O(m^cap);
 each word's empirical masses come from one period of its representative,
 and the distinct masses of all probe layers are decided in batches of at
 most MEASURE_CAP entries before the sweep.  scipy loads only where it runs:
-`bowen_dimension` imports `brentq` and `pressure_partition` imports
-`logsumexp` in their bodies, and every W1 LP goes through `measures.linprog`.
+`bowen_dimension` imports `brentq` (scipy.optimize) and `pressure_partition`
+imports `logsumexp` (scipy.special) in their bodies.  Every W1 LP goes
+through `measures.linprog`, which loads HiGHS's extension module alone, and
+every Perron solve through `sofic.perron`, which takes numpy's `eig`.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .errors import DepthError, InputError, InvariantError, SizeError
 from .measures import (MEASURE_CAP, count_masses, periodic_counts,
                        truncation_proxy, w1_below)
 from .sofic import ShiftSpace, admissible_words, connector, count_admissible, \
-    is_admissible, perron, topological_entropy
+    is_admissible, perron, symbol_array, topological_entropy
 
 KINDS = ("entropy", "hausdorff", "pressure", "appendix")
 SURVIVOR_CAP = 200_000   # membership probes of one restricted outer measure
@@ -571,8 +573,9 @@ def restricted_outer_measure(s, z, mu, n, eps, t, m_blk, depth_cap,
         raise InputError(f"m_blk must be >= 1, got {m_blk}",
                          module="carath", operation="restricted_outer_measure")
     space = s.space
-    z = tuple(int(c) for c in z)
-    if not is_admissible(z, space):
+    w = symbol_array(z, space.m, "carath", "restricted_outer_measure")
+    z = tuple(w.tolist())
+    if w.ndim != 1 or not is_admissible(w, space):
         raise InputError(f"z = {z} is not admissible",
                          module="carath", operation="restricted_outer_measure")
     if len(z) > depth_cap:

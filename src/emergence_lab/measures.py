@@ -45,14 +45,21 @@ the lower bounds of the rows after each solve by it, and `w1_below`
 decides a queued row False, with no LP, when a block's potential puts it
 above eps by MARGIN.
 Every LP goes through one entry point, `linprog`: one direct HiGHS solve
-through scipy's bundled bindings, imported on its first call, so a process
-that solves no LP never loads scipy.optimize.  It passes HiGHS the model
-and options that `scipy.optimize.linprog(method="highs")` would, and its
-CSC arrays come from numpy, built once per grid (`_grid_flow`).
+through scipy's bundled bindings, the extension module
+`scipy.optimize._highspy._core`, which `_highs` loads from its file on the
+first LP without running `scipy/optimize/__init__.py`, so no process ever
+loads scipy.optimize for an LP.  It passes HiGHS the model and options
+that `scipy.optimize.linprog(method="highs")` would, and its CSC arrays
+come from numpy, built once per grid (`_grid_flow`).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -534,17 +541,51 @@ class LPResult(NamedTuple):
     nit: int
 
 
+_HIGHS = "scipy.optimize._highspy._core"
+_HIGHS_LOCK = threading.Lock()
+
+
+def _highs():
+    """scipy's bundled HiGHS bindings, the extension module `_HIGHS`.  The
+    first call imports `scipy` itself, so that its distributor set-up runs,
+    then loads the extension from its file under `scipy/optimize/_highspy`
+    and registers it in `sys.modules` under its dotted name, so a later
+    `import scipy.optimize` reuses the same module object; the package
+    `scipy.optimize` and its 300-odd submodules are never imported.  An
+    entry already in `sys.modules` is reused.  The lock makes the first
+    load happen once when the first LPs start on several threads."""
+    with _HIGHS_LOCK:
+        module = sys.modules.get(_HIGHS)
+        if module is not None:
+            return module
+        import scipy
+        path = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+        spec = importlib.machinery.PathFinder.find_spec(_HIGHS, [path])
+        if spec is None:
+            raise ImportError(f"scipy {scipy.__version__} has no HiGHS "
+                              f"bindings {_HIGHS} in {path}; emergence-lab "
+                              "needs scipy >= 1.15", name=_HIGHS)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_HIGHS] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[_HIGHS]
+            raise
+        return module
+
+
 def linprog(cost, incidence, supply):
     """min cost.x subject to A x = supply and x >= 0, for the CSC arrays
     (start, index, value) of A: one HiGHS solve (dual revised simplex,
     Huangfu & Hall 2018) in a fresh solver, through scipy's bundled
-    bindings, imported on the first call.  HiGHS gets the model and options
-    that `scipy.optimize.linprog(method="highs")` passes at primal and dual
-    feasibility tolerances 1e-10, so `fun`, `x`, the duals (`eqlin.marginals`
-    there) and `nit` are that call's bits, and `success` is its post-check:
-    an optimal status, then x >= -tol and |supply - A x| <= tol, no NaN,
-    with tol = 10 sqrt(1e-9)."""
-    from scipy.optimize._highspy import _core as hs
+    bindings (`_highs`), so it never loads scipy.optimize.  HiGHS gets the
+    model and options that `scipy.optimize.linprog(method="highs")` passes
+    at primal and dual feasibility tolerances 1e-10, so `fun`, `x`, the
+    duals (`eqlin.marginals` there) and `nit` are that call's bits, and
+    `success` is its post-check: an optimal status, then x >= -tol and
+    |supply - A x| <= tol, no NaN, with tol = 10 sqrt(1e-9)."""
+    hs = _highs()
     cols, rows = cost.shape[0], supply.shape[0]
     lp = hs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = cols

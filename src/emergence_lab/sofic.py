@@ -4,12 +4,13 @@ One-sided subshifts of finite type over the alphabet {1, ..., m}, with the
 beta-adic metric d(x, y) = sum_j |x_j - y_j| / beta^j.  All symbol data is
 1-based to match the usual alphabet convention; transition matrices are 0/1
 numpy arrays indexed from 0 (symbol s occupies row/column s-1).
-`perron` imports `scipy.linalg` in its body, so it loads only when a Perron
-solve runs.
+`perron` takes its eigen-solves from numpy, so no module here loads
+`scipy.linalg`.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,10 +118,20 @@ class PointPrefix:
 def symbol_array(word, m, module, operation):
     """A word or an array of words as an integer array; raises InputError,
     tagged with the caller's module and operation, naming the first symbol
-    outside the alphabet 1..m."""
+    that is not an integer or lies outside the alphabet 1..m.  A bool is no
+    symbol, though numpy reads True as 1, and neither is 2.7, which a cast
+    would truncate to 2.  An integer array is taken as it is; any other
+    input is checked symbol by symbol."""
     w = np.asarray(word)
-    if w.dtype.kind not in "iu":
-        w = w.astype(np.int64)
+    if w.dtype.kind not in "iu" or not isinstance(word, np.ndarray):
+        for c in np.asarray(word, dtype=object).flat:
+            integral = isinstance(c, numbers.Integral) or (
+                isinstance(c, numbers.Real) and float(c).is_integer())
+            if isinstance(c, (bool, np.bool_)) or not integral:
+                raise InputError(f"symbol {c!r} is not an integer",
+                                 module=module, operation=operation)
+        if w.dtype.kind not in "iu":
+            w = w.astype(np.int64)
     if w.size and (w.min() < 1 or w.max() > m):
         bad = w.flat[((w < 1) | (w > m)).argmax()]
         raise InputError(f"symbol {bad} outside alphabet 1..{m}",
@@ -170,26 +181,29 @@ def connector(u, v, space):
 
 def perron(a):
     """Perron eigenvalue and left and right Perron vectors of a nonnegative
-    irreducible matrix, from one dense eigen-solve.
+    irreducible matrix, from two dense eigen-solves.
 
     Returns (lam, left, right) with lam the eigenvalue of largest real part
-    and each vector normalised to sum 1.  Raises InvariantError when that
+    and each vector normalised to sum 1: lam and right from numpy's
+    `eig(a)`, left from `eig(a.T)`.  Raises InvariantError when either
     eigenvalue is not real or a chosen vector is not finite and of one sign,
     which a reducible or negative input can cause.
     """
-    import scipy.linalg
-    vals, left, right = scipy.linalg.eig(np.asarray(a, dtype=np.float64),
-                                         left=True, right=True)
-    k = int(np.argmax(vals.real))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vecs = [v[:, k].real / v[:, k].real.sum() for v in (left, right)]
-    if vals[k].imag or not all(np.isfinite(v).all() and (v >= 0).all()
-                               for v in vecs):
+    a = np.asarray(a, dtype=np.float64)
+    vals, vecs = [], []
+    for b in (a.T, a):    # a left vector of a is a right vector of a.T
+        w, v = np.linalg.eig(b)
+        k = int(np.argmax(w.real))
+        vals.append(w[k])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vecs.append(v[:, k].real / v[:, k].real.sum())
+    if any(lam.imag for lam in vals) or not all(
+            np.isfinite(v).all() and (v >= 0).all() for v in vecs):
         raise InvariantError(
-            f"Perron vectors for eigenvalue {vals[k]} are not finite and of "
+            f"Perron vectors for eigenvalue {vals[1]} are not finite and of "
             "one sign (is the matrix irreducible?)",
             module="sofic", operation="perron")
-    return float(vals[k].real), vecs[0], vecs[1]
+    return float(vals[1].real), vecs[0], vecs[1]
 
 
 def topological_entropy(space):

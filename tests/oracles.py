@@ -48,13 +48,16 @@ a time.  The constructor decides every open block's typical-word attempt of
 a round together; `sequential_typical_word` runs one block's attempts in a
 loop, deciding each alone.  Its schedule search probes block lengths on
 Python scalars; `numpy_candidate_lengths` and `numpy_group_feasible` probe
-them on numpy arrays.
+them on numpy arrays.  The library's Perron solve takes the eigenvalue and
+right vector from numpy's `eig(a)` and the left vector from `eig(a.T)`;
+`scipy_perron` takes all three from one `scipy.linalg.eig` call.
 """
 
 import itertools
 import math
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.optimize import brentq, linprog
 from scipy.special import logsumexp
@@ -127,6 +130,17 @@ def window_shift_pressure(space, table, window):
         for c in successors(space, w[-1]):
             a[idx[w], idx[w[1:] + (c,)]] = math.exp(table[w])
     return float(np.log(perron(a)[0]))
+
+
+def scipy_perron(a):
+    """(lam, left, right) of `sofic.perron` from one
+    `scipy.linalg.eig(left=True, right=True)`: the eigenvalue of largest
+    real part and its two vectors, each normalised to sum 1."""
+    vals, left, right = scipy.linalg.eig(np.asarray(a, dtype=np.float64),
+                                         left=True, right=True)
+    k = int(np.argmax(vals.real))
+    return (float(vals[k].real),
+            *(v[:, k].real / v[:, k].real.sum() for v in (left, right)))
 
 
 def window_shift_bowen_root(space, table, window, tol):

@@ -21,7 +21,7 @@ from emergence_lab.sofic import (ShiftSpace, admissible_words,
 from oracles import (_cover_recursion, eta, layer_conditions,
                      layer_pressure_partition, one_entry_outer_measure,
                      q_weight, representatives, scan_sup_birkhoff,
-                     successors, window_shift_bowen_root,
+                     scipy_perron, successors, window_shift_bowen_root,
                      window_shift_pressure)
 
 FULL2 = ShiftSpace.full_shift(2)
@@ -465,6 +465,28 @@ def test_pressure_exact_full3_window7_between_entropy_bounds():
     assert h + min(phi.values()) <= p <= h + max(phi.values())
 
 
+def test_log_radius_matches_scipy_perron_oracle(monkeypatch):
+    # at 243 and 729 transfer states numpy's eigenvalue may move in its last
+    # bits against scipy.linalg.eig's, by at most 1e-13 relative
+    matrices = []
+
+    def spy(a):
+        matrices.append(a)
+        return perron(a)
+
+    perron = carath.perron
+    monkeypatch.setattr(carath, "perron", spy)
+    rng = np.random.default_rng(13)
+    for window, scale in ((6, 1.0), (7, 1.0), (6, -0.7)):
+        words = admissible_words(FULL3, window)
+        s = pressure_structure(FULL3, dict(zip(
+            words, rng.uniform(-1.0, 1.0, len(words)))), window)
+        got = carath._log_radius(s, scale)
+        assert matrices[-1].shape == (3 ** (window - 1),) * 2
+        want = math.log(scipy_perron(matrices[-1])[0])
+        assert abs(got - want) <= 1e-13 * abs(want), (window, got, want)
+
+
 def test_exact_pressure_and_root_need_their_kind():
     table = const_table(FULL2, 1, 1.0)
     with pytest.raises(InputError):
@@ -817,6 +839,21 @@ def test_restricted_measure_guards():
     with pytest.raises(InputError, match="n must be"):
         restricted_outer_measure(s, (), mu, n=0, eps=0.0, t=0.5,
                                  m_blk=1, depth_cap=2, metric_depth=3)
+
+
+def test_restricted_measure_rejects_fractional_and_bool_words():
+    # z = (1.9,) was read as (1,) by int(), and True as 1
+    s = CStructure(kind="entropy", space=FULL2)
+    mu = MarkovMeasure.bernoulli([0.5, 0.5], FULL2)
+    for z in ((1.9,), (True,), (1, 2.5)):
+        with pytest.raises(InputError, match="not an integer") as err:
+            restricted_outer_measure(s, z, mu, n=64, eps=0.15, t=0.8,
+                                     m_blk=1, depth_cap=5, metric_depth=4)
+        assert err.value.operation == "restricted_outer_measure"
+    assert restricted_outer_measure(s, (1.0,), mu, n=64, eps=0.15, t=0.8,
+                                    m_blk=1, depth_cap=5, metric_depth=4) == \
+        restricted_outer_measure(s, (1,), mu, n=64, eps=0.15, t=0.8,
+                                 m_blk=1, depth_cap=5, metric_depth=4)
 
 
 def test_restricted_measure_rejects_measure_on_another_space():

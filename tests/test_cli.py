@@ -740,35 +740,53 @@ def test_default_eps_hat_reads_only_the_nets_built(tmp_path):
 
 
 # A fresh interpreter: the CLI, a config load of every experiment and the
-# outer-sweep and Bernoulli emergence runs load no scipy subpackage; then
-# the process's first LPs run on two pool threads at once.
+# outer-sweep and Bernoulli emergence runs solve no LP; then the process's
+# first LPs run on two pool threads at once, and a restricted probe and a
+# saturation run solve LPs and build chains from their matrices.  No run
+# imports a scipy subpackage: the LPs take HiGHS's extension module alone
+# and the Perron solves take numpy's.
 FRESH_PROCESS = """
 import json, sys
 import numpy as np
-from emergence_lab import cli, config
+from emergence_lab import cli, config, measures
 from emergence_lab.emergence import build_cloud, pairwise_w1
 from emergence_lab.measures import MarkovMeasure, make_rng
 from emergence_lab.sofic import PointPrefix, ShiftSpace
 
-configs, runs = json.loads(sys.argv[1])
+solves = []
+linprog = measures.linprog
+measures.linprog = lambda *args: solves.append(1) or linprog(*args)
+
+
+def run(runs):
+    for subcommand, path in runs:
+        try:
+            code = cli.main([subcommand, "--config", path, "--threads", "2"],
+                            standalone_mode=False)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, None), (subcommand, code)
+
+
+configs, first, last = json.loads(sys.argv[1])
 for path in configs:
     config.load_config(path)
-for subcommand, path in runs:
-    try:
-        code = cli.main([subcommand, "--config", path, "--threads", "2"],
-                        standalone_mode=False)
-    except SystemExit as exc:
-        code = exc.code
-    assert code in (0, None), (subcommand, code)
-scipy = ["scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.special"]
-before = [name for name in scipy if name in sys.modules]
+run(first)
+core = "scipy.optimize._highspy._core"
+before = [name for name in sys.modules if name.startswith("scipy")]
 full2 = ShiftSpace.full_shift(2)
 x = PointPrefix(MarkovMeasure.bernoulli([0.3, 0.7], full2).sample(
     140, make_rng(5)))
 snaps = build_cloud(x, 16, 128, 6, 3, full2).snapshots
 two = pairwise_w1(snaps, 3, full2, threads=2)
 one = pairwise_w1(snaps, 3, full2, threads=1)
-print(json.dumps({"before": before, "lp": "scipy.optimize" in sys.modules,
+pool_solves = len(solves)
+run(last)
+scipy = ["scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.special"]
+print(json.dumps({"before": before,
+                  "after": [name for name in scipy if name in sys.modules],
+                  "core": core in sys.modules,
+                  "solves": [pool_solves > 0, len(solves) > pool_solves],
                   "equal": bool(np.array_equal(one, two)),
                   "pairs": int(np.count_nonzero(np.triu(one, 1)))}))
 """
@@ -782,20 +800,24 @@ def test_fresh_process_loads_scipy_only_where_it_runs(tmp_path):
             "output_dir": str(tmp_path / name)}, f"{name}.json")
 
     configs = [config_path(e, SMOKE[e][0], e) for e in EXPERIMENTS]
-    runs = [("outer-sweep", configs[EXPERIMENTS.index("outer-sweep")]),
-            ("emergence", config_path("emergence", {
-                **SMALL_EMERGENCE,
-                "source": {"kind": "bernoulli", "probs": [0.5, 0.5]}},
-                "bernoulli"))]
+    first = [("outer-sweep", configs[EXPERIMENTS.index("outer-sweep")]),
+             ("emergence", config_path("emergence", {
+                 **SMALL_EMERGENCE,
+                 "source": {"kind": "bernoulli", "probs": [0.5, 0.5]}},
+                 "bernoulli"))]
+    last = [(e, configs[EXPERIMENTS.index(e)])
+            for e in ("restricted-probe", "saturate")]
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", FRESH_PROCESS,
-                           json.dumps([configs, runs])],
+                           json.dumps([configs, first, last])],
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     assert (tmp_path / "bernoulli" / "manifest.json").is_file()
-    assert result == {"before": [], "lp": True, "equal": True, "pairs": 15}
+    assert (tmp_path / "saturate" / "saturation.json").is_file()
+    assert result == {"before": [], "after": [], "core": True,
+                      "solves": [True, True], "equal": True, "pairs": 15}
 
 
 def parsed(experiment, parameters):

@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -813,6 +817,100 @@ def test_direct_lp_equals_scipy_linprog(monkeypatch):
         assert got.fun == want.fun and got.nit == want.nit
         assert np.array_equal(got.x, want.x)
         assert np.array_equal(got.duals, want.eqlin.marginals)
+
+
+# A fresh interpreter that solves a few flow LPs with `measures.linprog`
+# and with `scipy.optimize.linprog(method="highs")`, importing
+# scipy.optimize before the first `measures.linprog` or after the last, and
+# reports the models whose bits differ and whether one module object of
+# HiGHS's bindings serves both.
+IMPORT_ORDER = """
+import sys
+import numpy as np
+from emergence_lab import measures
+
+if sys.argv[1] == "scipy-first":
+    import scipy.optimize
+rng = np.random.default_rng(61)
+models = []
+for m, depth in ((2, 1), (2, 3), (2, 5), (2, 7), (3, 2), (3, 4)):
+    incidence, cost = measures._grid_flow(m, depth, 2.0)[:2]
+    a, b = rng.random((2, 4, m ** depth)) + 0.01
+    unit = measures._unit_supply(a / a.sum(axis=1)[:, None]
+                                 - b / b.sum(axis=1)[:, None])[1]
+    models += [(cost, incidence, s[:-1]) for s in unit]
+loaded = "scipy.optimize" in sys.modules
+got = [measures.linprog(*model) for model in models]
+from oracles import csc, scipy_flow
+want = [scipy_flow(cost, csc(incidence, supply.shape[0]), supply)
+        for cost, incidence, supply in models]
+wrapper = sys.modules["scipy.optimize._highspy._highs_wrapper"]
+print(loaded, len(models), sum(
+    not (g.success and w.success and g.fun == w.fun and g.nit == w.nit
+         and np.array_equal(g.x, w.x)
+         and np.array_equal(g.duals, w.eqlin.marginals))
+    for g, w in zip(got, want)),
+      wrapper._h is measures._highs()
+      is sys.modules["scipy.optimize._highspy._core"])
+"""
+
+
+@pytest.mark.parametrize("order", ["lab-first", "scipy-first"])
+def test_direct_lp_equals_scipy_linprog_in_either_import_order(order):
+    # the bindings `measures.linprog` loads from their file are the module
+    # scipy.optimize's own HiGHS wrapper uses, whichever is imported first,
+    # and both solves give the same bits as in the test above
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)])}
+    done = subprocess.run([sys.executable, "-c", IMPORT_ORDER, order],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(order == "scipy-first"), "24", "0",
+                                   "True"]
+
+
+# A fresh interpreter in which 8 threads load HiGHS's bindings at once, with
+# a thread switch every microsecond; prints how many times the extension
+# module was made and whether every thread got the one `sys.modules` holds.
+# scipy is imported first, so that no thread waits on its import lock.
+CONCURRENT_LOAD = """
+import importlib.util, sys, threading
+from concurrent.futures import ThreadPoolExecutor
+import scipy
+from emergence_lab import measures
+
+made = []
+module_from_spec = importlib.util.module_from_spec
+
+
+def counted(spec):
+    made.append(spec.name)
+    return module_from_spec(spec)
+
+
+def load(_):
+    start.wait(timeout=60)
+    return measures._highs()
+
+
+importlib.util.module_from_spec = counted
+sys.setswitchinterval(1e-6)
+start = threading.Barrier(8)
+with ThreadPoolExecutor(8) as pool:
+    got = list(pool.map(load, range(8), timeout=120))
+print(made.count(measures._HIGHS),
+      all(m is sys.modules[measures._HIGHS] for m in got))
+"""
+
+
+def test_highs_bindings_load_once_under_concurrent_first_calls():
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", CONCURRENT_LOAD],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "True"]
 
 
 @pytest.mark.parametrize("operation", ["wasserstein1", "w1_below"])

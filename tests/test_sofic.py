@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emergence_lab.errors import InputError, InvariantError
+from emergence_lab.measures import MarkovMeasure
 from emergence_lab.sofic import (ShiftSpace, admissible_words, connector,
                                  count_admissible, is_admissible, perron,
-                                 topological_entropy)
-from oracles import periodic, product_connector
+                                 symbol_array, topological_entropy)
+from oracles import periodic, product_connector, scipy_perron
 
 
 def test_full_shift_entropy_is_log_m():
@@ -33,6 +34,41 @@ def test_perron_rejects_vectors_not_of_one_sign():
     # top eigenvector of mixed sign with a nonzero sum
     with pytest.raises(InvariantError):
         perron(np.array([[2.0, -1.0], [-1.0, 1.0]]))
+
+
+def perron_inputs(rng):
+    """Random irreducible matrices: stochastic ones and 0/1 ones holding a
+    cycle through every state, 40 of each kind at each size 2..6, then one
+    of each at sizes 16 to 128."""
+    for n in [n for n in range(2, 7) for _ in range(40)] + [16, 27, 64, 81,
+                                                            128]:
+        a = rng.random((n, n))
+        yield a / a.sum(axis=1, keepdims=True)
+        cycle = np.roll(np.eye(n), 1, axis=1)
+        yield np.maximum(rng.random((n, n)) < 0.5, cycle)
+
+
+def test_perron_matches_scipy_oracle():
+    # numpy's eig(a) gives scipy.linalg.eig's eigenvalue and right vector bit
+    # for bit up to 128 states; the left vector comes from eig(a.T), another
+    # solve, and agrees to within 1e-15
+    for a in perron_inputs(np.random.default_rng(11)):
+        lam, left, right = perron(a)
+        want = scipy_perron(a)
+        assert lam == want[0] and np.array_equal(right, want[2]), a.shape
+        assert np.abs(left - want[1]).max() <= 1e-15, a.shape
+
+
+def test_stationary_vector_is_invariant():
+    # the left Perron vector of a stochastic matrix, pi P = pi, on chains
+    # that are not symmetric
+    rng = np.random.default_rng(12)
+    for m in [m for m in range(2, 7) for _ in range(20)]:
+        p = rng.random((m, m)) * (1.0 + 5.0 * np.eye(m))
+        p /= p.sum(axis=1, keepdims=True)
+        pi = MarkovMeasure(p, ShiftSpace.full_shift(m)).stationary
+        assert abs(pi.sum() - 1.0) <= 1e-12
+        assert np.abs(pi @ p - pi).max() <= 1e-12
 
 
 def test_dead_symbol_rejected():
@@ -73,6 +109,22 @@ def test_admissibility_golden_mean():
         w = np.array([1, 2, bad, 1, 0], dtype=np.int16)
         with pytest.raises(InputError, match=f"symbol {bad} outside"):
             is_admissible(w, gm)
+
+
+def test_symbols_must_be_integers():
+    # a cast read True as 1 and truncated 2.7 to 2, so both words were
+    # admissible on the full 2-shift
+    full2 = ShiftSpace.full_shift(2)
+    for word in ((1, 2.7), (True, 2), np.array([True, False]), (1, None),
+                 np.array([1.0, np.nan]), "12"):
+        with pytest.raises(InputError, match="not an integer"):
+            is_admissible(word, full2)
+    for word in ((1, 2), (1.0, 2.0), [np.int16(1), 2],
+                 np.array([1, 2], dtype=np.uint8),
+                 np.array([1, 2], dtype=object)):
+        assert is_admissible(word, full2)
+    w = np.array([1, 2, 1])
+    assert symbol_array(w, 2, "sofic", "test") is w
 
 
 def test_count_admissible_matches_enumeration():
