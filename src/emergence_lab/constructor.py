@@ -178,6 +178,9 @@ def estimate_gamma_thresholds(family, l_max, eps_tilde, eps_hat, seed,
     """Empirical entry thresholds: smallest n (powers of two) at which a
     1 - eps_hat fraction of sampled length-n words track their measure
     within eps_tilde under W1."""
+    if len(eps_tilde) < l_max + 2 or len(eps_hat) < l_max + 2:
+        raise InputError("schedules must cover levels 0..l_max+1",
+                         module="constructor", operation="estimate_gamma_thresholds")
     space = family.space
     table = {}
     for L in range(l_max + 2):
@@ -272,9 +275,10 @@ def block_schedule(family, l_max, eps_tilde, eps_hat, gamma_n, nets,
     as 0, but a group must meet (I2) with a longest bridge at every block
     boundary of its past, so that any connectors `build_orbit` inserts keep
     the layout valid."""
-    if l_max + 1 > len(family):
-        raise InputError(f"need {l_max + 1} measures for levels 0..{l_max}",
-                         module="constructor", operation="block_schedule")
+    if l_max + 1 > min(len(family), len(nets)):
+        raise InputError(f"need {l_max + 1} measures and nets for levels "
+                         f"0..{l_max}", module="constructor",
+                         operation="block_schedule")
     eps_tilde = tuple(float(e) for e in eps_tilde)
     eps_hat = tuple(float(e) for e in eps_hat)
     if len(eps_tilde) < l_max + 2 or len(eps_hat) < l_max + 2:

@@ -136,7 +136,7 @@ class MarkovMeasure:
         p.setflags(write=False)
         object.__setattr__(self, "stochastic", p)
         if self.stationary is None:
-            object.__setattr__(self, "stationary", perron(p)[1])
+            object.__setattr__(self, "stationary", perron(p.T)[1])
         pi = np.asarray(self.stationary, dtype=np.float64)
         if not (pi.shape == (m,) and (pi >= 0).all()
                 and abs(pi.sum() - 1.0) <= 1e-10):
@@ -188,8 +188,9 @@ class MarkovMeasure:
         words share one buffer, each word's written in place by
         `Generator.random(out=...)`, and one walk serves them all."""
         lengths = np.asarray(lengths, dtype=np.int64)
-        if not lengths.min() >= 1:
-            raise InputError(f"lengths must be >= 1, got {lengths.min()}",
+        if not (lengths.size and lengths.min() >= 1):
+            raise InputError("lengths must be nonempty and >= 1, got "
+                             f"{lengths.min() if lengths.size else 'none'}",
                              module="measures", operation="sample")
         ends = np.cumsum(lengths)
         starts = ends - lengths
@@ -236,7 +237,8 @@ class MarkovMeasure:
     @classmethod
     def parry(cls, space):
         """The measure of maximal entropy."""
-        lam, u, v = perron(space.transition)
+        lam, v = perron(space.transition)
+        u = perron(space.transition.T)[1]
         a = space.transition.astype(np.float64)
         p = a * v[None, :] / (lam * v[:, None])
         p /= p.sum(axis=1, keepdims=True)

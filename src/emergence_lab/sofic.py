@@ -4,8 +4,8 @@ One-sided subshifts of finite type over the alphabet {1, ..., m}, with the
 beta-adic metric d(x, y) = sum_j |x_j - y_j| / beta^j.  All symbol data is
 1-based to match the usual alphabet convention; transition matrices are 0/1
 numpy arrays indexed from 0 (symbol s occupies row/column s-1).
-`perron` takes its eigen-solves from numpy, so no module here loads
-`scipy.linalg`.
+`perron` takes one eigen-solve per call from numpy, so no module here
+loads `scipy.linalg`.
 """
 
 from __future__ import annotations
@@ -180,30 +180,22 @@ def connector(u, v, space):
 
 
 def perron(a):
-    """Perron eigenvalue and left and right Perron vectors of a nonnegative
-    irreducible matrix, from two dense eigen-solves.
-
-    Returns (lam, left, right) with lam the eigenvalue of largest real part
-    and each vector normalised to sum 1: lam and right from numpy's
-    `eig(a)`, left from `eig(a.T)`.  Raises InvariantError when either
-    eigenvalue is not real or a chosen vector is not finite and of one sign,
-    which a reducible or negative input can cause.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    vals, vecs = [], []
-    for b in (a.T, a):    # a left vector of a is a right vector of a.T
-        w, v = np.linalg.eig(b)
-        k = int(np.argmax(w.real))
-        vals.append(w[k])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vecs.append(v[:, k].real / v[:, k].real.sum())
-    if any(lam.imag for lam in vals) or not all(
-            np.isfinite(v).all() and (v >= 0).all() for v in vecs):
+    """(lam, right) of a nonnegative irreducible matrix from one numpy
+    `eig(a)`: lam the eigenvalue of largest real part, right its vector
+    normalised to sum 1.  A left vector of a is the right vector of
+    `perron(a.T)`.  Raises InvariantError when lam is not real or the vector
+    is not finite and of one sign, which a reducible or negative input can
+    cause."""
+    w, v = np.linalg.eig(np.asarray(a, dtype=np.float64))
+    k = int(np.argmax(w.real))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        right = v[:, k].real / v[:, k].real.sum()
+    if w[k].imag or not (np.isfinite(right).all() and (right >= 0).all()):
         raise InvariantError(
-            f"Perron vectors for eigenvalue {vals[1]} are not finite and of "
-            "one sign (is the matrix irreducible?)",
+            f"Perron vector for eigenvalue {w[k]} is not finite and of one "
+            "sign (is the matrix irreducible?)",
             module="sofic", operation="perron")
-    return float(vals[1].real), vecs[0], vecs[1]
+    return float(w[k].real), right
 
 
 def topological_entropy(space):

@@ -12,9 +12,9 @@ maps "<workload>/<seed>/<label>/<file>" to the sha256 of that data file
 (manifests, which hold times and versions, are left out).  It also runs the
 experiments that no workload runs, `entropy`, `pressure`, `bowen` and
 `conditions`, on the full 2-shift, the golden mean and the full 3-shift at
-windows 1-3 with tables drawn from the seed, plus one pressure on the full
-3-shift at window 6, whose transfer matrix has 243 states (`cli_only`);
-their keys start with "cli-only/".  `--root` takes `src/` and
+windows 1-3 with tables drawn from the seed, plus a pressure and a bowen
+run on the full 3-shift at window 6, whose transfer matrix has 243 states
+(`cli_only`); their keys start with "cli-only/".  `--root` takes `src/` and
 `perfbench/workloads.py` from another checkout, e.g. the parent commit
 unpacked with `git archive`, so both sides run the same script; `--work`
 keeps the CLI outputs there instead of in a temporary directory.  The
@@ -49,7 +49,8 @@ def cli_only(seed):
     and conditions runs at one seed: each space's entropy, and on each
     space at windows 1-3 a pressure and a conditions run on a table in
     [-1, 1] and a bowen run on a table in [0.2, 1.2], drawn from the seed;
-    then the pressure of a window-6 table on the full 3-shift."""
+    then a pressure and a bowen run of window-6 tables on the full
+    3-shift."""
     from emergence_lab.sofic import ShiftSpace, admissible_words
 
     def table(space, window, lo, hi, rng):
@@ -76,6 +77,9 @@ def cli_only(seed):
     out.append(("pressure-full3-w6", "pressure", SPACES["full3"],
                 {"window": 6, "lengths": [4, 8],
                  "table": table(SPACES["full3"], 6, -1.0, 1.0, rng)}))
+    out.append(("bowen-full3-w6", "bowen", SPACES["full3"],
+                {"window": 6,
+                 "table": table(SPACES["full3"], 6, 0.2, 1.2, rng)}))
     return [(label, sub, {"space": space, "experiment": sub,
                           "parameters": params, "seed": seed})
             for label, sub, space, params in out]

@@ -359,6 +359,8 @@ def test_pressure_partition_zero_potential_is_entropy_rate():
     h = topological_entropy(GM)
     for n in (8, 16, 24):
         assert abs(pressure_partition(s, n) - h) <= 2.0 / n
+    with pytest.raises(InputError, match="n must be >= 1"):
+        pressure_partition(s, 0)
 
 
 def test_pressure_partition_window_paths_agree():
@@ -485,6 +487,40 @@ def test_log_radius_matches_scipy_perron_oracle(monkeypatch):
         assert matrices[-1].shape == (3 ** (window - 1),) * 2
         want = math.log(scipy_perron(matrices[-1])[0])
         assert abs(got - want) <= 1e-13 * abs(want), (window, got, want)
+
+
+def test_exact_pressure_transfer_cap():
+    # FULL4 at window 8 has 4^7 = 16384 transfer states, past the 4096 cap
+    full4 = ShiftSpace.full_shift(4)
+    s = pressure_structure(full4, const_table(full4, 8, 0.0), 8)
+    with pytest.raises(SizeError, match="16384 transfer states exceed cap"):
+        pressure_exact(s)
+
+
+def test_each_perron_call_is_one_eigen_solve(monkeypatch):
+    # the value-only callers read no left vector, so solve no transpose
+    solves, calls = [], []
+
+    def counting_eig(a):
+        solves.append(a)
+        return eig(a)
+
+    def counting_perron(a):
+        calls.append(a)
+        return perron(a)
+
+    eig, perron = np.linalg.eig, carath.perron
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    monkeypatch.setattr(carath, "perron", counting_perron)
+    words = admissible_words(FULL3, 3)
+    phi = dict(zip(words, np.random.default_rng(5).uniform(0.2, 1.2,
+                                                           len(words))))
+    pressure_exact(pressure_structure(FULL3, phi, 3))
+    assert len(solves) == len(calls) == 1
+    bowen_dimension(appendix_structure(FULL3, phi, 3))
+    # one solve per root step, and one for the bracket's topological
+    # entropy, which calls sofic.perron directly
+    assert len(solves) == len(calls) + 1 and len(calls) > 2
 
 
 def test_exact_pressure_and_root_need_their_kind():

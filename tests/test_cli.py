@@ -10,8 +10,12 @@ from click.testing import CliRunner
 
 from emergence_lab.cli import _resolve_threads, main
 from emergence_lab.config import EXPERIMENTS, load_config, validate_config
-from emergence_lab.constructor import LENGTH_CAP, SimplexNet, default_eps_tilde
+from emergence_lab.constructor import (LENGTH_CAP, MeasureFamily, SimplexNet,
+                                       default_eps_tilde,
+                                       estimate_gamma_thresholds)
 from emergence_lab.errors import ConfigError, InputError
+from emergence_lab.measures import MarkovMeasure
+from emergence_lab.sofic import ShiftSpace
 
 FULL2_SPACE = {"m": 2, "beta": 2.0, "transition": [[1, 1], [1, 1]]}
 GM_SPACE = {"m": 2, "beta": 2.0, "transition": [[1, 1], [1, 0]]}
@@ -464,6 +468,23 @@ def test_cli_construct_run(tmp_path):
     assert manifest["files"] == ["blocks.csv", "itinerary.json", "orbit.json"]
     orbit = json.loads((out_dir / "orbit.json").read_text())
     assert orbit["seed"] == 5 and orbit["length"] > 0
+
+
+def test_cli_construct_estimates_gamma_when_not_given(tmp_path):
+    # without a gamma table the thresholds are estimated on the family, at
+    # the config's schedules, seed and metric depth
+    params = {k: v for k, v in CONSTRUCT.items() if k != "gamma"}
+    cfg = {"space": FULL2_SPACE, "experiment": "construct",
+           "parameters": params, "seed": 5,
+           "output_dir": str(tmp_path / "out")}
+    out_dir, _ = run_ok(tmp_path, cfg, "construct")
+    family = MeasureFamily(tuple(MarkovMeasure(p, ShiftSpace.full_shift(2))
+                                 for p in params["family"]))
+    want = estimate_gamma_thresholds(family, 1, params["eps_tilde"],
+                                     params["eps_hat"], 5, 4)
+    itinerary = json.loads((out_dir / "itinerary.json").read_text())
+    assert itinerary["gamma_n"] == {f"{L},{l}": n
+                                    for (L, l), n in want.items()}
 
 
 def test_cli_construct_writes_only_the_nets_its_blocks_use(tmp_path):

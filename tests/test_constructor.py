@@ -195,6 +195,12 @@ def test_block_schedule_needs_sentinel():
     gamma = {(0, 0): 32, (1, 0): 32, (1, 1): 32}   # no (2, 0) sentinel
     with pytest.raises(InputError):
         block_schedule(fam, 1, eps_tilde, eps_hat, gamma, nets=nets)
+    # a net and a measure for each level 0..l_max
+    gamma[(2, 0)] = 32
+    with pytest.raises(InputError, match="need 2 measures and nets"):
+        block_schedule(fam, 1, eps_tilde, eps_hat, gamma, nets=nets[:1])
+    with pytest.raises(InputError, match="need 4 measures and nets"):
+        block_schedule(fam, 3, (0.5,) * 5, (0.1,) * 5, gamma, nets=nets)
 
 
 def test_block_schedule_rejects_bad_eps():
@@ -280,6 +286,14 @@ def test_gamma_thresholds_monotone_ready():
                                     metric_depth=3, samples=40)
     assert (2, 0) in tbl
     assert all(n >= 16 and n & (n - 1) == 0 for n in tbl.values())
+    for short in ((eps_tilde[:2], eps_hat), (eps_tilde, eps_hat[:2])):
+        with pytest.raises(InputError, match="levels 0..l_max"):
+            estimate_gamma_thresholds(fam, 1, *short, seed=5,
+                                      metric_depth=3, samples=40)
+    # the sampling error of up to 2^16 windows is far above 1e-6
+    with pytest.raises(SamplingError, match="no n <= 65536"):
+        estimate_gamma_thresholds(fam, 1, (1e-6,) * 3, eps_hat, seed=5,
+                                  metric_depth=3, samples=1)
 
 
 # -------------------------------------------------------------- build_orbit

@@ -65,6 +65,8 @@ def test_geometric_times_guards():
                  (1, 10, True), ("1", 10, 3)):
         with pytest.raises(InputError, match="must be integers"):
             geometric_times(*args)
+    with pytest.raises(InputError, match="count must be >= 2"):
+        geometric_times(1, 10, 1)
     assert geometric_times(np.int64(1), np.int32(10), np.uint8(3)) == \
         geometric_times(1, 10, 3)
 
@@ -129,6 +131,8 @@ def test_covering_bounds_reject_nan_scale():
     dist = random_dist(np.random.default_rng(4), 3)
     with pytest.raises(InputError):
         covering_number_bounds(dist, math.nan)
+    with pytest.raises(InputError, match="at least one snapshot"):
+        covering_number_bounds(np.zeros((0, 0)), 0.1)
 
 
 def test_emergence_exponent_doubling_counts():
@@ -152,6 +156,9 @@ def test_emergence_exponent_needs_three_scales():
 def test_cloud_validation():
     with pytest.raises(InputError):
         TrajectoryCloud(times=(10, 10), snapshots=(None, None), depth=3,
+                        space=FULL2)
+    with pytest.raises(InputError, match="length mismatch"):
+        TrajectoryCloud(times=(10, 20), snapshots=(None,), depth=3,
                         space=FULL2)
 
 

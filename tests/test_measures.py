@@ -63,6 +63,8 @@ def test_bernoulli_stationary_is_row():
 def test_row_sum_validation():
     with pytest.raises(InvariantError):
         MarkovMeasure(np.array([[0.5, 0.4], [0.5, 0.5]]), FULL2)
+    with pytest.raises(InvariantError, match="must be 2x2"):
+        MarkovMeasure(np.full((3, 3), 1 / 3), FULL2)
 
 
 def test_support_must_respect_transitions():
@@ -238,6 +240,10 @@ def test_sample_words_equal_loop_walks(name):
         assert np.array_equal(w, loop_chain_walk(mu, make_rng(9).random(n)))
     with pytest.raises(InputError):
         mu.sample_words([3, 0], [make_rng(0), make_rng(1)])
+    with pytest.raises(InputError, match="nonempty"):
+        mu.sample_words([], [])
+    with pytest.raises(InputError, match="n must be >= 1"):
+        mu.sample(0, make_rng(0))
 
 
 # sha256 of the int16 bytes of mu.sample(n, make_rng(seed)), as the
@@ -323,6 +329,12 @@ def test_stationary_must_have_length_m():
     for pi in ([[0.5, 0.5]], [1.0], [0.5, 0.25, 0.25]):
         with pytest.raises(InvariantError, match="length 2"):
             MarkovMeasure(p, FULL2, stationary=np.array(pi))
+
+
+def test_stationary_must_be_invariant():
+    p = np.array([[0.9, 0.1], [0.5, 0.5]])
+    with pytest.raises(InvariantError, match="not invariant"):
+        MarkovMeasure(p, FULL2, stationary=np.array([0.5, 0.5]))
 
 
 def test_stationary_must_be_finite():
@@ -446,6 +458,9 @@ def test_empirical_snapshots_match_single_calls():
         single = empirical_snapshots(x, [t], 6, FULL2)[0]
         d, _ = wasserstein1(snap, single, 6, FULL2)
         assert d == pytest.approx(0.0, abs=1e-12)
+    for bad in ([], [0, 5]):
+        with pytest.raises(InputError, match="nonempty positive integers"):
+            empirical_snapshots(x, bad, 6, FULL2)
 
 
 def test_count_masses_are_exact_rationals_rounded_once():

@@ -50,10 +50,11 @@ def perron_inputs(rng):
 
 def test_perron_matches_scipy_oracle():
     # numpy's eig(a) gives scipy.linalg.eig's eigenvalue and right vector bit
-    # for bit up to 128 states; the left vector comes from eig(a.T), another
-    # solve, and agrees to within 1e-15
+    # for bit up to 128 states; the left vector is perron(a.T)'s right
+    # vector, another solve, and agrees to within 1e-15
     for a in perron_inputs(np.random.default_rng(11)):
-        lam, left, right = perron(a)
+        lam, right = perron(a)
+        left = perron(a.T)[1]
         want = scipy_perron(a)
         assert lam == want[0] and np.array_equal(right, want[2]), a.shape
         assert np.abs(left - want[1]).max() <= 1e-15, a.shape
@@ -75,6 +76,14 @@ def test_dead_symbol_rejected():
     with pytest.raises(InvariantError):
         ShiftSpace(alphabet_size=2,
                    transition=np.array([[0, 0], [1, 1]]), beta=2.0)
+
+
+def test_alphabet_and_transition_shape_checked():
+    for m, t, match in ((1, [[1]], "alphabet_size must be >= 2"),
+                        (2, np.ones((3, 3)), "must be 2x2"),
+                        (2, [[1, 2], [1, 1]], "0 or 1")):
+        with pytest.raises(InvariantError, match=match):
+            ShiftSpace(alphabet_size=m, transition=t, beta=2.0)
 
 
 def test_periodic_but_irreducible_matrix_rejected():
@@ -134,6 +143,9 @@ def test_count_admissible_matches_enumeration():
         assert len(words) == count_admissible(gm, n)
         assert all(is_admissible(w, gm) for w in words)
         assert words == sorted(words)
+    for f in (admissible_words, count_admissible):
+        with pytest.raises(InputError, match="n must be >= 1"):
+            f(gm, 0)
 
 
 def test_count_admissible_fibonacci():
@@ -196,6 +208,9 @@ def test_connector_rejects_symbols_outside_alphabet():
     gm = ShiftSpace.golden_mean()
     for u, v, bad in (((0,), (2,), 0), ((1,), (3,), 3), ((2, 5), (1,), 5)):
         with pytest.raises(InputError, match=f"symbol {bad} outside"):
+            connector(u, v, gm)
+    for u, v in (((), (1,)), ((1,), ())):
+        with pytest.raises(InputError, match="nonempty"):
             connector(u, v, gm)
 
 
