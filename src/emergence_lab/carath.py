@@ -32,6 +32,9 @@ most MEASURE_CAP entries before the sweep.  scipy loads only where it runs:
 imports `logsumexp` (scipy.special) in their bodies.  Every W1 LP goes
 through `measures.linprog`, which loads HiGHS's extension module alone, and
 every Perron solve through `sofic.perron`, which takes numpy's `eig`.
+Every n and m_blk, and the depth (>= 2) of `check_conditions`, obey
+`sofic.integer_count`: any integer type passes, and a bool or a float
+raises InputError.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .errors import DepthError, InputError, InvariantError, SizeError
 from .measures import (MEASURE_CAP, count_masses, periodic_counts,
                        truncation_proxy, w1_below)
 from .sofic import ShiftSpace, admissible_words, connector, count_admissible, \
-    is_admissible, perron, symbol_array, topological_entropy
+    integer_count, is_admissible, perron, symbol_array, topological_entropy
 
 KINDS = ("entropy", "hausdorff", "pressure", "appendix")
 SURVIVOR_CAP = 200_000   # membership probes of one restricted outer measure
@@ -222,9 +225,7 @@ def outer_measures(s, target, grid):
     grid = [tuple(e) for e in grid]
     for t, m_blk, depth_cap in grid:
         _check_t(t, "outer_measures")
-        if m_blk < 1:
-            raise InputError(f"m_blk must be >= 1, got {m_blk}",
-                             module="carath", operation="outer_measures")
+        integer_count(m_blk, "m_blk", "carath", "outer_measures")
         if depth_cap < 1 or depth_cap % m_blk:
             raise DepthError(f"depth_cap must be a positive multiple of "
                              f"m_blk, got {depth_cap} (m_blk={m_blk})",
@@ -343,9 +344,7 @@ def pressure_partition(s, n):
     t = 0 the sum over the cylinders inside C(c) is q(c) G(1, c).
     """
     from scipy.special import logsumexp
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}",
-                         module="carath", operation="pressure_partition")
+    n = integer_count(n, "n", "carath", "pressure_partition")
     _require_kind(s, "pressure", "pressure_partition")
     sm = s._suffix
     log_g = _log_cover_factors(s, [(0.0, n, n)], {1})[0][1]
@@ -354,15 +353,16 @@ def pressure_partition(s, n):
                  / n)
 
 
-def _log_radius(s, scale):
+def _log_radius(s, scale, operation):
     """log Perron eigenvalue of the transfer matrix of scale * phi on the
     steady suffix states of s: entry (w, state of wc) is
-    e^(scale * phi(wc)) for each step wc that is allowed."""
+    e^(scale * phi(wc)) for each step wc that is allowed.  More than
+    TRANSFER_CAP states raise SizeError, tagged with `operation`."""
     sm = s._suffix
     to = sm.layers[max(s.window - 1, 1)][1]
     if len(to) > TRANSFER_CAP:
         raise SizeError(f"{len(to)} transfer states exceed cap {TRANSFER_CAP}",
-                        module="carath", operation="pressure_exact")
+                        module="carath", operation=operation)
     # scatter the allowed steps only: a forbidden step's nxt entry may
     # coincide with an allowed step's target
     i, c = np.nonzero(np.isfinite(sm.phi))
@@ -376,7 +376,7 @@ def pressure_exact(s):
     potential: the log spectral radius of its (k - 1)-block transfer matrix
     (Walters 1982), on the steady suffix states."""
     _require_kind(s, "pressure", "pressure_exact")
-    return _log_radius(s, 1.0)
+    return _log_radius(s, 1.0, "pressure_exact")
 
 
 def bowen_dimension(s, tol=1e-9):
@@ -385,13 +385,10 @@ def bowen_dimension(s, tol=1e-9):
     from scipy.optimize import brentq
     _require_kind(s, "appendix", "bowen_dimension")
     hi = topological_entropy(s.space) / min(s.table.values()) + tol
-
-    def p(r):
-        return _log_radius(s, -r)
-
     try:
-        return float(brentq(p, 0.0, hi, xtol=tol))
-    except ValueError as exc:   # p(0) and p(hi) share a sign
+        return float(brentq(lambda r: _log_radius(s, -r, "bowen_dimension"),
+                            0.0, hi, xtol=tol))
+    except ValueError as exc:   # P at 0 and at hi share a sign
         raise InvariantError("root bracket failed (pressure positive at cap)",
                              module="carath", operation="bowen_dimension") from exc
 
@@ -431,10 +428,11 @@ def check_conditions(s, depth, t_grid):
     state at once; each state ends some admissible word of every length,
     since no symbol is dead.
     """
+    depth = integer_count(depth, "depth", "carath", "check_conditions", 2)
     t_grid = tuple(float(t) for t in t_grid)
-    if depth < 2 or not t_grid:
-        raise InputError(f"need depth >= 2 and a nonempty t_grid, got {depth}, {t_grid}",
-                         module="carath", operation="check_conditions")
+    if not t_grid:
+        raise InputError("t_grid must be nonempty", module="carath",
+                         operation="check_conditions")
 
     # Q3: growing v one symbol at a time, log q(uv) - log q(u) - log q(v)
     # gains the step from the state of u v[:i] less the step from v[:i].
@@ -566,12 +564,8 @@ def restricted_outer_measure(s, z, mu, n, eps, t, m_blk, depth_cap,
         raise InputError(f"eps must be >= 0, got {eps}",
                          module="carath", operation="restricted_outer_measure")
     _check_t(t, "restricted_outer_measure")
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}",
-                         module="carath", operation="restricted_outer_measure")
-    if m_blk < 1:
-        raise InputError(f"m_blk must be >= 1, got {m_blk}",
-                         module="carath", operation="restricted_outer_measure")
+    n = integer_count(n, "n", "carath", "restricted_outer_measure")
+    m_blk = integer_count(m_blk, "m_blk", "carath", "restricted_outer_measure")
     space = s.space
     w = symbol_array(z, space.m, "carath", "restricted_outer_measure")
     z = tuple(w.tolist())

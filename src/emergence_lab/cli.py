@@ -34,14 +34,11 @@ ARTIFACT_VERSION = "1.0"
 
 
 def _resolve_threads(flag):
-    """Worker threads: the --threads flag, else the CPU count; a flag below
-    1 raises InputError."""
+    """Worker threads: the --threads flag, else the CPU count; a flag that
+    is not an integer >= 1 raises InputError (`sofic.integer_count`)."""
     if flag is None:
         return max(1, os.cpu_count() or 1)
-    if flag < 1:
-        raise InputError(f"--threads must be >= 1, got {flag}",
-                         module="cli", operation="threads")
-    return flag
+    return sofic.integer_count(flag, "--threads", "cli", "threads")
 
 
 def _atomic_write(directory, name, data):

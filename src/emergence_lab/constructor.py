@@ -42,7 +42,8 @@ from .errors import (AlignmentError, InputError, InvariantError, SamplingError,
                      ScheduleError, SizeError)
 from .measures import (count_masses, make_rng, periodic_counts,
                        snapshot_masses, truncation_proxy, w1_below, w1_min)
-from .sofic import PointPrefix, connector, is_admissible, symbol_array
+from .sofic import (PointPrefix, connector, integer_count, is_admissible,
+                    symbol_array)
 
 NODE_CAP = 50_000       # lattice points of one simplex net
 GAMMA_N_CAP = 2 ** 16   # largest entry threshold the estimate tries
@@ -102,9 +103,7 @@ def simplex_net(level, mesh):
     each coordinate by < 1/q, so the L1 covering radius is <= (level+1)/q
     <= mesh.
     """
-    if level < 0:
-        raise InputError(f"level must be >= 0, got {level}",
-                         module="constructor", operation="simplex_net")
+    level = integer_count(level, "level", "constructor", "simplex_net", 0)
     if not 0 < mesh < math.inf:
         raise InputError(f"mesh must be finite and > 0, got {mesh}",
                          module="constructor", operation="simplex_net")
@@ -118,10 +117,9 @@ def simplex_net(level, mesh):
     if count > NODE_CAP:
         raise SizeError(f"net would have {count} nodes (cap {NODE_CAP})",
                         module="constructor", operation="simplex_net")
-    nodes = []
-    for parts in _compositions(q, level + 1):
-        nodes.append(tuple(p / q for p in parts))
-    return SimplexNet(level=level, mesh=mesh, nodes=tuple(nodes))
+    nodes = tuple(tuple(p / q for p in parts)
+                  for parts in _compositions(q, level + 1))
+    return SimplexNet(level=level, mesh=mesh, nodes=nodes)
 
 
 def _compositions(total, parts):
@@ -425,8 +423,9 @@ def _typical_words(measures, blocks, metric_depth):
     ATTEMPT_CAP rounds raises SamplingError, the first such block's.
     """
     for _, n, eps, _ in blocks:
-        if n < 1 or not eps > 0:
-            raise InputError(f"need n >= 1 and eps > 0, got n={n}, eps={eps}",
+        integer_count(n, "n", "constructor", "typical_word")
+        if not eps > 0:
+            raise InputError(f"eps must be > 0, got {eps}",
                              module="constructor", operation="typical_word")
     space = measures[0].space
     used = sorted({l for l, _, _, _ in blocks})

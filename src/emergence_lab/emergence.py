@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import InputError
 from .measures import empirical_snapshots, w1_settled, wasserstein1
+from .sofic import integer_count
 
 
 @dataclass(frozen=True)
@@ -63,16 +64,11 @@ def geometric_times(n_min, n_max, count):
     above it.  That never moves n_max: geometric points lie on or below the
     chord, so raw[j] + count - 1 - j <= n_max when n_max - n_min >= count - 1.
     """
-    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer))
-           for v in (n_min, n_max, count)):
-        raise InputError(f"n_min, n_max and count must be integers, got "
-                         f"{n_min!r}, {n_max!r}, {count!r}",
-                         module="emergence", operation="build_cloud")
-    if count < 2:
-        raise InputError(f"count must be >= 2, got {count}",
-                         module="emergence", operation="build_cloud")
-    if not 1 <= n_min < n_max:
-        raise InputError(f"need 1 <= n_min < n_max, got ({n_min}, {n_max})",
+    n_min = integer_count(n_min, "n_min", "emergence", "build_cloud")
+    n_max = integer_count(n_max, "n_max", "emergence", "build_cloud")
+    count = integer_count(count, "count", "emergence", "build_cloud", 2)
+    if not n_min < n_max:
+        raise InputError(f"need n_min < n_max, got ({n_min}, {n_max})",
                          module="emergence", operation="build_cloud")
     if n_max - n_min + 1 < count:
         raise InputError(f"[{n_min}, {n_max}] holds fewer than {count} integers",
@@ -91,7 +87,7 @@ def build_cloud(x, n_min, n_max, count, depth, space):
 
 def cloud_at_times(x, times, depth, space):
     """A trajectory cloud at an explicit strictly increasing time schedule."""
-    times = tuple(int(t) for t in times)
+    times = tuple(times)
     snaps = tuple(empirical_snapshots(x, times, depth, space))
     return TrajectoryCloud(times=times, snapshots=snaps, depth=depth,
                            space=space)
@@ -108,6 +104,7 @@ def pairwise_w1(snapshots, depth, space, threads=1, scales=None):
     bounds run before the pool, so the matrix is the same at any thread
     count.
     """
+    threads = integer_count(threads, "threads", "emergence", "pairwise_w1")
     k = len(snapshots)
     rows, cols = np.triu_indices(k, 1)
     vals = np.full(rows.shape[0], np.nan)
@@ -287,7 +284,7 @@ def _check_scales(epsilons):
 def emergence_report(cloud, epsilons, tail_fraction, threads=1):
     """Per-scale covering brackets plus two-sided exponent fits for one orbit.
 
-    The tail fraction and the scales are checked before any W1 work.  A
+    The threads, tail fraction and scales are checked before any W1 work.  A
     tail of at most `EXACT_CAP` snapshots is counted exactly, which reads
     only d <= eps at the scales, so its pairs get W1 decisions: a pair the
     bounds settle at every scale skips the exact solve (`pairwise_w1` with
@@ -295,23 +292,21 @@ def emergence_report(cloud, epsilons, tail_fraction, threads=1):
     one another, so every pair of it is solved exactly; that branch goes
     when an exact covering solve replaces the greedy cover.
     """
+    threads = integer_count(threads, "threads", "emergence", "emergence_report")
     times, snaps = cloud.tail(tail_fraction)
     _check_scales(epsilons)
     scales = epsilons if len(snaps) <= EXACT_CAP else None
     dist = pairwise_w1(snaps, cloud.depth, cloud.space, threads=threads,
                        scales=scales)
-    lowers, uppers = [], []
-    for eps in epsilons:
-        lo, up = covering_number_bounds(dist, eps)
-        lowers.append(lo)
-        uppers.append(up)
+    lowers, uppers = zip(*(covering_number_bounds(dist, eps)
+                           for eps in epsilons))
     u_slope, u_int, u_res, u_deg = emergence_exponent(epsilons, uppers)
     l_slope, l_int, l_res, l_deg = emergence_exponent(epsilons, lowers)
     fit = {"slope": u_slope, "intercept": u_int, "residual": u_res,
            "degenerate": u_deg,
            "lower_slope": l_slope, "lower_intercept": l_int,
            "lower_residual": l_res, "lower_degenerate": l_deg}
-    return EmergenceReport(epsilons=tuple(epsilons), lower=tuple(lowers),
-                           upper=tuple(uppers), exponent_fit=fit,
+    return EmergenceReport(epsilons=tuple(epsilons), lower=lowers,
+                           upper=uppers, exponent_fit=fit,
                            tail_fraction=tail_fraction,
                            n_window_start=times[0], n_window_end=times[-1])

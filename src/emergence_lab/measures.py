@@ -51,6 +51,9 @@ first LP without running `scipy/optimize/__init__.py`, so no process ever
 loads scipy.optimize for an LP.  It passes HiGHS the model and options
 that `scipy.optimize.linprog(method="highs")` would, and its CSC arrays
 come from numpy, built once per grid (`_grid_flow`).
+The counts (`prefix_law`'s depth, `sample`'s n, each length or time of
+`sample_words` and `snapshot_masses`) obey `sofic.integer_count`: any
+integer type passes; a bool, a float or a value below 1 raises InputError.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DepthError, InputError, InvariantError, SizeError
-from .sofic import ShiftSpace, perron, symbol_array
+from .sofic import ShiftSpace, integer_count, perron, symbol_array
 
 # Largest symbol grid (m^depth nodes) the W1 flow LP is built on: FULL2 to
 # depth 12, FULL3 to depth 7.  HiGHS time grows about quadratically in the
@@ -157,9 +160,7 @@ class MarkovMeasure:
         """The probabilities pi[x_0] P[x_0, x_1] ... P[x_{depth-2}, x_{depth-1}]
         of the m^depth prefixes on the grid, multiplied left to right: step d
         adds x_d as the top digit, times P[old top digit, x_d]."""
-        if depth < 1:
-            raise InputError(f"depth must be >= 1, got {depth}",
-                             module="measures", operation="prefix_law")
+        depth = integer_count(depth, "depth", "measures", "prefix_law")
         m = self.space.m
         _grid_size(m, depth, "prefix_law")
         law = self.stationary
@@ -176,9 +177,7 @@ class MarkovMeasure:
     def sample(self, n, rng):
         """A length-n word from the stationary chain: the one-word case of
         the inverse-CDF walk `_walk`, on the n uniforms rng.random(n)."""
-        if n < 1:
-            raise InputError(f"n must be >= 1, got {n}",
-                             module="measures", operation="sample")
+        n = integer_count(n, "n", "measures", "sample")
         return self._walk(rng.random(n), [0])
 
     def sample_words(self, lengths, rngs):
@@ -187,16 +186,16 @@ class MarkovMeasure:
         sample(lengths[i], rngs[i]) bit for bit.  The uniforms of all the
         words share one buffer, each word's written in place by
         `Generator.random(out=...)`, and one walk serves them all."""
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if not (lengths.size and lengths.min() >= 1):
-            raise InputError("lengths must be nonempty and >= 1, got "
-                             f"{lengths.min() if lengths.size else 'none'}",
+        if not len(lengths) == len(rngs) > 0:
+            raise InputError(f"lengths must be nonempty with one rng each, got "
+                             f"{len(rngs)} rngs for {len(lengths)} lengths",
                              module="measures", operation="sample")
+        lengths = np.array([integer_count(n, "each length", "measures",
+                                          "sample") for n in lengths])
         ends = np.cumsum(lengths)
         starts = ends - lengths
         u = np.empty(ends[-1])
-        for rng, a, b in zip(rngs, starts.tolist(), ends.tolist(),
-                             strict=True):
+        for rng, a, b in zip(rngs, starts.tolist(), ends.tolist()):
             rng.random(out=u[a:b])
         return np.split(self._walk(u, starts), ends[:-1])
 
@@ -318,10 +317,11 @@ def snapshot_masses(x, times, depth, space):
     each segment between consecutive distinct times is counted once and
     added to the running node counts, O(n + len(times) m^depth) work, and
     each row is `count_masses` of its time's counts."""
-    times = [int(t) for t in times]
-    if not times or any(t < 1 for t in times):
-        raise InputError(f"times must be nonempty positive integers, got {times}",
-                         module="measures", operation="empirical_snapshots")
+    times = [integer_count(t, "each time", "measures", "empirical_snapshots")
+             for t in times]
+    if not times:
+        raise InputError("times must be nonempty", module="measures",
+                         operation="empirical_snapshots")
     size = _grid_size(space.m, depth, "empirical_snapshots")
     n = max(times) + depth - 1
     if n > x.symbols.shape[0]:

@@ -4,6 +4,10 @@ One-sided subshifts of finite type over the alphabet {1, ..., m}, with the
 beta-adic metric d(x, y) = sum_j |x_j - y_j| / beta^j.  All symbol data is
 1-based to match the usual alphabet convention; transition matrices are 0/1
 numpy arrays indexed from 0 (symbol s occupies row/column s-1).
+Every count the lab takes, here the n of `count_admissible` and
+`admissible_words`, obeys one rule, `integer_count`: an integer of any
+integer type at or above its floor passes, and a bool, a float (3.0 too), a
+string or a smaller value raises InputError naming the parameter.
 `perron` takes one eigen-solve per call from numpy, so no module here
 loads `scipy.linalg`.
 """
@@ -139,6 +143,19 @@ def symbol_array(word, m, module, operation):
     return w
 
 
+def integer_count(value, name, module, operation, floor=1):
+    """int(value) for an integer of any integer type at least `floor`, else
+    InputError naming the parameter, tagged with the caller's module and
+    operation: for a bool, a float (3.0 too), a string or a smaller value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}",
+                         module=module, operation=operation)
+    if value < floor:
+        raise InputError(f"{name} must be >= {floor}, got {int(value)}",
+                         module=module, operation=operation)
+    return int(value)
+
+
 def is_admissible(word, space):
     """True iff every adjacent symbol pair of the word is allowed; raises
     InputError naming the first symbol outside the alphabet."""
@@ -205,9 +222,7 @@ def topological_entropy(space):
 
 def count_admissible(space, n):
     """Number of admissible words of length n (exact, arbitrary precision)."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}",
-                         module="sofic", operation="count_admissible")
+    n = integer_count(n, "n", "sofic", "count_admissible")
     m = space.m
     t = [[int(space.transition[i, j]) for j in range(m)] for i in range(m)]
     # row vector of ones times transition^(n-1), all in Python ints: no overflow
@@ -219,9 +234,7 @@ def count_admissible(space, n):
 
 def admissible_words(space, n):
     """All admissible words of length n, lexicographically ordered."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}",
-                         module="sofic", operation="admissible_words")
+    n = integer_count(n, "n", "sofic", "admissible_words")
     words = np.arange(1, space.m + 1)[:, None]
     for _ in range(n - 1):
         # row-major nonzero: each word's successors in increasing order

@@ -483,7 +483,7 @@ def test_log_radius_matches_scipy_perron_oracle(monkeypatch):
         words = admissible_words(FULL3, window)
         s = pressure_structure(FULL3, dict(zip(
             words, rng.uniform(-1.0, 1.0, len(words)))), window)
-        got = carath._log_radius(s, scale)
+        got = carath._log_radius(s, scale, "pressure_exact")
         assert matrices[-1].shape == (3 ** (window - 1),) * 2
         want = math.log(scipy_perron(matrices[-1])[0])
         assert abs(got - want) <= 1e-13 * abs(want), (window, got, want)
@@ -495,6 +495,17 @@ def test_exact_pressure_transfer_cap():
     s = pressure_structure(full4, const_table(full4, 8, 0.0), 8)
     with pytest.raises(SizeError, match="16384 transfer states exceed cap"):
         pressure_exact(s)
+
+
+def test_transfer_cap_error_names_its_caller(monkeypatch):
+    # FULL3 at window 3 has 9 transfer states, past a cap of 8
+    monkeypatch.setattr(carath, "TRANSFER_CAP", 8)
+    table = const_table(FULL3, 3, 1.0)
+    for call, s in ((pressure_exact, pressure_structure(FULL3, table, 3)),
+                    (bowen_dimension, appendix_structure(FULL3, table, 3))):
+        with pytest.raises(SizeError, match="9 transfer states") as ei:
+            call(s)
+        assert ei.value.operation == call.__name__
 
 
 def test_each_perron_call_is_one_eigen_solve(monkeypatch):
@@ -579,13 +590,13 @@ def test_bowen_solves_each_bracket_end_once(monkeypatch):
     for s, want in cases:
         points = []
         monkeypatch.setattr(carath, "_log_radius",
-                            lambda st, scale: points.append(scale)
-                            or solve(st, scale))
+                            lambda st, scale, op: points.append(scale)
+                            or solve(st, scale, op))
         root = bowen_dimension(s)
         assert len(points) == len(set(points)) == want
-        assert abs(solve(s, -root)) <= 1e-6
+        assert abs(solve(s, -root, "bowen_dimension")) <= 1e-6
     # a bracket that fails is an InvariantError, not scipy's ValueError
-    monkeypatch.setattr(carath, "_log_radius", lambda st, scale: 1.0)
+    monkeypatch.setattr(carath, "_log_radius", lambda st, scale, op: 1.0)
     with pytest.raises(InvariantError, match="root bracket failed"):
         bowen_dimension(cases[0][0])
 

@@ -884,3 +884,84 @@ def test_validate_config_parses_schedule_keys():
     assert (p["eps_tilde"], p["eps_hat"]) == ((0.9, 0.8, 0.7), (0.1,) * 3)
     absent = parsed("construct", {**CONSTRUCT, "gamma": None, "nets": None})
     assert absent["gamma"] is None and absent["nets"] is None
+
+
+NET0, NET1 = CONSTRUCT["nets"]
+FAMILY = CONSTRUCT["family"]
+
+
+def config_of(experiment, parameters, space=FULL2_SPACE):
+    return {"space": space, "experiment": experiment,
+            "parameters": parameters, "seed": 0, "output_dir": "x"}
+
+
+@pytest.mark.parametrize("config, pointer", [
+    (config_of("entropy", {}, {**FULL2_SPACE,
+                               "transition": [[1, 0], [1, 0]]}), "/space"),
+    (config_of("pressure", {"table": {"1": 0.0, "x": 0.0}}),
+     "/parameters/table/x"),
+    (config_of("pressure", {"table": {"1": 0.0, "2": "high"}}),
+     "/parameters/table/2"),
+    (config_of("outer-sweep", {"kind": "entropy", "t_grid": [0.5, "a"],
+                               "depth_caps": [2]}), "/parameters/t_grid/1"),
+    (config_of("emergence", {**SMALL_EMERGENCE, "source": MARKOV,
+                             "epsilons": [0.3, 0.0, -0.1]}),
+     "/parameters/epsilons/1"),
+    (config_of("pressure", {"table": {"1": 0.0, "2": 0.0},
+                            "lengths": [4, 0]}), "/parameters/lengths/1"),
+    (config_of("outer-sweep", {"kind": "entropy", "t_grid": [0.5],
+                               "depth_caps": [2, -1]}),
+     "/parameters/depth_caps/1"),
+    (config_of("construct", {k: v for k, v in CONSTRUCT.items()
+                             if k != "family"}), "/parameters/family"),
+    (config_of("construct", {**CONSTRUCT, "family": []}),
+     "/parameters/family"),
+    (config_of("construct", {**CONSTRUCT, "family": [[["a", 0.8], [0.2, 0.8]],
+                                                     FAMILY[1]]}),
+     "/parameters/family/0"),
+    (config_of("construct", {**CONSTRUCT, "family": [[[1.0]], FAMILY[1]]}),
+     "/parameters/family/0"),
+    (config_of("construct", {**CONSTRUCT,
+                             "gamma": {**CONSTRUCT["gamma"], "x": 32}}),
+     "/parameters/gamma/x"),
+    (config_of("construct", {**CONSTRUCT, "nets": [NET0]}),
+     "/parameters/nets"),
+    (config_of("construct", {**CONSTRUCT, "nets": [5, NET1]}),
+     "/parameters/nets/0"),
+    (config_of("construct", {**CONSTRUCT, "nets": [{**NET0, "level": 1},
+                                                   NET1]}),
+     "/parameters/nets/0/level"),
+    (config_of("construct", {**CONSTRUCT, "nets": [{**NET0, "mesh": 0},
+                                                   NET1]}),
+     "/parameters/nets/0/mesh"),
+    (config_of("construct", {**CONSTRUCT, "nets": [{**NET0, "nodes": []},
+                                                   NET1]}),
+     "/parameters/nets/0/nodes"),
+    (config_of("emergence", {**SMALL_EMERGENCE, "source": {
+        "kind": "bernoulli", "probs": [1.0]}}), "/parameters/source/probs"),
+    (config_of("emergence", {**SMALL_EMERGENCE, "source": {"kind": "levy"}}),
+     "/parameters/source/kind"),
+    (config_of("emergence", {**SMALL_EMERGENCE, "source": {
+        **OSCILLATING, "growth": 1.0}}), "/parameters/source/growth"),
+    (config_of("bowen", {"table": {"1": 1.0, "2": 0.0}}), "/parameters/table"),
+    (config_of("emergence", {**SMALL_EMERGENCE, "source": MARKOV,
+                             "tail_fraction": 1.5}),
+     "/parameters/tail_fraction"),
+    (config_of("emergence", {**SMALL_EMERGENCE, "source": MARKOV,
+                             "tail_fraction": 0}),
+     "/parameters/tail_fraction"),
+    (config_of("construct", {**CONSTRUCT, "eps_tilde": [0.9, 0.8]}),
+     "/parameters/eps_tilde"),
+    (config_of("construct", {**CONSTRUCT, "eps_hat": [0.1, 0.1]}),
+     "/parameters/eps_hat"),
+    (config_of("saturate", {**CONSTRUCT, "slack": -0.1}), "/parameters/slack"),
+    *[(config_of("restricted-probe", {**PROBE, "word": word}),
+       "/parameters/word") for word in ([], [1.5], [True])],
+    *[(config_of("restricted-probe", {**PROBE, key: -0.1}),
+       f"/parameters/{key}") for key in ("eps", "t")],
+    ([], "/"),
+])
+def test_validate_config_names_each_violation(config, pointer):
+    with pytest.raises(ConfigError) as ei:
+        validate_config(config)
+    assert [p for p, _ in ei.value.violations] == [pointer]

@@ -52,6 +52,11 @@ def test_family_rejects_mixed_spaces():
         MeasureFamily((bern([0.5, 0.5]), MarkovMeasure.parry(GM)))
 
 
+def test_family_needs_a_measure():
+    with pytest.raises(InputError, match="at least one measure"):
+        MeasureFamily(())
+
+
 # --------------------------------------------------------------- SimplexNet
 
 def test_simplex_net_nodes_sum_to_one():
@@ -267,6 +272,29 @@ def test_check_itinerary_reports_short_inputs():
                              "connector_slots": it.connector_slots[:-2]})
     assert check_itinerary(few_slots) == [
         f"connector_slots hold {k - 2} entries for {k} blocks"]
+
+
+def test_check_itinerary_names_each_failed_inequality():
+    # a valid two-level layout by hand: group (1, 0) sits at its node
+    # (0.5, 0.5), and no gamma entry constrains (I1)
+    nets = (SimplexNet(level=0, mesh=1.0, nodes=((1.0,),)),
+            SimplexNet(level=1, mesh=0.5, nodes=((0.5, 0.5),)))
+    it = Itinerary(eps_tilde=(0.5, 0.5, 0.5), eps_hat=(0.5, 0.25, 0.125),
+                   blocks=((0, 0, 0, 100), (1, 0, 0, 1000), (1, 0, 1, 1000)),
+                   connector_slots=(0, 0, 0), gamma_n={}, nets=nets)
+    assert check_itinerary(it) == []
+    # the entry threshold of (1, 0) is 80 symbols against 100 so far
+    assert check_itinerary(replace(it, gamma_n={(1, 0): 80})) == [
+        "(I1) fails at block (0, 0, 0): 80/100 > 0.5"]
+    # proportions 0.2 and 0.8 against the node (0.5, 0.5)
+    lopsided = replace(it, blocks=((0, 0, 0, 100), (1, 0, 0, 400),
+                                   (1, 0, 1, 1600)))
+    assert check_itinerary(lopsided) == [
+        "(I3) fails at group (1, 0): deviation 0.300000 > 0.250000"]
+    assert check_itinerary(replace(it, eps_hat=(0.5, 1.0, 0.0))) == [
+        "eps_hat[1] outside (0,1)", "eps_hat[2] outside (0,1)"]
+    assert check_itinerary(replace(it, eps_tilde=(0.5, 0.5))) == [
+        "eps_tilde schedule too short"]
 
 
 def test_check_itinerary_flags_broken_order():

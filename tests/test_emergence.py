@@ -63,7 +63,7 @@ def test_geometric_times_guards():
     # below n_max; integers of any integer type are accepted
     for args in ((1.5, 10, 3), (1, 10.7, 3), (1, 10, 3.0), (True, 10, 3),
                  (1, 10, True), ("1", 10, 3)):
-        with pytest.raises(InputError, match="must be integers"):
+        with pytest.raises(InputError, match="must be an integer"):
             geometric_times(*args)
     with pytest.raises(InputError, match="count must be >= 2"):
         geometric_times(1, 10, 1)

@@ -242,6 +242,11 @@ def test_sample_words_equal_loop_walks(name):
         mu.sample_words([3, 0], [make_rng(0), make_rng(1)])
     with pytest.raises(InputError, match="nonempty"):
         mu.sample_words([], [])
+    # one generator per length, no fewer and no more
+    for lengths, rngs in (([3], []), ([3, 2], [make_rng(0)]),
+                          ([3], [make_rng(0), make_rng(1)])):
+        with pytest.raises(InputError, match="one rng each"):
+            mu.sample_words(lengths, rngs)
     with pytest.raises(InputError, match="n must be >= 1"):
         mu.sample(0, make_rng(0))
 
@@ -458,8 +463,9 @@ def test_empirical_snapshots_match_single_calls():
         single = empirical_snapshots(x, [t], 6, FULL2)[0]
         d, _ = wasserstein1(snap, single, 6, FULL2)
         assert d == pytest.approx(0.0, abs=1e-12)
-    for bad in ([], [0, 5]):
-        with pytest.raises(InputError, match="nonempty positive integers"):
+    for bad, match in (([], "times must be nonempty"),
+                       ([0, 5], "each time must be >= 1, got 0")):
+        with pytest.raises(InputError, match=match):
             empirical_snapshots(x, bad, 6, FULL2)
 
 
